@@ -24,7 +24,7 @@ from .dyadic import count_bound, localize
 from .fieldio import FieldFormatError, read_field, write_field
 from .grid import Ball, Cube, Cylinder
 from .localquant import AnalysisConfig, quant_report
-from .lorentz import NormReport, l4_interpolation_check, local_l2_check, weak_norm
+from .lorentz import NormReport, l4_interpolation_check, local_l2_check
 from .stokes import (
     BumpTestFunction,
     StokesError,

@@ -448,6 +448,7 @@ class CandidateSet:
     k_max: int
     M: float = float("nan")
     bound: float = float("nan")
+    weak_norm_measured: float = float("nan")
     families: list = field(default_factory=list)
     flags: dict = field(default_factory=dict)
 
@@ -460,6 +461,8 @@ class CandidateSet:
             "k_max": self.k_max,
             "M": self.M,
             "bound": self.bound,
+            "weak_norm_measured": self.weak_norm_measured,
+            "hypothesis_ok": self.weak_norm_measured <= self.M * (1 + 1e-12),
             "survivors_per_level": self.survivors_per_level,
             "terminated_per_level": self.terminated_per_level,
             "boundary_adjacent": self.boundary_adjacent,
@@ -618,33 +621,20 @@ def build_chains(families, box):
     clusters = []
     points = []
     chains = []
-    reach_sets = [set(r.tolist()) for r in reach]
     for lab in labels:
         sel = roots == lab
         member_j = j[sel]
         clusters.append([DyadicCube(eps_eff, k_max, tuple(r)) for r in member_j])
         points.append(centers[sel].mean(axis=0))
-        # representative chain: walk the lexicographically-first survivor up
+        # representative chain: walk the lexicographically-first survivor up,
+        # taking the first reachable parent (packed keys sort lexicographically)
         chain = [clusters[-1][0]]
-        cur = member_j[0]
+        key = _pack(member_j[:1])
         for k in range(k_max, 0, -1):
-            span = _child_span(eps_eff)
-            found = None
-            for px in range((cur[0] - span + 1) // 2, cur[0] // 2 + 1):
-                for py in range((cur[1] - span + 1) // 2, cur[1] // 2 + 1):
-                    for pz in range((cur[2] - span + 1) // 2, cur[2] // 2 + 1):
-                        key = int(_pack(np.array([[px, py, pz]]))[0])
-                        if key in reach_sets[k - 1]:
-                            found = np.array([px, py, pz])
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-            if found is None:
+            key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1])[:1]
+            if not len(key):
                 break
-            chain.append(DyadicCube(eps_eff, k - 1, tuple(found)))
-            cur = found
+            chain.append(DyadicCube(eps_eff, k - 1, tuple(_unpack(key)[0])))
         chains.append(list(reversed(chain)))
 
     boundary = any(c.protrudes(box) for cl in clusters for c in cl)
@@ -687,8 +677,9 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
         warnings.warn(msg)
 
     mag = frame.magnitude() if hasattr(frame, "magnitude") else frame
+    measured = weak_norm(mag, 3.0)
     if M is None:
-        M = weak_norm(mag, 3.0)
+        M = measured
 
     fam = select_f0(frame, cfg.eps, eps_shape_factor, M=M)
     families = [fam]
@@ -700,6 +691,7 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
 
     cs = build_chains(families, scan.box)
     cs.M = float(M)
+    cs.weak_norm_measured = float(measured)
     cs.bound = count_bound(M, cfg.eps * eps_shape_factor)
     cs.families = families
     cs.flags = {

@@ -6,8 +6,9 @@ Data arrays are indexed ``data[ix, iy, iz]``; serialization flattens them
 x-fastest (Fortran order).
 """
 
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +79,14 @@ class Box3:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
+
+
+def _workers():
+    """Thread count for scipy.fft calls, from REGSCAN_THREADS (default 1)."""
+    try:
+        return max(1, int(os.environ.get("REGSCAN_THREADS", "1")))
+    except ValueError:
+        return 1
 
 
 def _check_data(box, data):

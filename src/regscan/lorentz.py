@@ -7,7 +7,7 @@ and the usual integral identities hold to rounding error.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .grid import Ball, Box3, ScalarGrid, VectorGrid, scalar_gradient, gradient
-from .synth import _workers
+from .grid import (Ball, Box3, ScalarGrid, VectorGrid, _workers, gradient,
+                   scalar_gradient)
 
 __all__ = [
     "StokesError",
@@ -65,49 +65,50 @@ def _check_domain(box):
 # the actual unknown.
 
 
+def _ax(axis, s):
+    """Index tuple that takes s along one axis and everything along the rest."""
+    return tuple(s if b == axis else slice(None) for b in range(3))
+
+
+def _interior(a):
+    return _ax(a, slice(1, -1))
+
+
+def _avg(x, axis):
+    """Midpoint average of neighbouring samples along one axis."""
+    return 0.5 * (x[_ax(axis, slice(None, -1))] + x[_ax(axis, slice(1, None))])
+
+
+def _d2(x, axis):
+    """Undivided central second difference along one axis (interior points)."""
+    return (x[_ax(axis, slice(None, -2))] - 2.0 * x[_ax(axis, slice(1, -1))]
+            + x[_ax(axis, slice(2, None))])
+
+
+def _with_walls(x, axis):
+    """Interior face values padded with the zero wall faces of one axis."""
+    shape = list(x.shape)
+    shape[axis] += 2
+    f = np.zeros(shape)
+    f[_interior(axis)] = x
+    return f
+
+
 def _to_faces(v):
-    out = []
-    for a in range(3):
-        data = v.components[a].data
-        shape = list(data.shape)
-        shape[a] += 1
-        f = np.zeros(shape)
-        # interior face i sits between cells i-1 and i; walls stay zero
-        interior = [slice(None)] * 3
-        interior[a] = slice(1, -1)
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        f[tuple(interior)] = 0.5 * (data[tuple(lo)] + data[tuple(hi)])
-        out.append(f)
-    return out
+    # interior face i sits between cells i-1 and i; walls stay zero
+    return [_with_walls(_avg(c.data, a), a) for a, c in enumerate(v.components)]
 
 
 def _faces_to_centers(faces):
-    out = []
-    for a, f in enumerate(faces):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        out.append(0.5 * (f[tuple(lo)] + f[tuple(hi)]))
-    return out
+    return [_avg(f, a) for a, f in enumerate(faces)]
 
 
 def _div_faces(faces, h):
     return sum(np.diff(faces[a], axis=a) / h[a] for a in range(3))
 
 
-def _grad_to_faces(p, h, shapes):
-    out = []
-    for a in range(3):
-        f = np.zeros(shapes[a])
-        interior = [slice(None)] * 3
-        interior[a] = slice(1, -1)
-        f[tuple(interior)] = np.diff(p, axis=a) / h[a]
-        out.append(f)
-    return out
+def _grad_to_faces(p, h):
+    return [_with_walls(np.diff(p, axis=a) / h[a], a) for a in range(3)]
 
 
 class _ComponentSolver:
@@ -143,57 +144,28 @@ class _ComponentSolver:
         return x
 
 
-def _interior(a):
-    sl = [slice(None)] * 3
-    sl[a] = slice(1, -1)
-    return tuple(sl)
-
-
 def _apply_ainv(faces, solvers):
-    out = []
-    for a, f in enumerate(faces):
-        g = np.zeros_like(f)
-        g[_interior(a)] = solvers[a].solve(f[_interior(a)])
-        out.append(g)
-    return out
+    return [_with_walls(solvers[a].solve(f[_interior(a)]), a)
+            for a, f in enumerate(faces)]
 
 
 def _apply_a(faces, h):
-    """Forward no-slip vector Laplacian (for residual reporting)."""
+    """Forward no-slip vector Laplacian at the interior faces (for residual
+    reporting); the wall faces are constraints, not equations."""
     out = []
     for a, f in enumerate(faces):
-        acc = np.zeros_like(f)
+        acc = 0
         for b in range(3):
             if b == a:
-                padded = f  # wall faces already carry the zero values
+                # wall faces already carry the zero values
+                acc += _d2(f, b) / h[b] ** 2
             else:
-                lo = [slice(None)] * 3
-                hi = [slice(None)] * 3
-                lo[b] = slice(0, 1)
-                hi[b] = slice(-1, None)
+                # cell lines reflect with a sign flip across the walls
                 padded = np.concatenate(
-                    [-f[tuple(lo)], f, -f[tuple(hi)]], axis=b
-                )
-            sl0 = [slice(None)] * 3
-            sl1 = [slice(None)] * 3
-            sl2 = [slice(None)] * 3
-            sl0[b] = slice(None, -2)
-            sl1[b] = slice(1, -1)
-            sl2[b] = slice(2, None)
-            second = (
-                padded[tuple(sl0)] - 2.0 * padded[tuple(sl1)] + padded[tuple(sl2)]
-            ) / h[b] ** 2
-            if b == a:
-                pad = [(0, 0)] * 3
-                pad[b] = (1, 1)
-                second = np.pad(second, pad)
-            acc += second
-        g = -acc
-        # wall faces are constraints, not equations
-        mask = np.ones_like(f, dtype=bool)
-        mask[_interior(a)] = False
-        g[mask] = 0.0
-        out.append(g)
+                    [-f[_ax(b, slice(0, 1))], f, -f[_ax(b, slice(-1, None))]],
+                    axis=b)
+                acc += (_d2(padded, b) / h[b] ** 2)[_interior(a)]
+        out.append(-acc)
     return out
 
 
@@ -208,7 +180,6 @@ class StokesSolution:
     iterations: int
     residual_history: list = field(default_factory=list, repr=False)
     _face_grad: list = field(default=None, repr=False)
-    _face_v: list = field(default=None, repr=False)
 
 
 def estar(F, tol=1e-8):
@@ -237,8 +208,7 @@ def estar(F, tol=1e-8):
     cap = 10 * max(n)
 
     def schur(p):
-        g = _grad_to_faces(p, h, [f.shape for f in faces])
-        return -_div_faces(_apply_ainv(g, solvers), h)
+        return -_div_faces(_apply_ainv(_grad_to_faces(p, h), solvers), h)
 
     aif = _apply_ainv(faces, solvers)
     rhs = -_div_faces(aif, h)
@@ -276,14 +246,15 @@ def estar(F, tol=1e-8):
             it += 1
         p -= p.mean()
 
-    gfaces = _grad_to_faces(p, h, [f.shape for f in faces])
+    gfaces = _grad_to_faces(p, h)
     vfaces = _apply_ainv([faces[a] - gfaces[a] for a in range(3)], solvers)
 
     av = _apply_a(vfaces, h)
     fnorm = np.sqrt(sum(float((f[_interior(a)] ** 2).sum())
                         for a, f in enumerate(faces)))
     mom = np.sqrt(sum(
-        float(((av[a] + gfaces[a] - faces[a])[_interior(a)] ** 2).sum())
+        float(((av[a] + gfaces[a][_interior(a)] - faces[a][_interior(a)]) ** 2)
+              .sum())
         for a in range(3)
     ))
     divv = float(np.linalg.norm(_div_faces(vfaces, h)))
@@ -302,7 +273,6 @@ def estar(F, tol=1e-8):
         iterations=len(history) - 1 if history else 0,
         residual_history=history,
         _face_grad=gfaces,
-        _face_v=vfaces,
     )
     return sol
 
@@ -313,23 +283,13 @@ def estar(F, tol=1e-8):
 def _second_derivative(data, axis, h):
     """Second difference, second-order one-sided at the walls."""
     out = np.empty_like(data)
-    sl0, sl1, sl2 = [slice(None)] * 3, [slice(None)] * 3, [slice(None)] * 3
-    sl0[axis], sl1[axis], sl2[axis] = slice(None, -2), slice(1, -1), slice(2, None)
-    mid = [slice(None)] * 3
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = data[tuple(sl0)] - 2 * data[tuple(sl1)] + data[tuple(sl2)]
+    out[_interior(axis)] = _d2(data, axis)
 
     def line(idx):
-        sl = [slice(None)] * 3
-        sl[axis] = idx
-        return data[tuple(sl)]
+        return data[_ax(axis, idx)]
 
-    first = [slice(None)] * 3
-    first[axis] = 0
-    out[tuple(first)] = 2 * line(0) - 5 * line(1) + 4 * line(2) - line(3)
-    last = [slice(None)] * 3
-    last[axis] = -1
-    out[tuple(last)] = 2 * line(-1) - 5 * line(-2) + 4 * line(-3) - line(-4)
+    out[_ax(axis, 0)] = 2 * line(0) - 5 * line(1) + 4 * line(2) - line(3)
+    out[_ax(axis, -1)] = 2 * line(-1) - 5 * line(-2) + 4 * line(-3) - line(-4)
     return out / h[axis] ** 2
 
 
@@ -351,26 +311,12 @@ def convective_divergence(u):
     for a in range(3):
         for b in range(3):
             prod = comps[a] * comps[b]
-            lo, hi = [slice(None)] * 3, [slice(None)] * 3
-            lo[b], hi[b] = slice(None, -1), slice(1, None)
-            shape = list(prod.shape)
-            shape[b] += 1
-            flux = np.empty(shape)
-            interior = [slice(None)] * 3
-            interior[b] = slice(1, -1)
-            flux[tuple(interior)] = 0.5 * (prod[tuple(lo)] + prod[tuple(hi)])
-
-            def line(idx):
-                sl = [slice(None)] * 3
-                sl[b] = idx
-                return prod[tuple(sl)]
-
-            wall0 = [slice(None)] * 3
-            wall0[b] = 0
-            flux[tuple(wall0)] = 1.5 * line(0) - 0.5 * line(1)
-            wall1 = [slice(None)] * 3
-            wall1[b] = -1
-            flux[tuple(wall1)] = 1.5 * line(-1) - 0.5 * line(-2)
+            # wall fluxes extrapolate linearly from the two nearest cells
+            lo = (1.5 * prod[_ax(b, slice(0, 1))]
+                  - 0.5 * prod[_ax(b, slice(1, 2))])
+            hi = (1.5 * prod[_ax(b, slice(-1, None))]
+                  - 0.5 * prod[_ax(b, slice(-2, -1))])
+            flux = np.concatenate([lo, _avg(prod, b), hi], axis=b)
             out[a] += np.diff(flux, axis=b) / h[b]
     return VectorGrid.from_array(u.box, out)
 
@@ -390,16 +336,24 @@ class LocalPressure:
     solutions: dict
 
 
-def pressure_parts(u, tol=1e-8):
-    divu = sum(np.gradient(c.data, x, axis=a, edge_order=2)
-               for a, (c, x) in enumerate(zip(u.components, u.box.centers())))
+def _warn_if_compressible(u, what, interior=False):
+    """Warn when rms |div u| exceeds a tenth of rms |∇u|: `what` assumes
+    div u ≈ 0. interior=True skips the one-sided wall layer of div u."""
+    gu = gradient(u)
+    divu = gu[0, 0] + gu[1, 1] + gu[2, 2]
+    if interior:
+        divu = divu[1:-1, 1:-1, 1:-1]
     rms_div = float(np.sqrt(np.mean(divu ** 2)))
-    rms_grad = float(np.sqrt(np.mean(gradient(u) ** 2)))
+    rms_grad = float(np.sqrt(np.mean(gu ** 2)))
     if rms_grad > 0 and rms_div > 0.1 * rms_grad:
         warnings.warn(
             f"input is far from solenoidal (|div u| rms {rms_div:.3e}); "
-            "the pressure decomposition assumes div u ≈ 0"
+            f"{what} assumes div u ≈ 0"
         )
+
+
+def pressure_parts(u, tol=1e-8):
+    _warn_if_compressible(u, "the pressure decomposition")
     neg_u = VectorGrid.from_array(u.box, -u.stack())
     sol_h = estar(neg_u, tol)
     conv = convective_divergence(u)
@@ -417,31 +371,17 @@ def harmonic_residual(ph_solution, u=None):
     """Interior 7-point Laplacian residual of the pressure, relative to ‖p‖."""
     p = ph_solution.p.data
     h = ph_solution.p.box.spacing
-    lap = np.zeros_like(p)
-    for axis in range(3):
-        sl0, sl1, sl2 = [slice(None)] * 3, [slice(None)] * 3, [slice(None)] * 3
-        sl0[axis], sl1[axis], sl2[axis] = (slice(None, -2), slice(1, -1),
-                                           slice(2, None))
-        term = (p[tuple(sl0)] - 2 * p[tuple(sl1)] + p[tuple(sl2)]) / h[axis] ** 2
-        pad = [(0, 0)] * 3
-        pad[axis] = (1, 1)
-        lap += np.pad(term, pad)
-    inner = lap[1:-1, 1:-1, 1:-1]
+    # each axis' second difference, restricted to the cells interior to all axes
+    inner = sum(_d2(p, axis)[tuple(slice(None) if b == axis else slice(1, -1)
+                                   for b in range(3))] / h[axis] ** 2
+                for axis in range(3))
     denom = float(np.sqrt(np.mean(p[1:-1, 1:-1, 1:-1] ** 2)))
     if denom == 0.0:
         return 0.0
     if u is not None:
         # relative check: smooth solenoidal fields carry O(h^2) discrete
         # divergence, so compare against the gradient magnitude
-        divu = sum(np.gradient(c.data, x, axis=a, edge_order=2)
-                   for a, (c, x) in enumerate(zip(u.components, u.box.centers())))
-        rms = float(np.sqrt(np.mean(divu[1:-1, 1:-1, 1:-1] ** 2)))
-        rms_grad = float(np.sqrt(np.mean(gradient(u) ** 2)))
-        if rms_grad > 0 and rms > 0.1 * rms_grad:
-            warnings.warn(
-                f"harmonicity of the pressure is only expected for solenoidal "
-                f"input; |div u| rms = {rms:.3e}"
-            )
+        _warn_if_compressible(u, "harmonicity of the pressure", interior=True)
     return float(np.sqrt(np.mean(inner ** 2))) / denom
 
 
@@ -484,23 +424,23 @@ class BumpTestFunction:
     def value(self, mesh, t):
         return self._profile(self._sq(mesh)) * self._tval(t)
 
-    def grad(self, mesh, t):
+    def _radial(self, mesh):
+        """s, the profile ψ(s) = exp(w(s)) and w', w'' (zero outside)."""
         s = self._sq(mesh)
-        psi = self._profile(s)
-        inside = s < 1.0 - 1e-12
-        wp = np.zeros_like(s)
-        wp[inside] = -1.0 / (1.0 - s[inside]) ** 2
-        coef = psi * wp * (2.0 / self.radius ** 2) * self._tval(t)
-        return np.array([coef * (mesh[a] - self.center[a]) for a in range(3)])
-
-    def laplacian(self, mesh, t):
-        s = self._sq(mesh)
-        psi = self._profile(s)
         inside = s < 1.0 - 1e-12
         wp = np.zeros_like(s)
         wpp = np.zeros_like(s)
         wp[inside] = -1.0 / (1.0 - s[inside]) ** 2
         wpp[inside] = -2.0 / (1.0 - s[inside]) ** 3
+        return s, self._profile(s), wp, wpp
+
+    def grad(self, mesh, t):
+        _, psi, wp, _ = self._radial(mesh)
+        coef = psi * wp * (2.0 / self.radius ** 2) * self._tval(t)
+        return np.array([coef * (mesh[a] - self.center[a]) for a in range(3)])
+
+    def laplacian(self, mesh, t):
+        s, psi, wp, wpp = self._radial(mesh)
         grad_sq = 4.0 * s / self.radius ** 2
         lap_s = 6.0 / self.radius ** 2
         return ((wp ** 2 + wpp) * grad_sq + wp * lap_s) * psi * self._tval(t)
@@ -622,8 +562,7 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
         terms_t["transport"].append(
             float((v2 * (uarr * phi_grad).sum(axis=0)).sum()) * vol
         )
-        hess = np.array([scalar_gradient(ScalarGrid(sub_box, gph[a]))
-                         for a in range(3)])
+        hess = gradient(VectorGrid.from_array(sub_box, gph))
         contraction = sum(
             varr[a] * uarr[b] * hess[a][b] for a in range(3) for b in range(3)
         )
@@ -694,14 +633,11 @@ def harmonic_rigidity_check(f, radii, center=None, M=None):
     if min(i0) < 1 or any(i >= nn - 1 for i, nn in zip(i0, box.n)):
         raise ValueError("center too close to the box boundary")
 
-    grad = np.array([
-        (f.data[i0[0] + 1, i0[1], i0[2]] - f.data[i0[0] - 1, i0[1], i0[2]])
-        / (2 * box.spacing[0]),
-        (f.data[i0[0], i0[1] + 1, i0[2]] - f.data[i0[0], i0[1] - 1, i0[2]])
-        / (2 * box.spacing[1]),
-        (f.data[i0[0], i0[1], i0[2] + 1] - f.data[i0[0], i0[1], i0[2] - 1])
-        / (2 * box.spacing[2]),
-    ])
+    grad = np.empty(3)
+    for a in range(3):
+        step = np.eye(3, dtype=int)[a]
+        grad[a] = ((f.data[tuple(i0 + step)] - f.data[tuple(i0 - step)])
+                   / (2 * box.spacing[a]))
     grad_norm = float(np.linalg.norm(grad))
     x0 = tuple(centers[a][i0[a]] for a in range(3))
 

@@ -8,14 +8,13 @@ incompressible equations with a 2/3-dealiased collocation scheme and a
 4-stage explicit step.
 """
 
-import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import Box3, VectorGrid, SpaceTimeField
+from .grid import Box3, VectorGrid, SpaceTimeField, _workers
 
 __all__ = [
     "SpikeSpec",
@@ -35,13 +34,6 @@ TWO_PI = 2.0 * np.pi
 def default_box(n):
     """One period of the solver domain, [0, 2*pi)^3 with n cells per axis."""
     return Box3((0.0, 0.0, 0.0), (TWO_PI, TWO_PI, TWO_PI), (n, n, n))
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("REGSCAN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,19 @@ def test_localize_payload(capsys, field_file):
     assert payload["bound"] == pytest.approx(
         count_bound(payload["M"], 0.1), rel=1e-12)
     assert len(payload["levels"]) <= 3
+    assert payload["M"] == payload["weak_norm_measured"]
+    assert payload["hypothesis_ok"] is True
+
+
+def test_localize_flags_m_below_measured_norm(capsys, field_file):
+    path, field = field_file
+    doc = run_json(capsys, ["localize", path, "--eps", "0.1", "--kmax", "0",
+                            "--M", "0.0001"])
+    payload = doc["payload"]
+    assert payload["M"] == 0.0001
+    assert payload["weak_norm_measured"] == pytest.approx(
+        weak_norm(field.frames[3].magnitude(), 3.0), rel=1e-12)
+    assert payload["hypothesis_ok"] is False
 
 
 def test_stokes_check_payload(capsys, field_file):

@@ -18,6 +18,7 @@ from regscan.lorentz import weak_norm
 from regscan.stokes import (
     BumpTestFunction,
     StokesError,
+    convective_divergence,
     estar,
     harmonic_residual,
     harmonic_rigidity_check,
@@ -136,10 +137,25 @@ def test_pressure_parts_zero_field():
         assert np.all(g.stack() == 0.0)
 
 
-def test_pressure_parts_warns_on_compressible_input():
+@pytest.mark.parametrize("call", [
+    pressure_parts,
+    lambda u: harmonic_residual(estar(u), u),
+], ids=["pressure_parts", "harmonic_residual"])
+def test_pressure_parts_warns_on_compressible_input(call):
     u = VectorGrid.sample(unit_box(16), lambda x, y, z: (x, y, z))
-    with pytest.warns(UserWarning):
-        pressure_parts(u)
+    with pytest.warns(UserWarning, match="far from solenoidal"):
+        call(u)
+
+
+def test_convective_divergence_exact_on_linear_field():
+    # u = (x, -y, 0): div(u ⊗ u) = (x, y, 0); face averages of the
+    # quadratic products are exact away from the extrapolated wall fluxes
+    u = VectorGrid.sample(unit_box(16), lambda x, y, z: (x, -y, np.zeros_like(z)))
+    x, y, z = u.box.center_mesh()
+    expected = np.stack([x, y, np.zeros_like(z)])
+    inner = (slice(None),) + (slice(1, -1),) * 3
+    got = convective_divergence(u).stack()
+    assert np.allclose(got[inner], expected[inner], rtol=0.0, atol=1e-12)
 
 
 def test_vector_laplacian_exact_on_quadratic():
