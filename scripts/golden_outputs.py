@@ -1,4 +1,4 @@
-"""Dump the numerical outputs of `stokes` and `dyadic.build_chains`, or
+"""Dump the numerical outputs of `stokes` and `dyadic.localize`, or
 compare two dumps bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
@@ -9,9 +9,9 @@ dumping at the parent commit and at the change, then comparing:
     PYTHONPATH=src python scripts/golden_outputs.py compare parent.npz change.npz
 
 Arrays are compared with np.array_equal (NaN equal to NaN); scalars and
-dicts are stored as JSON, whose float repr round-trips exactly. The
-`localize` payload keys `weak_norm_measured` and `hypothesis_ok` are
-left out, so dumps from before they existed still compare.
+dicts are stored as JSON, whose float repr round-trips exactly. Each
+`localize` run dumps its whole `to_dict()` payload, its chains, its
+clusters as sorted offset lists and the per-level F and G offsets.
 """
 
 import json
@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from regscan.dyadic import localize
-from regscan.grid import Box3, Cube, ScalarGrid
+from regscan.grid import Box3, Cube, ScalarGrid, VectorGrid
 from regscan.localquant import AnalysisConfig
 from regscan.lorentz import weak_norm
 from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
@@ -29,9 +29,6 @@ from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
                             local_energy_residual, pressure_parts,
                             restrict_to_cube, vector_laplacian)
 from regscan.synth import SolverConfig, SpikeSpec, run_solver, spike_field
-
-NEW_PAYLOAD_KEYS = ("weak_norm_measured", "hypothesis_ok")
-
 
 def _js(obj):
     return np.array(json.dumps(obj, sort_keys=True, default=float))
@@ -75,24 +72,59 @@ def stokes_outputs(out):
         g, np.linspace(0.3, 0.9, 7), M=weak_norm(g, 3.0)))
 
 
+def _localize_outputs(out, tag, frame, eps, k_max, **kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # deep levels span < 4 cells
+        cs = localize(frame, AnalysisConfig(eps=eps), k_max,
+                      on_underresolved="warn", **kw)
+    out[f"{tag}.payload"] = _js(cs.to_dict())
+    out[f"{tag}.chains"] = _js([[(c.level, [int(v) for v in c.j])
+                                 for c in chain] for chain in cs.chains])
+    # a cluster is a list of DyadicCube or an (m, 3) offset array
+    out[f"{tag}.clusters"] = _js([sorted([int(v) for v in getattr(c, "j", c)]
+                                         for c in cl) for cl in cs.clusters])
+    for fam in cs.families:
+        out[f"{tag}.L{fam.level}.F"] = fam.F_indices
+        out[f"{tag}.L{fam.level}.G"] = fam.G_indices
+
+
 def chain_outputs(out):
-    # criterion-05 geometry: two 1/r spikes at 128^3, one per box corner
+    # criterion-05 geometry: two 1/r spikes at 128^3, one per box corner,
+    # rotating alike about either axis, or counter-rotating
     n = 128
     box = Box3((0, 0, 0), (1.1, 1.1, 1.1), (n, n, n))
-    for axis in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)):
+    for axes in (((0.0, 0.0, 1.0),) * 2, ((1.0, 0.0, 0.0),) * 2,
+                 ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))):
         spec = SpikeSpec(centers=((0.05, 0.05, 0.05), (1.05, 1.05, 1.05)),
-                         amplitudes=(0.125, 0.125), axes=(axis, axis),
+                         amplitudes=(0.125, 0.125), axes=axes,
                          delta=2.05 * 1.1 / n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # levels 5-6 span < 4 cells
-            cs = localize(spike_field(spec, box), AnalysisConfig(eps=0.1), 6,
-                          on_underresolved="warn")
-        tag = f"localize{axis}"
-        payload = {k: v for k, v in cs.to_dict().items()
-                   if k not in NEW_PAYLOAD_KEYS}
-        out[f"{tag}.payload"] = _js(payload)
-        out[f"{tag}.chains"] = _js([[(c.level, [int(v) for v in c.j])
-                                     for c in chain] for chain in cs.chains])
+        frame = spike_field(spec, box)
+        _localize_outputs(out, f"localize{axes}", frame, 0.1, 6)
+    # the counter-rotating pair again, with a shape factor and a user-given M
+    _localize_outputs(out, "localize(shape1.3,M0.9)", frame, 0.1, 4,
+                      M=0.9, eps_shape_factor=1.3)
+
+    # one spike at 48^3: measured M, a shape factor, a user-given M
+    box = Box3((0, 0, 0), (1, 1, 1), (48, 48, 48))
+    spec = SpikeSpec(centers=[(0.5, 0.5, 0.5)], amplitudes=[0.125],
+                     axes=[(0, 0, 1)], delta=0.05)
+    frame = spike_field(spec, box)
+    _localize_outputs(out, "spike", frame, 0.1, 3)
+    _localize_outputs(out, "spike(shape1.3)", frame, 0.1, 3,
+                      eps_shape_factor=1.3)
+    _localize_outputs(out, "spike(M2)", frame, 0.1, 3, M=2.0)
+    _localize_outputs(out, "zero", VectorGrid.from_array(
+        box, np.zeros((3, 48, 48, 48))), 0.1, 2, M=1.0)
+
+    # dense regime: every level-0 cube of the 2*pi box is selected
+    run = run_solver(SolverConfig(n=48, nu=0.02, dt=0.01, t_end=0.3,
+                                  save_every=30, initial="random", seed=1,
+                                  amplitude=0.5))
+    frame = run.field.frames[-1]
+    _localize_outputs(out, "dense(eps0.1)", frame, 0.1, 0)
+    _localize_outputs(out, "dense(eps0.2)", frame, 0.2, 1)
+    _localize_outputs(out, "dense(eps0.2,shape1.1)", frame, 0.2, 0,
+                      eps_shape_factor=1.1)
 
 
 def compare(a_path, b_path):

@@ -43,6 +43,7 @@ from .localquant import (
 )
 from .dyadic import (
     CandidateSet,
+    CountBoundError,
     DyadicCube,
     SelectionFamily,
     build_chains,
@@ -89,8 +90,9 @@ __all__ = [
     "AnalysisConfig", "QuantReport", "caccioppoli_sides", "criterion_e16",
     "energy_sup", "q3", "quant_report", "rescale",
     # dyadic
-    "CandidateSet", "DyadicCube", "SelectionFamily", "build_chains",
-    "build_cover", "count_bound", "localize", "select_f0", "select_fk",
+    "CandidateSet", "CountBoundError", "DyadicCube", "SelectionFamily",
+    "build_chains", "build_cover", "count_bound", "localize", "select_f0",
+    "select_fk",
     # stokes
     "BumpTestFunction", "LocalPressure", "StokesError", "StokesSolution",
     "estar", "harmonic_residual", "harmonic_rigidity_check",

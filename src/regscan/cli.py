@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .dyadic import count_bound, localize
+from .dyadic import CountBoundError, count_bound, localize
 from .fieldio import FieldFormatError, read_field, write_field
 from .grid import Ball, Cube, Cylinder
 from .localquant import AnalysisConfig, quant_report
@@ -354,7 +354,8 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         result = args.func(args)
-    except (FieldFormatError, SolverError, StokesError, ValueError, OSError) as exc:
+    except (FieldFormatError, SolverError, StokesError, CountBoundError, ValueError,
+            OSError) as exc:
         return _fail(exc)
     if result is None:                      # report command prints directly
         return 0

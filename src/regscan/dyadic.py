@@ -24,6 +24,7 @@ from scipy import ndimage
 from .lorentz import weak_norm
 
 __all__ = [
+    "CountBoundError",
     "DyadicCube",
     "SelectionFamily",
     "CandidateSet",
@@ -35,33 +36,56 @@ __all__ = [
     "localize",
 ]
 
+
+class CountBoundError(RuntimeError):
+    """More candidate points than the bound eps^-7 M^3 + eps^-3 allows."""
+
+
 _OFF = 1 << 19
 _MASK = (1 << 20) - 1
+_SHIFTS = np.array([40, 20, 0])
 
 
 def _pack(j):
     j = np.asarray(j, dtype=np.int64)
     if j.size and np.abs(j).max() >= _OFF:
         raise ValueError("lattice offset exceeds packing range")
-    return ((j[:, 0] + _OFF) << 40) | ((j[:, 1] + _OFF) << 20) | (j[:, 2] + _OFF)
+    return ((j + _OFF) << _SHIFTS).sum(axis=1)
 
 
 def _unpack(keys):
-    j = np.empty((len(keys), 3), dtype=np.int64)
-    j[:, 0] = (keys >> 40) - _OFF
-    j[:, 1] = ((keys >> 20) & _MASK) - _OFF
-    j[:, 2] = (keys & _MASK) - _OFF
-    return j
+    return ((keys[:, None] >> _SHIFTS) & _MASK) - _OFF
 
 
-_SHIFTS = (40, 20, 0)
+def _unique(keys):
+    """Sorted distinct keys; sorts `keys` in place."""
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
-def _dilate(keys, dmin, dmax):
-    """Minkowski sum with the offset box [dmin, dmax]^3, axis by axis."""
-    for axis in range(3):
-        d = (np.arange(dmin, dmax + 1, dtype=np.int64) << _SHIFTS[axis])
-        keys = np.unique((keys[:, None] + d).ravel())
+def _spread(keys, bounds):
+    """Replace each key's offset j along every axis by the range bounds(j).
+
+    bounds maps an offset array to inclusive (lo, hi) arrays; the result is
+    sorted and deduplicated after each axis. Short ranges repeat their last
+    offset instead of being masked, so no (n, width) mask is built.
+    """
+    for shift in _SHIFTS:
+        if len(keys) == 0:
+            break
+        j = ((keys >> shift) & _MASK) - _OFF
+        lo, hi = bounds(j)
+        if lo.min() <= -_OFF or hi.max() >= _OFF:
+            raise ValueError("lattice offset exceeds packing range")
+        width = hi - lo
+        out = np.minimum(np.arange(int(width.max()) + 1), width[:, None])
+        out += (lo - j)[:, None]
+        out <<= shift
+        out += keys[:, None]
+        keys = _unique(out.ravel())
     return keys
 
 
@@ -112,10 +136,16 @@ class DyadicCube:
         return all(2 * a <= b <= 2 * a + d for a, b in zip(self.j, child.j))
 
     def protrudes(self, box):
-        return any(
-            c < lo - 1e-12 or c + self.side > hi + 1e-12
-            for c, lo, hi in zip(self.corner, box.lo, box.hi)
-        )
+        return bool(_protrudes(np.array([self.j]), self.level, self.eps, box)[0])
+
+
+def _protrudes(j, k, eps, box):
+    """Per cube: does the level-k cube at offsets j leave the box?"""
+    s = 2.0 ** (-k)
+    corner = eps * s * j
+    lo = np.asarray(box.lo)
+    hi = np.asarray(box.hi)
+    return np.any((corner < lo - 1e-12) | (corner + s > hi + 1e-12), axis=1)
 
 
 def _cover_ranges(k, eps, box):
@@ -136,14 +166,19 @@ def _cover_ranges(k, eps, box):
     return ranges
 
 
+def _cover_offsets(k, eps, box):
+    """Offsets of the level-k cover of the box, in lexicographic order."""
+    r = _cover_ranges(k, eps, box)
+    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in r],
+                        indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def _clip_to_cover(keys, k, eps, box):
     """Drop cubes that do not open-intersect the domain box."""
-    r = _cover_ranges(k, eps, box)
+    r = np.array(_cover_ranges(k, eps, box))
     j = _unpack(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    for a in range(3):
-        keep &= (j[:, a] >= r[a][0]) & (j[:, a] <= r[a][1])
-    return keys[keep]
+    return keys[np.all((j >= r[:, 0]) & (j <= r[:, 1]), axis=1)]
 
 
 def build_cover(k, eps, domain):
@@ -152,11 +187,7 @@ def build_cover(k, eps, domain):
         raise ValueError("eps must lie in (0, 1/4)")
     if k < 0:
         raise ValueError("level must be nonnegative")
-    r = _cover_ranges(k, eps, domain)
-    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in r],
-                        indexing="ij")
-    j = np.stack([g.ravel() for g in grids], axis=1)
-    return [DyadicCube(eps, k, tuple(row)) for row in j]
+    return [DyadicCube(eps, k, tuple(row)) for row in _cover_offsets(k, eps, domain)]
 
 
 class _FrameScan:
@@ -164,6 +195,7 @@ class _FrameScan:
 
     def __init__(self, frame):
         mag = frame.magnitude() if hasattr(frame, "magnitude") else frame
+        self.grid = mag
         self.box = mag.box
         self.mag = np.abs(mag.data)
         self.centers = self.box.centers()
@@ -178,54 +210,38 @@ class _FrameScan:
     def cube_counts(self, p, j, k, eps):
         """Super-level cell counts for cubes given by lattice offsets j."""
         s = 2.0 ** (-k)
-        sp = eps * s
-        idx = []
-        for a in range(3):
-            lo = sp * j[:, a]
-            i0 = np.searchsorted(self.centers[a], lo, side="left")
-            i1 = np.searchsorted(self.centers[a], lo + s, side="left")
-            idx.append((i0, i1))
-        (x0, x1), (y0, y1), (z0, z1) = idx
+        lo = eps * s * j
+        (x0, y0, z0), (x1, y1, z1) = (
+            [np.searchsorted(c, v[:, a]) for a, c in enumerate(self.centers)]
+            for v in (lo, lo + s))
         return (
             p[x1, y1, z1] - p[x0, y1, z1] - p[x1, y0, z1] - p[x1, y1, z0]
             + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0]
         )
 
 
-def _lex_sorted(j):
-    order = np.lexsort((j[:, 2], j[:, 1], j[:, 0]))
-    return j[order]
+_NEIGHBOURS = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
 
 
 def _greedy_disjoint(j, eps):
-    """Size of the lexicographic greedy maximal pairwise-disjoint subfamily."""
+    """Size of the lexicographic greedy maximal pairwise-disjoint subfamily.
+
+    Two kept cubes never meet, so a bucket of side dm + 1 holds at most one
+    of them, and a cube can only meet kept cubes of the 27 buckets around it.
+    """
     dm = _meet_radius(eps)
-    bucket_size = dm + 1
+    b = dm + 1
     kept = {}
-    count = 0
-    for row in j:
-        bx, by, bz = (int(row[0]) // bucket_size, int(row[1]) // bucket_size,
-                      int(row[2]) // bucket_size)
-        clash = False
-        for nx in (bx - 1, bx, bx + 1):
-            for ny in (by - 1, by, by + 1):
-                for nz in (bz - 1, bz, bz + 1):
-                    for q in kept.get((nx, ny, nz), ()):
-                        if (abs(row[0] - q[0]) <= dm and abs(row[1] - q[1]) <= dm
-                                and abs(row[2] - q[2]) <= dm):
-                            clash = True
-                            break
-                    if clash:
-                        break
-                if clash:
-                    break
-            if clash:
+    for x, y, z in j.tolist():
+        bx, by, bz = x // b, y // b, z // b
+        for dx, dy, dz in _NEIGHBOURS:
+            q = kept.get((bx + dx, by + dy, bz + dz))
+            if q and (abs(x - q[0]) <= dm and abs(y - q[1]) <= dm
+                      and abs(z - q[2]) <= dm):
                 break
-        if not clash:
-            kept.setdefault((bx, by, bz), []).append((int(row[0]), int(row[1]),
-                                                      int(row[2])))
-            count += 1
-    return count
+        else:
+            kept[bx, by, bz] = (x, y, z)
+    return len(kept)
 
 
 @dataclass
@@ -302,35 +318,24 @@ def _certificate(n, n_disjoint, thr_measure, global_measure, height, M, eps_eff)
     }
 
 
-def _make_family(scan, k, eps, shape_factor, j, M):
-    """Apply the level-k measure condition to candidate offsets j."""
+def _make_family(scan, k, eps, shape_factor, j, M, prefix=None):
+    """Apply the level-k measure condition to lexicographically sorted
+    candidate offsets j; prefix is scan.prefix at the level-k height and M
+    defaults to the weak-L^3 norm of the scanned magnitude."""
+    if M is None:
+        M = weak_norm(scan.grid, 3.0)
     eps_eff = eps * shape_factor
     height = (2.0 ** k) * eps_eff
     thr = (2.0 ** (-3 * k)) * eps_eff
-    prefix, global_measure = scan.prefix(height)
-    if len(j):
-        counts = scan.cube_counts(prefix, j, k, eps_eff)
-        sel = j[counts * scan.cell_volume > thr]
-    else:
-        sel = j.reshape(0, 3)
-    sel = _lex_sorted(sel)
+    p, global_measure = scan.prefix(height) if prefix is None else prefix
+    sel = j[scan.cube_counts(p, j, k, eps_eff) * scan.cell_volume > thr]
     nd = _greedy_disjoint(sel, eps_eff)
 
-    if len(sel):
-        g_keys = _dilate(_pack(sel), -_meet_radius(eps_eff), _meet_radius(eps_eff))
-        g_keys = _clip_to_cover(g_keys, k, eps_eff, scan.box)
-        g = _lex_sorted(_unpack(g_keys))
-    else:
-        g = sel
-
-    s = 2.0 ** (-k)
-    sp = eps_eff * s
-    boundary = False
-    if len(sel):
-        corner = sp * sel
-        lo = np.asarray(scan.box.lo)
-        hi = np.asarray(scan.box.hi)
-        boundary = bool(np.any((corner < lo - 1e-12) | (corner + s > hi + 1e-12)))
+    # G: the Minkowski sum of F with the meeting offsets [-dm, dm]^3, in the cover
+    dm = _meet_radius(eps_eff)
+    g_keys = _spread(_pack(sel), lambda j: (j - dm, j + dm))
+    g = _unpack(_clip_to_cover(g_keys, k, eps_eff, scan.box))
+    boundary = bool(_protrudes(sel, k, eps_eff, scan.box).any())
 
     cert = _certificate(len(sel), nd, thr, global_measure, height, M, eps_eff)
     return SelectionFamily(
@@ -353,22 +358,14 @@ def select_f0(frame, eps, shape_factor=1.0, M=None):
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
     scan = _FrameScan(frame)
-    if M is None:
-        M = weak_norm(frame.magnitude() if hasattr(frame, "magnitude") else frame, 3.0)
-    r = _cover_ranges(0, eps * shape_factor, scan.box)
-    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in r],
-                        indexing="ij")
-    j = np.stack([g.ravel() for g in grids], axis=1)
+    j = _cover_offsets(0, eps * shape_factor, scan.box)
     return _make_family(scan, 0, eps, shape_factor, j, M)
 
 
 def _children_of(keys, eps_eff, k_child, box):
     """Candidate level-k offsets contained in the given level-(k-1) cubes."""
-    if len(keys) == 0:
-        return keys
-    doubled = _pack(2 * _unpack(keys))
     span = _child_span(eps_eff)
-    cand = _dilate(doubled, 0, span)
+    cand = _spread(keys, lambda j: (2 * j, 2 * j + span))
     return _clip_to_cover(cand, k_child, eps_eff, box)
 
 
@@ -379,21 +376,15 @@ def select_fk(frame, eps, k, prev, shape_factor=None, M=None):
     if shape_factor is None:
         shape_factor = prev.shape_factor
     scan = _FrameScan(frame)
-    if M is None:
-        M = weak_norm(frame.magnitude() if hasattr(frame, "magnitude") else frame, 3.0)
     eps_eff = eps * shape_factor
-    height = (2.0 ** k) * eps_eff
+    prefix = scan.prefix((2.0 ** k) * eps_eff)
 
-    parent_keys = _pack(prev.G_indices) if len(prev.G_indices) else np.empty(0, np.int64)
-    if len(parent_keys):
-        # only parents holding at least one super-level cell can have children
-        # passing the (strictly positive) measure condition
-        prefix, _ = scan.prefix(height)
-        counts = scan.cube_counts(prefix, prev.G_indices, k - 1, eps_eff)
-        parent_keys = parent_keys[counts > 0]
-    cand_keys = _children_of(parent_keys, eps_eff, k, scan.box)
-    j = _unpack(cand_keys) if len(cand_keys) else np.empty((0, 3), np.int64)
-    return _make_family(scan, k, eps, shape_factor, j, M)
+    # only parents holding at least one super-level cell can have children
+    # passing the (strictly positive) measure condition
+    parents = prev.G_indices
+    parents = parents[scan.cube_counts(prefix[0], parents, k - 1, eps_eff) > 0]
+    j = _unpack(_children_of(_pack(parents), eps_eff, k, scan.box))
+    return _make_family(scan, k, eps, shape_factor, j, M, prefix)
 
 
 def count_bound(M, eps):
@@ -407,35 +398,17 @@ def count_bound(M, eps):
 
 
 def _parents_of(keys, eps_eff):
-    """All level-(k-1) offsets whose cube contains the given level-k cubes.
-
-    Per-axis parent ranges [ceil((j-span)/2), floor(j/2)] are independent,
-    so expand axis by axis with dedupe.
-    """
+    """All level-(k-1) offsets whose cube contains the given level-k cubes:
+    per axis, the range [ceil((j-span)/2), floor(j/2)]."""
     span = _child_span(eps_eff)
-    cur = keys
-    for axis in range(3):
-        jj = _unpack(cur)
-        lo = (jj[:, axis] - span + 1) // 2
-        hi = jj[:, axis] // 2
-        width = int((hi - lo).max()) + 1 if len(jj) else 0
-        rows = []
-        for d in range(width):
-            p = lo + d
-            ok = p <= hi
-            sub = jj[ok].copy()
-            sub[:, axis] = p[ok]
-            rows.append(sub)
-        if rows:
-            cur = np.unique(_pack(np.concatenate(rows)))
-        else:
-            cur = np.empty(0, np.int64)
-    return cur
+    return _spread(keys, lambda j: ((j - span + 1) // 2, j // 2))
 
 
 @dataclass
 class CandidateSet:
-    """Surviving nested-cube chains, clustered into candidate points."""
+    """Surviving nested-cube chains, clustered into candidate points: per
+    candidate, clusters holds its (m, 3) int64 deepest-level offsets in
+    lexicographic order and chains one DyadicCube chain, coarsest first."""
 
     points: np.ndarray
     clusters: list
@@ -495,11 +468,8 @@ def _cluster_labels_sparse(j, dm):
                 hit = skeys[pos] == skeys + shift
                 rows.append(order[hit])
                 cols.append(order[pos[hit]])
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = c = np.empty(0, np.int64)
+    r = np.concatenate(rows)   # dm >= 1 always gives some shifts
+    c = np.concatenate(cols)
     g = coo_matrix((np.ones(len(r), bool), (r, c)), shape=(len(j), len(j)))
     _, lab = connected_components(g, directed=False)
     return lab.astype(np.int64)
@@ -518,8 +488,6 @@ def _cluster_labels(j, dm):
     n = len(j)
     if n == 0:
         return np.empty(0, np.int64)
-    if n == 1:
-        return np.zeros(1, np.int64)
 
     coarse = np.floor_divide(j, dm)
     cmin = coarse.min(axis=0)
@@ -556,80 +524,49 @@ def build_chains(families, box):
 
     A cube at level k extends a chain when it lies inside a reachable cube
     of the previous G family; branching follows all qualifying cubes.
-    Survivors at the deepest level are clustered by the meet relation and
-    each cluster is reported as one candidate point (centroid of cube
-    centers) with a representative chain.
+    Survivors at the deepest level are clustered by the meet relation; each
+    cluster (an offset array) is reported as one candidate point (centroid
+    of cube centers) with a representative chain.
     """
-    families = [f for f in families]
-    if not families or families[0].empty:
+    families = list(families)
+    if not families:
         return CandidateSet(
             points=np.zeros((0, 3)),
             clusters=[],
             chains=[],
             regular=True,
             terminated_per_level=[],
-            survivors_per_level=[0] * len(families),
+            survivors_per_level=[],
             boundary_adjacent=False,
-            eps=families[0].eps if families else float("nan"),
-            k_max=families[-1].level if families else -1,
+            eps=float("nan"),
+            k_max=-1,
         )
 
     eps_eff = families[0].eps_effective
+    k_max = families[-1].level
     reach = [_pack(families[0].G_indices)]
     for fam in families[1:]:
-        keys = _pack(fam.G_indices) if len(fam.G_indices) else np.empty(0, np.int64)
-        if len(keys) and len(reach[-1]):
-            cand = _children_of(reach[-1], eps_eff, fam.level, box)
-            reach.append(np.intersect1d(keys, cand, assume_unique=True))
-        else:
-            reach.append(np.empty(0, np.int64))
-
-    survivors = reach[-1]
-    terminated = []
-    for k in range(len(reach) - 1):
-        if len(reach[k + 1]):
-            fertile = np.intersect1d(reach[k], _parents_of(reach[k + 1], eps_eff),
-                                     assume_unique=True)
-            terminated.append(int(len(reach[k]) - len(fertile)))
-        else:
-            terminated.append(int(len(reach[k])))
-
-    k_max = families[-1].level
-    if len(survivors) == 0:
-        return CandidateSet(
-            points=np.zeros((0, 3)),
-            clusters=[],
-            chains=[],
-            regular=True,
-            terminated_per_level=terminated,
-            survivors_per_level=[int(len(r)) for r in reach],
-            boundary_adjacent=False,
-            eps=families[0].eps,
-            k_max=k_max,
-        )
-
-    j = _lex_sorted(_unpack(survivors))
-    side = 2.0 ** (-k_max)
-    sp = eps_eff * side
-    centers = sp * j + 0.5 * side
+        cand = _children_of(reach[-1], eps_eff, fam.level, box)
+        reach.append(np.intersect1d(_pack(fam.G_indices), cand, assume_unique=True))
+    terminated = [
+        int(len(r) - len(np.intersect1d(r, _parents_of(r_next, eps_eff),
+                                        assume_unique=True)))
+        for r, r_next in zip(reach, reach[1:])
+    ]
 
     # cluster by the meet relation: |dj| <= meet radius per axis
-    dm = _meet_radius(eps_eff)
-    roots = _cluster_labels(j, dm)
-    labels = np.unique(roots)
+    j = _unpack(reach[-1])
+    labels = _cluster_labels(j, _meet_radius(eps_eff))
+    clusters = [j[labels == lab] for lab in np.unique(labels)]
+    side = 2.0 ** (-k_max)
+    points = [(eps_eff * side * cl + 0.5 * side).mean(axis=0) for cl in clusters]
 
-    clusters = []
-    points = []
     chains = []
-    for lab in labels:
-        sel = roots == lab
-        member_j = j[sel]
-        clusters.append([DyadicCube(eps_eff, k_max, tuple(r)) for r in member_j])
-        points.append(centers[sel].mean(axis=0))
+    for cl in clusters:
         # representative chain: walk the lexicographically-first survivor up,
         # taking the first reachable parent (packed keys sort lexicographically)
-        chain = [clusters[-1][0]]
-        key = _pack(member_j[:1])
+        chain = [DyadicCube(eps_eff, k_max, tuple(cl[0]))]
+        key = _pack(cl[:1])
         for k in range(k_max, 0, -1):
             key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1])[:1]
             if not len(key):
@@ -637,15 +574,14 @@ def build_chains(families, box):
             chain.append(DyadicCube(eps_eff, k - 1, tuple(_unpack(key)[0])))
         chains.append(list(reversed(chain)))
 
-    boundary = any(c.protrudes(box) for cl in clusters for c in cl)
     return CandidateSet(
-        points=np.asarray(points),
+        points=np.asarray(points).reshape(-1, 3),
         clusters=clusters,
         chains=chains,
-        regular=False,
+        regular=not clusters,
         terminated_per_level=terminated,
         survivors_per_level=[int(len(r)) for r in reach],
-        boundary_adjacent=boundary,
+        boundary_adjacent=bool(_protrudes(j, k_max, eps_eff, box).any()),
         eps=families[0].eps,
         k_max=k_max,
     )
@@ -663,8 +599,8 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    scan = _FrameScan(frame)
-    hmax = max(scan.box.spacing)
+    mag = frame.magnitude() if hasattr(frame, "magnitude") else frame
+    hmax = max(mag.box.spacing)
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]
     if underresolved:
         suggested = int(np.floor(np.log2(1.0 / (4.0 * hmax))))
@@ -676,20 +612,17 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
             raise ValueError(msg)
         warnings.warn(msg)
 
-    mag = frame.magnitude() if hasattr(frame, "magnitude") else frame
     measured = weak_norm(mag, 3.0)
     if M is None:
         M = measured
 
-    fam = select_f0(frame, cfg.eps, eps_shape_factor, M=M)
-    families = [fam]
+    families = [select_f0(mag, cfg.eps, eps_shape_factor, M=M)]
     for k in range(1, k_max + 1):
         if families[-1].empty:
             break
-        fam = select_fk(frame, cfg.eps, k, families[-1], M=M)
-        families.append(fam)
+        families.append(select_fk(mag, cfg.eps, k, families[-1], M=M))
 
-    cs = build_chains(families, scan.box)
+    cs = build_chains(families, mag.box)
     cs.M = float(M)
     cs.weak_norm_measured = float(measured)
     cs.bound = count_bound(M, cfg.eps * eps_shape_factor)
@@ -700,7 +633,7 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
         "eps_shape_factor": eps_shape_factor,
     }
     if len(cs.points) > cs.bound:
-        raise AssertionError(
+        raise CountBoundError(
             f"candidate count {len(cs.points)} exceeds bound {cs.bound}"
         )
     return cs

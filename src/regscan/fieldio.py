@@ -104,11 +104,16 @@ def read_field(path):
         raise FieldFormatError(
             f"unsupported component count {header['components']}", offset=len(MAGIC)
         )
-    n = tuple(int(m) for m in header["n"])
-    times = [float(t) for t in header["times"]]
     try:
+        times = [float(t) for t in header["times"]]
+    except (TypeError, ValueError) as exc:
+        raise FieldFormatError(f"bad times: {exc}", offset=len(MAGIC))
+    if any(not b > a for a, b in zip(times, times[1:])):
+        raise FieldFormatError("times must be strictly increasing", offset=len(MAGIC))
+    try:
+        n = tuple(int(m) for m in header["n"])
         box = Box3(tuple(header["lo"]), tuple(header["hi"]), n)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FieldFormatError(f"bad box: {exc}", offset=len(MAGIC))
 
     cells = n[0] * n[1] * n[2]

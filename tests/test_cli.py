@@ -162,6 +162,18 @@ def test_localize_flags_m_below_measured_norm(capsys, field_file):
     assert payload["hypothesis_ok"] is False
 
 
+def test_localize_count_overflow_is_a_clean_error(capsys, field_file, monkeypatch):
+    import regscan.dyadic
+
+    monkeypatch.setattr(regscan.dyadic, "count_bound", lambda M, eps: -1.0)
+    path, _ = field_file
+    rc = main(["localize", path, "--eps", "0.1", "--kmax", "0"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1
+    assert err["type"] == "CountBoundError"
+    assert "exceeds bound -1.0" in err["error"]
+
+
 def test_stokes_check_payload(capsys, field_file):
     path, _ = field_file
     doc = run_json(capsys, [

@@ -6,13 +6,22 @@ against per-cube region measures, and the meet-relation clustering against
 a quadratic union-find. The brute forms only use interval arithmetic.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from regscan.dyadic import (
+    _OFF,
     CandidateSet,
     DyadicCube,
+    _children_of,
     _cluster_labels,
+    _greedy_disjoint,
+    _pack,
+    _parents_of,
+    _spread,
+    _unpack,
     build_chains,
     build_cover,
     count_bound,
@@ -93,6 +102,63 @@ def test_protrudes():
     box = Box3((0, 0, 0), (1, 1, 1), (4, 4, 4))
     assert DyadicCube(0.2, 0, (-1, 0, 0)).protrudes(box)
     assert not DyadicCube(0.2, 2, (1, 1, 1)).protrudes(box)
+
+
+def random_offsets(rng, n, lo, hi):
+    return np.unique(rng.integers(lo, hi, size=(n, 3)), axis=0)
+
+
+@pytest.mark.parametrize("eps", [0.13, 0.15, 0.2, 0.24])
+def test_parents_of_matches_brute_containment(rng, eps):
+    j = random_offsets(rng, 12, -20, 20)
+    got = {tuple(r) for r in _unpack(_parents_of(_pack(j), eps))}
+    expect = set()
+    for r in j:
+        child = DyadicCube(eps, 3, tuple(r))
+        for q in product(*[range(v // 2 - 10, v // 2 + 2) for v in r]):
+            if DyadicCube(eps, 2, q).contains(child):
+                expect.add(q)
+    assert got == expect
+
+
+@pytest.mark.parametrize("eps", [0.13, 0.15, 0.2, 0.24])
+def test_children_of_matches_brute_containment(rng, eps):
+    box = Box3((0.0, 0.1, -0.2), (1.0, 0.7, 0.55), (8, 8, 8))
+    cover = {c.j for c in build_cover(2, eps, box)}
+    j = random_offsets(rng, 10, -3, 12)
+    got = {tuple(r) for r in _unpack(_children_of(_pack(j), eps, 2, box))}
+    expect = set()
+    for r in j:
+        parent = DyadicCube(eps, 1, tuple(r))
+        for q in product(*[range(2 * v - 2, 2 * v + 12) for v in r]):
+            if q in cover and parent.contains(DyadicCube(eps, 2, q)):
+                expect.add(q)
+    assert got == expect
+
+
+def test_spread_rejects_offsets_past_the_packing_range():
+    keys = _pack([[0, 0, 0], [5, -3, 2]])
+    assert len(_spread(keys, lambda j: (j - 2, j + 2))) == 2 * 125
+    with pytest.raises(ValueError, match="packing range"):
+        _spread(keys, lambda j: (j, j + _OFF))
+    with pytest.raises(ValueError, match="packing range"):
+        _spread(keys, lambda j: (j - _OFF, j))
+
+
+def brute_greedy_disjoint(j, dm):
+    kept = []
+    for row in j:
+        if all(np.max(np.abs(row - q)) > dm for q in kept):
+            kept.append(row)
+    return len(kept)
+
+
+@pytest.mark.parametrize("dm", [1, 2, 3, 5])
+def test_greedy_disjoint_matches_quadratic_greedy(rng, dm):
+    eps = 1.0 / (dm + 1)
+    for _ in range(20):
+        j = random_offsets(rng, int(rng.integers(1, 120)), -12, 12)
+        assert _greedy_disjoint(j, eps) == brute_greedy_disjoint(j, dm)
 
 
 def two_bump_frame(n=12, extent=0.6):
@@ -262,6 +328,22 @@ def test_localize_finds_a_single_spike():
             assert parent.contains(child)
     d = cs.to_dict()
     assert d["n_clusters"] == 1 and len(d["levels"]) == len(cs.families)
+
+
+def test_localize_clusters_partition_the_deepest_survivors():
+    n = 48
+    box = Box3((0, 0, 0), (1, 1, 1), (n, n, n))
+    spec = SpikeSpec(centers=[(0.2, 0.2, 0.2), (0.8, 0.8, 0.8)],
+                     amplitudes=[0.125, 0.125], axes=[(0, 0, 1), (0, 0, 1)],
+                     delta=0.05)
+    cs = localize(spike_field(spec, box), AnalysisConfig(eps=0.1), k_max=3)
+    assert len(cs.clusters) == len(cs.points) == len(cs.chains) == 2
+    assert sum(len(cl) for cl in cs.clusters) == cs.survivors_per_level[-1]
+    members = np.concatenate(cs.clusters)
+    assert members.shape[1] == 3
+    assert len(np.unique(members, axis=0)) == len(members)
+    for cl, chain in zip(cs.clusters, cs.chains):
+        assert tuple(chain[-1].j) == tuple(cl[0])
 
 
 def test_localize_underresolved_modes():

@@ -152,3 +152,20 @@ def test_non_finite_rejected_on_read_with_value_offset(tmp_path, rng):
     err = reject(tmp_path, doctored)
     assert "non-finite value in frame 0 component 0" in str(err)
     assert err.offset == bad_at
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("n", 5, "bad box"),
+    ("times", 5, "bad times"),
+    ("times", [0.1, 0.1], "strictly increasing"),
+])
+def test_malformed_header_values(tmp_path, rng, key, value, message):
+    raw = valid_bytes(tmp_path, rng)
+    nl = raw.find(b"\n", len(MAGIC))
+    header = json.loads(raw[len(MAGIC):nl])
+    header[key] = value
+    doctored = (MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
+                + raw[nl + 1:])
+    err = reject(tmp_path, doctored)
+    assert message in str(err)
+    assert err.offset == len(MAGIC)
