@@ -1,4 +1,5 @@
-"""Dump the numerical outputs of `stokes` and `dyadic.localize`, or
+"""Dump the numerical outputs of `stokes`, `dyadic.localize` and the CLI
+pipeline path (`run_solver`, field I/O, the cylinder quantities), or
 compare two dumps bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
@@ -11,18 +12,29 @@ dumping at the parent commit and at the change, then comparing:
 Arrays are compared with np.array_equal (NaN equal to NaN); scalars and
 dicts are stored as JSON, whose float repr round-trips exactly. Each
 `localize` run dumps its whole `to_dict()` payload, its chains, its
-clusters as sorted offset lists and the per-level F and G offsets.
+clusters as sorted offset lists and the per-level F and G offsets. The
+pipeline section dumps solver frames and histories, the SHA-256 of the
+written field file, the read-back frames with their memory layout, the
+non-finite read and write errors, every cylinder quantity on windows that
+start between frames, on a frame, and end before the last frame, and both
+forms of `rescale`.
 """
 
+import hashlib
 import json
+import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 
 from regscan.dyadic import localize
-from regscan.grid import Box3, Cube, ScalarGrid, VectorGrid
-from regscan.localquant import AnalysisConfig
+from regscan.fieldio import FieldFormatError, read_field, write_field
+from regscan.grid import (Box3, Cube, Cylinder, ScalarGrid, SpaceTimeField,
+                          VectorGrid)
+from regscan.localquant import (AnalysisConfig, caccioppoli_sides, energy_sup,
+                                q3, quant_report, rescale)
 from regscan.lorentz import weak_norm
 from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
                             harmonic_residual, harmonic_rigidity_check,
@@ -127,6 +139,105 @@ def chain_outputs(out):
                       eps_shape_factor=1.1)
 
 
+def _run_outputs(out, tag, cfg):
+    run = run_solver(cfg)
+    out[f"{tag}.times"] = run.field.times
+    out[f"{tag}.frames"] = np.stack([fr.stack() for fr in run.field.frames])
+    out[f"{tag}.step_times"] = run.step_times
+    out[f"{tag}.energy"] = run.energy
+    out[f"{tag}.dissipation"] = run.dissipation
+    out[f"{tag}.cfl"] = run.cfl
+    return run.field
+
+
+def _error(fn):
+    try:
+        fn()
+    except FieldFormatError as exc:
+        return [str(exc), exc.offset]
+    return None
+
+
+def _fieldio_outputs(out, field, tmp):
+    path = os.path.join(tmp, "run.rsf")
+    write_field(path, field)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    out["write_field.sha256"] = _js(hashlib.sha256(raw).hexdigest())
+    back = read_field(path)
+    out["read_field.times"] = back.times
+    out["read_field.frames"] = np.stack([fr.stack() for fr in back.frames])
+    out["read_field.layout"] = _js(sorted({
+        (c.data.dtype.str, c.data.flags.c_contiguous, c.data.flags.writeable)
+        for fr in back.frames for c in fr.components}))
+    # one non-finite value in frame 2, component 1, voxel (5, 7, 11)
+    n = field.box.n
+    cells = n[0] * n[1] * n[2]
+    flat = (2 * 3 + 1) * cells + 5 + n[0] * (7 + n[1] * 11)
+    bad = np.frombuffer(raw, dtype="<f8", offset=len(raw) - 8 * 3 * cells
+                        * len(field.times)).copy()
+    bad[flat] = np.nan
+    bad_path = os.path.join(tmp, "bad.rsf")
+    with open(bad_path, "wb") as fh:
+        fh.write(raw[:len(raw) - bad.nbytes] + bad.tobytes())
+    out["read_field.nonfinite"] = _js(_error(lambda: read_field(bad_path)))
+    arr = field.frames[1].stack()
+    arr[2, 3, 4, 5] = np.inf
+    one = VectorGrid.from_array(field.box, arr)
+    out["write_field.nonfinite"] = _js(_error(
+        lambda: write_field(os.path.join(tmp, "inf.rsf"), one)))
+    out["write_field.nonfinite.written"] = _js(
+        os.path.exists(os.path.join(tmp, "inf.rsf")))
+
+
+def _cylinder_outputs(out, tag, f, cyl, eps=0.1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # t0 need not be a sample time
+        out[f"{tag}.quant_report"] = _js(quant_report(
+            f, cyl, AnalysisConfig(eps=eps)).to_dict())
+    out[f"{tag}.q3"] = _js(q3(f, cyl))
+    out[f"{tag}.caccioppoli"] = _js(caccioppoli_sides(f, cyl).to_dict())
+    out[f"{tag}.energy_sup"] = _js(energy_sup(f, cyl))
+
+
+def _rescale_outputs(out, tag, f):
+    x0 = (3.0, 3.2, 2.9)
+    pull = rescale(f, 1.7, (x0, f.times[-2]))
+    out[f"{tag}.pullback.times"] = pull.times
+    out[f"{tag}.pullback.frames"] = np.stack([fr.stack() for fr in pull.frames])
+    box = Box3((2.1, 2.5, 2.0), (3.9, 4.0, 3.7), (20, 17, 23))
+    times = np.linspace(f.times[1] + 0.003, f.times[-1], 5)
+    res = rescale(f, 0.8, (x0, f.times[3]), target_box=box,
+                  target_times=times)
+    out[f"{tag}.resampled.frames"] = np.stack([fr.stack() for fr in res.frames])
+
+
+def pipeline_outputs(out):
+    # the pipeline workload's simulate: random start, one frame per step
+    field = _run_outputs(out, "run_solver(random)", SolverConfig(
+        n=48, nu=0.02, dt=0.01, t_end=0.3, save_every=1, initial="random",
+        seed=7, amplitude=0.5))
+    # Taylor-Green with a last step off the save schedule
+    _run_outputs(out, "run_solver(tg)", SolverConfig(
+        n=32, nu=0.05, dt=0.01, t_end=0.22, save_every=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        _fieldio_outputs(out, field, tmp)
+
+    # the pipeline's scan cylinders (windows start between frames)
+    for i, x0 in enumerate(((2.3, 4.1, 3.0), (1.2, 1.9, 5.0), (3.1, 3.1, 3.1))):
+        _cylinder_outputs(out, f"scan{i}", field, Cylinder(x0, 0.3, 0.54))
+    # the same frames at binary times i/16, so windows can start on a frame
+    binary = SpaceTimeField(np.arange(len(field.times)) / 16.0, field.frames)
+    x0 = (3.0, 3.4, 2.8)
+    for tag, t0, r in (("on_frame", 30 / 16, 1.0),
+                       ("between", 30 / 16, 0.54),
+                       ("ends_early", 20 / 16, 0.8),
+                       ("ends_early_on_frame", 26 / 16, 1.0)):
+        _cylinder_outputs(out, tag, binary, Cylinder(x0, t0, r))
+    _rescale_outputs(out, "rescale", SpaceTimeField(
+        field.times[20:27], field.frames[20:27]))
+
+
 def compare(a_path, b_path):
     a, b = np.load(a_path), np.load(b_path)
     bad = sorted(set(a.files) ^ set(b.files))
@@ -146,6 +257,7 @@ def main(argv):
         out = {}
         stokes_outputs(out)
         chain_outputs(out)
+        pipeline_outputs(out)
         np.savez(argv[1], **out)
         print(f"{len(out)} outputs written to {argv[1]}")
         return 0

@@ -186,10 +186,7 @@ def cmd_stokes_check(args):
         ),
     }
     if args.bump is not None:
-        vals = [float(v) for v in args.bump.split(",")]
-        if len(vals) != 6:
-            raise ValueError("--bump needs cx,cy,cz,R,t_center,t_radius")
-        phi = BumpTestFunction(tuple(vals[:3]), vals[3], vals[4], vals[5])
+        phi = BumpTestFunction(tuple(args.bump[:3]), *args.bump[3:])
         payload["energy"] = local_energy_residual(field, cube, phi, tol=args.tol)
     return "stokes", payload, [args.field]
 
@@ -306,8 +303,9 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--frame", type=int)
     p.add_argument("--time", type=float)
-    p.add_argument("--bump", help="test function cx,cy,cz,R,t_center,t_radius "
-                   "for the local energy balance")
+    p.add_argument("--bump", type=lambda s: _floats(s, "--bump", 6),
+                   metavar="CX,CY,CZ,R,T_CENTER,T_RADIUS",
+                   help="test function for the local energy balance")
     common(p)
     p.set_defaults(func=cmd_stokes_check)
 

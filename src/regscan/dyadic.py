@@ -391,8 +391,8 @@ def count_bound(M, eps):
     """Upper bound eps^-7 M^3 + eps^-3 on the number of candidate points."""
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+    if not (np.isfinite(M) and M >= 0):
+        raise ValueError(f"M must be finite and nonnegative, got {M}")
     inv = 1.0 / eps
     return M ** 3 * inv ** 7 + inv ** 3
 
@@ -599,6 +599,13 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    if not (np.isfinite(eps_shape_factor) and eps_shape_factor > 0):
+        raise ValueError(
+            f"eps_shape_factor must be finite and positive, got {eps_shape_factor}")
+    eps_eff = cfg.eps * eps_shape_factor
+    if not (0 < eps_eff < 0.25):
+        raise ValueError(
+            f"effective eps = eps * eps_shape_factor = {eps_eff!r} must lie in (0, 1/4)")
     mag = frame.magnitude() if hasattr(frame, "magnitude") else frame
     hmax = max(mag.box.spacing)
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]
@@ -625,7 +632,7 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     cs = build_chains(families, mag.box)
     cs.M = float(M)
     cs.weak_norm_measured = float(measured)
-    cs.bound = count_bound(M, cfg.eps * eps_shape_factor)
+    cs.bound = count_bound(M, eps_eff)
     cs.families = families
     cs.flags = {
         "underresolved_levels": underresolved,

@@ -49,19 +49,15 @@ def write_field(path, field):
         "components": 3,
         "times": [float(t) for t in field.times],
     }
-    blobs = []
-    for frame in field.frames:
-        for comp in frame.components:
-            data = comp.data
-            if not np.all(np.isfinite(data)):
-                raise FieldFormatError("payload contains non-finite values")
-            blobs.append(np.asarray(data, dtype="<f8").ravel(order="F").tobytes())
+    if not all(np.isfinite(c.data).all() for fr in field.frames for c in fr.components):
+        raise FieldFormatError("payload contains non-finite values")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(struct.pack("<I", CANARY))
-        for blob in blobs:
-            fh.write(blob)
+        for frame in field.frames:
+            # each component's transpose in C order is the file's x-fastest order
+            fh.write(np.array([c.data.T for c in frame.components], "<f8", order="C"))
 
 
 def read_field(path):
@@ -124,19 +120,17 @@ def read_field(path):
             f"payload holds {actual} bytes, header promises {expected}", offset=pos
         )
 
-    frames = []
-    for fi in range(len(times)):
-        comps = []
-        for ci in range(3):
-            blob = raw[pos:pos + cells * 8]
-            arr = np.frombuffer(blob, dtype="<f8").reshape(n, order="F")
-            if not np.all(np.isfinite(arr)):
-                bad = int(np.flatnonzero(~np.isfinite(arr.ravel(order="F")))[0])
-                raise FieldFormatError(
-                    f"non-finite value in frame {fi} component {ci}",
-                    offset=pos + bad * 8,
-                )
-            comps.append(arr.astype(np.float64))
-            pos += cells * 8
-        frames.append(VectorGrid.from_array(box, np.array(comps)))
-    return SpaceTimeField(times=tuple(times), frames=tuple(frames))
+    payload = np.frombuffer(raw, dtype="<f8", offset=pos)
+    finite = np.isfinite(payload)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FieldFormatError(
+            f"non-finite value in frame {bad // (3 * cells)} "
+            f"component {bad // cells % 3}",
+            offset=pos + bad * 8,
+        )
+    # file order is (frame, component, z, y, x); frames are (component, x, y, z)
+    payload = payload.reshape(len(times), 3, *n[::-1]).transpose(0, 1, 4, 3, 2)
+    frames = tuple(VectorGrid.from_array(box, np.array(fr, np.float64, order="C"))
+                   for fr in payload)
+    return SpaceTimeField(times=tuple(times), frames=frames)

@@ -9,7 +9,7 @@ integrals use the trapezoid rule on the piecewise-linear interpolant of
 the per-frame integrand.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -49,7 +49,10 @@ class AnalysisConfig:
 
 
 def _time_integral(times, values, ta, tb):
-    """Integral of the piecewise-linear interpolant of (times, values) over [ta, tb]."""
+    """Integral over [ta, tb] of the piecewise-linear interpolant of a
+    per-frame integrand. values(idx) returns the integrand at the frames
+    idx; it is asked only for the frames the interpolant reads, from the
+    last sample at or before ta to the first at or after tb."""
     tol = 1e-9 * max(1.0, abs(ta), abs(tb))
     if ta < times[0] - tol or tb > times[-1] + tol:
         raise ValueError(
@@ -60,9 +63,11 @@ def _time_integral(times, values, ta, tb):
     tb = min(max(tb, times[0]), times[-1])
     if tb <= ta:
         raise ValueError("time window has zero length at the sampled resolution")
-    inside = times[(times > ta) & (times < tb)]
-    knots = np.concatenate([[ta], inside, [tb]])
-    return float(np.trapezoid(np.interp(knots, times, values), knots))
+    idx = np.arange(np.searchsorted(times, ta, side="right") - 1,
+                    np.searchsorted(times, tb, side="left") + 1)
+    t = times[idx]
+    knots = np.concatenate([[ta], t[(t > ta) & (t < tb)], [tb]])
+    return float(np.trapezoid(np.interp(knots, t, values(idx)), knots))
 
 
 def _frames_in_window(f, cyl):
@@ -74,22 +79,26 @@ def _frames_in_window(f, cyl):
 
 
 def _check_cylinder(f, cyl):
+    """Check the cylinder against the sampled field; return its ball mask."""
     tol = 1e-9 * max(1.0, abs(cyl.t0))
     if cyl.t_start < f.times[0] - tol or cyl.t0 > f.times[-1] + tol:
         raise ValueError("cylinder time window exceeds the sampled range")
-    if not cyl.ball.mask(f.box).any():
+    mask = cyl.ball.mask(f.box)
+    if not mask.any():
         raise ValueError("empty region: cylinder ball misses all cell centers")
+    return mask
 
 
 def q3(f, cyl):
     """r^-2 * integral of |u|^3 over Q(z0, r)."""
-    _check_cylinder(f, cyl)
-    mask = cyl.ball.mask(f.box)
+    mask = _check_cylinder(f, cyl)
     c = f.box.cell_volume
-    vals = np.array([
-        np.sum(fr.magnitude().data[mask] ** 3) * c for fr in f.frames
-    ])
-    return _time_integral(f.times, vals, cyl.t_start, cyl.t0) / cyl.r ** 2
+
+    def cubes(idx):
+        return np.array([np.sum(f.frames[i].magnitude().data[mask] ** 3) * c
+                         for i in idx])
+
+    return _time_integral(f.times, cubes, cyl.t_start, cyl.t0) / cyl.r ** 2
 
 
 @dataclass
@@ -102,8 +111,7 @@ class E16Result:
     passes: bool
 
     def to_dict(self):
-        return {"ratio": self.ratio, "eps": self.eps, "level": self.level,
-                "passes": self.passes}
+        return asdict(self)
 
 
 def criterion_e16(frame, x0, r, eps):
@@ -134,14 +142,12 @@ class CaccioppoliReport:
     rhs_terms: tuple
 
     def to_dict(self):
-        return {"lhs": self.lhs, "rhs": self.rhs, "ratio": self.ratio,
-                "both_zero": self.both_zero,
-                "lhs_terms": list(self.lhs_terms), "rhs_terms": list(self.rhs_terms)}
+        return asdict(self)
 
 
 def caccioppoli_sides(f, cyl):
     """Evaluate both sides of the Caccioppoli-type inequality."""
-    _check_cylinder(f, cyl)
+    mask_out = _check_cylinder(f, cyl)
     r = cyl.r
     if r < 4.0 * max(f.box.spacing):
         raise ValueError(
@@ -149,25 +155,25 @@ def caccioppoli_sides(f, cyl):
         )
     inner = Cylinder(cyl.center, cyl.t0, r / 2.0)
     mask_in = inner.ball.mask(f.box)
-    mask_out = cyl.ball.mask(f.box)
     c = f.box.cell_volume
+    # int_{B_r} |u|^2 and int_{B_r/2} |u|^{10/3} per frame, from one magnitude,
+    # filled while integrating the outer window, whose frames include the inner's
+    sums = np.full((len(f.times), 2), np.nan)
 
-    v103 = []
-    vgrad = []
-    ve2 = []
-    for fr in f.frames:
-        mag = fr.magnitude().data
-        v103.append(np.sum(mag[mask_in] ** (10.0 / 3.0)) * c)
-        g = gradient(fr)
-        vgrad.append(np.sum((g ** 2).sum(axis=(0, 1))[mask_in]) * c)
-        ve2.append(np.sum(mag[mask_out] ** 2) * c)
-    v103 = np.array(v103)
-    vgrad = np.array(vgrad)
-    ve2 = np.array(ve2)
+    def energy_cubed(idx):
+        for i in idx:
+            mag = f.frames[i].magnitude().data
+            sums[i] = (np.sum(mag[mask_out] ** 2) * c,
+                       np.sum(mag[mask_in] ** (10.0 / 3.0)) * c)
+        return sums[idx, 0] ** 3
 
-    i103 = _time_integral(f.times, v103, inner.t_start, inner.t0)
-    igrad = _time_integral(f.times, vgrad, inner.t_start, inner.t0)
-    ie23 = _time_integral(f.times, ve2 ** 3, cyl.t_start, cyl.t0)
+    def grad_squared(idx):
+        g2 = ((gradient(f.frames[i]) ** 2).sum(axis=(0, 1)) for i in idx)
+        return np.array([np.sum(g[mask_in]) * c for g in g2])
+
+    ie23 = _time_integral(f.times, energy_cubed, cyl.t_start, cyl.t0)
+    i103 = _time_integral(f.times, lambda idx: sums[idx, 1], inner.t_start, inner.t0)
+    igrad = _time_integral(f.times, grad_squared, inner.t_start, inner.t0)
 
     lhs1 = i103 ** 0.6 / r
     lhs2 = igrad / r
@@ -188,9 +194,8 @@ def caccioppoli_sides(f, cyl):
 
 def energy_sup(f, cyl):
     """r^-1 * max over frames in the window of int_{B(x0,r)} |u|^2 dx."""
-    _check_cylinder(f, cyl)
+    mask = _check_cylinder(f, cyl)
     idx = _frames_in_window(f, cyl)
-    mask = cyl.ball.mask(f.box)
     c = f.box.cell_volume
     best = max(
         float(np.sum(f.frames[i].magnitude().data[mask] ** 2) * c) for i in idx
@@ -213,17 +218,7 @@ class QuantReport:
     energy_sup: float
 
     def to_dict(self):
-        return {
-            "center": list(self.center),
-            "t0": self.t0,
-            "r": self.r,
-            "q3": self.q3,
-            "zeta": self.zeta,
-            "q3_small": self.q3_small,
-            "e16": self.e16.to_dict(),
-            "caccioppoli": self.caccioppoli.to_dict(),
-            "energy_sup": self.energy_sup,
-        }
+        return asdict(self)
 
 
 def quant_report(f, cyl, cfg):
@@ -270,10 +265,7 @@ def rescale(f, lam, pivot, target_box=None, target_times=None):
     target_times = np.asarray(target_times, dtype=float)
 
     # forward-map target cell centers into the source box
-    tx, ty, tz = target_box.centers()
-    sx = x0[0] + lam * (tx - x0[0])
-    sy = x0[1] + lam * (ty - x0[1])
-    sz = x0[2] + lam * (tz - x0[2])
+    sx, sy, sz = (a + lam * (t - a) for a, t in zip(x0, target_box.centers()))
     cs = src_box.centers()
     for axis_pts, axis_src in zip((sx, sy, sz), cs):
         if axis_pts.min() > axis_src[-1] or axis_pts.max() < axis_src[0]:
@@ -284,13 +276,12 @@ def rescale(f, lam, pivot, target_box=None, target_times=None):
     interps = {}
 
     def interp_frame(i):
+        # one vector-valued interpolant per frame: (points, 3) per call
         if i not in interps:
-            interps[i] = [
-            RegularGridInterpolator(cs, comp.data, method="linear",
-                                    bounds_error=False, fill_value=None)
-            for comp in f.frames[i].components
-        ]
-        return interps[i]
+            interps[i] = RegularGridInterpolator(
+                cs, np.moveaxis(f.frames[i].stack(), 0, -1), method="linear",
+                bounds_error=False, fill_value=None)
+        return interps[i](pts)
 
     src_t = t0 + lam ** 2 * (target_times - t0)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(f.times))))
@@ -303,13 +294,11 @@ def rescale(f, lam, pivot, target_box=None, target_times=None):
         j = int(np.searchsorted(f.times, s, side="right")) - 1
         j = min(max(j, 0), len(f.times) - 2) if len(f.times) > 1 else 0
         if len(f.times) == 1 or abs(f.times[j] - s) <= tol:
-            comps = [ip(pts) for ip in interp_frame(j)]
+            vals = interp_frame(j)
         else:
             t_lo, t_hi = f.times[j], f.times[j + 1]
             w = (s - t_lo) / (t_hi - t_lo)
-            lo_v = interp_frame(j)
-            hi_v = interp_frame(j + 1)
-            comps = [(1 - w) * a(pts) + w * b(pts) for a, b in zip(lo_v, hi_v)]
-        arr = lam * np.stack([cmp.reshape(target_box.n) for cmp in comps])
+            vals = (1 - w) * interp_frame(j) + w * interp_frame(j + 1)
+        arr = lam * vals.T.reshape(3, *target_box.n)
         frames.append(VectorGrid.from_array(target_box, arr))
     return SpaceTimeField(target_times, frames)

@@ -10,6 +10,7 @@ incompressible equations with a 2/3-dealiased collocation scheme and a
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.fft as sfft
@@ -68,6 +69,15 @@ class SpikeSpec:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "axes", tuple(axes))
         object.__setattr__(self, "delta", float(self.delta))
+
+
+def _cross(a, b):
+    """Cross product of two stacked 3-vectors (components on the leading axis)."""
+    return np.stack([
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ])
 
 
 def spike_field(spec, box, n=None):
@@ -142,11 +152,7 @@ def random_solenoidal(box=None, n=32, seed=0, band=(2.0, 8.0), rms=1.0):
     kk = np.sqrt(np.sum(k * k, axis=0))
     mask = (kk >= band[0]) & (kk <= band[1])
     ah *= mask
-    uh = 1j * np.stack([
-        k[1] * ah[2] - k[2] * ah[1],
-        k[2] * ah[0] - k[0] * ah[2],
-        k[0] * ah[1] - k[1] * ah[0],
-    ])
+    uh = 1j * _cross(k, ah)
     u = sfft.irfftn(uh, s=(n, n, n), axes=(1, 2, 3))
     cur = np.sqrt(np.mean(u ** 2) * 3.0)
     if cur > 0:
@@ -175,6 +181,12 @@ class SolverConfig:
             raise ValueError("nu, dt, t_end must be positive")
         if not (0 < self.dealias <= 1):
             raise ValueError("dealias fraction must lie in (0, 1]")
+        name = self.initial.lower() if isinstance(self.initial, str) else ""
+        known = ("taylor_green", "taylor-green", "tg")
+        if not (name in known or name.startswith("random")):
+            raise ValueError(f"unknown initial profile {self.initial!r}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 class SolverError(RuntimeError):
@@ -201,15 +213,6 @@ class SolverRun:
         diss = np.trapezoid(self.dissipation, self.step_times)
         span = self.step_times[-1] - self.step_times[0]
         return abs(self.energy[-1] - self.energy[0] + diss) / span
-
-
-def _initial_field(cfg, box):
-    name = cfg.initial.lower()
-    if name in ("taylor_green", "taylor-green", "tg"):
-        return taylor_green(box, cfg.n, cfg.amplitude)
-    if name.startswith("random"):
-        return random_solenoidal(box, cfg.n, seed=cfg.seed, rms=cfg.amplitude)
-    raise ValueError(f"unknown initial profile {cfg.initial!r}")
 
 
 def run_solver(cfg):
@@ -240,7 +243,10 @@ def run_solver(cfg):
     if n % 2 == 0:
         wz[-1] = 1.0
 
-    u0 = _initial_field(cfg, box)
+    if cfg.initial.lower().startswith("random"):
+        u0 = random_solenoidal(box, cfg.n, seed=cfg.seed, rms=cfg.amplitude)
+    else:
+        u0 = taylor_green(box, cfg.n, cfg.amplitude)
     uh = sfft.rfftn(u0.stack(), axes=axes, workers=workers) * dealias
 
     nsteps = int(round(cfg.t_end / cfg.dt))
@@ -248,27 +254,18 @@ def run_solver(cfg):
         warnings.warn("t_end is not a multiple of dt; stopping at the nearest step")
     save_every = cfg.save_every or max(1, int(np.ceil(nsteps / 16)))
 
-    state = {"umax": 0.0}
+    irfft = partial(sfft.irfftn, s=(n, n, n), axes=axes, workers=workers)
 
-    def rhs(uh_):
-        u = sfft.irfftn(uh_, s=(n, n, n), axes=axes, workers=workers)
-        state["umax"] = float(np.max(np.abs(u)))
-        oh = 1j * np.stack([
-            k[1] * uh_[2] - k[2] * uh_[1],
-            k[2] * uh_[0] - k[0] * uh_[2],
-            k[0] * uh_[1] - k[1] * uh_[0],
-        ])
-        o = sfft.irfftn(oh, s=(n, n, n), axes=axes, workers=workers)
-        w = np.stack([
-            u[1] * o[2] - u[2] * o[1],
-            u[2] * o[0] - u[0] * o[2],
-            u[0] * o[1] - u[1] * o[0],
-        ])
-        wh = sfft.rfftn(w, axes=axes, workers=workers) * dealias
+    def rhs(uh_, u):
+        o = irfft(1j * _cross(k, uh_))   # vorticity
+        wh = sfft.rfftn(_cross(u, o), axes=axes, workers=workers) * dealias
         div = np.sum(k * wh, axis=0)
         wh -= k * (div / k2_safe)
         wh[:, 0, 0, 0] = 0.0   # momentum-preserving gauge of the projection
         return wh - cfg.nu * k2 * uh_
+
+    def stage(uh_):
+        return rhs(uh_, irfft(uh_))
 
     def spectral_energy(uh_):
         return float(np.sum(wz * np.abs(uh_) ** 2) / n ** 3 * h ** 3)
@@ -276,11 +273,8 @@ def run_solver(cfg):
     def spectral_dissipation(uh_):
         return 2.0 * cfg.nu * float(np.sum(wz * k2 * np.abs(uh_) ** 2) / n ** 3 * h ** 3)
 
-    def to_frame(uh_):
-        u = sfft.irfftn(uh_, s=(n, n, n), axes=axes, workers=workers)
-        return VectorGrid.from_array(box, u)
-
-    frames = [to_frame(uh)]
+    u = irfft(uh)   # serves the CFL check, stage 1 and the saved frame
+    frames = [VectorGrid.from_array(box, u)]
     frame_times = [0.0]
     energy = [spectral_energy(uh)]
     diss = [spectral_dissipation(uh)]
@@ -289,8 +283,8 @@ def run_solver(cfg):
 
     dt = cfg.dt
     for step in range(1, nsteps + 1):
-        k1 = rhs(uh)
-        cfl = state["umax"] * dt / h
+        umax = float(np.max(np.abs(u)))
+        cfl = umax * dt / h
         cfl_hist.append(cfl)
         if cfl > 0.5:
             raise SolverError(
@@ -299,25 +293,27 @@ def run_solver(cfg):
                     "step": step,
                     "t": (step - 1) * dt,
                     "cfl": cfl,
-                    "umax": state["umax"],
-                    "suggested_dt": 0.45 * h / state["umax"],
+                    "umax": umax,
+                    "suggested_dt": 0.45 * h / umax,
                 },
             )
-        k2s = rhs(uh + 0.5 * dt * k1)
-        k3s = rhs(uh + 0.5 * dt * k2s)
-        k4s = rhs(uh + dt * k3s)
+        k1 = rhs(uh, u)
+        k2s = stage(uh + 0.5 * dt * k1)
+        k3s = stage(uh + 0.5 * dt * k2s)
+        k4s = stage(uh + dt * k3s)
         uh = uh + (dt / 6.0) * (k1 + 2.0 * k2s + 2.0 * k3s + k4s)
         if not np.all(np.isfinite(uh.view(float))):
             raise SolverError(
                 f"non-finite state at step {step}",
                 {"step": step, "t": step * dt, "cfl": cfl},
             )
+        u = irfft(uh)
         t = step * dt
         step_times.append(t)
         energy.append(spectral_energy(uh))
         diss.append(spectral_dissipation(uh))
         if step % save_every == 0 or step == nsteps:
-            frames.append(to_frame(uh))
+            frames.append(VectorGrid.from_array(box, u))
             frame_times.append(t)
 
     return SolverRun(

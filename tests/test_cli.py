@@ -72,6 +72,16 @@ def test_count_bound_rejects_bad_arguments(capsys):
     assert err["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("M", ["nan", "inf"])
+def test_count_bound_rejects_non_finite_m(capsys, M):
+    assert main(["count-bound", "--M", M, "--eps", "0.1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["type"] == "ValueError"
+    assert "M must be finite and nonnegative" in err["error"]
+
+
 def test_config_hash_is_deterministic(capsys):
     a = run_json(capsys, ["count-bound", "--M", "2.0", "--eps", "0.2"])
     b = run_json(capsys, ["count-bound", "--M", "2.0", "--eps", "0.2"])
@@ -174,6 +184,31 @@ def test_localize_count_overflow_is_a_clean_error(capsys, field_file, monkeypatc
     assert "exceeds bound -1.0" in err["error"]
 
 
+@pytest.mark.parametrize("eps, factor, expected", [
+    ("0.2", "1.3", "effective eps = eps * eps_shape_factor = 0.26"),
+    ("0.1", "0", "eps_shape_factor must be finite and positive"),
+    ("0.1", "-1", "eps_shape_factor must be finite and positive"),
+    ("0.1", "nan", "eps_shape_factor must be finite and positive"),
+])
+def test_localize_rejects_bad_shape_factor_up_front(capsys, field_file,
+                                                    monkeypatch, eps, factor,
+                                                    expected):
+    import regscan.dyadic
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran before the inputs were checked")
+
+    monkeypatch.setattr(regscan.dyadic, "select_f0", no_selection)
+    path, _ = field_file
+    rc = main(["localize", path, "--eps", eps, "--kmax", "0",
+               "--eps-shape-factor", factor])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1
+    err = json.loads(err[0])
+    assert err["type"] == "ValueError"
+    assert expected in err["error"]
+
+
 def test_stokes_check_payload(capsys, field_file):
     path, _ = field_file
     doc = run_json(capsys, [
@@ -196,6 +231,18 @@ def test_stokes_check_rejects_malformed_cube(capsys, field_file, cube):
         main(["stokes-check", path, "--cube", cube])
     assert exc.value.code == 2
     assert "--cube" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bump", ["0.5,0.5,0.5,0.22,0.1",
+                                  "0.5,0.5,0.5,0.22,0.1,0.1,0.3",
+                                  "0.5,0.5,0.5,R,0.1,0.1"])
+def test_stokes_check_rejects_malformed_bump(capsys, field_file, bump):
+    path, _ = field_file
+    with pytest.raises(SystemExit) as exc:
+        main(["stokes-check", path, "--cube", "0.25,0.25,0.25,0.5",
+              "--bump", bump])
+    assert exc.value.code == 2
+    assert "--bump" in capsys.readouterr().err
 
 
 def test_simulate_writes_field_and_report(capsys, tmp_path):
@@ -232,6 +279,8 @@ def test_simulate_rejects_bad_config(capsys, tmp_path):
 @pytest.mark.parametrize("cfg, expected", [
     ({"n": 16, "t_end": 0.05, "banana": 3}, "unknown config keys: banana"),
     ({"n": "sixteen", "t_end": 0.05}, "invalid config"),
+    ({"n": 16, "t_end": 0.05, "initial": 5}, "unknown initial profile 5"),
+    ({"n": 16, "t_end": 0.05, "seed": "x"}, "seed must be an integer"),
 ])
 def test_simulate_rejects_malformed_config(capsys, tmp_path, cfg, expected):
     cfg_path = tmp_path / "bad.json"

@@ -281,6 +281,28 @@ def test_cluster_labels_match_union_find(rng, dm):
         assert labels_to_partition(_cluster_labels(j, dm)) == brute_partition(j, dm)
 
 
+@pytest.mark.parametrize("dm", [1, 2, 4, 9])
+def test_sparse_cluster_fallback_matches_dense_labels(rng, monkeypatch, dm):
+    import regscan.dyadic
+
+    calls = []
+    sparse = regscan.dyadic._cluster_labels_sparse
+
+    def counted(j, dm_):
+        calls.append(len(j))
+        return sparse(j, dm_)
+
+    for _ in range(12):
+        n = int(rng.integers(1, 80))
+        j = np.unique(rng.integers(-3 * dm, 3 * dm, size=(n, 3)), axis=0)
+        dense = labels_to_partition(_cluster_labels(j, dm))
+        with monkeypatch.context() as m:
+            m.setattr(regscan.dyadic, "_DENSE_VOXEL_CAP", 0)
+            m.setattr(regscan.dyadic, "_cluster_labels_sparse", counted)
+            assert labels_to_partition(_cluster_labels(j, dm)) == dense
+    assert sum(calls) > 0   # every coarse component took the sparse path
+
+
 @pytest.mark.parametrize("dm", [1, 2, 4, 7])
 def test_cluster_labels_sharp_at_meet_radius(dm):
     touching = np.array([[0, 0, 0], [dm, -dm, dm]])

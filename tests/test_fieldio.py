@@ -154,6 +154,32 @@ def test_non_finite_rejected_on_read_with_value_offset(tmp_path, rng):
     assert err.offset == bad_at
 
 
+def test_non_finite_offset_names_frame_and_component(tmp_path, rng):
+    f = small_field(rng, frames=3)
+    path = tmp_path / "three.rsf"
+    write_field(path, f)
+    raw = path.read_bytes()
+    # frame 2, component 1, cell (3, 2, 1): x fastest within a component
+    cells = 4 * 5 * 3
+    bad_at = payload_offset(raw) + ((2 * 3 + 1) * cells + 3 + 4 * (2 + 5 * 1)) * 8
+    assert struct.unpack("<d", raw[bad_at:bad_at + 8])[0] == \
+        f.frames[2].components[1].data[3, 2, 1]
+    doctored = raw[:bad_at] + struct.pack("<d", np.nan) + raw[bad_at + 8:]
+    err = reject(tmp_path, doctored)
+    assert "non-finite value in frame 2 component 1" in str(err)
+    assert err.offset == bad_at
+
+
+def test_read_frames_are_writable_contiguous_float64(tmp_path, rng):
+    f = small_field(rng, frames=3)
+    write_field(tmp_path / "f.rsf", f)
+    for frame in read_field(tmp_path / "f.rsf").frames:
+        for comp in frame.components:
+            assert comp.data.dtype == np.float64
+            assert comp.data.flags.c_contiguous and comp.data.flags.writeable
+            comp.data[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("n", 5, "bad box"),
     ("times", 5, "bad times"),

@@ -14,6 +14,7 @@ import pytest
 from regscan.grid import Ball, Box3, Cylinder, SpaceTimeField, VectorGrid
 from regscan.localquant import (
     AnalysisConfig,
+    _time_integral,
     caccioppoli_sides,
     criterion_e16,
     energy_sup,
@@ -114,6 +115,49 @@ def test_caccioppoli_constant_field_closed_form():
     assert rep.rhs_terms[1] == pytest.approx(ie23 / r ** 5, rel=1e-12)
     assert rep.ratio == pytest.approx(rep.lhs / rep.rhs, rel=1e-12)
     assert not rep.both_zero
+
+
+def test_time_integral_reads_only_the_bracketing_frames(rng):
+    times = np.cumsum(rng.uniform(0.05, 0.2, size=12))
+    values = rng.normal(size=12)
+    for _ in range(50):
+        ta, tb = np.sort(rng.uniform(times[0], times[-1], size=2))
+        if rng.random() < 0.3:   # start on the sample at or before ta
+            ta = times[times <= ta][-1]
+        seen = []
+
+        def integrand(idx):
+            seen.append(idx)
+            return values[idx]
+
+        got = _time_integral(times, integrand, ta, tb)
+        inside = times[(times > ta) & (times < tb)]
+        knots = np.concatenate([[ta], inside, [tb]])
+        assert got == float(np.trapezoid(np.interp(knots, times, values), knots))
+        (idx,) = seen
+        assert times[idx[0]] <= ta < times[idx[1]]
+        assert times[idx[-2]] < tb <= times[idx[-1]]
+
+
+def test_caccioppoli_takes_gradients_only_on_the_inner_window(monkeypatch):
+    import regscan.localquant
+
+    box = unit_box(16)
+    times = np.linspace(0.0, 0.9, 10)
+    f = uniform_field(box, times, 1.0 + times)
+    cyl = Cylinder((0.5, 0.5, 0.5), t0=0.9, r=0.5)
+    expected = caccioppoli_sides(f, cyl)
+    seen = []
+    gradient = regscan.localquant.gradient
+
+    def recording(frame):
+        seen.append(next(i for i, fr in enumerate(f.frames) if fr is frame))
+        return gradient(frame)
+
+    monkeypatch.setattr(regscan.localquant, "gradient", recording)
+    assert caccioppoli_sides(f, cyl) == expected
+    # inner window [0.9 - 0.0625, 0.9] is read from the frames at 0.8 and 0.9
+    assert seen == [8, 9]
 
 
 def test_caccioppoli_zero_field_sentinel():

@@ -141,6 +141,19 @@ def test_solver_config_validation():
         SolverConfig(dealias=1.5)
     with pytest.raises(ValueError):
         run_solver(SolverConfig(n=8, initial="vortex_sheet"))
+    with pytest.raises(ValueError, match="unknown initial profile 5"):
+        SolverConfig(initial=5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SolverConfig(initial="random", seed="x")
+
+
+def test_solver_cfl_is_taken_on_the_stored_states():
+    cfg = SolverConfig(n=16, nu=0.02, dt=0.01, t_end=0.05, initial="random",
+                       seed=3, save_every=1)
+    run = run_solver(cfg)
+    h = 2 * np.pi / cfg.n
+    umax = [np.max(np.abs(fr.stack())) for fr in run.field.frames[:-1]]
+    assert np.array_equal(run.cfl, np.array(umax) * cfg.dt / h)
 
 
 def test_solver_frame_schedule_and_energy_decay():
