@@ -1,6 +1,6 @@
-"""Dump the numerical outputs of `stokes`, `dyadic.localize` and the CLI
-pipeline path (`run_solver`, field I/O, the cylinder quantities), or
-compare two dumps bit for bit.
+"""Dump the numerical outputs of `stokes`, `dyadic.localize`, the dyadic
+meet-relation clustering and the CLI pipeline path (`run_solver`, field
+I/O, the cylinder quantities), or compare two dumps bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
 dumping at the parent commit and at the change, then comparing:
@@ -13,7 +13,10 @@ Arrays are compared with np.array_equal (NaN equal to NaN); scalars and
 dicts are stored as JSON, whose float repr round-trips exactly. Each
 `localize` run dumps its whole `to_dict()` payload, its chains, its
 clusters as sorted offset lists and the per-level F and G offsets. The
-pipeline section dumps solver frames and histories, the SHA-256 of the
+clusters section dumps `_cluster_labels` on seeded random offset sets and
+on a broken filament, once as is and once with `_DENSE_VOXEL_CAP` at 0,
+which sends every coarse component down the sparse path. The pipeline
+section dumps solver frames and histories, the SHA-256 of the
 written field file, the read-back frames with their memory layout, the
 non-finite read and write errors, every cylinder quantity on windows that
 start between frames, on a frame, and end before the last frame, and both
@@ -29,6 +32,7 @@ import warnings
 
 import numpy as np
 
+from regscan import dyadic
 from regscan.dyadic import localize
 from regscan.fieldio import FieldFormatError, read_field, write_field
 from regscan.grid import (Box3, Cube, Cylinder, ScalarGrid, SpaceTimeField,
@@ -137,6 +141,32 @@ def chain_outputs(out):
     _localize_outputs(out, "dense(eps0.2)", frame, 0.2, 1)
     _localize_outputs(out, "dense(eps0.2,shape1.1)", frame, 0.2, 0,
                       eps_shape_factor=1.1)
+
+
+def cluster_outputs(out):
+    rng = np.random.default_rng(5)
+    sets = {}
+    for dm in (1, 2, 4, 9):
+        for i in range(20):
+            n = int(rng.integers(1, 80))
+            j = rng.integers(-6 * dm, 6 * dm, size=(n, 3))
+            sets[f"random(dm{dm})[{i}]"] = (np.unique(j, axis=0), dm)
+    # a thickened helix-like filament cut into three pieces by gaps of 100
+    t = np.arange(900)
+    path = np.stack([t, np.round(20 * np.sin(t / 40)),
+                     np.round(20 * np.cos(t / 55))], axis=1).astype(np.int64)
+    path = path[(t // 100) % 3 != 2]
+    sets["filament(dm9)"] = (np.unique(np.concatenate(
+        [path, path + (0, 1, 0), path + (0, 0, 1)]), axis=0), 9)
+
+    cap = dyadic._DENSE_VOXEL_CAP
+    for tag, (j, dm) in sets.items():
+        out[f"clusters.{tag}"] = dyadic._cluster_labels(j, dm)
+        try:
+            dyadic._DENSE_VOXEL_CAP = 0
+            out[f"clusters.{tag}(sparse)"] = dyadic._cluster_labels(j, dm)
+        finally:
+            dyadic._DENSE_VOXEL_CAP = cap
 
 
 def _run_outputs(out, tag, cfg):
@@ -257,6 +287,7 @@ def main(argv):
         out = {}
         stokes_outputs(out)
         chain_outputs(out)
+        cluster_outputs(out)
         pipeline_outputs(out)
         np.savez(argv[1], **out)
         print(f"{len(out)} outputs written to {argv[1]}")

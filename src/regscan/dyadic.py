@@ -66,20 +66,27 @@ def _unique(keys):
     return keys[keep]
 
 
-def _spread(keys, bounds):
+def _spread(keys, bounds, cover=None):
     """Replace each key's offset j along every axis by the range bounds(j).
 
     bounds maps an offset array to inclusive (lo, hi) arrays; the result is
     sorted and deduplicated after each axis. Short ranges repeat their last
-    offset instead of being masked, so no (n, width) mask is built.
+    offset instead of being masked, so no (n, width) mask is built. Each
+    range is clipped to the inclusive per-axis limits cover (`_cover_ranges`)
+    before it expands; keys left with an empty range are dropped.
     """
-    for shift in _SHIFTS:
-        if len(keys) == 0:
-            break
+    for axis, shift in enumerate(_SHIFTS):
         j = ((keys >> shift) & _MASK) - _OFF
         lo, hi = bounds(j)
-        if lo.min() <= -_OFF or hi.max() >= _OFF:
+        if np.any(lo <= -_OFF) or np.any(hi >= _OFF):
             raise ValueError("lattice offset exceeds packing range")
+        if cover is not None:
+            lo = np.maximum(lo, cover[axis][0])
+            hi = np.minimum(hi, cover[axis][1])
+            keep = lo <= hi
+            keys, j, lo, hi = keys[keep], j[keep], lo[keep], hi[keep]
+        if len(keys) == 0:
+            break
         width = hi - lo
         out = np.minimum(np.arange(int(width.max()) + 1), width[:, None])
         out += (lo - j)[:, None]
@@ -174,13 +181,6 @@ def _cover_offsets(k, eps, box):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _clip_to_cover(keys, k, eps, box):
-    """Drop cubes that do not open-intersect the domain box."""
-    r = np.array(_cover_ranges(k, eps, box))
-    j = _unpack(keys)
-    return keys[np.all((j >= r[:, 0]) & (j <= r[:, 1]), axis=1)]
-
-
 def build_cover(k, eps, domain):
     """All level-k cubes whose interior intersects the domain box."""
     if not (0 < eps < 0.25):
@@ -190,34 +190,29 @@ def build_cover(k, eps, domain):
     return [DyadicCube(eps, k, tuple(row)) for row in _cover_offsets(k, eps, domain)]
 
 
-class _FrameScan:
-    """Prefix-sum machinery for counting super-level cells inside cubes."""
+def _magnitude(frame):
+    return frame.magnitude() if hasattr(frame, "magnitude") else frame
 
-    def __init__(self, frame):
-        mag = frame.magnitude() if hasattr(frame, "magnitude") else frame
-        self.grid = mag
-        self.box = mag.box
-        self.mag = np.abs(mag.data)
-        self.centers = self.box.centers()
-        self.cell_volume = self.box.cell_volume
 
-    def prefix(self, height):
-        ind = (self.mag > height)
-        p = np.zeros(tuple(m + 1 for m in self.mag.shape), dtype=np.int64)
-        p[1:, 1:, 1:] = np.cumsum(np.cumsum(np.cumsum(ind, 0), 1), 2)
-        return p, float(p[-1, -1, -1] * self.cell_volume)
+def _prefix(mag, height):
+    """Prefix sums of the cells where |mag| > height, and their measure."""
+    ind = np.abs(mag.data) > height
+    p = np.zeros(tuple(m + 1 for m in ind.shape), dtype=np.int64)
+    p[1:, 1:, 1:] = np.cumsum(np.cumsum(np.cumsum(ind, 0), 1), 2)
+    return p, float(p[-1, -1, -1] * mag.box.cell_volume)
 
-    def cube_counts(self, p, j, k, eps):
-        """Super-level cell counts for cubes given by lattice offsets j."""
-        s = 2.0 ** (-k)
-        lo = eps * s * j
-        (x0, y0, z0), (x1, y1, z1) = (
-            [np.searchsorted(c, v[:, a]) for a, c in enumerate(self.centers)]
-            for v in (lo, lo + s))
-        return (
-            p[x1, y1, z1] - p[x0, y1, z1] - p[x1, y0, z1] - p[x1, y1, z0]
-            + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0]
-        )
+
+def _cube_counts(p, box, j, k, eps):
+    """Super-level cell counts (prefix sums p) for cubes at lattice offsets j."""
+    s = 2.0 ** (-k)
+    lo = eps * s * j
+    (x0, y0, z0), (x1, y1, z1) = (
+        [np.searchsorted(c, v[:, a]) for a, c in enumerate(box.centers())]
+        for v in (lo, lo + s))
+    return (
+        p[x1, y1, z1] - p[x0, y1, z1] - p[x1, y0, z1] - p[x1, y1, z0]
+        + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0]
+    )
 
 
 _NEIGHBOURS = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
@@ -318,24 +313,25 @@ def _certificate(n, n_disjoint, thr_measure, global_measure, height, M, eps_eff)
     }
 
 
-def _make_family(scan, k, eps, shape_factor, j, M, prefix=None):
+def _make_family(mag, k, eps, shape_factor, j, M, prefix):
     """Apply the level-k measure condition to lexicographically sorted
-    candidate offsets j; prefix is scan.prefix at the level-k height and M
-    defaults to the weak-L^3 norm of the scanned magnitude."""
+    candidate offsets j; prefix is _prefix at the level-k height and M
+    defaults to the weak-L^3 norm of the magnitude grid mag."""
     if M is None:
-        M = weak_norm(scan.grid, 3.0)
+        M = weak_norm(mag, 3.0)
     eps_eff = eps * shape_factor
     height = (2.0 ** k) * eps_eff
     thr = (2.0 ** (-3 * k)) * eps_eff
-    p, global_measure = scan.prefix(height) if prefix is None else prefix
-    sel = j[scan.cube_counts(p, j, k, eps_eff) * scan.cell_volume > thr]
+    p, global_measure = prefix
+    box = mag.box
+    sel = j[_cube_counts(p, box, j, k, eps_eff) * box.cell_volume > thr]
     nd = _greedy_disjoint(sel, eps_eff)
 
     # G: the Minkowski sum of F with the meeting offsets [-dm, dm]^3, in the cover
     dm = _meet_radius(eps_eff)
-    g_keys = _spread(_pack(sel), lambda j: (j - dm, j + dm))
-    g = _unpack(_clip_to_cover(g_keys, k, eps_eff, scan.box))
-    boundary = bool(_protrudes(sel, k, eps_eff, scan.box).any())
+    g = _unpack(_spread(_pack(sel), lambda j: (j - dm, j + dm),
+                        _cover_ranges(k, eps_eff, box)))
+    boundary = bool(_protrudes(sel, k, eps_eff, box).any())
 
     cert = _certificate(len(sel), nd, thr, global_measure, height, M, eps_eff)
     return SelectionFamily(
@@ -357,16 +353,17 @@ def select_f0(frame, eps, shape_factor=1.0, M=None):
     """Level-0 selection over the full cover of the frame's box."""
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    scan = _FrameScan(frame)
-    j = _cover_offsets(0, eps * shape_factor, scan.box)
-    return _make_family(scan, 0, eps, shape_factor, j, M)
+    mag = _magnitude(frame)
+    eps_eff = eps * shape_factor
+    j = _cover_offsets(0, eps_eff, mag.box)
+    return _make_family(mag, 0, eps, shape_factor, j, M, _prefix(mag, eps_eff))
 
 
 def _children_of(keys, eps_eff, k_child, box):
     """Candidate level-k offsets contained in the given level-(k-1) cubes."""
     span = _child_span(eps_eff)
-    cand = _spread(keys, lambda j: (2 * j, 2 * j + span))
-    return _clip_to_cover(cand, k_child, eps_eff, box)
+    return _spread(keys, lambda j: (2 * j, 2 * j + span),
+                   _cover_ranges(k_child, eps_eff, box))
 
 
 def select_fk(frame, eps, k, prev, shape_factor=None, M=None):
@@ -375,16 +372,16 @@ def select_fk(frame, eps, k, prev, shape_factor=None, M=None):
         raise ValueError("select_fk must be called with k = prev.level + 1")
     if shape_factor is None:
         shape_factor = prev.shape_factor
-    scan = _FrameScan(frame)
+    mag = _magnitude(frame)
     eps_eff = eps * shape_factor
-    prefix = scan.prefix((2.0 ** k) * eps_eff)
+    prefix = _prefix(mag, (2.0 ** k) * eps_eff)
 
     # only parents holding at least one super-level cell can have children
     # passing the (strictly positive) measure condition
     parents = prev.G_indices
-    parents = parents[scan.cube_counts(prefix[0], parents, k - 1, eps_eff) > 0]
-    j = _unpack(_children_of(_pack(parents), eps_eff, k, scan.box))
-    return _make_family(scan, k, eps, shape_factor, j, M, prefix)
+    parents = parents[_cube_counts(prefix[0], mag.box, parents, k - 1, eps_eff) > 0]
+    j = _unpack(_children_of(_pack(parents), eps_eff, k, mag.box))
+    return _make_family(mag, k, eps, shape_factor, j, M, prefix)
 
 
 def count_bound(M, eps):
@@ -448,29 +445,15 @@ _DENSE_VOXEL_CAP = 200_000_000
 
 
 def _cluster_labels_sparse(j, dm):
-    """Meet-relation components by offset matching (for sparse, spread-out sets)."""
+    """Meet-relation components from a KD-tree pair query; unlike the dense
+    labeling, its memory does not grow with a component's bounding box."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
 
-    keys = _pack(j)
-    order = np.argsort(keys)
-    skeys = keys[order]
-    rows = []
-    cols = []
-    for dx in range(0, dm + 1):
-        for dy in range(-dm, dm + 1):
-            for dz in range(-dm, dm + 1):
-                if dx == 0 and (dy < 0 or (dy == 0 and dz <= 0)):
-                    continue
-                shift = (dx << _SHIFTS[0]) + (dy << _SHIFTS[1]) + dz
-                pos = np.searchsorted(skeys, skeys + shift)
-                pos = np.clip(pos, 0, len(skeys) - 1)
-                hit = skeys[pos] == skeys + shift
-                rows.append(order[hit])
-                cols.append(order[pos[hit]])
-    r = np.concatenate(rows)   # dm >= 1 always gives some shifts
-    c = np.concatenate(cols)
-    g = coo_matrix((np.ones(len(r), bool), (r, c)), shape=(len(j), len(j)))
+    pairs = cKDTree(j).query_pairs(dm, p=np.inf, output_type="ndarray")
+    g = coo_matrix((np.ones(len(pairs), bool), (pairs[:, 0], pairs[:, 1])),
+                   shape=(len(j), len(j)))
     _, lab = connected_components(g, directed=False)
     return lab.astype(np.int64)
 
@@ -568,7 +551,8 @@ def build_chains(families, box):
         chain = [DyadicCube(eps_eff, k_max, tuple(cl[0]))]
         key = _pack(cl[:1])
         for k in range(k_max, 0, -1):
-            key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1])[:1]
+            key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1],
+                                 assume_unique=True)[:1]
             if not len(key):
                 break
             chain.append(DyadicCube(eps_eff, k - 1, tuple(_unpack(key)[0])))
@@ -606,7 +590,7 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     if not (0 < eps_eff < 0.25):
         raise ValueError(
             f"effective eps = eps * eps_shape_factor = {eps_eff!r} must lie in (0, 1/4)")
-    mag = frame.magnitude() if hasattr(frame, "magnitude") else frame
+    mag = _magnitude(frame)
     hmax = max(mag.box.spacing)
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]
     if underresolved:

@@ -192,12 +192,20 @@ class SpaceTimeField:
 
     def frame_index_at(self, t, atol=1e-9):
         """Index of the frame nearest to t (warn when not an exact sample time)."""
+        if not np.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > atol * max(1.0, abs(t)):
             warnings.warn(
                 f"time {t} is not a sample time; using nearest frame t={self.times[i]}"
             )
         return i
+
+
+def _require_finite(region, **values):
+    for name, v in values.items():
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{region} {name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,7 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         object.__setattr__(self, "r", float(self.r))
+        _require_finite("ball", center=self.center, r=self.r)
         if self.r <= 0:
             raise ValueError("ball radius must be positive")
 
@@ -233,6 +242,7 @@ class Cube:
     def __post_init__(self):
         object.__setattr__(self, "corner", tuple(float(v) for v in self.corner))
         object.__setattr__(self, "side", float(self.side))
+        _require_finite("cube", corner=self.corner, side=self.side)
         if self.side <= 0:
             raise ValueError("cube side must be positive")
 
@@ -260,6 +270,7 @@ class Cylinder:
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "r", float(self.r))
+        _require_finite("cylinder", center=self.center, t0=self.t0, r=self.r)
         if self.r <= 0:
             raise ValueError("cylinder radius must be positive")
 

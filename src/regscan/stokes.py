@@ -197,8 +197,9 @@ def estar(F, tol=1e-8):
         box = F.box
         faces = None
     _check_domain(box)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (0 < tol < 1):
+        # CG starts at relative residual 1: tol >= 1 or NaN would skip the solve
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     n = box.n
     h = box.spacing
     if faces is None:

@@ -187,6 +187,10 @@ class SolverConfig:
             raise ValueError(f"unknown initial profile {self.initial!r}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        s = self.save_every
+        if s is not None and (isinstance(s, bool) or not isinstance(s, (int, np.integer))
+                              or s < 1):
+            raise ValueError(f"save_every must be None or an integer >= 1, got {s!r}")
 
 
 class SolverError(RuntimeError):

@@ -209,6 +209,30 @@ def test_localize_rejects_bad_shape_factor_up_front(capsys, field_file,
     assert expected in err["error"]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["norms", "FIELD", "--time", "nan"], "time must be finite"),
+    (["norms", "FIELD", "--time", "inf"], "time must be finite"),
+    (["scan", "FIELD", "--x0", "0.5,0.5,0.5", "--t0", "nan", "--r", "0.35"],
+     "cylinder t0 must be finite"),
+    (["scan", "FIELD", "--x0", "0.5,0.5,0.5", "--t0", "0.15", "--r", "nan"],
+     "cylinder r must be finite"),
+    (["stokes-check", "FIELD", "--cube", "0,0,0,nan"], "cube side must be finite"),
+    (["stokes-check", "FIELD", "--cube", "0.25,0.25,0.25,0.5", "--tol", "nan"],
+     "tol must lie in (0, 1)"),
+], ids=["norms-time-nan", "norms-time-inf", "scan-t0-nan", "scan-r-nan",
+        "stokes-cube-nan", "stokes-tol-nan"])
+def test_non_finite_arguments_are_clean_errors(capsys, field_file, argv, expected):
+    path, _ = field_file
+    rc = main([path if a == "FIELD" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    err = err.splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["type"] == "ValueError"
+    assert expected in err["error"]
+
+
 def test_stokes_check_payload(capsys, field_file):
     path, _ = field_file
     doc = run_json(capsys, [
@@ -281,6 +305,10 @@ def test_simulate_rejects_bad_config(capsys, tmp_path):
     ({"n": "sixteen", "t_end": 0.05}, "invalid config"),
     ({"n": 16, "t_end": 0.05, "initial": 5}, "unknown initial profile 5"),
     ({"n": 16, "t_end": 0.05, "seed": "x"}, "seed must be an integer"),
+    ({"n": 16, "t_end": 0.05, "save_every": "x"}, "save_every must be None or"),
+    ({"n": 16, "t_end": 0.05, "save_every": 0}, "save_every must be None or"),
+    ({"n": 16, "t_end": 0.05, "save_every": -1}, "save_every must be None or"),
+    ({"n": 16, "t_end": 0.05, "save_every": 1.5}, "save_every must be None or"),
 ])
 def test_simulate_rejects_malformed_config(capsys, tmp_path, cfg, expected):
     cfg_path = tmp_path / "bad.json"

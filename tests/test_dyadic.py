@@ -17,6 +17,7 @@ from regscan.dyadic import (
     DyadicCube,
     _children_of,
     _cluster_labels,
+    _cover_ranges,
     _greedy_disjoint,
     _pack,
     _parents_of,
@@ -143,6 +144,29 @@ def test_spread_rejects_offsets_past_the_packing_range():
         _spread(keys, lambda j: (j, j + _OFF))
     with pytest.raises(ValueError, match="packing range"):
         _spread(keys, lambda j: (j - _OFF, j))
+
+
+@pytest.mark.parametrize("eps", [0.13, 0.2, 0.24])
+def test_spread_with_cover_matches_spread_then_filter(rng, eps):
+    box = Box3((0.0, 0.1, -0.2), (1.0, 0.7, 0.55), (8, 8, 8))
+    k = 2
+    side = 2.0 ** (-k)
+
+    def in_cover(keys):
+        corner = eps * side * _unpack(keys)
+        return np.all((corner < box.hi) & (corner + side > box.lo), axis=1)
+
+    cover = _cover_ranges(k, eps, box)
+    j = random_offsets(rng, 60, -40, 50)
+    for bounds in (lambda j: (j - 3, j + 3), lambda j: (2 * j, 2 * j + 6),
+                   lambda j: ((j - 5) // 2, j // 2)):
+        alone = [len(_spread(_pack(r[None]), bounds, cover)) for r in j]
+        assert 0 in alone   # some keys' ranges lie wholly outside the cover
+        full = _spread(_pack(j), bounds)
+        assert np.array_equal(_spread(_pack(j), bounds, cover), full[in_cover(full)])
+    far = _pack([[200, 0, 0], [0, -90, 3], [-60, 300, -70]])
+    got = _spread(far, lambda j: (j - 3, j + 3), cover)
+    assert len(got) == 0 and got.dtype == np.int64
 
 
 def brute_greedy_disjoint(j, dm):
@@ -292,9 +316,9 @@ def test_sparse_cluster_fallback_matches_dense_labels(rng, monkeypatch, dm):
         calls.append(len(j))
         return sparse(j, dm_)
 
-    for _ in range(12):
+    for _ in range(20):
         n = int(rng.integers(1, 80))
-        j = np.unique(rng.integers(-3 * dm, 3 * dm, size=(n, 3)), axis=0)
+        j = np.unique(rng.integers(-6 * dm, 6 * dm, size=(n, 3)), axis=0)
         dense = labels_to_partition(_cluster_labels(j, dm))
         with monkeypatch.context() as m:
             m.setattr(regscan.dyadic, "_DENSE_VOXEL_CAP", 0)

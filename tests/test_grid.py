@@ -95,6 +95,9 @@ def test_space_time_field_validation():
     assert f.frame_index_at(0.5) == 1
     with pytest.warns(UserWarning):
         assert f.frame_index_at(0.52) == 1
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            f.frame_index_at(t)
 
 
 def test_region_masks_match_direct_predicates():
@@ -118,6 +121,17 @@ def test_region_validation():
         Cube((0, 0, 0), -1.0)
     with pytest.raises(ValueError):
         Cylinder((0, 0, 0), t0=1.0, r=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for make, message in (
+                (lambda: Ball((0, bad, 0), 1.0), "ball center"),
+                (lambda: Ball((0, 0, 0), bad), "ball r"),
+                (lambda: Cube((bad, 0, 0), 1.0), "cube corner"),
+                (lambda: Cube((0, 0, 0), bad), "cube side"),
+                (lambda: Cylinder((0, 0, bad), t0=1.0, r=0.5), "cylinder center"),
+                (lambda: Cylinder((0, 0, 0), t0=bad, r=0.5), "cylinder t0"),
+                (lambda: Cylinder((0, 0, 0), t0=1.0, r=bad), "cylinder r")):
+            with pytest.raises(ValueError, match=f"{message} must be finite"):
+                make()
 
 
 def test_cylinder_accessors():

@@ -100,6 +100,10 @@ def test_estar_domain_validation():
         estar(VectorGrid.from_array(slab, np.zeros((3, 16, 16, 16))))
     with pytest.raises(ValueError):
         estar(trig_gradient(16), tol=0.0)
+    # CG starts at relative residual 1, so these would skip the solve
+    for tol in (np.nan, np.inf, 1.0):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            estar(trig_gradient(16), tol=tol)
 
 
 def test_estar_raises_on_unreachable_tolerance():

@@ -145,6 +145,10 @@ def test_solver_config_validation():
         SolverConfig(initial=5)
     with pytest.raises(ValueError, match="seed must be an integer"):
         SolverConfig(initial="random", seed="x")
+    for save_every in ("x", 0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="save_every must be None or an integer"):
+            SolverConfig(save_every=save_every)
+    assert SolverConfig(save_every=np.int64(2)).save_every == 2
 
 
 def test_solver_cfl_is_taken_on_the_stored_states():
