@@ -10,7 +10,11 @@ dumping at the parent commit and at the change, then comparing:
     PYTHONPATH=src python scripts/golden_outputs.py compare parent.npz change.npz
 
 Arrays are compared with np.array_equal (NaN equal to NaN); scalars and
-dicts are stored as JSON, whose float repr round-trips exactly. Each
+dicts are stored as JSON, whose float repr round-trips exactly. The 22
+outputs of the Stokes projection (the pressure triple, `estar` reapplied
+to p_h, `harmonic_residual` and `local_energy_residual`) are compared to
+rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
+Schur CG iteration counts; the largest difference of each is printed. Each
 `localize` run dumps its whole `to_dict()` payload, its chains, its
 clusters as sorted offset lists and the per-level F and G offsets. The
 clusters section dumps `_cluster_labels` on seeded random offset sets and
@@ -268,17 +272,63 @@ def pipeline_outputs(out):
         field.times[20:27], field.frames[20:27]))
 
 
+# the projection's outputs; their sine transforms are BLAS products, so
+# rounding may move within the tolerance but CG iteration counts may not
+SOLVER_OUTPUTS = {f"{name}.{part}" for name in ("ph", "p1", "p2", "estar(ph)")
+                  for part in ("p", "v", "grad_p", "residuals",
+                               "residual_history")}
+SOLVER_OUTPUTS |= {"harmonic_residual", "local_energy_residual"}
+RTOL, ATOL = 1e-10, 1e-12
+
+
+def _leaves(obj, path=""):
+    """A JSON value as {dotted key path: number}."""
+    if isinstance(obj, dict):
+        return {k: v for key, sub in obj.items()
+                for k, v in _leaves(sub, f"{path}.{key}").items()}
+    return {path: obj}
+
+
+def _numeric(x):
+    """Key paths and float array of an output; JSON scalars parsed first."""
+    if x.dtype.kind != "U":
+        return None, np.asarray(x, dtype=float)
+    leaves = _leaves(json.loads(str(x)))
+    keys = sorted(leaves)
+    return keys, np.array([leaves[k] for k in keys], dtype=float)
+
+
+def _close(x, y):
+    """Equal shapes (so equal iteration counts) and np.allclose, with a note
+    of the largest absolute difference."""
+    (kx, x), (ky, y) = _numeric(x), _numeric(y)
+    if kx != ky or x.shape != y.shape:
+        return False, f"shapes {x.shape} and {y.shape} (or JSON keys) differ"
+    diff = float(np.abs(x - y).max()) if x.size else 0.0
+    scale = float(np.abs(x).max()) if x.size else 0.0
+    ok = bool(np.allclose(y, x, rtol=RTOL, atol=ATOL))
+    return ok, f"max |diff| {diff:.3g} at scale {scale:.3g}"
+
+
 def compare(a_path, b_path):
     a, b = np.load(a_path), np.load(b_path)
     bad = sorted(set(a.files) ^ set(b.files))
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
+        if key in SOLVER_OUTPUTS:
+            ok, note = _close(x, y)
+            print(f"{'within' if ok else 'OUTSIDE'}  {key}  {note}")
+            if not ok:
+                bad.append(key)
+            continue
         nan_ok = x.dtype.kind == "f" and y.dtype.kind == "f"
         if not np.array_equal(x, y, equal_nan=nan_ok):
             bad.append(key)
     for key in bad:
         print(f"DIFFERS  {key}")
-    print(f"{len(a.files)} outputs compared, {len(bad)} differ")
+    tolerant = len(SOLVER_OUTPUTS & set(a.files))
+    print(f"{len(a.files)} outputs compared ({tolerant} solver outputs to "
+          f"rtol={RTOL:g}, atol={ATOL:g}; the rest exactly), {len(bad)} differ")
     return 1 if bad else 0
 
 

@@ -7,7 +7,8 @@ manifests imply byte-identical reports (keys are sorted, floats use
 repr), so runs are auditable.
 
 Commands: norms, scan, localize, stokes-check, simulate, count-bound,
-report. REGSCAN_THREADS caps FFT parallelism.
+report. REGSCAN_THREADS caps the FFT threads of simulate's solver (the
+Stokes solves run on BLAS, whose own thread settings apply).
 """
 
 import argparse
@@ -155,6 +156,8 @@ def cmd_localize(args):
 
 
 def cmd_stokes_check(args):
+    if not (np.isfinite(args.nu) and args.nu > 0):
+        raise ValueError(f"--nu must be finite and positive, got {args.nu}")
     field = read_field(args.field)
     i = _pick_frame(field, args)
     cube = Cube(corner=tuple(args.cube[:3]), side=args.cube[3])
@@ -187,7 +190,8 @@ def cmd_stokes_check(args):
     }
     if args.bump is not None:
         phi = BumpTestFunction(tuple(args.bump[:3]), *args.bump[3:])
-        payload["energy"] = local_energy_residual(field, cube, phi, tol=args.tol)
+        payload["energy"] = local_energy_residual(field, cube, phi, tol=args.tol,
+                                                  nu=args.nu)
     return "stokes", payload, [args.field]
 
 
@@ -306,6 +310,8 @@ def _build_parser():
     p.add_argument("--bump", type=lambda s: _floats(s, "--bump", 6),
                    metavar="CX,CY,CZ,R,T_CENTER,T_RADIUS",
                    help="test function for the local energy balance")
+    p.add_argument("--nu", type=float, default=1.0,
+                   help="viscosity the field evolved under (energy balance)")
     common(p)
     p.set_defaults(func=cmd_stokes_check)
 

@@ -384,12 +384,16 @@ def select_fk(frame, eps, k, prev, shape_factor=None, M=None):
     return _make_family(mag, k, eps, shape_factor, j, M, prefix)
 
 
+def _check_m(M):
+    if not (np.isfinite(M) and M >= 0):
+        raise ValueError(f"M must be finite and nonnegative, got {M}")
+
+
 def count_bound(M, eps):
     """Upper bound eps^-7 M^3 + eps^-3 on the number of candidate points."""
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    if not (np.isfinite(M) and M >= 0):
-        raise ValueError(f"M must be finite and nonnegative, got {M}")
+    _check_m(M)
     inv = 1.0 / eps
     return M ** 3 * inv ** 7 + inv ** 3
 
@@ -590,6 +594,8 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     if not (0 < eps_eff < 0.25):
         raise ValueError(
             f"effective eps = eps * eps_shape_factor = {eps_eff!r} must lie in (0, 1/4)")
+    if M is not None:
+        _check_m(M)
     mag = _magnitude(frame)
     hmax = max(mag.box.spacing)
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]

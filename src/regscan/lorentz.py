@@ -185,10 +185,14 @@ class InterpolationCheck:
         }
 
 
+def _check_m(M):
+    if not (np.isfinite(M) and M > 0):
+        raise ValueError(f"M must be finite and positive, got {M}")
+
+
 def l4_interpolation_check(f, M):
     """Check int |f|^4 <= 4 M^3 H + 2 ||f||_6^6 H^-2 at H = ||f||_6^2 / M."""
-    if M <= 0:
-        raise ValueError("M must be positive")
+    _check_m(M)
     c = f.box.cell_volume
     a = np.abs(f.data)
     lhs = float(np.sum(a ** 4) * c)
@@ -251,8 +255,7 @@ class LocalL2Check:
 
 def local_l2_check(f, ball, M):
     """Check int_{B(x0,r)} |f|^2 <= V_B H^2 + 2 M^3 / H at H = M / r."""
-    if M <= 0:
-        raise ValueError("M must be positive")
+    _check_m(M)
     mask = ball.mask(f.box)
     if not mask.any():
         warnings.warn("ball contains no cell centers of the sampled box")

@@ -6,9 +6,9 @@ The discretization is a staggered (MAC) grid: pressures at cell centers,
 velocity components on their normal faces, which gives exact discrete
 div/grad duality and no pressure checkerboard. Each velocity component's
 Laplacian block separates per axis into fixed-zero (face) and reflected
-(cell-line) second differences, both diagonal in fast sine bases, so the
-inner vector solves are exact; an outer conjugate-gradient iteration on
-the pressure Schur complement enforces incompressibility.
+(cell-line) second differences, both diagonal in sine bases (dense matrix
+products), so the inner vector solves are exact; an outer conjugate-gradient
+iteration on the pressure Schur complement enforces incompressibility.
 
 On top of the projection sit the derived quantities used by the local
 regularity analysis: the pressure triple (∇p_h, ∇p₁, ∇p₂), the interior
@@ -17,13 +17,13 @@ a space-time field, and the mean-value gradient bound for harmonic
 candidates.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
-from .grid import (Ball, Box3, ScalarGrid, VectorGrid, _workers, gradient,
+from .grid import (Ball, Box3, ScalarGrid, VectorGrid, gradient,
                    scalar_gradient)
 
 __all__ = [
@@ -111,6 +111,15 @@ def _grad_to_faces(p, h):
     return [_with_walls(np.diff(p, axis=a) / h[a], a) for a in range(3)]
 
 
+def _along(mat, x, axis):
+    """Contract a square matrix with x along one axis (one BLAS matmul)."""
+    if axis == 0:
+        return (mat @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+    if axis == 1:
+        return np.matmul(mat, x)
+    return (x.reshape(-1, x.shape[2]) @ mat.T).reshape(x.shape)
+
+
 class _ComponentSolver:
     """Exact inverse of the no-slip vector Laplacian, one velocity component.
 
@@ -118,30 +127,42 @@ class _ComponentSolver:
     zero wall values (type-I sine basis, n-1 points); along the other two
     axes they are cell lines with reflected, sign-flipped ghosts (type-II
     sine basis, n points). Both second-difference operators have
-    eigenvalues (2 - 2 cos(pi (k+1) / n)) / h^2.
+    eigenvalues (2 - 2 cos(pi k / n)) / h^2, k = 1..m, so a solve is three
+    forward contractions, one division and three inverse contractions
+    (fast diagonalization). The forward matrix samples 2 sin(pi k s / n)
+    at s = j + 1 (faces) or s = j + 1/2 (cell lines); its inverse is the
+    transpose over 2n with the type-II top mode halved.
     """
 
     def __init__(self, a, n, h):
-        self.a = a
-        self.types = [1 if b == a else 2 for b in range(3)]
-        lam = []
+        self.fwd, self.inv, lam = [], [], []
         for b in range(3):
             m = n[b] - 1 if b == a else n[b]
             k = np.arange(1, m + 1)
+            s2 = 2 * k if b == a else 2 * k - 1    # twice the positions s
+            # phase k s / n reduced modulo 2 in integers: sines on [0, 2 pi)
+            fwd = 2.0 * np.sin(np.pi * (np.outer(k, s2) % (4 * n[b])) / (2 * n[b]))
+            self.fwd.append(fwd)
+            self.inv.append(fwd.T * (np.where(k < n[b], 1.0, 0.5) / (2 * n[b])))
             lam.append((2.0 - 2.0 * np.cos(np.pi * k / n[b])) / h[b] ** 2)
         self.denom = (
             lam[0][:, None, None] + lam[1][None, :, None] + lam[2][None, None, :]
         )
 
     def solve(self, rhs_interior):
-        w = _workers()
         x = rhs_interior
         for b in range(3):
-            x = scipy.fft.dst(x, type=self.types[b], axis=b, workers=w)
+            x = _along(self.fwd[b], x, b)
         x = x / self.denom
         for b in range(3):
-            x = scipy.fft.idst(x, type=self.types[b], axis=b, workers=w)
+            x = _along(self.inv[b], x, b)
         return x
+
+
+@functools.lru_cache(maxsize=4)
+def _solvers(n, h):
+    """The three component solvers of one grid, built once per (n, h)."""
+    return tuple(_ComponentSolver(a, n, h) for a in range(3))
 
 
 def _apply_ainv(faces, solvers):
@@ -190,22 +211,16 @@ def estar(F, tol=1e-8):
     reapply the projection to its own gradient without the cell/face
     transfer loss (used by the projection-property tests).
     """
-    if isinstance(F, StokesSolution):
-        box = F.p.box
-        faces = [f.copy() for f in F._face_grad]
-    else:
-        box = F.box
-        faces = None
+    reapply = isinstance(F, StokesSolution)
+    box = F.p.box if reapply else F.box
     _check_domain(box)
     if not (0 < tol < 1):
         # CG starts at relative residual 1: tol >= 1 or NaN would skip the solve
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    n = box.n
-    h = box.spacing
-    if faces is None:
-        faces = _to_faces(F)
+    n, h = box.n, box.spacing
+    faces = [f.copy() for f in F._face_grad] if reapply else _to_faces(F)
 
-    solvers = [_ComponentSolver(a, n, h) for a in range(3)]
+    solvers = _solvers(n, h)
     cap = 10 * max(n)
 
     def schur(p):
@@ -266,7 +281,7 @@ def estar(F, tol=1e-8):
     }
 
     p_grid = ScalarGrid(box, p)
-    sol = StokesSolution(
+    return StokesSolution(
         v=VectorGrid.from_array(box, np.array(_faces_to_centers(vfaces))),
         p=p_grid,
         grad_p=VectorGrid.from_array(box, scalar_gradient(p_grid)),
@@ -275,7 +290,6 @@ def estar(F, tol=1e-8):
         residual_history=history,
         _face_grad=gfaces,
     )
-    return sol
 
 
 # -- discrete right-hand sides -----------------------------------------------
@@ -458,23 +472,16 @@ class BumpTestFunction:
 
 def _cube_slices(box, corner, side):
     """Snap a requested cube onto the cell lattice of the parent box."""
-    slices = []
-    lo = []
-    hi = []
-    nn = []
-    for a in range(3):
-        h = box.spacing[a]
-        i0 = int(round((corner[a] - box.lo[a]) / h))
-        i1 = int(round((corner[a] + side - box.lo[a]) / h))
-        i0 = max(i0, 0)
-        i1 = min(i1, box.n[a])
-        if i1 - i0 < 16:
-            raise ValueError("analysis cube must span at least 16 cells per axis")
-        slices.append(slice(i0, i1))
-        lo.append(box.lo[a] + i0 * h)
-        hi.append(box.lo[a] + i1 * h)
-        nn.append(i1 - i0)
-    return tuple(slices), Box3(tuple(lo), tuple(hi), tuple(nn))
+    h, lo = box.spacing, box.lo
+    i0 = [max(int(round((corner[a] - lo[a]) / h[a])), 0) for a in range(3)]
+    i1 = [min(int(round((corner[a] + side - lo[a]) / h[a])), box.n[a])
+          for a in range(3)]
+    if any(j - i < 16 for i, j in zip(i0, i1)):
+        raise ValueError("analysis cube must span at least 16 cells per axis")
+    return (tuple(slice(i, j) for i, j in zip(i0, i1)),
+            Box3(tuple(lo[a] + i0[a] * h[a] for a in range(3)),
+                 tuple(lo[a] + i1[a] * h[a] for a in range(3)),
+                 tuple(j - i for i, j in zip(i0, i1))))
 
 
 def _restrict_frame(frame, slices, sub_box):
@@ -507,8 +514,8 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
     pressures may carry a precomputed list of LocalPressure records (one
     per frame) to amortize solves across several test functions.
     """
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
+    if not (np.isfinite(nu) and nu > 0):
+        raise ValueError(f"viscosity must be finite and positive, got {nu}")
     slices, sub_box = _cube_slices(f.box, cube.corner, cube.side)
     mesh = sub_box.center_mesh()
     times = f.times
@@ -581,25 +588,18 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
     def integrate(key):
         return float(np.trapezoid(np.asarray(terms_t[key]), tt))
 
-    boundary = float((v_at_s * phi_at_s).sum()) * vol
-    term_grad = 2.0 * nu * integrate("grad")
-    t_phi_t = integrate("phi_t")
-    t_phi_lap = nu * integrate("phi_lap")
-    t_transport = integrate("transport")
-    t_hessian = 2.0 * integrate("hessian")
-    t_pressure = 2.0 * integrate("pressure")
-
-    lhs = boundary + term_grad
-    rhs = t_phi_t + t_phi_lap + t_transport + t_hessian + t_pressure
     terms = {
-        "boundary": boundary,
-        "grad": term_grad,
-        "phi_t": t_phi_t,
-        "phi_lap": t_phi_lap,
-        "transport": t_transport,
-        "hessian": t_hessian,
-        "pressure": t_pressure,
+        "boundary": float((v_at_s * phi_at_s).sum()) * vol,
+        "grad": 2.0 * nu * integrate("grad"),
+        "phi_t": integrate("phi_t"),
+        "phi_lap": nu * integrate("phi_lap"),
+        "transport": integrate("transport"),
+        "hessian": 2.0 * integrate("hessian"),
+        "pressure": 2.0 * integrate("pressure"),
     }
+    lhs = terms["boundary"] + terms["grad"]
+    rhs = (terms["phi_t"] + terms["phi_lap"] + terms["transport"]
+           + terms["hessian"] + terms["pressure"])
     scale = max(abs(x) for x in terms.values())
     return {
         "lhs": lhs,

@@ -15,9 +15,10 @@ from regscan import __version__
 from regscan.cli import main
 from regscan.dyadic import count_bound
 from regscan.fieldio import read_field, write_field
-from regscan.grid import Box3, Cylinder, SpaceTimeField, VectorGrid
+from regscan.grid import Box3, Cube, Cylinder, SpaceTimeField, VectorGrid
 from regscan.localquant import AnalysisConfig, quant_report
 from regscan.lorentz import weak_norm
+from regscan.stokes import BumpTestFunction, local_energy_residual
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,23 @@ def test_norms_frame_selection(capsys, field_file):
     assert by_time["payload"]["frame"] == 1
 
 
+def one_line_error(capsys, rc):
+    """The command failed with exit 1 and one JSON error line on stderr."""
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    err = err.splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])
+
+
+@pytest.mark.parametrize("M", ["nan", "inf", "-1"])
+def test_norms_rejects_non_finite_or_negative_m(capsys, field_file, M):
+    path, _ = field_file
+    err = one_line_error(capsys, main(["norms", path, "--M", M, "--json"]))
+    assert err["type"] == "ValueError"
+    assert "M must be finite and positive" in err["error"]
+
+
 def test_norms_rejects_out_of_range_frame(capsys, field_file):
     path, _ = field_file
     assert main(["norms", path, "--frame", "7"]) == 1
@@ -209,6 +227,21 @@ def test_localize_rejects_bad_shape_factor_up_front(capsys, field_file,
     assert expected in err["error"]
 
 
+@pytest.mark.parametrize("M", ["nan", "inf", "-1"])
+def test_localize_rejects_bad_m_up_front(capsys, field_file, monkeypatch, M):
+    import regscan.dyadic
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran before M was checked")
+
+    monkeypatch.setattr(regscan.dyadic, "select_f0", no_selection)
+    path, _ = field_file
+    err = one_line_error(capsys, main(["localize", path, "--eps", "0.1",
+                                       "--kmax", "0", "--M", M]))
+    assert err["type"] == "ValueError"
+    assert "M must be finite and nonnegative" in err["error"]
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["norms", "FIELD", "--time", "nan"], "time must be finite"),
     (["norms", "FIELD", "--time", "inf"], "time must be finite"),
@@ -245,6 +278,28 @@ def test_stokes_check_payload(capsys, field_file):
     assert payload["harmonic_residual"] >= 0.0
     assert payload["gradp_over_f"] > 0.0
     assert {"lhs", "rhs", "slack_relative"} <= set(payload["energy"])
+
+
+def test_stokes_check_energy_at_the_given_viscosity(capsys, field_file):
+    path, field = field_file
+    doc = run_json(capsys, [
+        "stokes-check", path, "--cube", "0.25,0.25,0.25,0.5",
+        "--bump", "0.5,0.5,0.5,0.22,0.1,0.1", "--nu", "0.05"])
+    assert doc["manifest"]["config"]["nu"] == 0.05
+    ref = local_energy_residual(field, Cube((0.25, 0.25, 0.25), 0.5),
+                                BumpTestFunction((0.5, 0.5, 0.5), 0.22, 0.1, 0.1),
+                                nu=0.05)
+    assert doc["payload"]["energy"] == json.loads(json.dumps(ref))
+
+
+@pytest.mark.parametrize("nu", ["0", "-0.05", "nan", "inf"])
+def test_stokes_check_rejects_bad_viscosity(capsys, field_file, nu):
+    path, _ = field_file
+    err = one_line_error(capsys, main([
+        "stokes-check", path, "--cube", "0.25,0.25,0.25,0.5",
+        "--bump", "0.5,0.5,0.5,0.22,0.1,0.1", "--nu", nu]))
+    assert err["type"] == "ValueError"
+    assert "--nu must be finite and positive" in err["error"]
 
 
 @pytest.mark.parametrize("cube", ["0.25,0.25,0.5", "0.25,0.25,0.25,0.5,0.9",

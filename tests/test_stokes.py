@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from regscan.grid import Box3, Cube, ScalarGrid, SpaceTimeField, VectorGrid
 from regscan.lorentz import weak_norm
@@ -27,6 +28,7 @@ from regscan.stokes import (
     restrict_to_cube,
     vector_laplacian,
 )
+from regscan.stokes import _apply_a, _ComponentSolver, _with_walls
 
 
 def unit_box(n):
@@ -110,6 +112,29 @@ def test_estar_raises_on_unreachable_tolerance():
     with pytest.raises(StokesError) as err:
         estar(trig_gradient(16), tol=1e-300)
     assert len(err.value.residual_history) > 1
+
+
+@pytest.mark.parametrize("m", [15, 16, 31, 37, 50, 51])
+def test_sine_matrices_match_scipy_dst(m):
+    # axis 0 is the component's own axis (type I, n = m + 1 cells);
+    # axis 1 holds cell lines (type II, n = m cells)
+    solver = _ComponentSolver(0, (m + 1, m, m), (1.0, 1.0, 1.0))
+    eye = np.eye(m)
+    for b, kind in ((0, 1), (1, 2)):
+        for mat, ref in ((solver.fwd[b], scipy.fft.dst(eye, type=kind, axis=0)),
+                         (solver.inv[b], scipy.fft.idst(eye, type=kind, axis=0))):
+            assert mat.shape == ref.shape
+            assert np.abs(mat - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_component_solver_inverts_the_vector_laplacian():
+    n, h = (16, 17, 19), (0.1, 0.13, 0.07)
+    rng = np.random.default_rng(4)
+    xs = [rng.normal(size=[m - 1 if b == a else m for b, m in enumerate(n)])
+          for a in range(3)]
+    ax = _apply_a([_with_walls(x, a) for a, x in enumerate(xs)], h)
+    for a in range(3):
+        assert rel_diff(_ComponentSolver(a, n, h).solve(ax[a]), xs[a]) <= 1e-12
 
 
 def rotation_field(n, omega=1.7):
@@ -284,6 +309,14 @@ def test_local_energy_residual_validations():
             f, cube, BumpTestFunction((3.0, 3.0, 3.0), 1.5, 0.35, 0.05))
     with pytest.raises(ValueError):     # fewer than 3 frames up to s
         local_energy_residual(f, cube, good, s=f.times[1])
+
+
+@pytest.mark.parametrize("nu", [np.nan, np.inf, -0.05])
+def test_local_energy_residual_rejects_bad_viscosity(nu):
+    f = constant_spacetime(20, 4, 0.0)
+    phi = BumpTestFunction((3.0, 3.0, 3.0), 1.5, 0.3, 0.3)
+    with pytest.raises(ValueError, match="viscosity must be finite and positive"):
+        local_energy_residual(f, Cube((0.5, 0.5, 0.5), 5.0), phi, nu=nu)
 
 
 def test_local_energy_residual_on_resolved_run(tg_field):
