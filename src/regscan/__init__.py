@@ -63,6 +63,7 @@ from .stokes import (
     harmonic_rigidity_check,
     local_energy_residual,
     pressure_parts,
+    projection_residual,
     restrict_to_cube,
 )
 from .synth import (
@@ -96,7 +97,8 @@ __all__ = [
     # stokes
     "BumpTestFunction", "LocalPressure", "StokesError", "StokesSolution",
     "estar", "harmonic_residual", "harmonic_rigidity_check",
-    "local_energy_residual", "pressure_parts", "restrict_to_cube",
+    "local_energy_residual", "pressure_parts", "projection_residual",
+    "restrict_to_cube",
     # synth
     "SolverConfig", "SolverError", "SolverRun", "SpikeSpec", "default_box",
     "random_solenoidal", "run_solver", "spike_field", "taylor_green",

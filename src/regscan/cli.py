@@ -29,10 +29,10 @@ from .lorentz import NormReport, l4_interpolation_check, local_l2_check
 from .stokes import (
     BumpTestFunction,
     StokesError,
-    estar,
     harmonic_residual,
     local_energy_residual,
     pressure_parts,
+    projection_residual,
     restrict_to_cube,
 )
 from .synth import SolverConfig, SolverError, run_solver
@@ -158,22 +158,14 @@ def cmd_localize(args):
 def cmd_stokes_check(args):
     if not (np.isfinite(args.nu) and args.nu > 0):
         raise ValueError(f"--nu must be finite and positive, got {args.nu}")
+    phi = (None if args.bump is None
+           else BumpTestFunction(tuple(args.bump[:3]), *args.bump[3:]))
     field = read_field(args.field)
     i = _pick_frame(field, args)
     cube = Cube(corner=tuple(args.cube[:3]), side=args.cube[3])
     u = restrict_to_cube(field.frames[i], cube)
     parts = pressure_parts(u, tol=args.tol)
     sol_h = parts.solutions["ph"]
-
-    # reapply the projection to its own gradient: the face-level residual
-    # isolates solver error from grid-transfer error
-    again = estar(sol_h, tol=args.tol)
-    num = np.sqrt(sum(
-        float(((a - b) ** 2).sum())
-        for a, b in zip(again._face_grad, sol_h._face_grad)
-    ))
-    den = np.sqrt(sum(float((g ** 2).sum()) for g in sol_h._face_grad))
-
     unorm = float(np.sqrt((u.stack() ** 2).sum()))
     payload = {
         "cube": {"corner": list(cube.corner), "side": cube.side},
@@ -182,14 +174,13 @@ def cmd_stokes_check(args):
         "iterations": {k: s.iterations for k, s in parts.solutions.items()},
         "residuals": {k: s.residuals for k, s in parts.solutions.items()},
         "harmonic_residual": harmonic_residual(sol_h, u),
-        "projection_residual": num / den if den > 0 else 0.0,
+        "projection_residual": projection_residual(sol_h, tol=args.tol),
         "gradp_over_f": (
             float(np.sqrt((parts.grad_ph.stack() ** 2).sum())) / unorm
             if unorm > 0 else 0.0
         ),
     }
-    if args.bump is not None:
-        phi = BumpTestFunction(tuple(args.bump[:3]), *args.bump[3:])
+    if phi is not None:
         payload["energy"] = local_energy_residual(field, cube, phi, tol=args.tol,
                                                   nu=args.nu)
     return "stokes", payload, [args.field]

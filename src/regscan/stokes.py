@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Ball, Box3, ScalarGrid, VectorGrid, gradient,
-                   scalar_gradient)
+from .grid import (Ball, Box3, ScalarGrid, VectorGrid, _require_finite,
+                   gradient, scalar_gradient)
 
 __all__ = [
     "StokesError",
@@ -36,6 +36,7 @@ __all__ = [
     "harmonic_residual",
     "local_energy_residual",
     "harmonic_rigidity_check",
+    "projection_residual",
     "restrict_to_cube",
     "vector_laplacian",
     "convective_divergence",
@@ -60,18 +61,15 @@ def _check_domain(box):
 
 # -- staggered-grid operators -------------------------------------------------
 #
-# Component a lives on a-faces: array shape n with n[a]+1 along axis a.
-# Faces 0 and n[a] are wall values, pinned to zero; the interior slice is
-# the actual unknown.
+# Component a lives on its interior a-faces: an array of shape n with n[a]-1
+# along axis a, which holds exactly the unknowns. The zero wall faces are
+# not stored; only the stencils that read them (_div_faces,
+# _faces_to_centers, _apply_a) pad them in.
 
 
 def _ax(axis, s):
     """Index tuple that takes s along one axis and everything along the rest."""
     return tuple(s if b == axis else slice(None) for b in range(3))
-
-
-def _interior(a):
-    return _ax(a, slice(1, -1))
 
 
 def _avg(x, axis):
@@ -87,28 +85,24 @@ def _d2(x, axis):
 
 def _with_walls(x, axis):
     """Interior face values padded with the zero wall faces of one axis."""
-    shape = list(x.shape)
-    shape[axis] += 2
-    f = np.zeros(shape)
-    f[_interior(axis)] = x
-    return f
+    return np.pad(x, [(1, 1) if b == axis else (0, 0) for b in range(3)])
 
 
 def _to_faces(v):
-    # interior face i sits between cells i-1 and i; walls stay zero
-    return [_with_walls(_avg(c.data, a), a) for a, c in enumerate(v.components)]
+    # interior face i sits between cells i and i+1
+    return [_avg(c.data, a) for a, c in enumerate(v.components)]
 
 
 def _faces_to_centers(faces):
-    return [_avg(f, a) for a, f in enumerate(faces)]
+    return [_avg(_with_walls(f, a), a) for a, f in enumerate(faces)]
 
 
 def _div_faces(faces, h):
-    return sum(np.diff(faces[a], axis=a) / h[a] for a in range(3))
+    return sum(np.diff(_with_walls(faces[a], a), axis=a) / h[a] for a in range(3))
 
 
 def _grad_to_faces(p, h):
-    return [_with_walls(np.diff(p, axis=a) / h[a], a) for a in range(3)]
+    return [np.diff(p, axis=a) / h[a] for a in range(3)]
 
 
 def _along(mat, x, axis):
@@ -149,8 +143,7 @@ class _ComponentSolver:
             lam[0][:, None, None] + lam[1][None, :, None] + lam[2][None, None, :]
         )
 
-    def solve(self, rhs_interior):
-        x = rhs_interior
+    def solve(self, x):
         for b in range(3):
             x = _along(self.fwd[b], x, b)
         x = x / self.denom
@@ -166,8 +159,7 @@ def _solvers(n, h):
 
 
 def _apply_ainv(faces, solvers):
-    return [_with_walls(solvers[a].solve(f[_interior(a)]), a)
-            for a, f in enumerate(faces)]
+    return [solvers[a].solve(f) for a, f in enumerate(faces)]
 
 
 def _apply_a(faces, h):
@@ -178,14 +170,14 @@ def _apply_a(faces, h):
         acc = 0
         for b in range(3):
             if b == a:
-                # wall faces already carry the zero values
-                acc += _d2(f, b) / h[b] ** 2
+                # the zero wall faces close the face lines
+                acc += _d2(_with_walls(f, b), b) / h[b] ** 2
             else:
                 # cell lines reflect with a sign flip across the walls
                 padded = np.concatenate(
                     [-f[_ax(b, slice(0, 1))], f, -f[_ax(b, slice(-1, None))]],
                     axis=b)
-                acc += (_d2(padded, b) / h[b] ** 2)[_interior(a)]
+                acc += _d2(padded, b) / h[b] ** 2
         out.append(-acc)
     return out
 
@@ -200,7 +192,11 @@ class StokesSolution:
     residuals: dict
     iterations: int
     residual_history: list = field(default_factory=list, repr=False)
-    _face_grad: list = field(default=None, repr=False)
+
+    @property
+    def _face_grad(self):
+        """∇p on the interior faces: the projection's own gradient."""
+        return _grad_to_faces(self.p.data, self.p.box.spacing)
 
 
 def estar(F, tol=1e-8):
@@ -218,7 +214,7 @@ def estar(F, tol=1e-8):
         # CG starts at relative residual 1: tol >= 1 or NaN would skip the solve
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     n, h = box.n, box.spacing
-    faces = [f.copy() for f in F._face_grad] if reapply else _to_faces(F)
+    faces = F._face_grad if reapply else _to_faces(F)
 
     solvers = _solvers(n, h)
     cap = 10 * max(n)
@@ -238,20 +234,16 @@ def estar(F, tol=1e-8):
         d = r.copy()
         rs = float((r * r).sum())
         history.append(1.0)
-        it = 0
         while np.sqrt(rs) > tol * bnorm:
-            if it >= cap:
-                raise StokesError(
-                    f"Schur iteration failed to reach {tol} within {cap} steps",
-                    history,
-                )
+            if len(history) > cap:
+                raise StokesError(f"Schur iteration failed to reach {tol} "
+                                  f"within {cap} steps", history)
             q = schur(d)
             denom = float((d * q).sum())
             if not np.isfinite(denom) or denom <= 0.0:
                 # round-off breakdown: the direction carries no energy left
-                raise StokesError(
-                    f"Schur iteration stagnated before reaching {tol}", history
-                )
+                raise StokesError(f"Schur iteration stagnated before reaching "
+                                  f"{tol}", history)
             alpha = rs / denom
             p += alpha * d
             r -= alpha * q
@@ -259,20 +251,15 @@ def estar(F, tol=1e-8):
             history.append(np.sqrt(rs_new) / bnorm)
             d = r + (rs_new / rs) * d
             rs = rs_new
-            it += 1
         p -= p.mean()
 
     gfaces = _grad_to_faces(p, h)
     vfaces = _apply_ainv([faces[a] - gfaces[a] for a in range(3)], solvers)
 
     av = _apply_a(vfaces, h)
-    fnorm = np.sqrt(sum(float((f[_interior(a)] ** 2).sum())
-                        for a, f in enumerate(faces)))
-    mom = np.sqrt(sum(
-        float(((av[a] + gfaces[a][_interior(a)] - faces[a][_interior(a)]) ** 2)
-              .sum())
-        for a in range(3)
-    ))
+    fnorm = np.sqrt(sum(float((f ** 2).sum()) for f in faces))
+    mom = np.sqrt(sum(float(((av[a] + gfaces[a] - faces[a]) ** 2).sum())
+                      for a in range(3)))
     divv = float(np.linalg.norm(_div_faces(vfaces, h)))
     residuals = {
         "momentum": mom / fnorm if fnorm > 0 else 0.0,
@@ -286,10 +273,18 @@ def estar(F, tol=1e-8):
         p=p_grid,
         grad_p=VectorGrid.from_array(box, scalar_gradient(p_grid)),
         residuals=residuals,
-        iterations=len(history) - 1 if history else 0,
+        iterations=max(len(history) - 1, 0),
         residual_history=history,
-        _face_grad=gfaces,
     )
+
+
+def projection_residual(sol, tol=1e-8):
+    """Face-level ‖estar(∇p) − ∇p‖ / ‖∇p‖ of a solution's own gradient:
+    reapplying the projection isolates solver error from grid transfer."""
+    grad, again = sol._face_grad, estar(sol, tol)._face_grad
+    num = np.sqrt(sum(float(((a - b) ** 2).sum()) for a, b in zip(again, grad)))
+    den = np.sqrt(sum(float((g ** 2).sum()) for g in grad))
+    return num / den if den > 0 else 0.0
 
 
 # -- discrete right-hand sides -----------------------------------------------
@@ -298,7 +293,7 @@ def estar(F, tol=1e-8):
 def _second_derivative(data, axis, h):
     """Second difference, second-order one-sided at the walls."""
     out = np.empty_like(data)
-    out[_interior(axis)] = _d2(data, axis)
+    out[_ax(axis, slice(1, -1))] = _d2(data, axis)
 
     def line(idx):
         return data[_ax(axis, idx)]
@@ -342,13 +337,15 @@ class LocalPressure:
 
     grad_ph solves with forcing -u (so p_h absorbs the harmonic part),
     grad_p1 with -∇·(u⊗u) (convective pressure), grad_p2 with Δu
-    (viscous pressure); all on the same cube with mean-zero gauge.
+    (viscous pressure); all on the same cube with mean-zero gauge. The
+    gradients read through to the solutions keyed "ph", "p1" and "p2".
     """
 
-    grad_ph: VectorGrid
-    grad_p1: VectorGrid
-    grad_p2: VectorGrid
     solutions: dict
+
+    grad_ph = property(lambda self: self.solutions["ph"].grad_p)
+    grad_p1 = property(lambda self: self.solutions["p1"].grad_p)
+    grad_p2 = property(lambda self: self.solutions["p2"].grad_p)
 
 
 def _warn_if_compressible(u, what, interior=False):
@@ -369,27 +366,18 @@ def _warn_if_compressible(u, what, interior=False):
 
 def pressure_parts(u, tol=1e-8):
     _warn_if_compressible(u, "the pressure decomposition")
-    neg_u = VectorGrid.from_array(u.box, -u.stack())
-    sol_h = estar(neg_u, tol)
-    conv = convective_divergence(u)
-    sol_1 = estar(VectorGrid.from_array(u.box, -conv.stack()), tol)
-    sol_2 = estar(vector_laplacian(u), tol)
-    return LocalPressure(
-        grad_ph=sol_h.grad_p,
-        grad_p1=sol_1.grad_p,
-        grad_p2=sol_2.grad_p,
-        solutions={"ph": sol_h, "p1": sol_1, "p2": sol_2},
-    )
+    forcing = {"ph": -u.stack(), "p1": -convective_divergence(u).stack(),
+               "p2": vector_laplacian(u).stack()}
+    return LocalPressure({k: estar(VectorGrid.from_array(u.box, f), tol)
+                          for k, f in forcing.items()})
 
 
 def harmonic_residual(ph_solution, u=None):
     """Interior 7-point Laplacian residual of the pressure, relative to ‖p‖."""
     p = ph_solution.p.data
     h = ph_solution.p.box.spacing
-    # each axis' second difference, restricted to the cells interior to all axes
-    inner = sum(_d2(p, axis)[tuple(slice(None) if b == axis else slice(1, -1)
-                                   for b in range(3))] / h[axis] ** 2
-                for axis in range(3))
+    inner = sum(_second_derivative(p, axis, h)
+                for axis in range(3))[1:-1, 1:-1, 1:-1]
     denom = float(np.sqrt(np.mean(p[1:-1, 1:-1, 1:-1] ** 2)))
     if denom == 0.0:
         return 0.0
@@ -417,65 +405,65 @@ class BumpTestFunction:
     t_center: float
     t_radius: float
 
-    def _profile(self, s):
-        out = np.zeros_like(s)
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        _require_finite("test function", center=self.center, radius=self.radius,
+                        t_center=self.t_center, t_radius=self.t_radius)
+        if not (self.radius > 0 and self.t_radius > 0):
+            raise ValueError("test function radius and t_radius must be positive")
+
+    @staticmethod
+    def _bump(s):
+        """ψ(s) = exp(w(s)), w(s) = 1 - 1/(1-s), with w' and w'' (all zero
+        for s ≥ 1), on an array s."""
+        psi, wp, wpp = np.zeros((3,) + s.shape)
         inside = s < 1.0 - 1e-12
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        return out
+        d = 1.0 - s[inside]
+        psi[inside] = np.exp(1.0 - 1.0 / d)
+        wp[inside] = -1.0 / d ** 2
+        wpp[inside] = -2.0 / d ** 3
+        return psi, wp, wpp
 
-    def _sq(self, mesh):
+    def _space(self, mesh):
+        """s = |x-c|²/R² and the profile triple at s."""
         c = self.center
-        return (
-            (mesh[0] - c[0]) ** 2 + (mesh[1] - c[1]) ** 2 + (mesh[2] - c[2]) ** 2
-        ) / self.radius ** 2
+        s = ((mesh[0] - c[0]) ** 2 + (mesh[1] - c[1]) ** 2
+             + (mesh[2] - c[2]) ** 2) / self.radius ** 2
+        return (s,) + self._bump(s)
 
-    def _tq(self, t):
-        return (t - self.t_center) ** 2 / self.t_radius ** 2
-
-    def _tval(self, t):
-        q = self._tq(np.asarray(t, dtype=float))
-        return float(self._profile(np.atleast_1d(q))[0])
+    def _time(self, t):
+        """The profile triple at (t-t_c)²/t_r², as floats."""
+        q = (np.asarray(t, dtype=float) - self.t_center) ** 2 / self.t_radius ** 2
+        return [float(x[0]) for x in self._bump(np.atleast_1d(q))]
 
     def value(self, mesh, t):
-        return self._profile(self._sq(mesh)) * self._tval(t)
-
-    def _radial(self, mesh):
-        """s, the profile ψ(s) = exp(w(s)) and w', w'' (zero outside)."""
-        s = self._sq(mesh)
-        inside = s < 1.0 - 1e-12
-        wp = np.zeros_like(s)
-        wpp = np.zeros_like(s)
-        wp[inside] = -1.0 / (1.0 - s[inside]) ** 2
-        wpp[inside] = -2.0 / (1.0 - s[inside]) ** 3
-        return s, self._profile(s), wp, wpp
+        return self._space(mesh)[1] * self._time(t)[0]
 
     def grad(self, mesh, t):
-        _, psi, wp, _ = self._radial(mesh)
-        coef = psi * wp * (2.0 / self.radius ** 2) * self._tval(t)
+        _, psi, wp, _ = self._space(mesh)
+        coef = psi * wp * (2.0 / self.radius ** 2) * self._time(t)[0]
         return np.array([coef * (mesh[a] - self.center[a]) for a in range(3)])
 
     def laplacian(self, mesh, t):
-        s, psi, wp, wpp = self._radial(mesh)
+        s, psi, wp, wpp = self._space(mesh)
         grad_sq = 4.0 * s / self.radius ** 2
         lap_s = 6.0 / self.radius ** 2
-        return ((wp ** 2 + wpp) * grad_sq + wp * lap_s) * psi * self._tval(t)
+        return ((wp ** 2 + wpp) * grad_sq + wp * lap_s) * psi * self._time(t)[0]
 
     def dt(self, mesh, t):
-        q = self._tq(float(t))
-        if q >= 1.0 - 1e-12:
-            return np.zeros_like(mesh[0])
-        tau = np.exp(1.0 - 1.0 / (1.0 - q))
-        dtau = tau * (-1.0 / (1.0 - q) ** 2) * (2.0 * (t - self.t_center)
-                                                / self.t_radius ** 2)
-        return self._profile(self._sq(mesh)) * dtau
+        tau, wp, _ = self._time(t)
+        dq = 2.0 * (t - self.t_center) / self.t_radius ** 2
+        return self._space(mesh)[1] * (tau * wp * dq)
 
 
 def _cube_slices(box, corner, side):
     """Snap a requested cube onto the cell lattice of the parent box."""
     h, lo = box.spacing, box.lo
-    i0 = [max(int(round((corner[a] - lo[a]) / h[a])), 0) for a in range(3)]
-    i1 = [min(int(round((corner[a] + side - lo[a]) / h[a])), box.n[a])
-          for a in range(3)]
+    i0 = [int(round((corner[a] - lo[a]) / h[a])) for a in range(3)]
+    i1 = [int(round((corner[a] + side - lo[a]) / h[a])) for a in range(3)]
+    if min(i0) < 0 or any(j > m for j, m in zip(i1, box.n)):
+        raise ValueError(f"analysis cube at {tuple(corner)} with side {side} "
+                         f"leaves the field's box {box.lo} to {box.hi}")
     if any(j - i < 16 for i, j in zip(i0, i1)):
         raise ValueError("analysis cube must span at least 16 cells per axis")
     return (tuple(slice(i, j) for i, j in zip(i0, i1)),
@@ -534,8 +522,7 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
             raise ValueError("test function support leaves the analysis cube")
     if phi.t_center - phi.t_radius < times[0] - 1e-12:
         raise ValueError("test function support starts before the field")
-    hmax = max(sub_box.spacing)
-    if r < 4 * hmax:
+    if r < 4 * max(sub_box.spacing):
         raise ValueError("test function is unresolved: radius < 4 cells")
     dt_frames = np.diff(times[idx[0]:idx[-1] + 1])
     if len(dt_frames) and phi.t_radius < 2 * dt_frames.max():
@@ -544,8 +531,7 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
     vol = sub_box.cell_volume
     terms_t = {"grad": [], "phi_t": [], "phi_lap": [], "transport": [],
                "hessian": [], "pressure": []}
-    v_at_s = None
-    phi_at_s = None
+    v_at_s = phi_at_s = None
 
     for i in idx:
         t = times[i]
@@ -561,24 +547,20 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
         phi_lap = phi.laplacian(mesh, t)
         phi_dt = phi.dt(mesh, t)
 
-        vg = VectorGrid.from_array(sub_box, varr)
-        gv = gradient(vg)
+        gv = gradient(VectorGrid.from_array(sub_box, varr))
         terms_t["grad"].append(float(((gv ** 2).sum(axis=(0, 1)) * phi_val).sum())
                                * vol)
         terms_t["phi_t"].append(float((v2 * phi_dt).sum()) * vol)
         terms_t["phi_lap"].append(float((v2 * phi_lap).sum()) * vol)
         terms_t["transport"].append(
-            float((v2 * (uarr * phi_grad).sum(axis=0)).sum()) * vol
-        )
+            float((v2 * (uarr * phi_grad).sum(axis=0)).sum()) * vol)
         hess = gradient(VectorGrid.from_array(sub_box, gph))
-        contraction = sum(
-            varr[a] * uarr[b] * hess[a][b] for a in range(3) for b in range(3)
-        )
+        contraction = sum(varr[a] * uarr[b] * hess[a][b]
+                          for a in range(3) for b in range(3))
         terms_t["hessian"].append(float((contraction * phi_val).sum()) * vol)
         psum = lp.solutions["p1"].p.data + nu * lp.solutions["p2"].p.data
         terms_t["pressure"].append(
-            float((psum * (varr * phi_grad).sum(axis=0)).sum()) * vol
-        )
+            float((psum * (varr * phi_grad).sum(axis=0)).sum()) * vol)
         if i == idx[-1]:
             v_at_s = v2
             phi_at_s = phi_val

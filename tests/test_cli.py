@@ -302,6 +302,32 @@ def test_stokes_check_rejects_bad_viscosity(capsys, field_file, nu):
     assert "--nu must be finite and positive" in err["error"]
 
 
+@pytest.mark.parametrize("cube", ["-1,-1,-1,5", "-0.25,0.25,0.25,0.75",
+                                  "0.25,0.25,0.5,0.75"])
+def test_stokes_check_rejects_a_cube_leaving_the_field(capsys, field_file, cube):
+    path, _ = field_file
+    # argparse reads a value that starts with '-' as an option unless joined by '='
+    err = one_line_error(capsys, main(["stokes-check", path, f"--cube={cube}"]))
+    assert err["type"] == "ValueError"
+    assert "leaves the field's box (0.0, 0.0, 0.0) to (1.0, 1.0, 1.0)" in err["error"]
+
+
+@pytest.mark.parametrize("bump, expected", [
+    ("0.5,0.5,0.5,nan,0.1,0.1", "test function radius must be finite"),
+    ("0.5,0.5,0.5,0.22,inf,0.1", "test function t_center must be finite"),
+    ("0.5,0.5,0.5,-1,0.1,0.1", "radius and t_radius must be positive"),
+    ("0.5,0.5,0.5,0.22,0.1,0", "radius and t_radius must be positive"),
+], ids=["radius-nan", "t_center-inf", "radius-negative", "t_radius-zero"])
+def test_stokes_check_rejects_bad_bump_before_reading(capsys, tmp_path, bump,
+                                                       expected):
+    # the field path does not exist: the bump is checked before it is read
+    err = one_line_error(capsys, main([
+        "stokes-check", str(tmp_path / "missing.rsf"), "--cube", "0.25,0.25,0.25,0.5",
+        "--bump", bump]))
+    assert err["type"] == "ValueError"
+    assert expected in err["error"]
+
+
 @pytest.mark.parametrize("cube", ["0.25,0.25,0.5", "0.25,0.25,0.25,0.5,0.9",
                                   "a,b,c,d"])
 def test_stokes_check_rejects_malformed_cube(capsys, field_file, cube):

@@ -25,10 +25,12 @@ from regscan.stokes import (
     harmonic_rigidity_check,
     local_energy_residual,
     pressure_parts,
+    projection_residual,
     restrict_to_cube,
     vector_laplacian,
 )
-from regscan.stokes import _apply_a, _ComponentSolver, _with_walls
+from regscan.stokes import (_apply_a, _ComponentSolver, _div_faces,
+                            _grad_to_faces)
 
 
 def unit_box(n):
@@ -132,9 +134,32 @@ def test_component_solver_inverts_the_vector_laplacian():
     rng = np.random.default_rng(4)
     xs = [rng.normal(size=[m - 1 if b == a else m for b, m in enumerate(n)])
           for a in range(3)]
-    ax = _apply_a([_with_walls(x, a) for a, x in enumerate(xs)], h)
+    ax = _apply_a(xs, h)
     for a in range(3):
         assert rel_diff(_ComponentSolver(a, n, h).solve(ax[a]), xs[a]) <= 1e-12
+
+
+def test_mac_duality_on_interior_faces():
+    # summation by parts with zero walls: Σ p div f = -Σ_a Σ_faces f_a (∇p)_a
+    n, h = (16, 17, 19), (0.1, 0.13, 0.07)
+    rng = np.random.default_rng(9)
+    p = rng.normal(size=n)
+    faces = [rng.normal(size=[m - 1 if b == a else m for b, m in enumerate(n)])
+             for a in range(3)]
+    lhs = float((p * _div_faces(faces, h)).sum())
+    rhs = -sum(float((f * g).sum()) for f, g in zip(faces, _grad_to_faces(p, h)))
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def test_projection_residual_is_the_face_level_reprojection_error():
+    sol = estar(trig_gradient(24))
+    grad = sol._face_grad
+    assert [g.shape for g in grad] == [(23, 24, 24), (24, 23, 24), (24, 24, 23)]
+    again = estar(sol)._face_grad
+    num = np.sqrt(sum(float(((a - b) ** 2).sum()) for a, b in zip(again, grad)))
+    den = np.sqrt(sum(float((g ** 2).sum()) for g in grad))
+    assert projection_residual(sol) == num / den
+    assert projection_residual(sol) <= 1e-5
 
 
 def rotation_field(n, omega=1.7):
@@ -157,6 +182,12 @@ def test_pressure_parts_rigid_rotation():
     assert np.abs(parts.grad_p2.stack()).max() <= 1e-9 * scale
     assert harmonic_residual(parts.solutions["ph"], u) <= 1e-9
     assert set(parts.solutions) == {"ph", "p1", "p2"}
+
+
+def test_local_pressure_reads_through_to_its_solutions():
+    parts = pressure_parts(rotation_field(16))
+    for key in ("ph", "p1", "p2"):
+        assert getattr(parts, "grad_" + key) is parts.solutions[key].grad_p
 
 
 def test_pressure_parts_zero_field():
@@ -231,6 +262,35 @@ def test_restrict_to_cube_extracts_the_subgrid():
                           g.components[1].data[8:24, 8:24, 8:24])
     with pytest.raises(ValueError):
         restrict_to_cube(g, Cube((0.25, 0.25, 0.25), 0.25))
+
+
+@pytest.mark.parametrize("corner, side", [
+    ((-0.25, 0.25, 0.25), 0.75),   # starts 8 cells below the box
+    ((0.25, 0.25, 0.5), 0.75),     # ends 8 cells above it
+    ((-1.0, -1.0, -1.0), 5.0),     # covers it on every side
+])
+def test_restrict_to_cube_rejects_a_cube_leaving_the_box(corner, side):
+    g = VectorGrid.sample(unit_box(32), lambda x, y, z: (x, y, z))
+    with pytest.raises(ValueError, match=r"leaves the field's box \(0.0, 0.0, 0.0\) "
+                                         r"to \(1.0, 1.0, 1.0\)"):
+        restrict_to_cube(g, Cube(corner, side))
+    # one rounded cell of slack stays inside
+    sub = restrict_to_cube(g, Cube((-0.01, 0.0, 0.0), 1.0))
+    assert sub.box.n == (32, 32, 32)
+
+
+def test_bump_function_validation():
+    phi = BumpTestFunction(np.array([1, 2, 3]), 0.5, 0.0, 0.2)
+    assert phi.center == (1.0, 2.0, 3.0)
+    assert all(type(c) is float for c in phi.center)
+    origin = (0.0, 0.0, 0.0)
+    for args, match in [(((0.0, np.nan, 0.0), 0.5, 0.0, 0.2), "center must be finite"),
+                        ((origin, np.inf, 0.0, 0.2), "radius must be finite"),
+                        ((origin, 0.5, np.nan, 0.2), "t_center must be finite"),
+                        ((origin, 0.0, 0.0, 0.2), "must be positive"),
+                        ((origin, 0.5, 0.0, -0.2), "must be positive")]:
+        with pytest.raises(ValueError, match=match):
+            BumpTestFunction(*args)
 
 
 def test_bump_function_derivatives_match_finite_differences():
