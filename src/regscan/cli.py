@@ -7,8 +7,7 @@ manifests imply byte-identical reports (keys are sorted, floats use
 repr), so runs are auditable.
 
 Commands: norms, scan, localize, stokes-check, simulate, count-bound,
-report. REGSCAN_THREADS caps the FFT threads of simulate's solver (the
-Stokes solves run on BLAS, whose own thread settings apply).
+report.
 """
 
 import argparse
@@ -86,14 +85,6 @@ def _floats(text, what, count):
     if len(parts) != count:
         raise argparse.ArgumentTypeError(f"{what} needs {count} comma-separated values")
     return parts
-
-
-def _triple(text, what):
-    return tuple(_floats(text, what, 3))
-
-
-def _quad(text, what):
-    return _floats(text, what, 4)
 
 
 def _pick_frame(field, args):
@@ -269,7 +260,7 @@ def _build_parser():
 
     p = sub.add_parser("scan", help="scaling-invariant quantities on a cylinder")
     p.add_argument("field")
-    p.add_argument("--x0", type=lambda s: _triple(s, "--x0"), required=True)
+    p.add_argument("--x0", type=lambda s: _floats(s, "--x0", 3), required=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.1)
@@ -293,7 +284,7 @@ def _build_parser():
 
     p = sub.add_parser("stokes-check", help="pressure projection diagnostics")
     p.add_argument("field")
-    p.add_argument("--cube", type=lambda s: _quad(s, "--cube"),
+    p.add_argument("--cube", type=lambda s: _floats(s, "--cube", 4),
                    required=True, metavar="X,Y,Z,SIDE")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--frame", type=int)

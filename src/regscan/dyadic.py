@@ -366,14 +366,12 @@ def _children_of(keys, eps_eff, k_child, box):
                    _cover_ranges(k_child, eps_eff, box))
 
 
-def select_fk(frame, eps, k, prev, shape_factor=None, M=None):
-    """Level-k selection among cubes contained in the previous G family."""
-    if k != prev.level + 1:
-        raise ValueError("select_fk must be called with k = prev.level + 1")
-    if shape_factor is None:
-        shape_factor = prev.shape_factor
+def select_fk(frame, prev, M=None):
+    """Selection one level below prev, among cubes contained in its G family,
+    with prev's eps and shape factor."""
+    k = prev.level + 1
     mag = _magnitude(frame)
-    eps_eff = eps * shape_factor
+    eps_eff = prev.eps_effective
     prefix = _prefix(mag, (2.0 ** k) * eps_eff)
 
     # only parents holding at least one super-level cell can have children
@@ -381,7 +379,7 @@ def select_fk(frame, eps, k, prev, shape_factor=None, M=None):
     parents = prev.G_indices
     parents = parents[_cube_counts(prefix[0], mag.box, parents, k - 1, eps_eff) > 0]
     j = _unpack(_children_of(_pack(parents), eps_eff, k, mag.box))
-    return _make_family(mag, k, eps, shape_factor, j, M, prefix)
+    return _make_family(mag, k, prev.eps, prev.shape_factor, j, M, prefix)
 
 
 def _check_m(M):
@@ -449,8 +447,8 @@ _DENSE_VOXEL_CAP = 200_000_000
 
 
 def _cluster_labels_sparse(j, dm):
-    """Meet-relation components from a KD-tree pair query; unlike the dense
-    labeling, its memory does not grow with a component's bounding box."""
+    """Meet-relation components from a KD-tree pair query, numbered by their
+    first member; memory grows with the meeting pairs, not a bounding box."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
@@ -467,23 +465,21 @@ def _cluster_labels(j, dm):
 
     Offsets are pre-split on a coarse grid of pitch dm (meeting offsets land
     in identical or 26-adjacent coarse cells, so the split never separates a
-    true pair). Each coarse component is then labeled on a doubled dense
-    lattice where the boxes [2j, 2j + 2*dm] overlap iff the offsets meet;
-    doubling makes face contact without overlap impossible by parity, so
-    6-connected labeling of the dilated occupancy is the exact relation.
+    true pair) by `_cluster_labels_sparse` at radius 1 over the occupied
+    cells only, sorted as packed keys. Each coarse component is then labeled
+    on a doubled dense lattice where the boxes [2j, 2j + 2*dm] overlap iff
+    the offsets meet; doubling makes face contact without overlap impossible
+    by parity, so 6-connected labeling of the dilated occupancy is the exact
+    relation. A lattice above _DENSE_VOXEL_CAP cells takes the sparse path.
     """
-    n = len(j)
-    if n == 0:
+    if len(j) == 0:
         return np.empty(0, np.int64)
 
-    coarse = np.floor_divide(j, dm)
-    cmin = coarse.min(axis=0)
-    occ = np.zeros(tuple(coarse.max(axis=0) - cmin + 1), dtype=bool)
-    occ[tuple((coarse - cmin).T)] = True
-    comp, _ = ndimage.label(occ, structure=np.ones((3, 3, 3), bool))
-    pre = comp[tuple((coarse - cmin).T)]
+    keys = _pack(np.floor_divide(j, dm))
+    cells = _unique(keys.copy())
+    pre = _cluster_labels_sparse(_unpack(cells), 1)[np.searchsorted(cells, keys)]
 
-    labels = np.empty(n, np.int64)
+    labels = np.empty(len(j), np.int64)
     base = 0
     for c in np.unique(pre):
         idx = np.nonzero(pre == c)[0]
@@ -557,8 +553,6 @@ def build_chains(families, box):
         for k in range(k_max, 0, -1):
             key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1],
                                  assume_unique=True)[:1]
-            if not len(key):
-                break
             chain.append(DyadicCube(eps_eff, k - 1, tuple(_unpack(key)[0])))
         chains.append(list(reversed(chain)))
 
@@ -614,10 +608,10 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
         M = measured
 
     families = [select_f0(mag, cfg.eps, eps_shape_factor, M=M)]
-    for k in range(1, k_max + 1):
+    for _ in range(k_max):
         if families[-1].empty:
             break
-        families.append(select_fk(mag, cfg.eps, k, families[-1], M=M))
+        families.append(select_fk(mag, families[-1], M=M))
 
     cs = build_chains(families, mag.box)
     cs.M = float(M)

@@ -6,7 +6,6 @@ Data arrays are indexed ``data[ix, iy, iz]``; serialization flattens them
 x-fastest (Fortran order).
 """
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -81,14 +80,6 @@ class Box3:
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
 
-def _workers():
-    """Thread count for scipy.fft calls, from REGSCAN_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("REGSCAN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _check_data(box, data):
     data = np.asarray(data, dtype=float)
     if data.shape != box.n:
@@ -129,15 +120,10 @@ class VectorGrid:
     def __post_init__(self):
         if len(self.components) != 3:
             raise ValueError("VectorGrid needs exactly 3 components")
-        comps = []
-        for c in self.components:
-            if isinstance(c, ScalarGrid):
-                if c.box != self.box:
-                    raise ValueError("components must share the VectorGrid box")
-                comps.append(c)
-            else:
-                comps.append(ScalarGrid(self.box, c))
-        self.components = tuple(comps)
+        if not all(isinstance(c, ScalarGrid) and c.box == self.box
+                   for c in self.components):
+            raise ValueError("components must be ScalarGrids on the VectorGrid box")
+        self.components = tuple(self.components)
 
     @classmethod
     def from_array(cls, box, arr):
@@ -190,12 +176,12 @@ class SpaceTimeField:
     def box(self):
         return self.frames[0].box
 
-    def frame_index_at(self, t, atol=1e-9):
+    def frame_index_at(self, t):
         """Index of the frame nearest to t (warn when not an exact sample time)."""
         if not np.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > atol * max(1.0, abs(t)):
+        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             warnings.warn(
                 f"time {t} is not a sample time; using nearest frame t={self.times[i]}"
             )

@@ -42,9 +42,7 @@ class LevelSetProfile:
         """m{ |f| > h } (right-continuous distribution function)."""
         # levels are descending; values strictly above h are those >= the
         # smallest level exceeding h
-        idx = np.searchsorted(-self.levels, -h, side="right") - 1
-        while idx >= 0 and self.levels[idx] <= h:
-            idx -= 1
+        idx = np.searchsorted(-self.levels, -h, side="left") - 1
         return float(self.measures[idx]) if idx >= 0 else 0.0
 
     def layer_cake(self, q):
@@ -125,16 +123,15 @@ class NormReport:
     ratio_bound: float = 0.0
 
     @classmethod
-    def from_scalar(cls, f, q=3.0, r=2.0, lp_exponents=(2.0, 3.0, 6.0)):
+    def from_scalar(cls, f, q=3.0, r=2.0):
         w = weak_norm(f, q)
         e = equivalent_norm(f, q, r)
-        lps = {float(p): lp_norm(f, p) for p in lp_exponents}
         return cls(
             q=float(q),
             r=float(r),
             weak=w,
             equivalent=e,
-            lp_norms=lps,
+            lp_norms={p: lp_norm(f, p) for p in (2.0, 3.0, 6.0)},
             ratio=(e / w) if w > 0 else None,
             ratio_bound=float((q / (q - r)) ** (1.0 / r)),
         )

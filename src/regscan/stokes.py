@@ -522,6 +522,9 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
             raise ValueError("test function support leaves the analysis cube")
     if phi.t_center - phi.t_radius < times[0] - 1e-12:
         raise ValueError("test function support starts before the field")
+    if not any(abs(times[i] - phi.t_center) < phi.t_radius for i in idx):
+        raise ValueError(f"test function time support ({phi.t_center - phi.t_radius:g}, "
+                         f"{phi.t_center + phi.t_radius:g}) holds no frame up to s={s:g}")
     if r < 4 * max(sub_box.spacing):
         raise ValueError("test function is unresolved: radius < 4 cells")
     dt_frames = np.diff(times[idx[0]:idx[-1] + 1])

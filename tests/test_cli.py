@@ -302,6 +302,16 @@ def test_stokes_check_rejects_bad_viscosity(capsys, field_file, nu):
     assert "--nu must be finite and positive" in err["error"]
 
 
+def test_stokes_check_rejects_a_bump_off_every_frame(capsys, field_file):
+    path, _ = field_file
+    # time support (0.4, 0.6); the frames run from 0 to 0.15
+    err = one_line_error(capsys, main([
+        "stokes-check", path, "--cube", "0.25,0.25,0.25,0.5",
+        "--bump", "0.5,0.5,0.5,0.22,0.5,0.1"]))
+    assert err["type"] == "ValueError"
+    assert "holds no frame up to s=0.15" in err["error"]
+
+
 @pytest.mark.parametrize("cube", ["-1,-1,-1,5", "-0.25,0.25,0.25,0.75",
                                   "0.25,0.25,0.5,0.75"])
 def test_stokes_check_rejects_a_cube_leaving_the_field(capsys, field_file, cube):
@@ -390,6 +400,10 @@ def test_simulate_rejects_bad_config(capsys, tmp_path):
     ({"n": 16, "t_end": 0.05, "save_every": 0}, "save_every must be None or"),
     ({"n": 16, "t_end": 0.05, "save_every": -1}, "save_every must be None or"),
     ({"n": 16, "t_end": 0.05, "save_every": 1.5}, "save_every must be None or"),
+    ({"n": 16, "t_end": 0.05, "initial": "tg"}, "unknown initial profile 'tg'"),
+    ({"n": 16, "t_end": 0.05, "initial": "Random"}, "unknown initial profile 'Random'"),
+    ({"n": 16, "t_end": 0.05, "initial": "random_x"},
+     "unknown initial profile 'random_x'"),
 ])
 def test_simulate_rejects_malformed_config(capsys, tmp_path, cfg, expected):
     cfg_path = tmp_path / "bad.json"

@@ -235,14 +235,25 @@ def test_select_fk_descends_into_parents():
     frame = two_bump_frame()
     eps = 0.2
     f0 = select_f0(frame, eps)
-    f1 = select_fk(frame, eps, 1, f0)
+    f1 = select_fk(frame, f0)
     assert f1.level == 1
     assert f1.height == pytest.approx(2 * eps)
     assert f1.measure_threshold == pytest.approx(eps / 8.0)
     got = {tuple(r) for r in f1.F_indices}
     assert got == brute_family(frame, eps, 1, parent_G=f0.G)
-    with pytest.raises(ValueError):
-        select_fk(frame, eps, 2, f0)       # skipping a level
+
+
+def test_select_fk_takes_eps_and_shape_factor_from_prev():
+    # one broad blob, so level 1 selects cubes at the effective eps 0.22
+    box = Box3((0, 0, 0), (0.7, 0.7, 0.7), (14, 14, 14))
+    x, y, z = box.center_mesh()
+    mag = 3.0 * np.exp(-((x - 0.3) ** 2 + (y - 0.35) ** 2 + (z - 0.4) ** 2) / 0.09)
+    frame = VectorGrid.from_array(box, np.stack([mag, 0 * mag, 0 * mag]))
+    f0 = select_f0(frame, 0.2, shape_factor=1.1)
+    f1 = select_fk(frame, f0)
+    assert (f1.level, f1.eps, f1.shape_factor) == (1, 0.2, 1.1)
+    got = {tuple(r) for r in f1.F_indices}
+    assert got and got == brute_family(frame, 0.22, 1, parent_G=f0.G)
 
 
 def test_selection_certificates_hold_with_measured_m():
@@ -335,6 +346,20 @@ def test_cluster_labels_sharp_at_meet_radius(dm):
     apart = np.array([[0, 0, 0], [dm + 1, 0, 0]])
     labels = _cluster_labels(apart, dm)
     assert labels[0] != labels[1]
+
+
+def test_cluster_labels_memory_ignores_the_bounding_box():
+    import tracemalloc
+
+    far = np.array([[0, 0, 0], [1, 0, 0], [3000, 3000, 3000]])
+    tracemalloc.start()
+    try:
+        labels = _cluster_labels(far, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.tolist() == [0, 0, 1]
+    assert peak < 16 * 2 ** 20
 
 
 def zero_frame(n=24):

@@ -78,6 +78,13 @@ def test_vector_grid_magnitude_and_stack():
         VectorGrid(box, (other, other, other))
 
 
+def test_vector_grid_takes_scalar_grid_components_only():
+    box = unit_box(4)
+    raw = np.zeros(box.n)
+    with pytest.raises(ValueError, match="components must be ScalarGrids"):
+        VectorGrid(box, (raw, raw, raw))
+
+
 def constant_frame(box, value=1.0):
     return VectorGrid.from_array(box, np.full((3, *box.n), value))
 

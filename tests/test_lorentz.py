@@ -63,6 +63,16 @@ def test_distribution_counts_strictly_above_level():
     assert prof.distribution_at(9.0) == 0.0
 
 
+def test_distribution_at_counts_cells_above_every_level(rng):
+    for _ in range(50):
+        vals = rng.integers(-4, 5, size=int(rng.integers(1, 30))) * 0.5
+        prof = distribution(line_grid(vals))
+        hs = np.concatenate([prof.levels, prof.levels + 0.25, prof.levels - 0.25,
+                             [-0.0, np.inf, -np.inf]])
+        for h in hs:
+            assert prof.distribution_at(h) == np.count_nonzero(np.abs(vals) > h)
+
+
 def test_weak_norm_matches_sorted_formula(rng):
     q = 3.0
     for _ in range(20):

@@ -371,6 +371,21 @@ def test_local_energy_residual_validations():
         local_energy_residual(f, cube, good, s=f.times[1])
 
 
+@pytest.mark.parametrize("tc, s", [(0.9, None), (0.6, 0.4 * 2 / 3)],
+                         ids=["after-the-field", "after-s"])
+def test_local_energy_residual_rejects_a_bump_off_every_frame(monkeypatch, tc, s):
+    import regscan.stokes
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("pressure solve before the time-support check")
+
+    monkeypatch.setattr(regscan.stokes, "pressure_parts", no_solve)
+    f = constant_spacetime(20, 4, 1.0)     # frames at 0, 0.133, 0.267, 0.4
+    phi = BumpTestFunction((3.0, 3.0, 3.0), 1.5, tc, 0.3)
+    with pytest.raises(ValueError, match="holds no frame up to s"):
+        local_energy_residual(f, Cube((0.5, 0.5, 0.5), 5.0), phi, s=s)
+
+
 @pytest.mark.parametrize("nu", [np.nan, np.inf, -0.05])
 def test_local_energy_residual_rejects_bad_viscosity(nu):
     f = constant_spacetime(20, 4, 0.0)
