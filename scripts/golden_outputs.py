@@ -10,9 +10,10 @@ dumping at the parent commit and at the change, then comparing:
     PYTHONPATH=src python scripts/golden_outputs.py compare parent.npz change.npz
 
 Arrays are compared with np.array_equal (NaN equal to NaN); scalars and
-dicts are stored as JSON, whose float repr round-trips exactly. The 22
+dicts are stored as JSON, whose float repr round-trips exactly. The 27
 outputs of the Stokes projection (the pressure triple, `estar` reapplied
-to p_h, `harmonic_residual` and `local_energy_residual`) are compared to
+to p_h, `estar` of a random forcing on 17 x 20 x 23 cells,
+`harmonic_residual` and `local_energy_residual`) are compared to
 rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
 `localize` run dumps its whole `to_dict()` payload, its chains, its
@@ -74,6 +75,11 @@ def stokes_outputs(out):
     for key, sol in lp.solutions.items():
         _solution(out, key, sol)
     _solution(out, "estar(ph)", estar(lp.solutions["ph"]))
+    # odd and unequal cell counts on a cubic box, with a random forcing
+    n = (17, 20, 23)
+    forcing = np.random.default_rng(23).normal(size=(3,) + n)
+    _solution(out, "estar(17,20,23)", estar(VectorGrid.from_array(
+        Box3((0, 0, 0), (1, 1, 1), n), forcing)))
     out["harmonic_residual"] = _js(harmonic_residual(lp.solutions["ph"], u))
     out["vector_laplacian"] = vector_laplacian(u).stack()
     out["convective_divergence"] = convective_divergence(u).stack()
@@ -272,9 +278,10 @@ def pipeline_outputs(out):
         field.times[20:27], field.frames[20:27]))
 
 
-# the projection's outputs; their sine transforms are BLAS products, so
+# the projection's outputs; their basis transforms are BLAS products, so
 # rounding may move within the tolerance but CG iteration counts may not
-SOLVER_OUTPUTS = {f"{name}.{part}" for name in ("ph", "p1", "p2", "estar(ph)")
+SOLVER_OUTPUTS = {f"{name}.{part}"
+                  for name in ("ph", "p1", "p2", "estar(ph)", "estar(17,20,23)")
                   for part in ("p", "v", "grad_p", "residuals",
                                "residual_history")}
 SOLVER_OUTPUTS |= {"harmonic_residual", "local_energy_residual"}

@@ -58,6 +58,7 @@ from .stokes import (
     LocalPressure,
     StokesError,
     StokesSolution,
+    check_bump,
     estar,
     harmonic_residual,
     harmonic_rigidity_check,
@@ -96,7 +97,7 @@ __all__ = [
     "select_fk",
     # stokes
     "BumpTestFunction", "LocalPressure", "StokesError", "StokesSolution",
-    "estar", "harmonic_residual", "harmonic_rigidity_check",
+    "check_bump", "estar", "harmonic_residual", "harmonic_rigidity_check",
     "local_energy_residual", "pressure_parts", "projection_residual",
     "restrict_to_cube",
     # synth

@@ -28,6 +28,7 @@ from .lorentz import NormReport, l4_interpolation_check, local_l2_check
 from .stokes import (
     BumpTestFunction,
     StokesError,
+    check_bump,
     harmonic_residual,
     local_energy_residual,
     pressure_parts,
@@ -155,6 +156,8 @@ def cmd_stokes_check(args):
     i = _pick_frame(field, args)
     cube = Cube(corner=tuple(args.cube[:3]), side=args.cube[3])
     u = restrict_to_cube(field.frames[i], cube)
+    if phi is not None:
+        check_bump(field, cube, phi)    # before any solve
     parts = pressure_parts(u, tol=args.tol)
     sol_h = parts.solutions["ph"]
     unorm = float(np.sqrt((u.stack() ** 2).sum()))

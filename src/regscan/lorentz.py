@@ -40,6 +40,8 @@ class LevelSetProfile:
 
     def distribution_at(self, h):
         """m{ |f| > h } (right-continuous distribution function)."""
+        if np.isnan(h):
+            raise ValueError("distribution level h must not be NaN")
         # levels are descending; values strictly above h are those >= the
         # smallest level exceeding h
         idx = np.searchsorted(-self.levels, -h, side="left") - 1

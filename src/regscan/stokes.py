@@ -5,10 +5,11 @@ cube with zero boundary velocity and mean-zero pressure, and returns ∇p.
 The discretization is a staggered (MAC) grid: pressures at cell centers,
 velocity components on their normal faces, which gives exact discrete
 div/grad duality and no pressure checkerboard. Each velocity component's
-Laplacian block separates per axis into fixed-zero (face) and reflected
-(cell-line) second differences, both diagonal in sine bases (dense matrix
-products), so the inner vector solves are exact; an outer conjugate-gradient
-iteration on the pressure Schur complement enforces incompressibility.
+no-slip Laplacian is diagonal in a sine basis, the pressure's Neumann
+cell Laplacian in the cosine basis, and the face gradient maps cosine
+modes to sine modes one to one. So the conjugate-gradient iteration on
+the pressure Schur complement runs on cosine coefficients, a few dense
+matrix products per step, and the velocity follows by one exact solve.
 
 On top of the projection sit the derived quantities used by the local
 regularity analysis: the pressure triple (∇p_h, ∇p₁, ∇p₂), the interior
@@ -20,6 +21,7 @@ candidates.
 import functools
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,19 +29,10 @@ from .grid import (Ball, Box3, ScalarGrid, VectorGrid, _require_finite,
                    gradient, scalar_gradient)
 
 __all__ = [
-    "StokesError",
-    "StokesSolution",
-    "LocalPressure",
-    "BumpTestFunction",
-    "estar",
-    "pressure_parts",
-    "harmonic_residual",
-    "local_energy_residual",
-    "harmonic_rigidity_check",
-    "projection_residual",
-    "restrict_to_cube",
-    "vector_laplacian",
-    "convective_divergence",
+    "StokesError", "StokesSolution", "LocalPressure", "BumpTestFunction",
+    "estar", "pressure_parts", "harmonic_residual", "local_energy_residual",
+    "check_bump", "harmonic_rigidity_check", "projection_residual",
+    "restrict_to_cube", "vector_laplacian", "convective_divergence",
 ]
 
 
@@ -63,8 +56,8 @@ def _check_domain(box):
 #
 # Component a lives on its interior a-faces: an array of shape n with n[a]-1
 # along axis a, which holds exactly the unknowns. The zero wall faces are
-# not stored; only the stencils that read them (_div_faces,
-# _faces_to_centers, _apply_a) pad them in.
+# not stored; only the stencils that read them (_div_faces, _apply_a and
+# the face-to-center average in estar) pad them in.
 
 
 def _ax(axis, s):
@@ -93,10 +86,6 @@ def _to_faces(v):
     return [_avg(c.data, a) for a, c in enumerate(v.components)]
 
 
-def _faces_to_centers(faces):
-    return [_avg(_with_walls(f, a), a) for a, f in enumerate(faces)]
-
-
 def _div_faces(faces, h):
     return sum(np.diff(_with_walls(faces[a], a), axis=a) / h[a] for a in range(3))
 
@@ -106,60 +95,76 @@ def _grad_to_faces(p, h):
 
 
 def _along(mat, x, axis):
-    """Contract a square matrix with x along one axis (one BLAS matmul)."""
+    """Contract a matrix with x along one axis (one BLAS matmul)."""
     if axis == 0:
-        return (mat @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+        return (mat @ x.reshape(x.shape[0], -1)).reshape((-1,) + x.shape[1:])
     if axis == 1:
         return np.matmul(mat, x)
-    return (x.reshape(-1, x.shape[2]) @ mat.T).reshape(x.shape)
+    return (x.reshape(-1, x.shape[2]) @ mat.T).reshape(x.shape[:2] + (-1,))
 
 
-class _ComponentSolver:
-    """Exact inverse of the no-slip vector Laplacian, one velocity component.
+def _contract(x, mats):
+    """Contract x with mats[b] along every axis b."""
+    for b, mat in enumerate(mats):
+        x = _along(mat, x, b)
+    return x
 
-    Along the component's own axis the unknowns are interior faces with
-    zero wall values (type-I sine basis, n-1 points); along the other two
-    axes they are cell lines with reflected, sign-flipped ghosts (type-II
-    sine basis, n points). Both second-difference operators have
-    eigenvalues (2 - 2 cos(pi k / n)) / h^2, k = 1..m, so a solve is three
-    forward contractions, one division and three inverse contractions
-    (fast diagonalization). The forward matrix samples 2 sin(pi k s / n)
-    at s = j + 1 (faces) or s = j + 1/2 (cell lines); its inverse is the
-    transpose over 2n with the type-II top mode halved.
-    """
 
-    def __init__(self, a, n, h):
-        self.fwd, self.inv, lam = [], [], []
-        for b in range(3):
-            m = n[b] - 1 if b == a else n[b]
-            k = np.arange(1, m + 1)
-            s2 = 2 * k if b == a else 2 * k - 1    # twice the positions s
-            # phase k s / n reduced modulo 2 in integers: sines on [0, 2 pi)
-            fwd = 2.0 * np.sin(np.pi * (np.outer(k, s2) % (4 * n[b])) / (2 * n[b]))
-            self.fwd.append(fwd)
-            self.inv.append(fwd.T * (np.where(k < n[b], 1.0, 0.5) / (2 * n[b])))
-            lam.append((2.0 - 2.0 * np.cos(np.pi * k / n[b])) / h[b] ** 2)
-        self.denom = (
-            lam[0][:, None, None] + lam[1][None, :, None] + lam[2][None, None, :]
-        )
-
-    def solve(self, x):
-        for b in range(3):
-            x = _along(self.fwd[b], x, b)
-        x = x / self.denom
-        for b in range(3):
-            x = _along(self.inv[b], x, b)
-        return x
+def _on_axis(v, axis):
+    """A vector shaped to broadcast along one axis."""
+    return v.reshape([-1 if b == axis else 1 for b in range(3)])
 
 
 @functools.lru_cache(maxsize=4)
-def _solvers(n, h):
-    """The three component solvers of one grid, built once per (n, h)."""
-    return tuple(_ComponentSolver(a, n, h) for a in range(3))
+def _basis(n, h):
+    """Orthonormal transforms of one grid, built once per (n, h).
+
+    Per axis of m cells: C is the DCT-II of cell values, Q2 the DST-II of
+    cell lines with reflected, sign-flipped ghosts, Q1 the DST-I of the m-1
+    interior faces, and N = Q2 Cᵀ; each samples its cosine or sine at the
+    phase k s / m (s = j + 1/2 on cells, j + 1 on faces) reduced modulo 2
+    in integers. The face difference maps cosine mode k to sine mode k:
+    Q1 D Cᵀ = [0 | diag(g)], g_k = -2 sin(pi k / 2m) / h. Component a's
+    basis Q[a] is Q1 along a, behind an empty mode-0 row so that its modes
+    line up with the cosine modes, and Q2 along the other axes. There the
+    vector Laplacian is diagonal with denominators lam[a], sums of the
+    per-axis eigenvalues (2 - 2 cos(pi k / m)) / h², and ∇(Cᵀp̂) is
+    K_a p̂ = g[a] ⊙ (N along the two other axes) p̂, with g_0 = 0.
+    """
+    C, Q1, Q2, g, eig = [], [], [], [], []
+    for a, (m, hb) in enumerate(zip(n, h)):
+        k, s2 = np.arange(m), 2 * np.arange(m) + 1
+
+        def trig(fn, kk, ss):
+            return np.sqrt(2.0 / m) * fn(
+                np.pi * (np.outer(kk, ss) % (4 * m)) / (2 * m))
+
+        C.append(trig(np.cos, k, s2))
+        C[-1][0] /= np.sqrt(2.0)
+        Q2.append(trig(np.sin, k + 1, s2))
+        Q2[-1][-1] /= np.sqrt(2.0)
+        Q1.append(trig(np.sin, k[1:], 2 * k[1:]))
+        g.append(_on_axis(-2.0 * np.sin(np.pi * k / (2 * m)) / hb, a))
+        eig.append((2.0 - 2.0 * np.cos(np.pi * np.arange(m + 1) / m)) / hb ** 2)
+    Q1_0 = [np.vstack([np.zeros(len(q)), q]) for q in Q1]
+    Q = [[Q1_0[b] if b == a else Q2[b] for b in range(3)] for a in range(3)]
+    # cosine modes k = 0.. along a, sine modes k = 1.. along the other axes
+    lam = [sum(_on_axis(eig[b][:-1] if b == a else eig[b][1:], b)
+               for b in range(3)) for a in range(3)]
+    return SimpleNamespace(C=C, Q1=Q1, Q2=Q2, N=[q @ c.T for q, c in zip(Q2, C)],
+                           Q=Q, g=g, lam=lam)
 
 
-def _apply_ainv(faces, solvers):
-    return [solvers[a].solve(f) for a, f in enumerate(faces)]
+def _spread(N, p_hat):
+    """p̂ under N along the two axes other than a, for a = 0, 1, 2."""
+    y1, y2 = _along(N[1], p_hat, 1), _along(N[2], p_hat, 2)
+    return [_along(N[2], y1, 2), _along(N[0], y2, 0), _along(N[0], y1, 0)]
+
+
+def _gather(N, z):
+    """Adjoint of _spread, summed over the three components."""
+    t = _along(N[2].T, z[0], 2) + _along(N[0].T, z[2], 0)
+    return _along(N[1].T, t, 1) + _along(N[2].T, _along(N[0].T, z[1], 0), 2)
 
 
 def _apply_a(faces, h):
@@ -169,15 +174,11 @@ def _apply_a(faces, h):
     for a, f in enumerate(faces):
         acc = 0
         for b in range(3):
-            if b == a:
-                # the zero wall faces close the face lines
-                acc += _d2(_with_walls(f, b), b) / h[b] ** 2
-            else:
-                # cell lines reflect with a sign flip across the walls
-                padded = np.concatenate(
-                    [-f[_ax(b, slice(0, 1))], f, -f[_ax(b, slice(-1, None))]],
-                    axis=b)
-                acc += _d2(padded, b) / h[b] ** 2
+            # the zero wall faces close the face lines; cell lines reflect
+            # with a sign flip across the walls
+            ext = _with_walls(f, b) if b == a else np.concatenate(
+                [-f[_ax(b, slice(0, 1))], f, -f[_ax(b, slice(-1, None))]], axis=b)
+            acc += _d2(ext, b) / h[b] ** 2
         out.append(-acc)
     return out
 
@@ -203,6 +204,11 @@ def estar(F, tol=1e-8):
     """Gradient part of F on a cube: solve the zero-boundary steady Stokes
     system and return ∇p (plus the full solution record).
 
+    CG runs on the cosine coefficients p̂ of the pressure (see _basis),
+    where the Schur complement -div A⁻¹ ∇ is Σ_a K_aᵀ K_a / lam[a]. The
+    basis is orthonormal, so the residual norms are those of cell space.
+    The momentum and divergence residuals are checked on the faces.
+
     Accepts a cell-centered VectorGrid; a StokesSolution may be passed to
     reapply the projection to its own gradient without the cell/face
     transfer loss (used by the projection-property tests).
@@ -216,18 +222,20 @@ def estar(F, tol=1e-8):
     n, h = box.n, box.spacing
     faces = F._face_grad if reapply else _to_faces(F)
 
-    solvers = _solvers(n, h)
+    B = _basis(n, h)
     cap = 10 * max(n)
+    # Ŝ = Σ_a K_aᵀ K_a / lam[a]: one weight per component on the cosine grid
+    weights = [g ** 2 / lam for g, lam in zip(B.g, B.lam)]
 
-    def schur(p):
-        return -_div_faces(_apply_ainv(_grad_to_faces(p, h), solvers), h)
+    def schur(p_hat):
+        return _gather(B.N, [w * x for w, x in zip(weights, _spread(B.N, p_hat))])
 
-    aif = _apply_ainv(faces, solvers)
-    rhs = -_div_faces(aif, h)
-    rhs -= rhs.mean()
+    f_hat = [_contract(f, B.Q[a]) for a, f in enumerate(faces)]
+    # Σ_a K_aᵀ f̂_a / lam[a]; its (0, 0, 0) mode, the mean of p, is zero
+    rhs = _gather(B.N, [g * f / lam for g, f, lam in zip(B.g, f_hat, B.lam)])
     bnorm = float(np.linalg.norm(rhs))
 
-    p = np.zeros(box.n)
+    p_hat = np.zeros(box.n)
     history = []
     if bnorm > 0.0:
         r = rhs.copy()
@@ -245,37 +253,35 @@ def estar(F, tol=1e-8):
                 raise StokesError(f"Schur iteration stagnated before reaching "
                                   f"{tol}", history)
             alpha = rs / denom
-            p += alpha * d
+            p_hat += alpha * d
             r -= alpha * q
             rs_new = float((r * r).sum())
             history.append(np.sqrt(rs_new) / bnorm)
             d = r + (rs_new / rs) * d
             rs = rs_new
-        p -= p.mean()
 
+    p = _contract(p_hat, [c.T for c in B.C])
+    p -= p.mean()
     gfaces = _grad_to_faces(p, h)
-    vfaces = _apply_ainv([faces[a] - gfaces[a] for a in range(3)], solvers)
+    vfaces = [_contract((f_hat[a] - B.g[a] * x) / B.lam[a], [q.T for q in B.Q[a]])
+              for a, x in enumerate(_spread(B.N, p_hat))]
 
     av = _apply_a(vfaces, h)
     fnorm = np.sqrt(sum(float((f ** 2).sum()) for f in faces))
     mom = np.sqrt(sum(float(((av[a] + gfaces[a] - faces[a]) ** 2).sum())
                       for a in range(3)))
     divv = float(np.linalg.norm(_div_faces(vfaces, h)))
-    residuals = {
-        "momentum": mom / fnorm if fnorm > 0 else 0.0,
-        "divergence": divv / bnorm if bnorm > 0 else divv,
-        "mean_p": abs(float(p.mean())),
-    }
+    residuals = {"momentum": mom / fnorm if fnorm > 0 else 0.0,
+                 "divergence": divv / bnorm if bnorm > 0 else divv,
+                 "mean_p": abs(float(p.mean()))}
 
     p_grid = ScalarGrid(box, p)
     return StokesSolution(
-        v=VectorGrid.from_array(box, np.array(_faces_to_centers(vfaces))),
-        p=p_grid,
-        grad_p=VectorGrid.from_array(box, scalar_gradient(p_grid)),
-        residuals=residuals,
-        iterations=max(len(history) - 1, 0),
-        residual_history=history,
-    )
+        v=VectorGrid.from_array(box, np.array(
+            [_avg(_with_walls(f, a), a) for a, f in enumerate(vfaces)])),
+        p=p_grid, grad_p=VectorGrid.from_array(box, scalar_gradient(p_grid)),
+        residuals=residuals, iterations=max(len(history) - 1, 0),
+        residual_history=history)
 
 
 def projection_residual(sol, tol=1e-8):
@@ -424,36 +430,40 @@ class BumpTestFunction:
         wpp[inside] = -2.0 / d ** 3
         return psi, wp, wpp
 
-    def _space(self, mesh):
-        """s = |x-c|²/R² and the profile triple at s."""
-        c = self.center
-        s = ((mesh[0] - c[0]) ** 2 + (mesh[1] - c[1]) ** 2
-             + (mesh[2] - c[2]) ** 2) / self.radius ** 2
-        return (s,) + self._bump(s)
-
     def _time(self, t):
         """The profile triple at (t-t_c)²/t_r², as floats."""
         q = (np.asarray(t, dtype=float) - self.t_center) ** 2 / self.t_radius ** 2
         return [float(x[0]) for x in self._bump(np.atleast_1d(q))]
 
+    def _at(self, mesh):
+        """φ, ∇φ, Δφ and ∂_tφ on mesh as a function of t; the spatial
+        profile is evaluated once."""
+        dx = [mesh[a] - self.center[a] for a in range(3)]
+        r2 = self.radius ** 2
+        s = (dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2) / r2
+        psi, wp, wpp = self._bump(s)
+        gcoef = psi * wp * (2.0 / r2)
+        lap = ((wp ** 2 + wpp) * (4.0 * s / r2) + wp * (6.0 / r2)) * psi
+
+        def at(t):
+            tau, wp_t, _ = self._time(t)
+            dq = 2.0 * (t - self.t_center) / self.t_radius ** 2
+            coef = gcoef * tau
+            return (psi * tau, np.array([coef * d for d in dx]), lap * tau,
+                    psi * (tau * wp_t * dq))
+        return at
+
     def value(self, mesh, t):
-        return self._space(mesh)[1] * self._time(t)[0]
+        return self._at(mesh)(t)[0]
 
     def grad(self, mesh, t):
-        _, psi, wp, _ = self._space(mesh)
-        coef = psi * wp * (2.0 / self.radius ** 2) * self._time(t)[0]
-        return np.array([coef * (mesh[a] - self.center[a]) for a in range(3)])
+        return self._at(mesh)(t)[1]
 
     def laplacian(self, mesh, t):
-        s, psi, wp, wpp = self._space(mesh)
-        grad_sq = 4.0 * s / self.radius ** 2
-        lap_s = 6.0 / self.radius ** 2
-        return ((wp ** 2 + wpp) * grad_sq + wp * lap_s) * psi * self._time(t)[0]
+        return self._at(mesh)(t)[2]
 
     def dt(self, mesh, t):
-        tau, wp, _ = self._time(t)
-        dq = 2.0 * (t - self.t_center) / self.t_radius ** 2
-        return self._space(mesh)[1] * (tau * wp * dq)
+        return self._at(mesh)(t)[3]
 
 
 def _cube_slices(box, corner, side):
@@ -483,6 +493,38 @@ def restrict_to_cube(frame, cube):
     return _restrict_frame(frame, slices, sub_box)
 
 
+def check_bump(f, cube, phi, s=None):
+    """Check a test function against a field and an analysis cube before
+    any pressure solve: at least 3 frames up to s, the bump's support
+    inside the cube and after the first frame, a frame up to s inside its
+    time support, and at least 4 cells and 2 frame steps across it.
+    Returns the cube's slices and box and the indices of the frames up to s.
+    """
+    slices, sub_box = _cube_slices(f.box, cube.corner, cube.side)
+    times = f.times
+    if s is None:
+        s = times[-1]
+    idx = [i for i, t in enumerate(times) if t <= s + 1e-12]
+    if len(idx) < 3:
+        raise ValueError("need at least 3 frames up to the evaluation time")
+    r = phi.radius
+    for a in range(3):
+        if (phi.center[a] - r < sub_box.lo[a] - 1e-12
+                or phi.center[a] + r > sub_box.hi[a] + 1e-12):
+            raise ValueError("test function support leaves the analysis cube")
+    if phi.t_center - phi.t_radius < times[0] - 1e-12:
+        raise ValueError("test function support starts before the field")
+    if not any(abs(times[i] - phi.t_center) < phi.t_radius for i in idx):
+        raise ValueError(f"test function time support ({phi.t_center - phi.t_radius:g}, "
+                         f"{phi.t_center + phi.t_radius:g}) holds no frame up to s={s:g}")
+    if r < 4 * max(sub_box.spacing):
+        raise ValueError("test function is unresolved: radius < 4 cells")
+    dt_frames = np.diff(times[idx[0]:idx[-1] + 1])
+    if len(dt_frames) and phi.t_radius < 2 * dt_frames.max():
+        raise ValueError("test function is unresolved in time")
+    return slices, sub_box, idx
+
+
 def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
                           nu=1.0):
     """Evaluate the seven integrals of the localized energy balance.
@@ -504,84 +546,42 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
     """
     if not (np.isfinite(nu) and nu > 0):
         raise ValueError(f"viscosity must be finite and positive, got {nu}")
-    slices, sub_box = _cube_slices(f.box, cube.corner, cube.side)
-    mesh = sub_box.center_mesh()
+    slices, sub_box, idx = check_bump(f, cube, phi, s)
+    phi_at = phi._at(sub_box.center_mesh())
     times = f.times
 
-    if s is None:
-        s = times[-1]
-    idx = [i for i, t in enumerate(times) if t <= s + 1e-12]
-    if len(idx) < 3:
-        raise ValueError("need at least 3 frames up to the evaluation time")
-
-    # the bump must live strictly inside the cube and the covered time span
-    r = phi.radius
-    for a in range(3):
-        if (phi.center[a] - r < sub_box.lo[a] - 1e-12
-                or phi.center[a] + r > sub_box.hi[a] + 1e-12):
-            raise ValueError("test function support leaves the analysis cube")
-    if phi.t_center - phi.t_radius < times[0] - 1e-12:
-        raise ValueError("test function support starts before the field")
-    if not any(abs(times[i] - phi.t_center) < phi.t_radius for i in idx):
-        raise ValueError(f"test function time support ({phi.t_center - phi.t_radius:g}, "
-                         f"{phi.t_center + phi.t_radius:g}) holds no frame up to s={s:g}")
-    if r < 4 * max(sub_box.spacing):
-        raise ValueError("test function is unresolved: radius < 4 cells")
-    dt_frames = np.diff(times[idx[0]:idx[-1] + 1])
-    if len(dt_frames) and phi.t_radius < 2 * dt_frames.max():
-        raise ValueError("test function is unresolved in time")
-
     vol = sub_box.cell_volume
-    terms_t = {"grad": [], "phi_t": [], "phi_lap": [], "transport": [],
-               "hessian": [], "pressure": []}
-    v_at_s = phi_at_s = None
-
+    rows, boundary = [], 0.0
     for i in idx:
         t = times[i]
+        if phi._time(t)[0] == 0.0:
+            # φ(·, t) vanishes identically, and so does every integrand
+            rows.append([0.0] * 6)
+            continue
+        phi_val, phi_grad, phi_lap, phi_dt = phi_at(t)
         u = _restrict_frame(f.frames[i], slices, sub_box)
         lp = pressures[i] if pressures is not None else pressure_parts(u, tol)
-        gph = lp.grad_ph.stack()
-        uarr = u.stack()
+        uarr, gph = u.stack(), lp.grad_ph.stack()
         varr = uarr + gph
         v2 = (varr ** 2).sum(axis=0)
-
-        phi_val = phi.value(mesh, t)
-        phi_grad = phi.grad(mesh, t)
-        phi_lap = phi.laplacian(mesh, t)
-        phi_dt = phi.dt(mesh, t)
-
         gv = gradient(VectorGrid.from_array(sub_box, varr))
-        terms_t["grad"].append(float(((gv ** 2).sum(axis=(0, 1)) * phi_val).sum())
-                               * vol)
-        terms_t["phi_t"].append(float((v2 * phi_dt).sum()) * vol)
-        terms_t["phi_lap"].append(float((v2 * phi_lap).sum()) * vol)
-        terms_t["transport"].append(
-            float((v2 * (uarr * phi_grad).sum(axis=0)).sum()) * vol)
         hess = gradient(VectorGrid.from_array(sub_box, gph))
         contraction = sum(varr[a] * uarr[b] * hess[a][b]
                           for a in range(3) for b in range(3))
-        terms_t["hessian"].append(float((contraction * phi_val).sum()) * vol)
         psum = lp.solutions["p1"].p.data + nu * lp.solutions["p2"].p.data
-        terms_t["pressure"].append(
-            float((psum * (varr * phi_grad).sum(axis=0)).sum()) * vol)
+        rows.append([float(x.sum()) * vol for x in (
+            (gv ** 2).sum(axis=(0, 1)) * phi_val, v2 * phi_dt, v2 * phi_lap,
+            v2 * (uarr * phi_grad).sum(axis=0), contraction * phi_val,
+            psum * (varr * phi_grad).sum(axis=0))])
         if i == idx[-1]:
-            v_at_s = v2
-            phi_at_s = phi_val
+            boundary = float((v2 * phi_val).sum()) * vol
 
     tt = np.asarray(times)[idx]
-
-    def integrate(key):
-        return float(np.trapezoid(np.asarray(terms_t[key]), tt))
-
-    terms = {
-        "boundary": float((v_at_s * phi_at_s).sum()) * vol,
-        "grad": 2.0 * nu * integrate("grad"),
-        "phi_t": integrate("phi_t"),
-        "phi_lap": nu * integrate("phi_lap"),
-        "transport": integrate("transport"),
-        "hessian": 2.0 * integrate("hessian"),
-        "pressure": 2.0 * integrate("pressure"),
-    }
+    grad, phi_t, phi_lap, transport, hessian, pressure = (
+        float(np.trapezoid(col, tt)) for col in np.array(rows).T)
+    terms = {"boundary": boundary, "grad": 2.0 * nu * grad, "phi_t": phi_t,
+             "phi_lap": nu * phi_lap, "transport": transport,
+             "hessian": 2.0 * hessian, "pressure": 2.0 * pressure}
     lhs = terms["boundary"] + terms["grad"]
     rhs = (terms["phi_t"] + terms["phi_lap"] + terms["transport"]
            + terms["hessian"] + terms["pressure"])

@@ -312,6 +312,26 @@ def test_stokes_check_rejects_a_bump_off_every_frame(capsys, field_file):
     assert "holds no frame up to s=0.15" in err["error"]
 
 
+@pytest.mark.parametrize("bump, expected", [
+    ("0.3,0.5,0.5,0.22,0.1,0.1", "test function support leaves the analysis cube"),
+    ("0.5,0.5,0.5,0.22,0.5,0.1", "holds no frame up to s=0.15"),
+], ids=["off-cube", "off-frame"])
+def test_stokes_check_rejects_a_bad_bump_before_solving(capsys, field_file,
+                                                         monkeypatch, bump,
+                                                         expected):
+    import regscan.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("pressure solve before the bump check")
+
+    monkeypatch.setattr(regscan.cli, "pressure_parts", no_solve)
+    path, _ = field_file
+    err = one_line_error(capsys, main([
+        "stokes-check", path, "--cube", "0.25,0.25,0.25,0.5", "--bump", bump]))
+    assert err["type"] == "ValueError"
+    assert expected in err["error"]
+
+
 @pytest.mark.parametrize("cube", ["-1,-1,-1,5", "-0.25,0.25,0.25,0.75",
                                   "0.25,0.25,0.5,0.75"])
 def test_stokes_check_rejects_a_cube_leaving_the_field(capsys, field_file, cube):

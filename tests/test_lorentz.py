@@ -73,6 +73,14 @@ def test_distribution_at_counts_cells_above_every_level(rng):
             assert prof.distribution_at(h) == np.count_nonzero(np.abs(vals) > h)
 
 
+def test_distribution_at_rejects_a_nan_level():
+    prof = distribution(line_grid([3.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="must not be NaN"):
+        prof.distribution_at(np.nan)
+    assert prof.distribution_at(-np.inf) == 3.0
+    assert prof.distribution_at(np.inf) == 0.0
+
+
 def test_weak_norm_matches_sorted_formula(rng):
     q = 3.0
     for _ in range(20):

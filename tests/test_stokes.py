@@ -29,8 +29,8 @@ from regscan.stokes import (
     restrict_to_cube,
     vector_laplacian,
 )
-from regscan.stokes import (_apply_a, _ComponentSolver, _div_faces,
-                            _grad_to_faces)
+from regscan.stokes import (_apply_a, _ax, _basis, _div_faces, _gather,
+                            _grad_to_faces, _spread)
 
 
 def unit_box(n):
@@ -116,27 +116,90 @@ def test_estar_raises_on_unreachable_tolerance():
     assert len(err.value.residual_history) > 1
 
 
+def basis_matrix_refs(m):
+    """The m-point orthonormal transforms of _basis (the DST-I of an axis
+    with m + 1 cells), each with scipy's matrix of the same transform."""
+    basis = _basis((m + 1, m, m), (1.0, 1.0, 1.0))
+    eye = np.eye(m)
+
+    def ref(fn, kind):
+        return fn(eye, type=kind, norm="ortho", axis=0)
+
+    return [(basis.C[1], ref(scipy.fft.dct, 2)),
+            (basis.Q2[1], ref(scipy.fft.dst, 2)),
+            (basis.Q1[0], ref(scipy.fft.dst, 1))]
+
+
 @pytest.mark.parametrize("m", [15, 16, 31, 37, 50, 51])
 def test_sine_matrices_match_scipy_dst(m):
-    # axis 0 is the component's own axis (type I, n = m + 1 cells);
-    # axis 1 holds cell lines (type II, n = m cells)
-    solver = _ComponentSolver(0, (m + 1, m, m), (1.0, 1.0, 1.0))
-    eye = np.eye(m)
-    for b, kind in ((0, 1), (1, 2)):
-        for mat, ref in ((solver.fwd[b], scipy.fft.dst(eye, type=kind, axis=0)),
-                         (solver.inv[b], scipy.fft.idst(eye, type=kind, axis=0))):
-            assert mat.shape == ref.shape
-            assert np.abs(mat - ref).max() <= 1e-13 * np.abs(ref).max()
+    for mat, ref in basis_matrix_refs(m)[1:]:
+        assert mat.shape == ref.shape
+        assert np.abs(mat - ref).max() <= 1e-13
 
 
-def test_component_solver_inverts_the_vector_laplacian():
+@pytest.mark.parametrize("m", [15, 16, 31, 37, 50, 51])
+def test_cosine_matrix_matches_scipy_dct(m):
+    mat, ref = basis_matrix_refs(m)[0]
+    assert mat.shape == ref.shape
+    assert np.abs(mat - ref).max() <= 1e-13
+
+
+def cosine_operators(n, h):
+    """K p̂ (∇Cᵀp̂ in each component's sine basis) and the Schur operator
+    Ŝ p̂ = Σ_a K_aᵀ (K_a p̂ / lam_a), composed from the basis."""
+    basis = _basis(n, h)
+
+    def K(p_hat):
+        return [g * x for g, x in zip(basis.g, _spread(basis.N, p_hat))]
+
+    def S(p_hat):
+        return _gather(basis.N, [g * k / lam for g, k, lam
+                                 in zip(basis.g, K(p_hat), basis.lam)])
+
+    return basis, K, S
+
+
+def along(mat, x, axis):
+    """mat applied along one axis of x (tensordot, independent of _along)."""
+    return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
+
+
+def test_cosine_basis_velocity_solves_the_momentum_equation():
+    # v_a = Q_aᵀ (K_a p̂ / lam_a) solves A v = ∇(Cᵀp̂) on the interior faces,
+    # and Cᵀ Ŝ p̂ = -div v
     n, h = (16, 17, 19), (0.1, 0.13, 0.07)
-    rng = np.random.default_rng(4)
-    xs = [rng.normal(size=[m - 1 if b == a else m for b, m in enumerate(n)])
-          for a in range(3)]
-    ax = _apply_a(xs, h)
-    for a in range(3):
-        assert rel_diff(_ComponentSolver(a, n, h).solve(ax[a]), xs[a]) <= 1e-12
+    basis, K, S = cosine_operators(n, h)
+    p_hat = np.random.default_rng(4).normal(size=n)
+    v = []
+    for a, (k, lam) in enumerate(zip(K(p_hat), basis.lam)):
+        x = (k / lam)[_ax(a, slice(1, None))]     # mode 0 along a is empty
+        for b in range(3):
+            x = along((basis.Q1 if b == a else basis.Q2)[b].T, x, b)
+        v.append(x)
+    p, Sp = p_hat, S(p_hat)
+    for b in range(3):
+        p, Sp = along(basis.C[b].T, p, b), along(basis.C[b].T, Sp, b)
+    for av, g in zip(_apply_a(v, h), _grad_to_faces(p, h)):
+        assert rel_diff(av, g) <= 1e-12
+    assert rel_diff(Sp, -_div_faces(v, h)) <= 1e-12
+
+
+def test_cosine_schur_operator_is_symmetric_with_the_constant_null_space():
+    n, h = (16, 17, 19), (0.1, 0.13, 0.07)
+    _, _, S = cosine_operators(n, h)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    xy, yx = float((x * S(y)).sum()), float((S(x) * y).sum())
+    assert abs(xy - yx) <= 1e-12 * abs(xy)
+    # dense on a small grid: one zero eigenvalue, with the (0, 0, 0) mode
+    n, h = (4, 5, 6), (0.25, 0.2, 1 / 6)
+    _, _, S = cosine_operators(n, h)
+    eye = np.eye(int(np.prod(n)))
+    dense = np.array([S(e.reshape(n)).ravel() for e in eye]).T
+    assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+    w, vec = np.linalg.eigh(dense)
+    assert abs(w[0]) <= 1e-12 * w[-1] and w[1] >= 1e-3 * w[-1]
+    assert abs(abs(vec[0, 0]) - 1.0) <= 1e-12
 
 
 def test_mac_duality_on_interior_faces():
