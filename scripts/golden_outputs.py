@@ -1,6 +1,7 @@
 """Dump the numerical outputs of `stokes`, `dyadic.localize`, the dyadic
-meet-relation clustering and the CLI pipeline path (`run_solver`, field
-I/O, the cylinder quantities), or compare two dumps bit for bit.
+meet-relation clustering, packing count and key expansion, and the CLI
+pipeline path (`run_solver`, field I/O, the cylinder quantities), or
+compare two dumps bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
 dumping at the parent commit and at the change, then comparing:
@@ -20,7 +21,13 @@ Schur CG iteration counts; the largest difference of each is printed. Each
 clusters as sorted offset lists and the per-level F and G offsets. The
 clusters section dumps `_cluster_labels` on seeded random offset sets and
 on a broken filament, once as is and once with `_DENSE_VOXEL_CAP` at 0,
-which sends every coarse component down the sparse path. The pipeline
+which sends every coarse component down the sparse path, and on 8000
+isolated offsets. The packing section dumps `_greedy_disjoint` counts on a
+dense level-0 selection of a seeded random field, on a lattice where every
+cube is kept and on seeded random sets, each with the bulk-kill cut-over
+`_BULK_KILL` as set, always on and always off (a module without it ignores
+it), and the `_spread` keys for the dilation, child and parent bounds, with
+and without a cover, on sorted and on shuffled keys with repeats. The pipeline
 section dumps solver frames and histories, the SHA-256 of the
 written field file, the read-back frames with their memory layout, the
 non-finite read and write errors, every cylinder quantity on windows that
@@ -49,7 +56,8 @@ from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
                             harmonic_residual, harmonic_rigidity_check,
                             local_energy_residual, pressure_parts,
                             restrict_to_cube, vector_laplacian)
-from regscan.synth import SolverConfig, SpikeSpec, run_solver, spike_field
+from regscan.synth import (SolverConfig, SpikeSpec, random_solenoidal,
+                           run_solver, spike_field)
 
 def _js(obj):
     return np.array(json.dumps(obj, sort_keys=True, default=float))
@@ -177,6 +185,62 @@ def cluster_outputs(out):
             out[f"clusters.{tag}(sparse)"] = dyadic._cluster_labels(j, dm)
         finally:
             dyadic._DENSE_VOXEL_CAP = cap
+    # 8000 offsets at least 15 apart at dm=9: single offsets, some of them
+    # in adjacent coarse cells
+    grid = 20 * np.stack(np.meshgrid(*[np.arange(20)] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+    out["clusters.isolated8000"] = dyadic._cluster_labels(
+        grid + rng.integers(0, 6, size=grid.shape), 9)
+
+
+def _greedy_counts(j, eps):
+    """`_greedy_disjoint` with the bulk-kill cut-over as set, always on and
+    always off."""
+    missing = object()
+    saved = getattr(dyadic, "_BULK_KILL", missing)
+    counts = []
+    try:
+        for cut in (saved, -1.0, np.inf):
+            if cut is not missing:
+                dyadic._BULK_KILL = cut
+            counts.append(dyadic._greedy_disjoint(j, eps))
+    finally:
+        if saved is missing:
+            del dyadic._BULK_KILL
+        else:
+            dyadic._BULK_KILL = saved
+    return np.array(counts)
+
+
+def packing_outputs(out):
+    frame = random_solenoidal(n=48, seed=3, rms=0.5)
+    sets = {f"dense(eps{eps})": (dyadic.select_f0(frame, eps).F_indices, eps)
+            for eps in (0.1, 0.2)}
+    a = 10 * np.arange(30)
+    sets["all_kept(dm9)"] = (np.stack(np.meshgrid(a, a, a, indexing="ij"),
+                                      axis=-1).reshape(-1, 3), 0.1)
+    rng = np.random.default_rng(11)
+    for dm in (1, 2, 3, 5, 9):
+        for i in range(4):
+            n = int(rng.integers(1, 3000))
+            j = rng.integers(-4 * dm, 4 * dm, size=(n, 3))
+            sets[f"random(dm{dm})[{i}]"] = (np.unique(j, axis=0), 1 / (dm + 1))
+    for tag, (j, eps) in sets.items():
+        out[f"greedy.{tag}"] = _greedy_counts(j, eps)
+
+    # the dilation, child and parent bounds at eps 0.2 (dm 4, span 5)
+    keys = dyadic._pack(sets["dense(eps0.2)"][0])
+    shuffled = rng.permutation(np.concatenate([keys[::7], keys[::11]]))
+    dm, span = 4, 5
+    bounds = {"dilation": (lambda j: (j - dm, j + dm), 0),
+              "children": (lambda j: (2 * j, 2 * j + span), 1),
+              "parents": (lambda j: ((j - span + 1) // 2, j // 2), -1)}
+    for tag, (b, level) in bounds.items():
+        for name, k in (("sorted", keys), ("shuffled", shuffled)):
+            out[f"spread.{tag}.{name}"] = dyadic._spread(k, b)
+            if level >= 0:
+                cover = dyadic._cover_ranges(level, 0.2, frame.box)
+                out[f"spread.{tag}.{name}(cover)"] = dyadic._spread(k, b, cover)
 
 
 def _run_outputs(out, tag, cfg):
@@ -345,6 +409,7 @@ def main(argv):
         stokes_outputs(out)
         chain_outputs(out)
         cluster_outputs(out)
+        packing_outputs(out)
         pipeline_outputs(out)
         np.savez(argv[1], **out)
         print(f"{len(out)} outputs written to {argv[1]}")

@@ -10,9 +10,12 @@ points; the count of selected cubes per level is certified against the
 measure-packing bounds that cap the number of candidates at
 eps^-7 M^3 + eps^-3 for fields with weak-L^3 norm at most M.
 
-Cube families are held as integer lattice-offset arrays packed into int64
-keys; neighbour and child enumerations are separable per axis, which keeps
-full 128^3 scans in the tens of millions of integer ops.
+Cube families are sorted int64 keys of packed lattice offsets. Neighbour,
+child and parent families are separable per axis: `_spread` expands merged
+runs of ranges, at three sorts of the distinct keys. The packing count
+`_greedy_disjoint` kills a kept cube's later neighbours in bulk where they
+are dense, so it pays a Python step per kept cube there, not per selected
+one. Keys and counts are those of a plain expansion and a plain greedy.
 """
 
 import warnings
@@ -24,15 +27,8 @@ from scipy import ndimage
 from .lorentz import weak_norm
 
 __all__ = [
-    "CountBoundError",
-    "DyadicCube",
-    "SelectionFamily",
-    "CandidateSet",
-    "build_cover",
-    "select_f0",
-    "select_fk",
-    "build_chains",
-    "count_bound",
+    "CountBoundError", "DyadicCube", "SelectionFamily", "CandidateSet",
+    "build_cover", "select_f0", "select_fk", "build_chains", "count_bound",
     "localize",
 ]
 
@@ -57,42 +53,42 @@ def _unpack(keys):
     return ((keys[:, None] >> _SHIFTS) & _MASK) - _OFF
 
 
-def _unique(keys):
-    """Sorted distinct keys; sorts `keys` in place."""
-    keys.sort()
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
 def _spread(keys, bounds, cover=None):
     """Replace each key's offset j along every axis by the range bounds(j).
 
-    bounds maps an offset array to inclusive (lo, hi) arrays; the result is
-    sorted and deduplicated after each axis. Short ranges repeat their last
-    offset instead of being masked, so no (n, width) mask is built. Each
-    range is clipped to the inclusive per-axis limits cover (`_cover_ranges`)
-    before it expands; keys left with an empty range are dropped.
+    bounds maps an offset array to inclusive (lo, hi) arrays, both
+    nondecreasing in j, as the dilation, child and parent bounds are. Per
+    axis the keys are sorted with that axis fastest, so the ranges of one
+    line come in order; overlapping ones merge into runs, and expanding
+    only the runs yields the keys sorted and distinct, at one sort of the
+    distinct keys per axis and with no (n, width) array. Each range is
+    clipped to the inclusive per-axis limits cover (`_cover_ranges`) first;
+    keys left with an empty range are dropped.
     """
-    for axis, shift in enumerate(_SHIFTS):
-        j = ((keys >> shift) & _MASK) - _OFF
+    order = (0, 1, 2)   # the axis held by each field of keys, high to low
+    for axis, new in ((0, (1, 2, 0)), (1, (0, 2, 1)), (2, (0, 1, 2))):
+        f = {a: (keys >> s) & _MASK for a, s in zip(order, _SHIFTS)}
+        keys = np.sort((f[new[0]] << 40) | (f[new[1]] << 20) | f[axis])
+        order = new
+        j = (keys & _MASK) - _OFF
         lo, hi = bounds(j)
         if np.any(lo <= -_OFF) or np.any(hi >= _OFF):
             raise ValueError("lattice offset exceeds packing range")
+        line = keys - (j + _OFF)
         if cover is not None:
             lo = np.maximum(lo, cover[axis][0])
             hi = np.minimum(hi, cover[axis][1])
             keep = lo <= hi
-            keys, j, lo, hi = keys[keep], j[keep], lo[keep], hi[keep]
-        if len(keys) == 0:
-            break
-        width = hi - lo
-        out = np.minimum(np.arange(int(width.max()) + 1), width[:, None])
-        out += (lo - j)[:, None]
-        out <<= shift
-        out += keys[:, None]
-        keys = _unique(out.ravel())
+            line, lo, hi = line[keep], lo[keep], hi[keep]
+        if len(line) == 0:
+            return line
+        # a run starts on a new line or past the end of the range before it
+        first = np.flatnonzero(np.r_[True, (line[1:] != line[:-1])
+                                     | (lo[1:] > hi[:-1] + 1)])
+        last = np.append(first[1:], len(line)) - 1
+        count = hi[last] - lo[first] + 1
+        keys = np.repeat(line[first] + lo[first] + _OFF - np.cumsum(count) + count,
+                         count) + np.arange(count.sum(), dtype=np.int64)
     return keys
 
 
@@ -209,25 +205,41 @@ def _cube_counts(p, box, j, k, eps):
     (x0, y0, z0), (x1, y1, z1) = (
         [np.searchsorted(c, v[:, a]) for a, c in enumerate(box.centers())]
         for v in (lo, lo + s))
-    return (
-        p[x1, y1, z1] - p[x0, y1, z1] - p[x1, y0, z1] - p[x1, y1, z0]
-        + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0]
-    )
+    return (p[x1, y1, z1] - p[x0, y1, z1] - p[x1, y0, z1] - p[x1, y1, z0]
+            + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0])
 
 
 _NEIGHBOURS = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+_BULK_KILL = 0.5
 
 
 def _greedy_disjoint(j, eps):
-    """Size of the lexicographic greedy maximal pairwise-disjoint subfamily.
+    """Size of the greedy maximal pairwise-disjoint subfamily of the offsets
+    j, taken in order (lexicographic, as every caller sorts them).
 
     Two kept cubes never meet, so a bucket of side dm + 1 holds at most one
     of them, and a cube can only meet kept cubes of the 27 buckets around it.
+    A kept cube in a dense row (more than _BULK_KILL * (dm + 1) cubes of its
+    (x, y) row within z distance dm, itself included) also kills each later
+    cube within dm by one `searchsorted` over the (dm + 1)(2dm + 1) rows
+    ahead, and the walk jumps to the next live cube. A dense level so costs
+    about a Python step per kept cube; a sparse one, one per cube as before.
+    Kills remove only cubes the bucket check rejects, so the count is exact.
     """
     dm = _meet_radius(eps)
     b = dm + 1
+    keys = _pack(j)
+    n = len(keys)
+    row = np.searchsorted(keys, keys + dm, "right") - np.searchsorted(keys, keys - dm)
+    # kills need sorted distinct keys and room for the rows around the cube
+    bulk = ((row > _BULK_KILL * b) & np.all(np.abs(j) < _OFF - dm, axis=1)
+            & np.all(keys[1:] > keys[:-1]))
+    rel = ((np.arange(b)[:, None] << 40) + (np.arange(-dm, b) << 20)).ravel()
+    dead = np.zeros(n + 1, dtype=bool)   # dead[n] stays live: the walk's end
     kept = {}
-    for x, y, z in j.tolist():
+    i = 0
+    while i < n:
+        x, y, z = j[i].tolist()
         bx, by, bz = x // b, y // b, z // b
         for dx, dy, dz in _NEIGHBOURS:
             q = kept.get((bx + dx, by + dy, bz + dz))
@@ -236,6 +248,14 @@ def _greedy_disjoint(j, eps):
                 break
         else:
             kept[bx, by, bz] = (x, y, z)
+            if bulk[i]:
+                lo = np.searchsorted(keys, keys[i] + rel - dm)
+                count = np.searchsorted(keys, keys[i] + rel + dm, "right") - lo
+                dead[np.repeat(lo - np.cumsum(count) + count, count)
+                     + np.arange(count.sum())] = True
+        i += 1
+        if dead[i]:   # jump to the next live cube; argmin stops at the first
+            i += int(dead[i:].argmin())
     return len(kept)
 
 
@@ -335,18 +355,10 @@ def _make_family(mag, k, eps, shape_factor, j, M, prefix):
 
     cert = _certificate(len(sel), nd, thr, global_measure, height, M, eps_eff)
     return SelectionFamily(
-        level=k,
-        eps=eps,
-        shape_factor=shape_factor,
-        height=height,
-        measure_threshold=thr,
-        F_indices=sel,
-        G_indices=g,
-        n_disjoint=nd,
-        global_measure=global_measure,
-        certificate=cert,
-        boundary_adjacent=boundary,
-    )
+        level=k, eps=eps, shape_factor=shape_factor, height=height,
+        measure_threshold=thr, F_indices=sel, G_indices=g, n_disjoint=nd,
+        global_measure=global_measure, certificate=cert,
+        boundary_adjacent=boundary)
 
 
 def select_f0(frame, eps, shape_factor=1.0, M=None):
@@ -466,28 +478,31 @@ def _cluster_labels(j, dm):
     Offsets are pre-split on a coarse grid of pitch dm (meeting offsets land
     in identical or 26-adjacent coarse cells, so the split never separates a
     true pair) by `_cluster_labels_sparse` at radius 1 over the occupied
-    cells only, sorted as packed keys. Each coarse component is then labeled
-    on a doubled dense lattice where the boxes [2j, 2j + 2*dm] overlap iff
-    the offsets meet; doubling makes face contact without overlap impossible
-    by parity, so 6-connected labeling of the dilated occupancy is the exact
-    relation. A lattice above _DENSE_VOXEL_CAP cells takes the sparse path.
+    cells only, sorted as packed keys, and grouped by one stable argsort. A
+    one-cell component is one cluster (its offsets differ by less than dm)
+    and needs no grid. Each other component is labeled on a doubled dense
+    lattice where the boxes [2j, 2j + 2*dm] overlap iff the offsets meet;
+    doubling makes face contact without overlap impossible by parity, so
+    6-connected labeling of the dilated occupancy is the exact relation. A
+    lattice above _DENSE_VOXEL_CAP cells takes the sparse path.
     """
     if len(j) == 0:
         return np.empty(0, np.int64)
 
-    keys = _pack(np.floor_divide(j, dm))
-    cells = _unique(keys.copy())
-    pre = _cluster_labels_sparse(_unpack(cells), 1)[np.searchsorted(cells, keys)]
-
-    labels = np.empty(len(j), np.int64)
-    base = 0
-    for c in np.unique(pre):
-        idx = np.nonzero(pre == c)[0]
+    cells, cell_of = np.unique(_pack(np.floor_divide(j, dm)), return_inverse=True)
+    comp = _cluster_labels_sparse(_unpack(cells), 1)
+    pre = comp[cell_of]
+    order = np.argsort(pre, kind="stable")
+    end = np.cumsum(np.bincount(pre))
+    n_labels = np.ones(len(end), np.int64)
+    sub = np.zeros(len(j), np.int64)
+    for c in np.flatnonzero(np.bincount(comp) > 1):
+        idx = order[end[c - 1] if c else 0:end[c]]
         pj = j[idx]
         d = 2 * (pj - pj.min(axis=0))
         shape = tuple(int(v) for v in d.max(axis=0) + 2 * dm + 1)
         if int(np.prod([float(v) for v in shape])) > _DENSE_VOXEL_CAP:
-            sub = _cluster_labels_sparse(pj, dm)
+            lab = _cluster_labels_sparse(pj, dm)
         else:
             grid = np.zeros(shape, dtype=np.uint8)
             grid[tuple(d.T)] = 1
@@ -495,11 +510,10 @@ def _cluster_labels(j, dm):
                 grid = ndimage.maximum_filter1d(grid, size=2 * dm + 1,
                                                 axis=axis, origin=-dm)
             fine, _ = ndimage.label(grid)
-            sub = fine[tuple(d.T)]
-        _, sub = np.unique(sub, return_inverse=True)
-        labels[idx] = base + sub
-        base += int(sub.max()) + 1
-    return labels
+            lab = fine[tuple(d.T)]
+        _, sub[idx] = np.unique(lab, return_inverse=True)
+        n_labels[c] = sub[idx].max() + 1
+    return (np.cumsum(n_labels) - n_labels)[pre] + sub
 
 
 def build_chains(families, box):
@@ -514,16 +528,9 @@ def build_chains(families, box):
     families = list(families)
     if not families:
         return CandidateSet(
-            points=np.zeros((0, 3)),
-            clusters=[],
-            chains=[],
-            regular=True,
-            terminated_per_level=[],
-            survivors_per_level=[],
-            boundary_adjacent=False,
-            eps=float("nan"),
-            k_max=-1,
-        )
+            points=np.zeros((0, 3)), clusters=[], chains=[], regular=True,
+            terminated_per_level=[], survivors_per_level=[],
+            boundary_adjacent=False, eps=float("nan"), k_max=-1)
 
     eps_eff = families[0].eps_effective
     k_max = families[-1].level
@@ -557,16 +564,11 @@ def build_chains(families, box):
         chains.append(list(reversed(chain)))
 
     return CandidateSet(
-        points=np.asarray(points).reshape(-1, 3),
-        clusters=clusters,
-        chains=chains,
-        regular=not clusters,
-        terminated_per_level=terminated,
+        points=np.asarray(points).reshape(-1, 3), clusters=clusters,
+        chains=chains, regular=not clusters, terminated_per_level=terminated,
         survivors_per_level=[int(len(r)) for r in reach],
         boundary_adjacent=bool(_protrudes(j, k_max, eps_eff, box).any()),
-        eps=families[0].eps,
-        k_max=k_max,
-    )
+        eps=families[0].eps, k_max=k_max)
 
 
 def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
@@ -595,10 +597,8 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]
     if underresolved:
         suggested = int(np.floor(np.log2(1.0 / (4.0 * hmax))))
-        msg = (
-            f"cubes at levels {underresolved} span fewer than 4 cells; "
-            f"largest safe k_max is {max(suggested, 0)}"
-        )
+        msg = (f"cubes at levels {underresolved} span fewer than 4 cells; "
+               f"largest safe k_max is {max(suggested, 0)}")
         if on_underresolved == "error":
             raise ValueError(msg)
         warnings.warn(msg)

@@ -169,12 +169,59 @@ def test_spread_with_cover_matches_spread_then_filter(rng, eps):
     assert len(got) == 0 and got.dtype == np.int64
 
 
+def brute_spread(keys, bounds, cover=None):
+    """Every offset of the per-axis ranges of every key, as sorted distinct
+    keys: a plain expansion through Python tuples."""
+    out = set()
+    for row in _unpack(keys):
+        ranges = []
+        for axis, v in enumerate(row):
+            lo, hi = (int(b[0]) for b in bounds(np.array([v])))
+            if cover is not None:
+                lo, hi = max(lo, cover[axis][0]), min(hi, cover[axis][1])
+            ranges.append(range(lo, hi + 1))
+        out.update(product(*ranges))
+    return np.sort(_pack(sorted(out))) if out else np.empty(0, np.int64)
+
+
+SPREAD_BOUNDS = {
+    "dilation": lambda j: (j - 4, j + 4),
+    "children": lambda j: (2 * j, 2 * j + 5),
+    "parents": lambda j: ((j - 4) // 2, j // 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPREAD_BOUNDS))
+def test_spread_matches_plain_expansion(rng, kind):
+    bounds = SPREAD_BOUNDS[kind]
+    box = Box3((0.0, 0.1, -0.2), (1.0, 0.7, 0.55), (8, 8, 8))
+    cover = _cover_ranges(2, 0.2, box)
+    for _ in range(10):
+        j = random_offsets(rng, int(rng.integers(1, 40)), -12, 20)
+        keys = _pack(j)
+        # keys in any order, with repeats, give the same sorted distinct keys
+        mixed = rng.permutation(np.concatenate([keys, keys[::3]]))
+        for c in (None, cover):
+            expect = brute_spread(keys, bounds, c)
+            assert np.array_equal(_spread(keys, bounds, c), expect)
+            assert np.array_equal(_spread(mixed, bounds, c), expect)
+    if kind != "parents":   # halving never leaves the packing range
+        with pytest.raises(ValueError, match="packing range"):
+            _spread(_pack([[0, _OFF - 3, 0]]), bounds, cover)
+
+
 def brute_greedy_disjoint(j, dm):
-    kept = []
+    """Lexicographic greedy over sorted offsets, each compared with every
+    kept offset whose x lies within dm (kept x never decreases)."""
+    assert np.array_equal(np.unique(j, axis=0), j)
+    kept = np.empty_like(j)
+    m = 0
     for row in j:
-        if all(np.max(np.abs(row - q)) > dm for q in kept):
-            kept.append(row)
-    return len(kept)
+        near = kept[np.searchsorted(kept[:m, 0], row[0] - dm):m]
+        if not np.any(np.max(np.abs(near - row), axis=1) <= dm):
+            kept[m] = row
+            m += 1
+    return m
 
 
 @pytest.mark.parametrize("dm", [1, 2, 3, 5])
@@ -183,6 +230,45 @@ def test_greedy_disjoint_matches_quadratic_greedy(rng, dm):
     for _ in range(20):
         j = random_offsets(rng, int(rng.integers(1, 120)), -12, 12)
         assert _greedy_disjoint(j, eps) == brute_greedy_disjoint(j, dm)
+
+
+def lattice(n, pitch):
+    a = pitch * np.arange(n)
+    return np.stack(np.meshgrid(a, a, a, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def test_greedy_disjoint_matches_brute_greedy(rng, monkeypatch):
+    """With the bulk-kill cut-over as set, always on and always off."""
+    import regscan.dyadic
+
+    cases = [(lattice(30, 1), 9), (lattice(30, 1), 4), (lattice(30, 10), 9)]
+    for dm in (1, 2, 3, 5, 9):
+        for _ in range(8):
+            n = int(rng.integers(1, 400))
+            cases.append((random_offsets(rng, n, -3 * dm, 3 * dm), dm))
+    counts = [brute_greedy_disjoint(j, dm) for j, dm in cases]
+    # a full 30^3 block keeps every (dm + 1)-th offset per axis; the pitch-10
+    # lattice keeps every offset
+    assert counts[:3] == [27, 216, 27000]
+    for bulk in (regscan.dyadic._BULK_KILL, -1.0, np.inf):
+        with monkeypatch.context() as m:
+            m.setattr(regscan.dyadic, "_BULK_KILL", bulk)
+            for (j, dm), count in zip(cases, counts):
+                assert _greedy_disjoint(j, 1.0 / (dm + 1)) == count
+
+
+def test_greedy_disjoint_follows_an_unsorted_order(rng, monkeypatch):
+    """Offsets out of order or repeated take the bucket check alone."""
+    import regscan.dyadic
+
+    monkeypatch.setattr(regscan.dyadic, "_BULK_KILL", -1.0)
+    for dm in (2, 5, 9):
+        j = rng.integers(-3 * dm, 3 * dm, size=(300, 3))
+        kept = []
+        for row in j:
+            if all(np.max(np.abs(row - q)) > dm for q in kept):
+                kept.append(row)
+        assert _greedy_disjoint(j, 1.0 / (dm + 1)) == len(kept)
 
 
 def two_bump_frame(n=12, extent=0.6):
