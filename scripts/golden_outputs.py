@@ -19,10 +19,10 @@ rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
 `localize` run dumps its whole `to_dict()` payload, its chains, its
 clusters as sorted offset lists and the per-level F and G offsets. The
-clusters section dumps `_cluster_labels` on seeded random offset sets and
-on a broken filament, once as is and once with `_DENSE_VOXEL_CAP` at 0,
-which sends every coarse component down the sparse path, and on 8000
-isolated offsets. The packing section dumps `_greedy_disjoint` counts on a
+clusters section dumps the `_cluster_labels` partition of seeded random
+offset sets, a broken filament and 8000 isolated offsets, with labels
+renumbered by first appearance, so a change of label numbering alone
+compares equal. The packing section dumps `_greedy_disjoint` counts on a
 dense level-0 selection of a seeded random field, on a lattice where every
 cube is kept and on seeded random sets, each with the bulk-kill cut-over
 `_BULK_KILL` as set, always on and always off (a module without it ignores
@@ -161,6 +161,13 @@ def chain_outputs(out):
                       eps_shape_factor=1.1)
 
 
+def _partition(labels):
+    """Labels renumbered 0, 1, ... in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def cluster_outputs(out):
     rng = np.random.default_rng(5)
     sets = {}
@@ -177,20 +184,12 @@ def cluster_outputs(out):
     sets["filament(dm9)"] = (np.unique(np.concatenate(
         [path, path + (0, 1, 0), path + (0, 0, 1)]), axis=0), 9)
 
-    cap = dyadic._DENSE_VOXEL_CAP
-    for tag, (j, dm) in sets.items():
-        out[f"clusters.{tag}"] = dyadic._cluster_labels(j, dm)
-        try:
-            dyadic._DENSE_VOXEL_CAP = 0
-            out[f"clusters.{tag}(sparse)"] = dyadic._cluster_labels(j, dm)
-        finally:
-            dyadic._DENSE_VOXEL_CAP = cap
-    # 8000 offsets at least 15 apart at dm=9: single offsets, some of them
-    # in adjacent coarse cells
+    # 8000 offsets at least 15 apart at dm=9: one cluster each
     grid = 20 * np.stack(np.meshgrid(*[np.arange(20)] * 3, indexing="ij"),
                          axis=-1).reshape(-1, 3)
-    out["clusters.isolated8000"] = dyadic._cluster_labels(
-        grid + rng.integers(0, 6, size=grid.shape), 9)
+    sets["isolated8000"] = (grid + rng.integers(0, 6, size=grid.shape), 9)
+    for tag, (j, dm) in sets.items():
+        out[f"clusters.{tag}"] = _partition(dyadic._cluster_labels(j, dm))
 
 
 def _greedy_counts(j, eps):

@@ -16,13 +16,15 @@ runs of ranges, at three sorts of the distinct keys. The packing count
 `_greedy_disjoint` kills a kept cube's later neighbours in bulk where they
 are dense, so it pays a Python step per kept cube there, not per selected
 one. Keys and counts are those of a plain expansion and a plain greedy.
+The survivors cluster on z-runs of their keys (`_cluster_labels`): offsets
+of one (x, y) line chain into runs, runs on nearby lines join by their z
+spans, and clusters are numbered by their lexicographically first offset.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .lorentz import weak_norm
 
@@ -419,7 +421,8 @@ def _parents_of(keys, eps_eff):
 class CandidateSet:
     """Surviving nested-cube chains, clustered into candidate points: per
     candidate, clusters holds its (m, 3) int64 deepest-level offsets in
-    lexicographic order and chains one DyadicCube chain, coarsest first."""
+    lexicographic order and chains one DyadicCube chain, coarsest first.
+    Candidates are ordered by their lexicographically first offset."""
 
     points: np.ndarray
     clusters: list
@@ -455,65 +458,54 @@ class CandidateSet:
         }
 
 
-_DENSE_VOXEL_CAP = 200_000_000
+def _cluster_labels(j, dm):
+    """Connected components of lattice offsets under |dj|_inf <= dm, exactly,
+    numbered in the order of their lexicographically first offsets.
 
-
-def _cluster_labels_sparse(j, dm):
-    """Meet-relation components from a KD-tree pair query, numbered by their
-    first member; memory grows with the meeting pairs, not a bounding box."""
+    In the sorted packed keys, offsets of one (x, y) line with z gaps of at
+    most dm chain into a run. Runs on lines at most dm apart in x and y meet
+    exactly when their z spans are at most dm apart (an end of one span
+    inside the other lies between two members at most dm apart; a gap of at
+    most dm is bridged by the two ends), and per line shift the runs a run
+    meets form one range of the sorted runs, found by `searchsorted`. After
+    each x step of the shifts one `connected_components` call contracts the
+    components so far, so only one step's meeting pairs are held at once;
+    the steps stop once a single component is left.
+    """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
 
-    pairs = cKDTree(j).query_pairs(dm, p=np.inf, output_type="ndarray")
-    g = coo_matrix((np.ones(len(pairs), bool), (pairs[:, 0], pairs[:, 1])),
-                   shape=(len(j), len(j)))
-    _, lab = connected_components(g, directed=False)
-    return lab.astype(np.int64)
-
-
-def _cluster_labels(j, dm):
-    """Connected components of lattice offsets under |dj|_inf <= dm, exactly.
-
-    Offsets are pre-split on a coarse grid of pitch dm (meeting offsets land
-    in identical or 26-adjacent coarse cells, so the split never separates a
-    true pair) by `_cluster_labels_sparse` at radius 1 over the occupied
-    cells only, sorted as packed keys, and grouped by one stable argsort. A
-    one-cell component is one cluster (its offsets differ by less than dm)
-    and needs no grid. Each other component is labeled on a doubled dense
-    lattice where the boxes [2j, 2j + 2*dm] overlap iff the offsets meet;
-    doubling makes face contact without overlap impossible by parity, so
-    6-connected labeling of the dilated occupancy is the exact relation. A
-    lattice above _DENSE_VOXEL_CAP cells takes the sparse path.
-    """
     if len(j) == 0:
         return np.empty(0, np.int64)
-
-    cells, cell_of = np.unique(_pack(np.floor_divide(j, dm)), return_inverse=True)
-    comp = _cluster_labels_sparse(_unpack(cells), 1)
-    pre = comp[cell_of]
-    order = np.argsort(pre, kind="stable")
-    end = np.cumsum(np.bincount(pre))
-    n_labels = np.ones(len(end), np.int64)
-    sub = np.zeros(len(j), np.int64)
-    for c in np.flatnonzero(np.bincount(comp) > 1):
-        idx = order[end[c - 1] if c else 0:end[c]]
-        pj = j[idx]
-        d = 2 * (pj - pj.min(axis=0))
-        shape = tuple(int(v) for v in d.max(axis=0) + 2 * dm + 1)
-        if int(np.prod([float(v) for v in shape])) > _DENSE_VOXEL_CAP:
-            lab = _cluster_labels_sparse(pj, dm)
-        else:
-            grid = np.zeros(shape, dtype=np.uint8)
-            grid[tuple(d.T)] = 1
-            for axis in range(3):
-                grid = ndimage.maximum_filter1d(grid, size=2 * dm + 1,
-                                                axis=axis, origin=-dm)
-            fine, _ = ndimage.label(grid)
-            lab = fine[tuple(d.T)]
-        _, sub[idx] = np.unique(lab, return_inverse=True)
-        n_labels[c] = sub[idx].max() + 1
-    return (np.cumsum(n_labels) - n_labels)[pre] + sub
+    if np.abs(j).max() >= _OFF - dm:   # key + shift -/+ dm must not borrow
+        raise ValueError("lattice offset exceeds packing range")
+    keys = _pack(j)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.r_[True, keys[1:] - keys[:-1] > dm]
+    lo, hi = keys[start], keys[np.r_[start[1:], True]]
+    comp = np.arange(len(lo))
+    for dx in range(dm + 1):   # shifts (dx, dy) > 0: each pair of lines once
+        a, b = [], []
+        for dy in range(-dm if dx else 1, dm + 1):
+            shift = (dx << 40) + (dy << 20)
+            first = np.searchsorted(hi, lo + shift - dm)
+            count = np.searchsorted(lo, hi + shift + dm, "right") - first
+            a.append(np.repeat(comp, count))
+            b.append(comp[np.repeat(first - np.cumsum(count) + count, count)
+                          + np.arange(count.sum())])
+        a, b = np.concatenate(a), np.concatenate(b)
+        join = a != b
+        comp = connected_components(coo_matrix(
+            (join[join], (a[join], b[join])), shape=(len(lo), len(lo))),
+            directed=False)[1][comp]
+        if np.all(comp == comp[0]):
+            break
+    # number by first run; scipy does not document its label order
+    rank = np.argsort(np.argsort(np.unique(comp, return_index=True)[1]))
+    labels = np.empty(len(j), np.int64)
+    labels[order] = rank[comp][np.cumsum(start) - 1]
+    return labels
 
 
 def build_chains(families, box):
@@ -521,9 +513,11 @@ def build_chains(families, box):
 
     A cube at level k extends a chain when it lies inside a reachable cube
     of the previous G family; branching follows all qualifying cubes.
-    Survivors at the deepest level are clustered by the meet relation; each
-    cluster (an offset array) is reported as one candidate point (centroid
-    of cube centers) with a representative chain.
+    Survivors at the deepest level are clustered by the meet relation on
+    z-runs of their keys (`_cluster_labels`) and split by one stable argsort
+    of the labels; each cluster (an offset array, lexicographic) is reported
+    as one candidate point (centroid of cube centers) with a representative
+    chain, in the order of the clusters' lexicographically first offsets.
     """
     families = list(families)
     if not families:
@@ -547,7 +541,8 @@ def build_chains(families, box):
     # cluster by the meet relation: |dj| <= meet radius per axis
     j = _unpack(reach[-1])
     labels = _cluster_labels(j, _meet_radius(eps_eff))
-    clusters = [j[labels == lab] for lab in np.unique(labels)]
+    clusters = np.split(j[np.argsort(labels, kind="stable")],
+                        np.cumsum(np.bincount(labels)))[:-1]
     side = 2.0 ** (-k_max)
     points = [(eps_eff * side * cl + 0.5 * side).mean(axis=0) for cl in clusters]
 

@@ -395,33 +395,17 @@ def labels_to_partition(labels):
 
 @pytest.mark.parametrize("dm", [1, 2, 3, 5])
 def test_cluster_labels_match_union_find(rng, dm):
+    # the lexicographic ends join by the x step 1, while (0, 2dm, 3dm) and
+    # (dm, 2dm, 3dm) meet only at the x step dm
+    ends = ([(x, 0, 0) for x in range(dm + 1)]
+            + [(dm, y, 0) for y in range(1, 4 * dm + 1)])
+    sets = [np.array(ends + [(0, 2 * dm, 3 * dm), (dm, 2 * dm, 3 * dm)])]
     for _ in range(25):
         n = int(rng.integers(1, 70))
         j = rng.integers(-25, 25, size=(n, 3))
-        j = np.unique(j, axis=0)
+        sets.append(np.unique(j, axis=0))
+    for j in sets:
         assert labels_to_partition(_cluster_labels(j, dm)) == brute_partition(j, dm)
-
-
-@pytest.mark.parametrize("dm", [1, 2, 4, 9])
-def test_sparse_cluster_fallback_matches_dense_labels(rng, monkeypatch, dm):
-    import regscan.dyadic
-
-    calls = []
-    sparse = regscan.dyadic._cluster_labels_sparse
-
-    def counted(j, dm_):
-        calls.append(len(j))
-        return sparse(j, dm_)
-
-    for _ in range(20):
-        n = int(rng.integers(1, 80))
-        j = np.unique(rng.integers(-6 * dm, 6 * dm, size=(n, 3)), axis=0)
-        dense = labels_to_partition(_cluster_labels(j, dm))
-        with monkeypatch.context() as m:
-            m.setattr(regscan.dyadic, "_DENSE_VOXEL_CAP", 0)
-            m.setattr(regscan.dyadic, "_cluster_labels_sparse", counted)
-            assert labels_to_partition(_cluster_labels(j, dm)) == dense
-    assert sum(calls) > 0   # every coarse component took the sparse path
 
 
 @pytest.mark.parametrize("dm", [1, 2, 4, 7])

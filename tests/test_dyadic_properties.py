@@ -1,10 +1,11 @@
-"""Property tests of the dyadic packing count and key expansion.
+"""Property tests of the dyadic packing count, key expansion and clustering.
 
 `_greedy_disjoint` (with its bulk-kill cut-over as set, always on and always
-off) and `_spread` (over dilation, child and parent bounds of random widths,
-with and without a cover) are compared with the brute-force references of
-`test_dyadic` on offset sets drawn by hypothesis. Runs are derandomized and
-keep no example database, so every run checks the same examples.
+off), `_spread` (over dilation, child and parent bounds of random widths,
+with and without a cover) and `_cluster_labels` (on shuffled offsets with
+repeats) are compared with the brute-force references of `test_dyadic` on
+offset sets drawn by hypothesis. Runs are derandomized and keep no example
+database, so every run checks the same examples.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import regscan.dyadic  # noqa: E402
-from regscan.dyadic import _greedy_disjoint, _pack, _spread  # noqa: E402
+from regscan.dyadic import (  # noqa: E402
+    _OFF, _cluster_labels, _greedy_disjoint, _pack, _spread)
 
-from test_dyadic import brute_greedy_disjoint, brute_spread  # noqa: E402
+from test_dyadic import (  # noqa: E402
+    brute_greedy_disjoint, brute_partition, brute_spread, labels_to_partition)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -67,3 +70,36 @@ def test_spread_is_the_plain_expansion(j, kind, width, cover, rnd):
     mixed = list(keys) + list(keys[::2])
     rnd.shuffle(mixed)
     assert np.array_equal(_spread(np.array(mixed, np.int64), bounds, cover), expect)
+
+
+@SETTINGS
+@given(st.integers(1, 9).flatmap(
+    lambda dm: st.tuples(st.just(dm), offsets(-3 * dm, 3 * dm, 100))),
+    st.randoms(use_true_random=False))
+def test_cluster_labels_are_the_union_find_partition(case, rnd):
+    dm, j = case
+    rows = list(range(len(j))) + list(range(0, len(j), 3))
+    rnd.shuffle(rows)
+    j = j[rows]
+    labels = _cluster_labels(j, dm)
+    assert labels_to_partition(labels) == brute_partition(j, dm)
+    # labels 0, 1, ... first appear in that order along the sorted offsets
+    seen = labels[np.lexsort(j.T[::-1])]
+    values, first = np.unique(seen, return_index=True)
+    assert np.array_equal(values, np.arange(len(values)))
+    assert np.all(np.diff(first) > 0)
+
+
+@SETTINGS
+@given(st.integers(1, 9).flatmap(
+    lambda dm: st.tuples(st.just(dm), st.integers(1, dm))),
+    st.sampled_from([-1, 1]), st.integers(0, 2), offsets(-20, 20, 10))
+def test_cluster_labels_reject_offsets_near_the_packing_range(case, sign, axis, j):
+    dm, gap = case
+    near = np.zeros((1, 3), np.int64)
+    near[0, axis] = sign * (_OFF - gap)   # key + shift -/+ dm would borrow
+    with pytest.raises(ValueError, match="packing range"):
+        _cluster_labels(np.concatenate([j, near]), dm)
+    near[0, axis] = sign * (_OFF - dm - 1)
+    labels = _cluster_labels(np.concatenate([j, near]), dm)
+    assert labels[-1] not in labels[:-1]
