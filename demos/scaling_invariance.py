@@ -22,7 +22,7 @@ from regscan.localquant import AnalysisConfig, quant_report, rescale
 def smooth_field(n=64, frames=9):
     box = Box3((0, 0, 0), (2 * np.pi,) * 3, (n, n, n))
     base = VectorGrid.sample(box, lambda x, y, z: (
-        np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y), np.zeros_like(z))).stack()
+        np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y), np.zeros_like(z))).data
     times = np.linspace(0.0, 0.5, frames)
     return SpaceTimeField(tuple(times), [
         VectorGrid.from_array(box, np.exp(-t) * base) for t in times])

@@ -53,7 +53,7 @@ def main():
         for name, F in manufactured(n).items():
             sol = estar(F, tol=1e-8)
             print(f"  {n}^3 {name:<24} |estar(F) - F|/|F| = "
-                  f"{rel(sol.grad_p.stack(), F.stack()):.2e} "
+                  f"{rel(sol.grad_p.data, F.data):.2e} "
                   f"({sol.iterations} iterations)")
 
     print("\npressure decomposition of a rigid rotation (omega = 1.7)")
@@ -66,9 +66,9 @@ def main():
     centrifugal = np.stack([omega ** 2 * (x - 0.5),
                             omega ** 2 * (y - 0.5), np.zeros_like(z)])
     print(f"  grad p1 vs centrifugal closed form: rel err "
-          f"{rel(parts.grad_p1.stack(), centrifugal):.2e}")
+          f"{rel(parts.grad_p1.data, centrifugal):.2e}")
     print(f"  |grad p2| (viscous part, zero for linear fields): "
-          f"{np.abs(parts.grad_p2.stack()).max():.2e}")
+          f"{np.abs(parts.grad_p2.data).max():.2e}")
     print(f"  harmonic residual of p_h: "
           f"{harmonic_residual(parts.solutions['ph'], u):.2e}")
 

@@ -63,10 +63,16 @@ def _js(obj):
     return np.array(json.dumps(obj, sort_keys=True, default=float))
 
 
+def _arr(v):
+    """A copy of a VectorGrid's (3, nx, ny, nz) values, built only from
+    `components`, which both the old and the new VectorGrid provide."""
+    return np.stack([c.data for c in v.components])
+
+
 def _solution(out, name, sol):
     out[f"{name}.p"] = sol.p.data
-    out[f"{name}.v"] = sol.v.stack()
-    out[f"{name}.grad_p"] = sol.grad_p.stack()
+    out[f"{name}.v"] = _arr(sol.v)
+    out[f"{name}.grad_p"] = _arr(sol.grad_p)
     out[f"{name}.residuals"] = _js(sol.residuals)
     out[f"{name}.residual_history"] = np.asarray(sol.residual_history)
 
@@ -89,8 +95,8 @@ def stokes_outputs(out):
     _solution(out, "estar(17,20,23)", estar(VectorGrid.from_array(
         Box3((0, 0, 0), (1, 1, 1), n), forcing)))
     out["harmonic_residual"] = _js(harmonic_residual(lp.solutions["ph"], u))
-    out["vector_laplacian"] = vector_laplacian(u).stack()
-    out["convective_divergence"] = convective_divergence(u).stack()
+    out["vector_laplacian"] = _arr(vector_laplacian(u))
+    out["convective_divergence"] = _arr(convective_divergence(u))
 
     phi = BumpTestFunction((np.pi, np.pi, np.pi), 1.8, 0.21, 0.15)
     out["local_energy_residual"] = _js(local_energy_residual(
@@ -245,7 +251,7 @@ def packing_outputs(out):
 def _run_outputs(out, tag, cfg):
     run = run_solver(cfg)
     out[f"{tag}.times"] = run.field.times
-    out[f"{tag}.frames"] = np.stack([fr.stack() for fr in run.field.frames])
+    out[f"{tag}.frames"] = np.stack([_arr(fr) for fr in run.field.frames])
     out[f"{tag}.step_times"] = run.step_times
     out[f"{tag}.energy"] = run.energy
     out[f"{tag}.dissipation"] = run.dissipation
@@ -269,7 +275,7 @@ def _fieldio_outputs(out, field, tmp):
     out["write_field.sha256"] = _js(hashlib.sha256(raw).hexdigest())
     back = read_field(path)
     out["read_field.times"] = back.times
-    out["read_field.frames"] = np.stack([fr.stack() for fr in back.frames])
+    out["read_field.frames"] = np.stack([_arr(fr) for fr in back.frames])
     out["read_field.layout"] = _js(sorted({
         (c.data.dtype.str, c.data.flags.c_contiguous, c.data.flags.writeable)
         for fr in back.frames for c in fr.components}))
@@ -284,7 +290,7 @@ def _fieldio_outputs(out, field, tmp):
     with open(bad_path, "wb") as fh:
         fh.write(raw[:len(raw) - bad.nbytes] + bad.tobytes())
     out["read_field.nonfinite"] = _js(_error(lambda: read_field(bad_path)))
-    arr = field.frames[1].stack()
+    arr = _arr(field.frames[1])   # a copy: the frame itself stays finite
     arr[2, 3, 4, 5] = np.inf
     one = VectorGrid.from_array(field.box, arr)
     out["write_field.nonfinite"] = _js(_error(
@@ -307,12 +313,12 @@ def _rescale_outputs(out, tag, f):
     x0 = (3.0, 3.2, 2.9)
     pull = rescale(f, 1.7, (x0, f.times[-2]))
     out[f"{tag}.pullback.times"] = pull.times
-    out[f"{tag}.pullback.frames"] = np.stack([fr.stack() for fr in pull.frames])
+    out[f"{tag}.pullback.frames"] = np.stack([_arr(fr) for fr in pull.frames])
     box = Box3((2.1, 2.5, 2.0), (3.9, 4.0, 3.7), (20, 17, 23))
     times = np.linspace(f.times[1] + 0.003, f.times[-1], 5)
     res = rescale(f, 0.8, (x0, f.times[3]), target_box=box,
                   target_times=times)
-    out[f"{tag}.resampled.frames"] = np.stack([fr.stack() for fr in res.frames])
+    out[f"{tag}.resampled.frames"] = np.stack([_arr(fr) for fr in res.frames])
 
 
 def pipeline_outputs(out):

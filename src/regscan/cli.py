@@ -160,7 +160,7 @@ def cmd_stokes_check(args):
         check_bump(field, cube, phi)    # before any solve
     parts = pressure_parts(u, tol=args.tol)
     sol_h = parts.solutions["ph"]
-    unorm = float(np.sqrt((u.stack() ** 2).sum()))
+    unorm = float(np.sqrt((u.data ** 2).sum()))
     payload = {
         "cube": {"corner": list(cube.corner), "side": cube.side},
         "frame": i,
@@ -170,7 +170,7 @@ def cmd_stokes_check(args):
         "harmonic_residual": harmonic_residual(sol_h, u),
         "projection_residual": projection_residual(sol_h, tol=args.tol),
         "gradp_over_f": (
-            float(np.sqrt((parts.grad_ph.stack() ** 2).sum())) / unorm
+            float(np.sqrt((parts.grad_ph.data ** 2).sum())) / unorm
             if unorm > 0 else 0.0
         ),
     }

@@ -23,6 +23,7 @@ spans, and clusters are numbered by their lexicographically first offset.
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -417,6 +418,26 @@ def _parents_of(keys, eps_eff):
     return _spread(keys, lambda j: ((j - span + 1) // 2, j // 2))
 
 
+def _first_parents(keys, reach, eps_eff):
+    """Per level-k key, the lexicographically first key of the sorted reach
+    whose level-(k-1) cube contains it (one must exist). The (x, y) lines of
+    the parent boxes are scanned in order, one `searchsorted` of all keys
+    per line; packed keys sort lexicographically, so the first hit wins."""
+    span = _child_span(eps_eff)
+    j = _unpack(keys)
+    lo = (j - span + 1) // 2
+    width = j // 2 - lo
+    found = np.full(len(keys), -1, np.int64)
+    for dx, dy in product(range(span // 2 + 1), repeat=2):
+        rows = np.flatnonzero((found < 0) & (dx <= width[:, 0]) & (dy <= width[:, 1]))
+        first = _pack(lo[rows] + (dx, dy, 0))
+        pos = np.minimum(np.searchsorted(reach, first), len(reach) - 1)
+        hit = reach[pos] - first
+        on_line = (hit >= 0) & (hit <= width[rows, 2])
+        found[rows[on_line]] = reach[pos[on_line]]
+    return found
+
+
 @dataclass
 class CandidateSet:
     """Surviving nested-cube chains, clustered into candidate points: per
@@ -546,17 +567,13 @@ def build_chains(families, box):
     side = 2.0 ** (-k_max)
     points = [(eps_eff * side * cl + 0.5 * side).mean(axis=0) for cl in clusters]
 
-    chains = []
-    for cl in clusters:
-        # representative chain: walk the lexicographically-first survivor up,
-        # taking the first reachable parent (packed keys sort lexicographically)
-        chain = [DyadicCube(eps_eff, k_max, tuple(cl[0]))]
-        key = _pack(cl[:1])
-        for k in range(k_max, 0, -1):
-            key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1],
-                                 assume_unique=True)[:1]
-            chain.append(DyadicCube(eps_eff, k - 1, tuple(_unpack(key)[0])))
-        chains.append(list(reversed(chain)))
+    # representative chains: walk each cluster's lexicographically first
+    # survivor up, taking its first reachable parent at every level
+    walk = [_pack(np.array([cl[0] for cl in clusters]).reshape(-1, 3))]
+    for k in range(k_max, 0, -1):
+        walk.append(_first_parents(walk[-1], reach[k - 1], eps_eff))
+    offsets = np.stack([_unpack(keys) for keys in reversed(walk)], axis=1)
+    chains = [[DyadicCube(eps_eff, k, tuple(j)) for k, j in enumerate(row)] for row in offsets]
 
     return CandidateSet(
         points=np.asarray(points).reshape(-1, 3), clusters=clusters,

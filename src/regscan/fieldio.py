@@ -49,15 +49,15 @@ def write_field(path, field):
         "components": 3,
         "times": [float(t) for t in field.times],
     }
-    if not all(np.isfinite(c.data).all() for fr in field.frames for c in fr.components):
+    if not all(np.isfinite(fr.data).all() for fr in field.frames):
         raise FieldFormatError("payload contains non-finite values")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(struct.pack("<I", CANARY))
         for frame in field.frames:
-            # each component's transpose in C order is the file's x-fastest order
-            fh.write(np.array([c.data.T for c in frame.components], "<f8", order="C"))
+            # (component, z, y, x) in C order is the file's x-fastest order
+            fh.write(np.array(frame.data.transpose(0, 3, 2, 1), "<f8", order="C"))
 
 
 def read_field(path):

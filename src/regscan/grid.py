@@ -3,7 +3,9 @@
 Fields are stored cell-centered on axis-aligned boxes: the cell (i, j, k)
 of a box with spacing h owns the sample at ``lo + (index + 1/2) * h``.
 Data arrays are indexed ``data[ix, iy, iz]``; serialization flattens them
-x-fastest (Fortran order).
+x-fastest (Fortran order). A VectorGrid holds one float array of shape
+``(3, nx, ny, nz)``, component first; its ``.data`` is that array itself,
+not a copy, and its ``components`` are ScalarGrid views into it.
 """
 
 import warnings
@@ -80,13 +82,6 @@ class Box3:
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
 
-def _check_data(box, data):
-    data = np.asarray(data, dtype=float)
-    if data.shape != box.n:
-        raise ValueError(f"data shape {data.shape} does not match cell counts {box.n}")
-    return data
-
-
 @dataclass
 class ScalarGrid:
     """One real sample per cell of a Box3."""
@@ -95,13 +90,14 @@ class ScalarGrid:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = _check_data(self.box, self.data)
+        self.data = np.asarray(self.data, dtype=float)
+        if self.data.shape != self.box.n:
+            raise ValueError(f"expected shape {self.box.n}, got {self.data.shape}")
 
     @classmethod
     def sample(cls, box, fn):
         """Sample fn(x, y, z) at cell centers (fn must broadcast)."""
-        x, y, z = box.center_mesh()
-        return cls(box, np.asarray(fn(x, y, z), dtype=float))
+        return cls(box, fn(*box.center_mesh()))
 
     def cell_sum(self, mask=None):
         """Integral of the field: sum of cell values times cell volume."""
@@ -112,45 +108,40 @@ class ScalarGrid:
 
 @dataclass
 class VectorGrid:
-    """Three ScalarGrids sharing a box (a sampled velocity field)."""
+    """A sampled velocity field: one float array of shape (3, nx, ny, nz).
+
+    ``data[a]`` is component a. ``data`` is the grid's own array, so
+    callers that write into it change the grid.
+    """
 
     box: Box3
-    components: tuple
+    data: np.ndarray
 
     def __post_init__(self):
-        if len(self.components) != 3:
-            raise ValueError("VectorGrid needs exactly 3 components")
-        if not all(isinstance(c, ScalarGrid) and c.box == self.box
-                   for c in self.components):
-            raise ValueError("components must be ScalarGrids on the VectorGrid box")
-        self.components = tuple(self.components)
+        self.data = np.asarray(self.data, dtype=float)
+        if self.data.shape != (3, *self.box.n):
+            raise ValueError(f"expected shape {(3, *self.box.n)}, got {self.data.shape}")
 
     @classmethod
     def from_array(cls, box, arr):
         """Build from an array of shape (3, nx, ny, nz)."""
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (3, *box.n):
-            raise ValueError(f"expected shape {(3, *box.n)}, got {arr.shape}")
-        return cls(box, tuple(ScalarGrid(box, a) for a in arr))
+        return cls(box, arr)
 
     @classmethod
     def sample(cls, box, fn):
         """Sample fn(x, y, z) -> (u1, u2, u3) at cell centers."""
-        x, y, z = box.center_mesh()
-        u1, u2, u3 = fn(x, y, z)
-        return cls.from_array(box, np.stack([
-            np.broadcast_to(np.asarray(u1, dtype=float), box.n),
-            np.broadcast_to(np.asarray(u2, dtype=float), box.n),
-            np.broadcast_to(np.asarray(u3, dtype=float), box.n),
-        ]))
+        return cls(box, np.stack([np.broadcast_to(u, box.n)
+                                  for u in fn(*box.center_mesh())]))
 
-    def stack(self):
-        return np.stack([c.data for c in self.components])
+    @property
+    def components(self):
+        """The three components as ScalarGrid views of ``data``."""
+        return tuple(ScalarGrid(self.box, c) for c in self.data)
 
     def magnitude(self):
         """|u| as a ScalarGrid."""
-        sq = sum(c.data ** 2 for c in self.components)
-        return ScalarGrid(self.box, np.sqrt(sq))
+        u1, u2, u3 = self.data
+        return ScalarGrid(self.box, np.sqrt(u1 ** 2 + u2 ** 2 + u3 ** 2))
 
 
 @dataclass
@@ -296,10 +287,8 @@ def restrict(f, cyl):
     mask = cyl.ball.mask(f.box)
     if not keep.any() or not mask.any():
         raise ValueError("empty region: cylinder does not intersect the sampled field")
-    frames = []
-    for i in np.nonzero(keep)[0]:
-        arr = f.frames[i].stack() * mask
-        frames.append(VectorGrid.from_array(f.box, arr))
+    frames = [VectorGrid.from_array(f.box, f.frames[i].data * mask)
+              for i in np.nonzero(keep)[0]]
     return SpaceTimeField(f.times[keep], frames)
 
 

@@ -44,8 +44,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if not (0.0 < self.eps < 0.25):
             raise ValueError("eps must lie in (0, 1/4)")
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
+        if not (np.isfinite(self.zeta) and self.zeta > 0):
+            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
 
 
 def _time_integral(times, values, ta, tb):
@@ -279,7 +279,7 @@ def rescale(f, lam, pivot, target_box=None, target_times=None):
         # one vector-valued interpolant per frame: (points, 3) per call
         if i not in interps:
             interps[i] = RegularGridInterpolator(
-                cs, np.moveaxis(f.frames[i].stack(), 0, -1), method="linear",
+                cs, np.moveaxis(f.frames[i].data, 0, -1), method="linear",
                 bounds_error=False, fill_value=None)
         return interps[i](pts)
 

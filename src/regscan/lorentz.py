@@ -78,8 +78,8 @@ def weak_norm(f, q):
     distribution function: with magnitudes sorted descending v_1 >= v_2 >= ...
     it equals max_i v_i * (i * cellvol)^(1/q).
     """
-    if q <= 0:
-        raise ValueError("exponent q must be positive")
+    if not (np.isfinite(q) and q > 0):
+        raise ValueError(f"exponent q must be finite and positive, got {q}")
     vals = np.sort(np.abs(f.data).ravel())[::-1]
     if vals[0] == 0.0:
         return 0.0
@@ -95,8 +95,8 @@ def equivalent_norm(f, q, r):
     that of the i largest magnitudes), so prefix sums of the descending
     sort evaluate it exactly.
     """
-    if not (0 < r < q):
-        raise ValueError("need 0 < r < q")
+    if not (0 < r < q < np.inf):
+        raise ValueError(f"need 0 < r < q < inf, got r={r}, q={q}")
     vals = np.sort(np.abs(f.data).ravel())[::-1]
     if vals[0] == 0.0:
         return 0.0

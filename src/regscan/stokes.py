@@ -83,7 +83,7 @@ def _with_walls(x, axis):
 
 def _to_faces(v):
     # interior face i sits between cells i and i+1
-    return [_avg(c.data, a) for a, c in enumerate(v.components)]
+    return [_avg(c, a) for a, c in enumerate(v.data)]
 
 
 def _div_faces(faces, h):
@@ -309,24 +309,22 @@ def _second_derivative(data, axis, h):
     return out / h[axis] ** 2
 
 
+def _laplacian(x, h):
+    return sum(_second_derivative(x, axis, h) for axis in range(3))
+
+
 def vector_laplacian(v):
     """Componentwise 7-point Laplacian with one-sided wall stencils."""
-    h = v.box.spacing
-    data = np.array([
-        sum(_second_derivative(c.data, axis, h) for axis in range(3))
-        for c in v.components
-    ])
-    return VectorGrid.from_array(v.box, data)
+    return VectorGrid.from_array(v.box, [_laplacian(c, v.box.spacing) for c in v.data])
 
 
 def convective_divergence(u):
     """∇·(u⊗u) by divergence of face-interpolated products."""
     h = u.box.spacing
-    comps = [c.data for c in u.components]
-    out = np.zeros((3,) + comps[0].shape)
+    out = np.zeros(u.data.shape)
     for a in range(3):
         for b in range(3):
-            prod = comps[a] * comps[b]
+            prod = u.data[a] * u.data[b]
             # wall fluxes extrapolate linearly from the two nearest cells
             lo = (1.5 * prod[_ax(b, slice(0, 1))]
                   - 0.5 * prod[_ax(b, slice(1, 2))])
@@ -372,8 +370,8 @@ def _warn_if_compressible(u, what, interior=False):
 
 def pressure_parts(u, tol=1e-8):
     _warn_if_compressible(u, "the pressure decomposition")
-    forcing = {"ph": -u.stack(), "p1": -convective_divergence(u).stack(),
-               "p2": vector_laplacian(u).stack()}
+    forcing = {"ph": -u.data, "p1": -convective_divergence(u).data,
+               "p2": vector_laplacian(u).data}
     return LocalPressure({k: estar(VectorGrid.from_array(u.box, f), tol)
                           for k, f in forcing.items()})
 
@@ -381,9 +379,7 @@ def pressure_parts(u, tol=1e-8):
 def harmonic_residual(ph_solution, u=None):
     """Interior 7-point Laplacian residual of the pressure, relative to ‖p‖."""
     p = ph_solution.p.data
-    h = ph_solution.p.box.spacing
-    inner = sum(_second_derivative(p, axis, h)
-                for axis in range(3))[1:-1, 1:-1, 1:-1]
+    inner = _laplacian(p, ph_solution.p.box.spacing)[1:-1, 1:-1, 1:-1]
     denom = float(np.sqrt(np.mean(p[1:-1, 1:-1, 1:-1] ** 2)))
     if denom == 0.0:
         return 0.0
@@ -483,8 +479,8 @@ def _cube_slices(box, corner, side):
 
 
 def _restrict_frame(frame, slices, sub_box):
-    data = np.array([c.data[slices] for c in frame.components])
-    return VectorGrid.from_array(sub_box, data)
+    # a copy, so that the sub-cube is C-contiguous
+    return VectorGrid.from_array(sub_box, np.array(frame.data[(slice(None), *slices)]))
 
 
 def restrict_to_cube(frame, cube):
@@ -561,7 +557,7 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
         phi_val, phi_grad, phi_lap, phi_dt = phi_at(t)
         u = _restrict_frame(f.frames[i], slices, sub_box)
         lp = pressures[i] if pressures is not None else pressure_parts(u, tol)
-        uarr, gph = u.stack(), lp.grad_ph.stack()
+        uarr, gph = u.data, lp.grad_ph.data
         varr = uarr + gph
         v2 = (varr ** 2).sum(axis=0)
         gv = gradient(VectorGrid.from_array(sub_box, varr))

@@ -175,6 +175,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n < 8:
             raise ValueError("need at least 8 cells per axis")
+        if not all(np.isfinite([self.nu, self.dt, self.t_end, self.amplitude])):
+            raise ValueError("nu, dt, t_end and amplitude must be finite")
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("nu, dt, t_end must be positive")
         if not (0 < self.dealias <= 1):
@@ -246,7 +248,7 @@ def run_solver(cfg):
         u0 = random_solenoidal(box, cfg.n, seed=cfg.seed, rms=cfg.amplitude)
     else:
         u0 = taylor_green(box, cfg.n, cfg.amplitude)
-    uh = sfft.rfftn(u0.stack(), axes=axes) * dealias
+    uh = sfft.rfftn(u0.data, axes=axes) * dealias
 
     nsteps = int(round(cfg.t_end / cfg.dt))
     if abs(nsteps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):

@@ -111,7 +111,7 @@ def test_criterion_03_layer_cake_identity():
 def test_criterion_04_scaling_invariance_of_local_quantities():
     box = Box3((0, 0, 0), (2 * np.pi,) * 3, (64, 64, 64))
     base = VectorGrid.sample(box, lambda x, y, z: (
-        np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y), np.zeros_like(z))).stack()
+        np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y), np.zeros_like(z))).data
     times = np.linspace(0.0, 0.5, 9)
     f = SpaceTimeField(tuple(times), [
         VectorGrid.from_array(box, np.exp(-t) * base) for t in times])
@@ -203,8 +203,8 @@ def curl_field(n):
 def test_criterion_07_stokes_projection_idempotence_and_refinement():
     for F in (trig_gradient_64(), poly_gradient_64()):
         sol = estar(F, tol=1e-8)
-        err = np.sqrt(((sol.grad_p.stack() - F.stack()) ** 2).sum())
-        assert err / np.sqrt((F.stack() ** 2).sum()) <= 1e-3
+        err = np.sqrt(((sol.grad_p.data - F.data) ** 2).sum())
+        assert err / np.sqrt((F.data ** 2).sum()) <= 1e-3
     res = {}
     for n in (32, 64):
         u = curl_field(n)

@@ -29,7 +29,7 @@ def field_file(tmp_path_factory):
     base = VectorGrid.sample(box, lambda x, y, z: (
         np.sin(tp * x) * np.cos(tp * y),
         -np.cos(tp * x) * np.sin(tp * y),
-        0.3 * np.ones_like(z))).stack()
+        0.3 * np.ones_like(z))).data
     times = np.linspace(0.0, 0.15, 4)
     field = SpaceTimeField(tuple(times), [
         VectorGrid.from_array(box, (1.0 + 0.5 * t) * base) for t in times])
@@ -252,8 +252,15 @@ def test_localize_rejects_bad_m_up_front(capsys, field_file, monkeypatch, M):
     (["stokes-check", "FIELD", "--cube", "0,0,0,nan"], "cube side must be finite"),
     (["stokes-check", "FIELD", "--cube", "0.25,0.25,0.25,0.5", "--tol", "nan"],
      "tol must lie in (0, 1)"),
+    (["scan", "FIELD", "--x0", "0.5,0.5,0.5", "--t0", "0.15", "--r", "0.35",
+      "--zeta", "nan"], "zeta must be finite and positive"),
+    (["scan", "FIELD", "--x0", "0.5,0.5,0.5", "--t0", "0.15", "--r", "0.35",
+      "--zeta", "inf"], "zeta must be finite and positive"),
+    (["norms", "FIELD", "--q", "inf"], "exponent q must be finite and positive"),
+    (["norms", "FIELD", "--q", "nan"], "exponent q must be finite and positive"),
 ], ids=["norms-time-nan", "norms-time-inf", "scan-t0-nan", "scan-r-nan",
-        "stokes-cube-nan", "stokes-tol-nan"])
+        "stokes-cube-nan", "stokes-tol-nan", "scan-zeta-nan", "scan-zeta-inf",
+        "norms-q-inf", "norms-q-nan"])
 def test_non_finite_arguments_are_clean_errors(capsys, field_file, argv, expected):
     path, _ = field_file
     rc = main([path if a == "FIELD" else a for a in argv])
@@ -433,6 +440,28 @@ def test_simulate_rejects_malformed_config(capsys, tmp_path, cfg, expected):
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "ValueError"
     assert expected in err["error"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_end", "Infinity"), ("dt", "Infinity"), ("dt", "NaN"), ("nu", "NaN"),
+    ("nu", "-Infinity"), ("amplitude", "Infinity"), ("amplitude", "NaN"),
+])
+def test_simulate_rejects_non_finite_config_up_front(capsys, tmp_path,
+                                                     monkeypatch, key, value):
+    import regscan.cli
+
+    def no_run(cfg):
+        raise AssertionError("the solver ran before the config was checked")
+
+    monkeypatch.setattr(regscan.cli, "run_solver", no_run)
+    cfg_path = tmp_path / "bad.json"
+    # json.load reads the bare Infinity and NaN tokens as floats
+    cfg_path.write_text(f'{{"n": 8, "{key}": {value}}}')
+    err = one_line_error(capsys, main(["simulate", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "x.rsf")]))
+    assert err["type"] == "ValueError"
+    assert "nu, dt, t_end and amplitude must be finite" in err["error"]
+    assert not (tmp_path / "x.rsf").exists()
 
 
 def test_report_summarizes_saved_documents(capsys, tmp_path):

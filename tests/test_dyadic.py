@@ -18,6 +18,7 @@ from regscan.dyadic import (
     _children_of,
     _cluster_labels,
     _cover_ranges,
+    _first_parents,
     _greedy_disjoint,
     _pack,
     _parents_of,
@@ -120,6 +121,18 @@ def test_parents_of_matches_brute_containment(rng, eps):
             if DyadicCube(eps, 2, q).contains(child):
                 expect.add(q)
     assert got == expect
+
+
+@pytest.mark.parametrize("eps", [0.13, 0.15, 0.2, 0.24])
+def test_first_parents_is_the_least_reachable_parent(rng, eps):
+    keys = _pack(random_offsets(rng, 300, -40, 40))
+    every = _parents_of(keys, eps)
+    reach = np.sort(rng.choice(every, len(every) // 20, replace=False))
+    first = [np.intersect1d(_parents_of(key[None], eps), reach)[:1] for key in keys]
+    has = np.array([len(f) > 0 for f in first])
+    assert has.sum() > 100
+    assert _first_parents(keys[has], reach, eps).tolist() == [
+        int(f[0]) for f in first if len(f)]
 
 
 @pytest.mark.parametrize("eps", [0.13, 0.15, 0.2, 0.24])
@@ -485,6 +498,44 @@ def test_localize_clusters_partition_the_deepest_survivors():
     assert len(np.unique(members, axis=0)) == len(members)
     for cl, chain in zip(cs.clusters, cs.chains):
         assert tuple(chain[-1].j) == tuple(cl[0])
+
+
+def per_cluster_chains(families, clusters, box):
+    """Representative chains by the plain walk: per cluster and level, the
+    first of the survivor's parent keys that the level reaches."""
+    eps_eff = families[0].eps_effective
+    reach = [_pack(families[0].G_indices)]
+    for fam in families[1:]:
+        cand = _children_of(reach[-1], eps_eff, fam.level, box)
+        reach.append(np.intersect1d(_pack(fam.G_indices), cand, assume_unique=True))
+    chains = []
+    for cl in clusters:
+        key = _pack(cl[:1])
+        chain = [tuple(cl[0])]
+        for k in range(len(families) - 1, 0, -1):
+            key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1],
+                                 assume_unique=True)[:1]
+            chain.append(tuple(_unpack(key)[0]))
+        chains.append(chain[::-1])
+    return chains
+
+
+@pytest.mark.parametrize("eps,amplitude", [(0.2, 0.3), (0.15, 0.2)])
+def test_build_chains_matches_the_per_cluster_walk(eps, amplitude):
+    rng = np.random.default_rng(0)
+    box = Box3((0, 0, 0), (3, 3, 3), (48, 48, 48))
+    spec = SpikeSpec(centers=rng.uniform(0.1, 2.9, (30, 3)),
+                     amplitudes=rng.uniform(0.5, 1.0, 30) * amplitude,
+                     axes=rng.normal(size=(30, 3)), delta=2.5 * 3 / 48)
+    frame = spike_field(spec, box)
+    families = [select_f0(frame, eps)]
+    for _ in range(3):
+        families.append(select_fk(frame, families[-1]))
+    cs = build_chains(families, box)
+    assert len(cs.clusters) >= 10
+    assert [[c.j for c in chain] for chain in cs.chains] == per_cluster_chains(
+        families, cs.clusters, box)
+    assert all(chain[k].level == k for chain in cs.chains for k in range(4))
 
 
 def test_localize_underresolved_modes():

@@ -36,7 +36,7 @@ def test_round_trip_is_bit_exact(tmp_path, rng):
     assert np.array_equal(g.times, f.times)
     assert g.box == f.box
     for a, b in zip(g.frames, f.frames):
-        assert np.array_equal(a.stack(), b.stack())
+        assert np.array_equal(a.data, b.data)
 
 
 def test_single_vector_grid_becomes_one_frame(tmp_path, rng):
@@ -45,7 +45,7 @@ def test_single_vector_grid_becomes_one_frame(tmp_path, rng):
     write_field(path, f.frames[0])
     g = read_field(path)
     assert np.array_equal(g.times, [0.0])
-    assert np.array_equal(g.frames[0].stack(), f.frames[0].stack())
+    assert np.array_equal(g.frames[0].data, f.frames[0].data)
 
 
 def test_header_is_one_json_line(tmp_path, rng):

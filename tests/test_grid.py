@@ -64,25 +64,27 @@ def test_scalar_grid_sampling_and_sum():
         ScalarGrid(box, np.zeros((3, 3, 3)))
 
 
-def test_vector_grid_magnitude_and_stack():
+def test_vector_grid_magnitude_and_data():
     box = unit_box(4)
-    v = VectorGrid.from_array(box, np.stack([
+    arr = np.stack([
         np.full(box.n, 3.0), np.full(box.n, 4.0), np.full(box.n, 12.0),
-    ]))
+    ])
+    v = VectorGrid.from_array(box, arr)
     assert np.allclose(v.magnitude().data, 13.0)
-    assert v.stack().shape == (3, 4, 4, 4)
-    with pytest.raises(ValueError):
-        VectorGrid.from_array(box, np.zeros((2, 4, 4, 4)))
-    other = ScalarGrid(unit_box(5), np.zeros((5, 5, 5)))
-    with pytest.raises(ValueError):
-        VectorGrid(box, (other, other, other))
+    # data is the array passed in, and components are views of it
+    assert v.data is arr
+    v.components[1].data[0, 0, 0] = -1.0
+    assert v.data[1, 0, 0, 0] == -1.0
 
 
-def test_vector_grid_takes_scalar_grid_components_only():
+def test_vector_grid_rejects_wrong_shaped_data():
     box = unit_box(4)
-    raw = np.zeros(box.n)
-    with pytest.raises(ValueError, match="components must be ScalarGrids"):
-        VectorGrid(box, (raw, raw, raw))
+    with pytest.raises(ValueError, match="expected shape"):
+        VectorGrid.from_array(box, np.zeros((2, 4, 4, 4)))
+    with pytest.raises(ValueError, match="expected shape"):
+        VectorGrid(box, np.zeros((3, 5, 5, 5)))
+    with pytest.raises(ValueError, match="expected shape"):
+        VectorGrid(box, np.zeros(box.n))
 
 
 def constant_frame(box, value=1.0):

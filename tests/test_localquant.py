@@ -232,7 +232,7 @@ def test_rescale_resampling_exact_on_affine_fields(lam):
         s = 1.0 + 0.5 * (t0 + lam ** 2 * (t - t0))
         sx, sy, sz = (x0[i] + lam * (c - x0[i]) for i, c in enumerate((xt, yt, zt)))
         expected = lam * s * np.stack([2 * sx - 1.0, sy + 3.0, -sz])
-        assert np.allclose(g.frames[k].stack(), expected, rtol=0, atol=1e-12)
+        assert np.allclose(g.frames[k].data, expected, rtol=0, atol=1e-12)
 
 
 def test_rescale_pullback_leaves_quantities_invariant():

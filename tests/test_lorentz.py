@@ -139,6 +139,15 @@ def test_equivalent_norm_requires_r_below_q():
             equivalent_norm(g, 3.0, r)
 
 
+@pytest.mark.parametrize("q", [np.inf, np.nan, -np.inf])
+def test_norms_require_a_finite_q(q):
+    g = line_grid([1.0, 2.0])
+    with pytest.raises(ValueError, match="exponent q must be finite"):
+        weak_norm(g, q)
+    with pytest.raises(ValueError, match="need 0 < r < q < inf"):
+        equivalent_norm(g, q, 2.0)
+
+
 @pytest.mark.parametrize("q", [2.0, 3.0, 6.0])
 def test_layer_cake_equals_direct_power_integral(rng, q):
     fields = [

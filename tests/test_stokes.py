@@ -62,8 +62,8 @@ def rel_diff(a, b):
 def test_estar_zero_field():
     F = VectorGrid.from_array(unit_box(16), np.zeros((3, 16, 16, 16)))
     sol = estar(F)
-    assert np.all(sol.grad_p.stack() == 0.0)
-    assert np.all(sol.v.stack() == 0.0)
+    assert np.all(sol.grad_p.data == 0.0)
+    assert np.all(sol.v.data == 0.0)
     assert sol.iterations == 0
 
 
@@ -71,7 +71,7 @@ def test_estar_zero_field():
 def test_estar_returns_manufactured_gradients(make, tol):
     F = make(32)
     sol = estar(F)
-    assert rel_diff(sol.grad_p.stack(), F.stack()) <= tol
+    assert rel_diff(sol.grad_p.data, F.data) <= tol
     assert abs(np.mean(sol.p.data)) <= 1e-12 * np.abs(sol.p.data).max()
 
 
@@ -80,10 +80,10 @@ def test_estar_is_linear():
     box = unit_box(20)
     Fa = VectorGrid.from_array(box, rng.normal(size=(3, 20, 20, 20)))
     Fb = VectorGrid.from_array(box, rng.normal(size=(3, 20, 20, 20)))
-    mix = VectorGrid.from_array(box, 2.0 * Fa.stack() - 0.5 * Fb.stack())
-    ga = estar(Fa).grad_p.stack()
-    gb = estar(Fb).grad_p.stack()
-    gm = estar(mix).grad_p.stack()
+    mix = VectorGrid.from_array(box, 2.0 * Fa.data - 0.5 * Fb.data)
+    ga = estar(Fa).grad_p.data
+    gb = estar(Fb).grad_p.data
+    gm = estar(mix).grad_p.data
     assert rel_diff(gm, 2.0 * ga - 0.5 * gb) <= 1e-6
 
 
@@ -240,9 +240,9 @@ def test_pressure_parts_rigid_rotation():
     centrifugal = np.stack([omega ** 2 * (x - 0.5),
                             omega ** 2 * (y - 0.5),
                             np.zeros_like(z)])
-    assert rel_diff(parts.grad_p1.stack(), centrifugal) <= 1e-6
-    scale = np.abs(u.stack()).max()
-    assert np.abs(parts.grad_p2.stack()).max() <= 1e-9 * scale
+    assert rel_diff(parts.grad_p1.data, centrifugal) <= 1e-6
+    scale = np.abs(u.data).max()
+    assert np.abs(parts.grad_p2.data).max() <= 1e-9 * scale
     assert harmonic_residual(parts.solutions["ph"], u) <= 1e-9
     assert set(parts.solutions) == {"ph", "p1", "p2"}
 
@@ -257,7 +257,7 @@ def test_pressure_parts_zero_field():
     u = VectorGrid.from_array(unit_box(16), np.zeros((3, 16, 16, 16)))
     parts = pressure_parts(u)
     for g in (parts.grad_ph, parts.grad_p1, parts.grad_p2):
-        assert np.all(g.stack() == 0.0)
+        assert np.all(g.data == 0.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -277,14 +277,14 @@ def test_convective_divergence_exact_on_linear_field():
     x, y, z = u.box.center_mesh()
     expected = np.stack([x, y, np.zeros_like(z)])
     inner = (slice(None),) + (slice(1, -1),) * 3
-    got = convective_divergence(u).stack()
+    got = convective_divergence(u).data
     assert np.allclose(got[inner], expected[inner], rtol=0.0, atol=1e-12)
 
 
 def test_vector_laplacian_exact_on_quadratic():
     v = VectorGrid.sample(unit_box(16), lambda x, y, z: (
         x * x + 2 * y * y, x * y, z * z - x * x))
-    lap = vector_laplacian(v).stack()
+    lap = vector_laplacian(v).data
     assert np.allclose(lap[0], 6.0, atol=1e-9)
     assert np.allclose(lap[1], 0.0, atol=1e-9)
     assert np.allclose(lap[2], 0.0, atol=1e-9)
@@ -307,7 +307,7 @@ def test_harmonic_residual_grows_with_injected_divergence():
     chi = np.stack([np.sin(np.pi * x), np.sin(np.pi * y), np.sin(np.pi * z)])
     residuals = []
     for amp in (0.0, 0.1, 0.2, 0.4):
-        u = VectorGrid.from_array(box, base.stack() + amp * chi)
+        u = VectorGrid.from_array(box, base.data + amp * chi)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # deliberately compressible input
             parts = pressure_parts(u)

@@ -37,7 +37,7 @@ def spectral_divergence_rms(v):
     k1 = np.fft.fftfreq(n, 1.0 / n)
     kz = np.arange(n // 2 + 1)
     kx, ky, kz = np.meshgrid(k1, k1, kz, indexing="ij")
-    uh = sfft.rfftn(v.stack(), axes=(1, 2, 3))
+    uh = sfft.rfftn(v.data, axes=(1, 2, 3))
     div = sfft.irfftn(1j * (kx * uh[0] + ky * uh[1] + kz * uh[2]), s=v.box.n)
     return np.sqrt(np.mean(div ** 2))
 
@@ -96,12 +96,12 @@ def test_taylor_green_is_mean_zero_and_solenoidal():
     u = taylor_green(n=32, amplitude=2.0)
     for comp in u.components:
         assert abs(np.mean(comp.data)) < 1e-14
-    umax = np.abs(u.stack()).max()
+    umax = np.abs(u.data).max()
     assert spectral_divergence_rms(u) <= 1e-12 * umax
     # extrema fall between cell centers, so umax only approaches the amplitude
     assert 2.0 * 0.97 <= umax <= 2.0 * (1 + 1e-12)
     half = taylor_green(n=32, amplitude=1.0)
-    assert np.allclose(u.stack(), 2.0 * half.stack(), rtol=0, atol=1e-15)
+    assert np.allclose(u.data, 2.0 * half.data, rtol=0, atol=1e-15)
 
 
 def test_random_solenoidal_properties():
@@ -111,14 +111,14 @@ def test_random_solenoidal_properties():
     assert spectral_divergence_rms(u) <= 1e-12 * rms
     # determinism and seed sensitivity
     again = random_solenoidal(n=24, seed=3, band=(2.0, 8.0), rms=1.5)
-    assert np.array_equal(u.stack(), again.stack())
+    assert np.array_equal(u.data, again.data)
     other = random_solenoidal(n=24, seed=4, band=(2.0, 8.0), rms=1.5)
-    assert not np.allclose(u.stack(), other.stack())
+    assert not np.allclose(u.data, other.data)
 
 
 def test_random_solenoidal_band_limit():
     u = random_solenoidal(n=24, seed=3, band=(2.0, 8.0))
-    uh = sfft.rfftn(u.stack(), axes=(1, 2, 3))
+    uh = sfft.rfftn(u.data, axes=(1, 2, 3))
     k1 = np.fft.fftfreq(24, 1.0 / 24)
     kx, ky, kz = np.meshgrid(k1, k1, np.arange(13), indexing="ij")
     kk = np.sqrt(kx ** 2 + ky ** 2 + kz ** 2)
@@ -156,7 +156,7 @@ def test_solver_cfl_is_taken_on_the_stored_states():
                        seed=3, save_every=1)
     run = run_solver(cfg)
     h = 2 * np.pi / cfg.n
-    umax = [np.max(np.abs(fr.stack())) for fr in run.field.frames[:-1]]
+    umax = [np.max(np.abs(fr.data)) for fr in run.field.frames[:-1]]
     assert np.array_equal(run.cfl, np.array(umax) * cfg.dt / h)
 
 
@@ -175,7 +175,7 @@ def test_solver_preserves_zero_momentum():
     run = run_solver(SolverConfig(n=16, nu=0.02, dt=0.01, t_end=0.05,
                                   initial="random", seed=7, save_every=5))
     for frame in run.field.frames:
-        rms = np.sqrt(np.mean(frame.stack() ** 2))
+        rms = np.sqrt(np.mean(frame.data ** 2))
         for comp in frame.components:
             assert abs(np.mean(comp.data)) <= 1e-13 * rms
 
