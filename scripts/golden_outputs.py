@@ -4,7 +4,10 @@ pipeline path (`run_solver`, field I/O, the cylinder quantities), or
 compare two dumps bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
-dumping at the parent commit and at the change, then comparing:
+dumping at the parent commit and at the change, then comparing (the script
+calls `_cluster_labels` and `_greedy_disjoint` with packed keys where the
+module's `SelectionFamily` holds `F_keys`, and with offsets where it does
+not, so it runs against both):
 
     PYTHONPATH=<parent>/src python scripts/golden_outputs.py dump parent.npz
     PYTHONPATH=src python scripts/golden_outputs.py dump change.npz
@@ -17,8 +20,10 @@ to p_h, `estar` of a random forcing on 17 x 20 x 23 cells,
 `harmonic_residual` and `local_energy_residual`) are compared to
 rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
-`localize` run dumps its whole `to_dict()` payload, its chains, its
-clusters as sorted offset lists and the per-level F and G offsets. The
+`localize` run dumps its whole `to_dict()` payload (less the constant
+`flags.eps_shape_factor` of modules that had a shape factor, always 1.0
+here), its chains, its clusters as sorted offset lists and the per-level F
+and G offsets; each run passes the one eps it selects at. The
 clusters section dumps the `_cluster_labels` partition of seeded random
 offset sets, a broken filament and 8000 isolated offsets, with labels
 renumbered by first appearance, so a change of label numbering alone
@@ -58,6 +63,10 @@ from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
                             restrict_to_cube, vector_laplacian)
 from regscan.synth import (SolverConfig, SpikeSpec, random_solenoidal,
                            run_solver, spike_field)
+
+# the dyadic helpers take packed keys where SelectionFamily holds them
+KEYED = "F_keys" in dyadic.SelectionFamily.__dataclass_fields__
+
 
 def _js(obj):
     return np.array(json.dumps(obj, sort_keys=True, default=float))
@@ -117,7 +126,9 @@ def _localize_outputs(out, tag, frame, eps, k_max, **kw):
         warnings.simplefilter("ignore")  # deep levels span < 4 cells
         cs = localize(frame, AnalysisConfig(eps=eps), k_max,
                       on_underresolved="warn", **kw)
-    out[f"{tag}.payload"] = _js(cs.to_dict())
+    payload = cs.to_dict()
+    payload["flags"].pop("eps_shape_factor", None)
+    out[f"{tag}.payload"] = _js(payload)
     out[f"{tag}.chains"] = _js([[(c.level, [int(v) for v in c.j])
                                  for c in chain] for chain in cs.chains])
     # a cluster is a list of DyadicCube or an (m, 3) offset array
@@ -140,18 +151,16 @@ def chain_outputs(out):
                          delta=2.05 * 1.1 / n)
         frame = spike_field(spec, box)
         _localize_outputs(out, f"localize{axes}", frame, 0.1, 6)
-    # the counter-rotating pair again, with a shape factor and a user-given M
-    _localize_outputs(out, "localize(shape1.3,M0.9)", frame, 0.1, 4,
-                      M=0.9, eps_shape_factor=1.3)
+    # the counter-rotating pair again, at another eps and a user-given M
+    _localize_outputs(out, "localize(eps0.13,M0.9)", frame, 0.13, 4, M=0.9)
 
-    # one spike at 48^3: measured M, a shape factor, a user-given M
+    # one spike at 48^3: measured M, another eps, a user-given M
     box = Box3((0, 0, 0), (1, 1, 1), (48, 48, 48))
     spec = SpikeSpec(centers=[(0.5, 0.5, 0.5)], amplitudes=[0.125],
                      axes=[(0, 0, 1)], delta=0.05)
     frame = spike_field(spec, box)
     _localize_outputs(out, "spike", frame, 0.1, 3)
-    _localize_outputs(out, "spike(shape1.3)", frame, 0.1, 3,
-                      eps_shape_factor=1.3)
+    _localize_outputs(out, "spike(eps0.13)", frame, 0.13, 3)
     _localize_outputs(out, "spike(M2)", frame, 0.1, 3, M=2.0)
     _localize_outputs(out, "zero", VectorGrid.from_array(
         box, np.zeros((3, 48, 48, 48))), 0.1, 2, M=1.0)
@@ -163,8 +172,7 @@ def chain_outputs(out):
     frame = run.field.frames[-1]
     _localize_outputs(out, "dense(eps0.1)", frame, 0.1, 0)
     _localize_outputs(out, "dense(eps0.2)", frame, 0.2, 1)
-    _localize_outputs(out, "dense(eps0.2,shape1.1)", frame, 0.2, 0,
-                      eps_shape_factor=1.1)
+    _localize_outputs(out, "dense(eps0.22)", frame, 0.22, 0)
 
 
 def _partition(labels):
@@ -195,7 +203,8 @@ def cluster_outputs(out):
                          axis=-1).reshape(-1, 3)
     sets["isolated8000"] = (grid + rng.integers(0, 6, size=grid.shape), 9)
     for tag, (j, dm) in sets.items():
-        out[f"clusters.{tag}"] = _partition(dyadic._cluster_labels(j, dm))
+        out[f"clusters.{tag}"] = _partition(dyadic._cluster_labels(
+            dyadic._pack(j) if KEYED else j, dm))
 
 
 def _greedy_counts(j, eps):
@@ -208,7 +217,8 @@ def _greedy_counts(j, eps):
         for cut in (saved, -1.0, np.inf):
             if cut is not missing:
                 dyadic._BULK_KILL = cut
-            counts.append(dyadic._greedy_disjoint(j, eps))
+            counts.append(dyadic._greedy_disjoint(dyadic._pack(j), j, eps)
+                          if KEYED else dyadic._greedy_disjoint(j, eps))
     finally:
         if saved is missing:
             del dyadic._BULK_KILL

@@ -138,7 +138,6 @@ def cmd_localize(args):
         cfg,
         args.kmax,
         M=M,
-        eps_shape_factor=args.eps_shape_factor,
         on_underresolved=args.on_underresolved,
     )
     payload = cs.to_dict()
@@ -276,8 +275,6 @@ def _build_parser():
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--M", default="auto")
-    p.add_argument("--eps-shape-factor", type=float, default=1.0,
-                   dest="eps_shape_factor")
     p.add_argument("--on-underresolved", choices=("error", "warn"),
                    default="error", dest="on_underresolved")
     p.add_argument("--frame", type=int)

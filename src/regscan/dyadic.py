@@ -10,9 +10,10 @@ points; the count of selected cubes per level is certified against the
 measure-packing bounds that cap the number of candidates at
 eps^-7 M^3 + eps^-3 for fields with weak-L^3 norm at most M.
 
-Cube families are sorted int64 keys of packed lattice offsets. Neighbour,
-child and parent families are separable per axis: `_spread` expands merged
-runs of ranges, at three sorts of the distinct keys. The packing count
+Cube families are sorted, distinct int64 keys of packed lattice offsets at
+one eps, unpacked only where arithmetic needs the offsets. Neighbour, child
+and parent families are separable per axis: `_spread` expands merged runs
+of ranges, at three sorts of the distinct keys. The packing count
 `_greedy_disjoint` kills a kept cube's later neighbours in bulk where they
 are dense, so it pays a Python step per kept cube there, not per selected
 one. Keys and counts are those of a plain expansion and a plain greedy.
@@ -194,10 +195,14 @@ def _magnitude(frame):
 
 
 def _prefix(mag, height):
-    """Prefix sums of the cells where |mag| > height, and their measure."""
-    ind = np.abs(mag.data) > height
-    p = np.zeros(tuple(m + 1 for m in ind.shape), dtype=np.int64)
-    p[1:, 1:, 1:] = np.cumsum(np.cumsum(np.cumsum(ind, 0), 1), 2)
+    """Prefix sums of the cells where |mag| > height, built in place (int32
+    below 2^31 cells), and their measure."""
+    p = np.zeros(tuple(m + 1 for m in mag.data.shape),
+                 np.int32 if mag.data.size < 2 ** 31 else np.int64)
+    q = p[1:, 1:, 1:]
+    np.greater(np.abs(mag.data), height, out=q, casting="unsafe")
+    for axis in range(3):
+        np.cumsum(q, axis=axis, out=q)
     return p, float(p[-1, -1, -1] * mag.box.cell_volume)
 
 
@@ -216,9 +221,10 @@ _NEIGHBOURS = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0
 _BULK_KILL = 0.5
 
 
-def _greedy_disjoint(j, eps):
-    """Size of the greedy maximal pairwise-disjoint subfamily of the offsets
-    j, taken in order (lexicographic, as every caller sorts them).
+def _greedy_disjoint(keys, j, eps):
+    """Size of the greedy maximal pairwise-disjoint subfamily of the cubes
+    with keys and offsets j = _unpack(keys), taken in order (key order, as
+    every caller sorts them).
 
     Two kept cubes never meet, so a bucket of side dm + 1 holds at most one
     of them, and a cube can only meet kept cubes of the 27 buckets around it.
@@ -231,7 +237,6 @@ def _greedy_disjoint(j, eps):
     """
     dm = _meet_radius(eps)
     b = dm + 1
-    keys = _pack(j)
     n = len(keys)
     row = np.searchsorted(keys, keys + dm, "right") - np.searchsorted(keys, keys - dm)
     # kills need sorted distinct keys and room for the rows around the cube
@@ -268,44 +273,47 @@ class SelectionFamily:
 
     F holds the cubes passing the measure condition
     m{x in E : |u| > 2^k eps} > 2^-3k eps; G adds every cover cube whose
-    interior touches a member of F. The certificate records the packing
-    chain: n <= eps^-3 n_disjoint, n_disjoint * 2^-3k eps <= m_global,
+    interior touches a member of F. Both are sorted, distinct packed keys
+    of level-k offsets at the family's eps (F_keys, G_keys); F_indices and
+    G_indices unpack them to (n, 3) offsets. The certificate records the
+    packing chain: n <= eps^-3 n_disjoint, n_disjoint * 2^-3k eps <= m_global,
     and m_global <= (2^k eps)^-3 M^3.
     """
 
     level: int
     eps: float
-    shape_factor: float
     height: float
     measure_threshold: float
-    F_indices: np.ndarray
-    G_indices: np.ndarray
+    F_keys: np.ndarray
+    G_keys: np.ndarray
     n_disjoint: int
     global_measure: float
     certificate: dict
     boundary_adjacent: bool = False
 
     @property
-    def eps_effective(self):
-        return self.eps * self.shape_factor
+    def F_indices(self):
+        return _unpack(self.F_keys)
+
+    @property
+    def G_indices(self):
+        return _unpack(self.G_keys)
 
     @property
     def n(self):
-        return len(self.F_indices)
+        return len(self.F_keys)
 
     @property
     def empty(self):
-        return len(self.F_indices) == 0
+        return len(self.F_keys) == 0
 
     @property
     def F(self):
-        e = self.eps_effective
-        return [DyadicCube(e, self.level, tuple(r)) for r in self.F_indices]
+        return [DyadicCube(self.eps, self.level, tuple(r)) for r in self.F_indices]
 
     @property
     def G(self):
-        e = self.eps_effective
-        return [DyadicCube(e, self.level, tuple(r)) for r in self.G_indices]
+        return [DyadicCube(self.eps, self.level, tuple(r)) for r in self.G_indices]
 
     def summary(self):
         return {
@@ -313,7 +321,7 @@ class SelectionFamily:
             "height": self.height,
             "measure_threshold": self.measure_threshold,
             "n_selected": self.n,
-            "n_extended": len(self.G_indices),
+            "n_extended": len(self.G_keys),
             "n_disjoint": self.n_disjoint,
             "global_measure": self.global_measure,
             "boundary_adjacent": self.boundary_adjacent,
@@ -321,8 +329,8 @@ class SelectionFamily:
         }
 
 
-def _certificate(n, n_disjoint, thr_measure, global_measure, height, M, eps_eff):
-    inv = 1.0 / eps_eff
+def _certificate(n, n_disjoint, thr_measure, global_measure, height, M, eps):
+    inv = 1.0 / eps
     overlap_rhs = inv ** 3 * n_disjoint
     packing_lhs = n_disjoint * thr_measure
     weak_rhs = (M / height) ** 3 if height > 0 else float("inf")
@@ -336,65 +344,62 @@ def _certificate(n, n_disjoint, thr_measure, global_measure, height, M, eps_eff)
     }
 
 
-def _make_family(mag, k, eps, shape_factor, j, M, prefix):
-    """Apply the level-k measure condition to lexicographically sorted
-    candidate offsets j; prefix is _prefix at the level-k height and M
-    defaults to the weak-L^3 norm of the magnitude grid mag."""
+def _make_family(mag, k, eps, keys, M, prefix):
+    """Apply the level-k measure condition to the sorted distinct candidate
+    keys; prefix is _prefix at the level-k height and M defaults to the
+    weak-L^3 norm of the magnitude grid mag."""
     if M is None:
         M = weak_norm(mag, 3.0)
-    eps_eff = eps * shape_factor
-    height = (2.0 ** k) * eps_eff
-    thr = (2.0 ** (-3 * k)) * eps_eff
+    height = (2.0 ** k) * eps
+    thr = (2.0 ** (-3 * k)) * eps
     p, global_measure = prefix
     box = mag.box
-    sel = j[_cube_counts(p, box, j, k, eps_eff) * box.cell_volume > thr]
-    nd = _greedy_disjoint(sel, eps_eff)
+    j = _unpack(keys)
+    sel = _cube_counts(p, box, j, k, eps) * box.cell_volume > thr
+    f_keys, f = keys[sel], j[sel]
+    nd = _greedy_disjoint(f_keys, f, eps)
 
     # G: the Minkowski sum of F with the meeting offsets [-dm, dm]^3, in the cover
-    dm = _meet_radius(eps_eff)
-    g = _unpack(_spread(_pack(sel), lambda j: (j - dm, j + dm),
-                        _cover_ranges(k, eps_eff, box)))
-    boundary = bool(_protrudes(sel, k, eps_eff, box).any())
+    dm = _meet_radius(eps)
+    g_keys = _spread(f_keys, lambda j: (j - dm, j + dm), _cover_ranges(k, eps, box))
 
-    cert = _certificate(len(sel), nd, thr, global_measure, height, M, eps_eff)
+    cert = _certificate(len(f), nd, thr, global_measure, height, M, eps)
     return SelectionFamily(
-        level=k, eps=eps, shape_factor=shape_factor, height=height,
-        measure_threshold=thr, F_indices=sel, G_indices=g, n_disjoint=nd,
+        level=k, eps=eps, height=height, measure_threshold=thr,
+        F_keys=f_keys, G_keys=g_keys, n_disjoint=nd,
         global_measure=global_measure, certificate=cert,
-        boundary_adjacent=boundary)
+        boundary_adjacent=bool(_protrudes(f, k, eps, box).any()))
 
 
-def select_f0(frame, eps, shape_factor=1.0, M=None):
+def select_f0(frame, eps, M=None):
     """Level-0 selection over the full cover of the frame's box."""
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
     mag = _magnitude(frame)
-    eps_eff = eps * shape_factor
-    j = _cover_offsets(0, eps_eff, mag.box)
-    return _make_family(mag, 0, eps, shape_factor, j, M, _prefix(mag, eps_eff))
+    keys = _pack(_cover_offsets(0, eps, mag.box))
+    return _make_family(mag, 0, eps, keys, M, _prefix(mag, eps))
 
 
-def _children_of(keys, eps_eff, k_child, box):
-    """Candidate level-k offsets contained in the given level-(k-1) cubes."""
-    span = _child_span(eps_eff)
+def _children_of(keys, eps, k_child, box):
+    """Candidate level-k keys contained in the given level-(k-1) cubes."""
+    span = _child_span(eps)
     return _spread(keys, lambda j: (2 * j, 2 * j + span),
-                   _cover_ranges(k_child, eps_eff, box))
+                   _cover_ranges(k_child, eps, box))
 
 
 def select_fk(frame, prev, M=None):
-    """Selection one level below prev, among cubes contained in its G family,
-    with prev's eps and shape factor."""
+    """Selection one level below prev, at prev's eps, among the cubes
+    contained in its G family."""
     k = prev.level + 1
     mag = _magnitude(frame)
-    eps_eff = prev.eps_effective
-    prefix = _prefix(mag, (2.0 ** k) * eps_eff)
+    eps = prev.eps
+    prefix = _prefix(mag, (2.0 ** k) * eps)
 
     # only parents holding at least one super-level cell can have children
     # passing the (strictly positive) measure condition
-    parents = prev.G_indices
-    parents = parents[_cube_counts(prefix[0], mag.box, parents, k - 1, eps_eff) > 0]
-    j = _unpack(_children_of(_pack(parents), eps_eff, k, mag.box))
-    return _make_family(mag, k, prev.eps, prev.shape_factor, j, M, prefix)
+    counts = _cube_counts(prefix[0], mag.box, prev.G_indices, k - 1, eps)
+    keys = _children_of(prev.G_keys[counts > 0], eps, k, mag.box)
+    return _make_family(mag, k, eps, keys, M, prefix)
 
 
 def _check_m(M):
@@ -411,23 +416,26 @@ def count_bound(M, eps):
     return M ** 3 * inv ** 7 + inv ** 3
 
 
-def _parents_of(keys, eps_eff):
-    """All level-(k-1) offsets whose cube contains the given level-k cubes:
+def _parents_of(keys, eps):
+    """All level-(k-1) keys whose cube contains the given level-k cubes:
     per axis, the range [ceil((j-span)/2), floor(j/2)]."""
-    span = _child_span(eps_eff)
+    span = _child_span(eps)
     return _spread(keys, lambda j: ((j - span + 1) // 2, j // 2))
 
 
-def _first_parents(keys, reach, eps_eff):
+def _first_parents(keys, reach, eps):
     """Per level-k key, the lexicographically first key of the sorted reach
-    whose level-(k-1) cube contains it (one must exist). The (x, y) lines of
-    the parent boxes are scanned in order, one `searchsorted` of all keys
-    per line; packed keys sort lexicographically, so the first hit wins."""
-    span = _child_span(eps_eff)
+    whose level-(k-1) cube contains it, or -1 where there is none (every
+    key, when the reach is empty). The (x, y) lines of the parent boxes are
+    scanned in order, one `searchsorted` of all keys per line; packed keys
+    sort lexicographically, so the first hit wins."""
+    found = np.full(len(keys), -1, np.int64)
+    if len(reach) == 0:
+        return found
+    span = _child_span(eps)
     j = _unpack(keys)
     lo = (j - span + 1) // 2
     width = j // 2 - lo
-    found = np.full(len(keys), -1, np.int64)
     for dx, dy in product(range(span // 2 + 1), repeat=2):
         rows = np.flatnonzero((found < 0) & (dx <= width[:, 0]) & (dy <= width[:, 1]))
         first = _pack(lo[rows] + (dx, dy, 0))
@@ -479,9 +487,9 @@ class CandidateSet:
         }
 
 
-def _cluster_labels(j, dm):
-    """Connected components of lattice offsets under |dj|_inf <= dm, exactly,
-    numbered in the order of their lexicographically first offsets.
+def _cluster_labels(keys, dm):
+    """Connected components of the packed offsets keys under |dj|_inf <= dm,
+    exactly, numbered in the order of their lexicographically first offsets.
 
     In the sorted packed keys, offsets of one (x, y) line with z gaps of at
     most dm chain into a run. Runs on lines at most dm apart in x and y meet
@@ -496,11 +504,10 @@ def _cluster_labels(j, dm):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    if len(j) == 0:
+    if len(keys) == 0:
         return np.empty(0, np.int64)
-    if np.abs(j).max() >= _OFF - dm:   # key + shift -/+ dm must not borrow
+    if np.abs(_unpack(keys)).max() >= _OFF - dm:   # key + shift -/+ dm: no borrow
         raise ValueError("lattice offset exceeds packing range")
-    keys = _pack(j)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     start = np.r_[True, keys[1:] - keys[:-1] > dm]
@@ -524,7 +531,7 @@ def _cluster_labels(j, dm):
             break
     # number by first run; scipy does not document its label order
     rank = np.argsort(np.argsort(np.unique(comp, return_index=True)[1]))
-    labels = np.empty(len(j), np.int64)
+    labels = np.empty(len(keys), np.int64)
     labels[order] = rank[comp][np.cumsum(start) - 1]
     return labels
 
@@ -532,8 +539,9 @@ def _cluster_labels(j, dm):
 def build_chains(families, box):
     """Follow nested admitted cubes through every level and cluster survivors.
 
-    A cube at level k extends a chain when it lies inside a reachable cube
-    of the previous G family; branching follows all qualifying cubes.
+    A cube of the level-k G family is reachable when it lies inside a
+    reachable cube of level k - 1 (`_first_parents` finds one); branching
+    follows all qualifying cubes.
     Survivors at the deepest level are clustered by the meet relation on
     z-runs of their keys (`_cluster_labels`) and split by one stable argsort
     of the labels; each cluster (an offset array, lexicographic) is reported
@@ -547,44 +555,42 @@ def build_chains(families, box):
             terminated_per_level=[], survivors_per_level=[],
             boundary_adjacent=False, eps=float("nan"), k_max=-1)
 
-    eps_eff = families[0].eps_effective
+    eps = families[0].eps
     k_max = families[-1].level
-    reach = [_pack(families[0].G_indices)]
+    reach = [families[0].G_keys]
     for fam in families[1:]:
-        cand = _children_of(reach[-1], eps_eff, fam.level, box)
-        reach.append(np.intersect1d(_pack(fam.G_indices), cand, assume_unique=True))
+        reach.append(fam.G_keys[_first_parents(fam.G_keys, reach[-1], eps) >= 0])
     terminated = [
-        int(len(r) - len(np.intersect1d(r, _parents_of(r_next, eps_eff),
+        int(len(r) - len(np.intersect1d(r, _parents_of(r_next, eps),
                                         assume_unique=True)))
         for r, r_next in zip(reach, reach[1:])
     ]
 
     # cluster by the meet relation: |dj| <= meet radius per axis
+    labels = _cluster_labels(reach[-1], _meet_radius(eps))
     j = _unpack(reach[-1])
-    labels = _cluster_labels(j, _meet_radius(eps_eff))
     clusters = np.split(j[np.argsort(labels, kind="stable")],
                         np.cumsum(np.bincount(labels)))[:-1]
     side = 2.0 ** (-k_max)
-    points = [(eps_eff * side * cl + 0.5 * side).mean(axis=0) for cl in clusters]
+    points = [(eps * side * cl + 0.5 * side).mean(axis=0) for cl in clusters]
 
     # representative chains: walk each cluster's lexicographically first
     # survivor up, taking its first reachable parent at every level
-    walk = [_pack(np.array([cl[0] for cl in clusters]).reshape(-1, 3))]
+    walk = [reach[-1][np.unique(labels, return_index=True)[1]]]
     for k in range(k_max, 0, -1):
-        walk.append(_first_parents(walk[-1], reach[k - 1], eps_eff))
+        walk.append(_first_parents(walk[-1], reach[k - 1], eps))
     offsets = np.stack([_unpack(keys) for keys in reversed(walk)], axis=1)
-    chains = [[DyadicCube(eps_eff, k, tuple(j)) for k, j in enumerate(row)] for row in offsets]
+    chains = [[DyadicCube(eps, k, tuple(j)) for k, j in enumerate(row)] for row in offsets]
 
     return CandidateSet(
         points=np.asarray(points).reshape(-1, 3), clusters=clusters,
         chains=chains, regular=not clusters, terminated_per_level=terminated,
         survivors_per_level=[int(len(r)) for r in reach],
-        boundary_adjacent=bool(_protrudes(j, k_max, eps_eff, box).any()),
-        eps=families[0].eps, k_max=k_max)
+        boundary_adjacent=bool(_protrudes(j, k_max, eps, box).any()),
+        eps=eps, k_max=k_max)
 
 
-def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
-             on_underresolved="error"):
+def localize(frame, cfg, k_max, M=None, on_underresolved="error"):
     """Full localization pipeline for one frame.
 
     Runs the level-0 selection, descends to k_max following admitted
@@ -595,13 +601,6 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    if not (np.isfinite(eps_shape_factor) and eps_shape_factor > 0):
-        raise ValueError(
-            f"eps_shape_factor must be finite and positive, got {eps_shape_factor}")
-    eps_eff = cfg.eps * eps_shape_factor
-    if not (0 < eps_eff < 0.25):
-        raise ValueError(
-            f"effective eps = eps * eps_shape_factor = {eps_eff!r} must lie in (0, 1/4)")
     if M is not None:
         _check_m(M)
     mag = _magnitude(frame)
@@ -619,7 +618,7 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     if M is None:
         M = measured
 
-    families = [select_f0(mag, cfg.eps, eps_shape_factor, M=M)]
+    families = [select_f0(mag, cfg.eps, M=M)]
     for _ in range(k_max):
         if families[-1].empty:
             break
@@ -628,12 +627,11 @@ def localize(frame, cfg, k_max, M=None, eps_shape_factor=1.0,
     cs = build_chains(families, mag.box)
     cs.M = float(M)
     cs.weak_norm_measured = float(measured)
-    cs.bound = count_bound(M, eps_eff)
+    cs.bound = count_bound(M, cfg.eps)
     cs.families = families
     cs.flags = {
         "underresolved_levels": underresolved,
         "truncated": len(families) < k_max + 1,
-        "eps_shape_factor": eps_shape_factor,
     }
     if len(cs.points) > cs.bound:
         raise CountBoundError(

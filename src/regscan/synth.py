@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_DEALIAS = 2.0 / 3.0   # run_solver keeps modes below this fraction of n/2
 
 
 def default_box(n):
@@ -166,21 +167,23 @@ class SolverConfig:
     nu: float = 0.05
     dt: float = 0.01
     t_end: float = 0.5
-    dealias: float = 2.0 / 3.0
     initial: str = "taylor_green"   # or "random"
     seed: int = 0
     amplitude: float = 1.0
     save_every: int | None = None   # steps between stored frames (None: ~16 frames)
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValueError("need at least 8 cells per axis")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"n must be an integer >= 8, got {n!r}")
+        if n < 8:
+            raise ValueError(f"n must be an integer >= 8, got {n!r}")
         if not all(np.isfinite([self.nu, self.dt, self.t_end, self.amplitude])):
             raise ValueError("nu, dt, t_end and amplitude must be finite")
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("nu, dt, t_end must be positive")
-        if not (0 < self.dealias <= 1):
-            raise ValueError("dealias fraction must lie in (0, 1]")
+        if self.t_end / self.dt <= 0.5:   # run_solver's round() gives no step
+            raise ValueError(f"t_end / dt = {self.t_end / self.dt!r} rounds to 0 steps")
         if self.initial not in ("taylor_green", "random"):
             raise ValueError(f"unknown initial profile {self.initial!r}")
         if not isinstance(self.seed, (int, np.integer)):
@@ -234,7 +237,7 @@ def run_solver(cfg):
     k = _wavenumbers(n)
     k2 = np.sum(k * k, axis=0)
     k2_safe = np.where(k2 == 0, 1.0, k2)
-    cutoff = cfg.dealias * (n / 2.0)
+    cutoff = _DEALIAS * (n / 2.0)
     dealias = (
         (np.abs(k[0]) < cutoff) & (np.abs(k[1]) < cutoff) & (np.abs(k[2]) < cutoff)
     )

@@ -202,29 +202,19 @@ def test_localize_count_overflow_is_a_clean_error(capsys, field_file, monkeypatc
     assert "exceeds bound -1.0" in err["error"]
 
 
-@pytest.mark.parametrize("eps, factor, expected", [
-    ("0.2", "1.3", "effective eps = eps * eps_shape_factor = 0.26"),
-    ("0.1", "0", "eps_shape_factor must be finite and positive"),
-    ("0.1", "-1", "eps_shape_factor must be finite and positive"),
-    ("0.1", "nan", "eps_shape_factor must be finite and positive"),
-])
-def test_localize_rejects_bad_shape_factor_up_front(capsys, field_file,
-                                                    monkeypatch, eps, factor,
-                                                    expected):
+@pytest.mark.parametrize("eps", ["0.26", "0", "-1", "nan"])
+def test_localize_rejects_bad_eps_up_front(capsys, field_file, monkeypatch, eps):
     import regscan.dyadic
 
     def no_selection(*args, **kwargs):
-        raise AssertionError("selection ran before the inputs were checked")
+        raise AssertionError("selection ran before eps was checked")
 
     monkeypatch.setattr(regscan.dyadic, "select_f0", no_selection)
     path, _ = field_file
-    rc = main(["localize", path, "--eps", eps, "--kmax", "0",
-               "--eps-shape-factor", factor])
-    err = capsys.readouterr().err.splitlines()
-    assert rc == 1 and len(err) == 1
-    err = json.loads(err[0])
+    err = one_line_error(capsys, main(["localize", path, "--eps", eps,
+                                       "--kmax", "0"]))
     assert err["type"] == "ValueError"
-    assert expected in err["error"]
+    assert "eps must lie in (0, 1/4)" in err["error"]
 
 
 @pytest.mark.parametrize("M", ["nan", "inf", "-1"])
@@ -431,6 +421,9 @@ def test_simulate_rejects_bad_config(capsys, tmp_path):
     ({"n": 16, "t_end": 0.05, "initial": "Random"}, "unknown initial profile 'Random'"),
     ({"n": 16, "t_end": 0.05, "initial": "random_x"},
      "unknown initial profile 'random_x'"),
+    ({"n": float("inf"), "t_end": 0.05}, "n must be an integer >= 8, got inf"),
+    ({"n": True, "t_end": 0.05}, "n must be an integer >= 8, got True"),
+    ({"n": 16, "dt": 0.5, "t_end": 0.2}, "t_end / dt = 0.4 rounds to 0 steps"),
 ])
 def test_simulate_rejects_malformed_config(capsys, tmp_path, cfg, expected):
     cfg_path = tmp_path / "bad.json"

@@ -130,9 +130,11 @@ def test_first_parents_is_the_least_reachable_parent(rng, eps):
     reach = np.sort(rng.choice(every, len(every) // 20, replace=False))
     first = [np.intersect1d(_parents_of(key[None], eps), reach)[:1] for key in keys]
     has = np.array([len(f) > 0 for f in first])
-    assert has.sum() > 100
-    assert _first_parents(keys[has], reach, eps).tolist() == [
-        int(f[0]) for f in first if len(f)]
+    assert 100 < has.sum() < len(keys)
+    # keys with no reachable parent get -1, and every key does for no reach
+    assert _first_parents(keys, reach, eps).tolist() == [
+        int(f[0]) if len(f) else -1 for f in first]
+    assert _first_parents(keys, reach[:0], eps).tolist() == [-1] * len(keys)
 
 
 @pytest.mark.parametrize("eps", [0.13, 0.15, 0.2, 0.24])
@@ -242,7 +244,7 @@ def test_greedy_disjoint_matches_quadratic_greedy(rng, dm):
     eps = 1.0 / (dm + 1)
     for _ in range(20):
         j = random_offsets(rng, int(rng.integers(1, 120)), -12, 12)
-        assert _greedy_disjoint(j, eps) == brute_greedy_disjoint(j, dm)
+        assert _greedy_disjoint(_pack(j), j, eps) == brute_greedy_disjoint(j, dm)
 
 
 def lattice(n, pitch):
@@ -267,7 +269,7 @@ def test_greedy_disjoint_matches_brute_greedy(rng, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(regscan.dyadic, "_BULK_KILL", bulk)
             for (j, dm), count in zip(cases, counts):
-                assert _greedy_disjoint(j, 1.0 / (dm + 1)) == count
+                assert _greedy_disjoint(_pack(j), j, 1.0 / (dm + 1)) == count
 
 
 def test_greedy_disjoint_follows_an_unsorted_order(rng, monkeypatch):
@@ -281,7 +283,7 @@ def test_greedy_disjoint_follows_an_unsorted_order(rng, monkeypatch):
         for row in j:
             if all(np.max(np.abs(row - q)) > dm for q in kept):
                 kept.append(row)
-        assert _greedy_disjoint(j, 1.0 / (dm + 1)) == len(kept)
+        assert _greedy_disjoint(_pack(j), j, 1.0 / (dm + 1)) == len(kept)
 
 
 def two_bump_frame(n=12, extent=0.6):
@@ -342,15 +344,15 @@ def test_select_fk_descends_into_parents():
     assert got == brute_family(frame, eps, 1, parent_G=f0.G)
 
 
-def test_select_fk_takes_eps_and_shape_factor_from_prev():
-    # one broad blob, so level 1 selects cubes at the effective eps 0.22
+def test_select_fk_takes_eps_from_prev():
+    # one broad blob, so level 1 selects cubes at eps 0.22
     box = Box3((0, 0, 0), (0.7, 0.7, 0.7), (14, 14, 14))
     x, y, z = box.center_mesh()
     mag = 3.0 * np.exp(-((x - 0.3) ** 2 + (y - 0.35) ** 2 + (z - 0.4) ** 2) / 0.09)
     frame = VectorGrid.from_array(box, np.stack([mag, 0 * mag, 0 * mag]))
-    f0 = select_f0(frame, 0.2, shape_factor=1.1)
+    f0 = select_f0(frame, 0.22)
     f1 = select_fk(frame, f0)
-    assert (f1.level, f1.eps, f1.shape_factor) == (1, 0.2, 1.1)
+    assert (f1.level, f1.eps) == (1, 0.22)
     got = {tuple(r) for r in f1.F_indices}
     assert got and got == brute_family(frame, 0.22, 1, parent_G=f0.G)
 
@@ -418,16 +420,17 @@ def test_cluster_labels_match_union_find(rng, dm):
         j = rng.integers(-25, 25, size=(n, 3))
         sets.append(np.unique(j, axis=0))
     for j in sets:
-        assert labels_to_partition(_cluster_labels(j, dm)) == brute_partition(j, dm)
+        labels = _cluster_labels(_pack(j), dm)
+        assert labels_to_partition(labels) == brute_partition(j, dm)
 
 
 @pytest.mark.parametrize("dm", [1, 2, 4, 7])
 def test_cluster_labels_sharp_at_meet_radius(dm):
     touching = np.array([[0, 0, 0], [dm, -dm, dm]])
-    labels = _cluster_labels(touching, dm)
+    labels = _cluster_labels(_pack(touching), dm)
     assert labels[0] == labels[1]
     apart = np.array([[0, 0, 0], [dm + 1, 0, 0]])
-    labels = _cluster_labels(apart, dm)
+    labels = _cluster_labels(_pack(apart), dm)
     assert labels[0] != labels[1]
 
 
@@ -437,7 +440,7 @@ def test_cluster_labels_memory_ignores_the_bounding_box():
     far = np.array([[0, 0, 0], [1, 0, 0], [3000, 3000, 3000]])
     tracemalloc.start()
     try:
-        labels = _cluster_labels(far, 9)
+        labels = _cluster_labels(_pack(far), 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,20 +503,27 @@ def test_localize_clusters_partition_the_deepest_survivors():
         assert tuple(chain[-1].j) == tuple(cl[0])
 
 
-def per_cluster_chains(families, clusters, box):
+def plain_reach(families, box):
+    """Per level, the G keys inside a reachable cube of the level above,
+    by expanding the children of the reach and intersecting."""
+    eps = families[0].eps
+    reach = [families[0].G_keys]
+    for fam in families[1:]:
+        cand = _children_of(reach[-1], eps, fam.level, box)
+        reach.append(np.intersect1d(fam.G_keys, cand, assume_unique=True))
+    return reach
+
+
+def per_cluster_chains(families, clusters, reach):
     """Representative chains by the plain walk: per cluster and level, the
     first of the survivor's parent keys that the level reaches."""
-    eps_eff = families[0].eps_effective
-    reach = [_pack(families[0].G_indices)]
-    for fam in families[1:]:
-        cand = _children_of(reach[-1], eps_eff, fam.level, box)
-        reach.append(np.intersect1d(_pack(fam.G_indices), cand, assume_unique=True))
+    eps = families[0].eps
     chains = []
     for cl in clusters:
         key = _pack(cl[:1])
         chain = [tuple(cl[0])]
         for k in range(len(families) - 1, 0, -1):
-            key = np.intersect1d(_parents_of(key, eps_eff), reach[k - 1],
+            key = np.intersect1d(_parents_of(key, eps), reach[k - 1],
                                  assume_unique=True)[:1]
             chain.append(tuple(_unpack(key)[0]))
         chains.append(chain[::-1])
@@ -533,8 +543,13 @@ def test_build_chains_matches_the_per_cluster_walk(eps, amplitude):
         families.append(select_fk(frame, families[-1]))
     cs = build_chains(families, box)
     assert len(cs.clusters) >= 10
+    reach = plain_reach(families, box)
+    assert cs.survivors_per_level == [len(r) for r in reach]
+    assert cs.terminated_per_level == [
+        len(r) - len(np.intersect1d(r, _parents_of(r_next, eps)))
+        for r, r_next in zip(reach, reach[1:])]
     assert [[c.j for c in chain] for chain in cs.chains] == per_cluster_chains(
-        families, cs.clusters, box)
+        families, cs.clusters, reach)
     assert all(chain[k].level == k for chain in cs.chains for k in range(4))
 
 

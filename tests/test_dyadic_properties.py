@@ -44,7 +44,7 @@ def test_greedy_disjoint_is_the_brute_greedy(case):
         old = regscan.dyadic._BULK_KILL
         regscan.dyadic._BULK_KILL = bulk
         try:
-            assert _greedy_disjoint(j, 1.0 / (dm + 1)) == expect
+            assert _greedy_disjoint(_pack(j), j, 1.0 / (dm + 1)) == expect
         finally:
             regscan.dyadic._BULK_KILL = old
 
@@ -81,7 +81,7 @@ def test_cluster_labels_are_the_union_find_partition(case, rnd):
     rows = list(range(len(j))) + list(range(0, len(j), 3))
     rnd.shuffle(rows)
     j = j[rows]
-    labels = _cluster_labels(j, dm)
+    labels = _cluster_labels(_pack(j), dm)
     assert labels_to_partition(labels) == brute_partition(j, dm)
     # labels 0, 1, ... first appear in that order along the sorted offsets
     seen = labels[np.lexsort(j.T[::-1])]
@@ -99,7 +99,7 @@ def test_cluster_labels_reject_offsets_near_the_packing_range(case, sign, axis, 
     near = np.zeros((1, 3), np.int64)
     near[0, axis] = sign * (_OFF - gap)   # key + shift -/+ dm would borrow
     with pytest.raises(ValueError, match="packing range"):
-        _cluster_labels(np.concatenate([j, near]), dm)
+        _cluster_labels(_pack(np.concatenate([j, near])), dm)
     near[0, axis] = sign * (_OFF - dm - 1)
-    labels = _cluster_labels(np.concatenate([j, near]), dm)
+    labels = _cluster_labels(_pack(np.concatenate([j, near])), dm)
     assert labels[-1] not in labels[:-1]

@@ -137,8 +137,10 @@ def test_solver_config_validation():
         SolverConfig(n=4)
     with pytest.raises(ValueError):
         SolverConfig(nu=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(dealias=1.5)
+    with pytest.raises(TypeError, match="n must be an integer >= 8"):
+        SolverConfig(n=16.0)
+    with pytest.raises(ValueError, match="rounds to 0 steps"):
+        SolverConfig(dt=0.2, t_end=0.1)
     with pytest.raises(ValueError):
         run_solver(SolverConfig(n=8, initial="vortex_sheet"))
     with pytest.raises(ValueError, match="unknown initial profile 5"):
