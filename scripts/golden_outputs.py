@@ -1,7 +1,8 @@
 """Dump the numerical outputs of `stokes`, `dyadic.localize`, the dyadic
-meet-relation clustering, packing count and key expansion, and the CLI
-pipeline path (`run_solver`, field I/O, the cylinder quantities), or
-compare two dumps bit for bit.
+meet-relation clustering, packing count and key expansion, the CLI
+pipeline path (`run_solver`, field I/O, the cylinder quantities) and the
+weak-norm layer (`lorentz` and the region masks), or compare two dumps
+bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
 dumping at the parent commit and at the change, then comparing (the script
@@ -37,7 +38,13 @@ section dumps solver frames and histories, the SHA-256 of the
 written field file, the read-back frames with their memory layout, the
 non-finite read and write errors, every cylinder quantity on windows that
 start between frames, on a frame, and end before the last frame, and both
-forms of `rescale`.
+forms of `rescale`. The Lorentz section dumps, for a 48^3 spike, a seeded
+random field, a field with many ties and zeros, and the zero field: the
+`NormReport` at (q, r) = (3, 2), (4, 2) and (2.5, 1), the `distribution`
+levels and measures, `l4_interpolation_check` and `local_l2_check` at the
+measured weak-L^3 norm M and at M/2 (1 and 1/2 for the zero field), and
+`region_measure` on balls and cubes off the cell lattice, whose `mask`s
+it dumps too.
 """
 
 import hashlib
@@ -52,11 +59,12 @@ import numpy as np
 from regscan import dyadic
 from regscan.dyadic import localize
 from regscan.fieldio import FieldFormatError, read_field, write_field
-from regscan.grid import (Box3, Cube, Cylinder, ScalarGrid, SpaceTimeField,
-                          VectorGrid)
+from regscan.grid import (Ball, Box3, Cube, Cylinder, ScalarGrid,
+                          SpaceTimeField, VectorGrid, region_measure)
 from regscan.localquant import (AnalysisConfig, caccioppoli_sides, energy_sup,
                                 q3, quant_report, rescale)
-from regscan.lorentz import weak_norm
+from regscan.lorentz import (NormReport, distribution, l4_interpolation_check,
+                             local_l2_check, weak_norm)
 from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
                             harmonic_residual, harmonic_rigidity_check,
                             local_energy_residual, pressure_parts,
@@ -357,6 +365,40 @@ def pipeline_outputs(out):
         field.times[20:27], field.frames[20:27]))
 
 
+def lorentz_outputs(out):
+    box = Box3((0, 0, 0), (1, 1, 1), (48, 48, 48))
+    spec = SpikeSpec(centers=[(0.5, 0.5, 0.5)], amplitudes=[0.125],
+                     axes=[(0, 0, 1)], delta=0.05)
+    rng = np.random.default_rng(29)
+    fields = {"spike": spike_field(spec, box).magnitude(),
+              "random": ScalarGrid(box, rng.standard_normal(box.n)),
+              "ties": ScalarGrid(box, 0.25 * rng.integers(-3, 4, size=box.n)),
+              "zero": ScalarGrid(box, np.zeros(box.n))}
+    # corners and radii off the 1/48 lattice; one cube leaves the box
+    regions = {"ball": Ball((0.43, 0.51, 0.58), 0.27),
+               "ball_corner": Ball((0.97, 0.02, 0.5), 0.31),
+               "cube": Cube((0.123, 0.2, 0.31), 0.417),
+               "cube_out": Cube((0.7, -0.1, 0.55), 0.6)}
+    for name, region in regions.items():
+        out[f"lorentz.mask({name})"] = region.mask(box)
+    for tag, f in fields.items():
+        for q, r in ((3.0, 2.0), (4.0, 2.0), (2.5, 1.0)):
+            out[f"lorentz.{tag}.norms(q{q},r{r})"] = _js(
+                NormReport.from_scalar(f, q, r).to_dict())
+        prof = distribution(f)
+        out[f"lorentz.{tag}.levels"] = prof.levels
+        out[f"lorentz.{tag}.measures"] = prof.measures
+        M = weak_norm(f, 3.0) or 1.0
+        for m_tag, m in (("M", M), ("M/2", 0.5 * M)):
+            out[f"lorentz.{tag}.l4_interpolation({m_tag})"] = _js(
+                l4_interpolation_check(f, m).to_dict())
+            out[f"lorentz.{tag}.local_l2({m_tag})"] = _js(
+                local_l2_check(f, regions["ball"], m).to_dict())
+        for name, region in regions.items():
+            out[f"lorentz.{tag}.region_measure({name})"] = _js(
+                [region_measure(f, region, h) for h in (0.0, 0.1 * M, M)])
+
+
 # the projection's outputs; their basis transforms are BLAS products, so
 # rounding may move within the tolerance but CG iteration counts may not
 SOLVER_OUTPUTS = {f"{name}.{part}"
@@ -426,6 +468,7 @@ def main(argv):
         cluster_outputs(out)
         packing_outputs(out)
         pipeline_outputs(out)
+        lorentz_outputs(out)
         np.savez(argv[1], **out)
         print(f"{len(out)} outputs written to {argv[1]}")
         return 0

@@ -105,7 +105,7 @@ def cmd_norms(args):
     field = read_field(args.field)
     i = _pick_frame(field, args)
     mag = field.frames[i].magnitude()
-    report = NormReport.from_scalar(mag, q=args.q, r=args.r)
+    report = NormReport.from_scalar(mag)
     payload = report.to_dict()
     payload["frame"] = i
     payload["time"] = float(field.times[i])
@@ -157,7 +157,7 @@ def cmd_stokes_check(args):
     u = restrict_to_cube(field.frames[i], cube)
     if phi is not None:
         check_bump(field, cube, phi)    # before any solve
-    parts = pressure_parts(u, tol=args.tol)
+    parts = pressure_parts(u)
     sol_h = parts.solutions["ph"]
     unorm = float(np.sqrt((u.data ** 2).sum()))
     payload = {
@@ -167,21 +167,22 @@ def cmd_stokes_check(args):
         "iterations": {k: s.iterations for k, s in parts.solutions.items()},
         "residuals": {k: s.residuals for k, s in parts.solutions.items()},
         "harmonic_residual": harmonic_residual(sol_h, u),
-        "projection_residual": projection_residual(sol_h, tol=args.tol),
+        "projection_residual": projection_residual(sol_h),
         "gradp_over_f": (
             float(np.sqrt((parts.grad_ph.data ** 2).sum())) / unorm
             if unorm > 0 else 0.0
         ),
     }
     if phi is not None:
-        payload["energy"] = local_energy_residual(field, cube, phi, tol=args.tol,
-                                                  nu=args.nu)
+        payload["energy"] = local_energy_residual(field, cube, phi, nu=args.nu)
     return "stokes", payload, [args.field]
 
 
 def cmd_simulate(args):
     with open(args.config) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"invalid config: expected a JSON object, got {raw!r:.40}")
     known = {f.name for f in dataclasses.fields(SolverConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -218,14 +219,18 @@ def cmd_report(args):
     for path in args.reports:
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: a report must be a JSON object")
         if doc.get("schema_version") != SCHEMA_VERSION:
             print(f"{path}: unsupported schema {doc.get('schema_version')}")
             ok = False
             continue
-        man = doc.get("manifest", {})
+        man, payload = doc.get("manifest", {}), doc.get("payload", {})
+        if not (isinstance(man, dict) and isinstance(payload, dict)):
+            raise ValueError(f"{path}: manifest and payload must be JSON objects")
         print(f"{path}: kind={doc.get('kind')} version={man.get('version')} "
-              f"config={man.get('config_hash', '')[:12]}")
-        for key, val in sorted(doc.get("payload", {}).items()):
+              f"config={str(man.get('config_hash', ''))[:12]}")
+        for key, val in sorted(payload.items()):
             if isinstance(val, (int, float, str, bool)):
                 print(f"  {key} = {val}")
     if not ok:
@@ -249,10 +254,8 @@ def _build_parser():
                        help="print the full JSON report")
         p.add_argument("--out", help="write the JSON report to this path")
 
-    p = sub.add_parser("norms", help="weak/equivalent/Lp norms of |u|")
+    p = sub.add_parser("norms", help="weak-L3, equivalent and Lp norms of |u|")
     p.add_argument("field")
-    p.add_argument("--q", type=float, default=3.0)
-    p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--frame", type=int)
     p.add_argument("--time", type=float)
     p.add_argument("--M", help="'auto' or a number: also run the "
@@ -286,7 +289,6 @@ def _build_parser():
     p.add_argument("field")
     p.add_argument("--cube", type=lambda s: _floats(s, "--cube", 4),
                    required=True, metavar="X,Y,Z,SIDE")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--frame", type=int)
     p.add_argument("--time", type=float)
     p.add_argument("--bump", type=lambda s: _floats(s, "--bump", 6),

@@ -32,8 +32,7 @@ from .lorentz import weak_norm
 
 __all__ = [
     "CountBoundError", "DyadicCube", "SelectionFamily", "CandidateSet",
-    "build_cover", "select_f0", "select_fk", "build_chains", "count_bound",
-    "localize",
+    "select_f0", "select_fk", "build_chains", "count_bound", "localize",
 ]
 
 
@@ -181,15 +180,6 @@ def _cover_offsets(k, eps, box):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def build_cover(k, eps, domain):
-    """All level-k cubes whose interior intersects the domain box."""
-    if not (0 < eps < 0.25):
-        raise ValueError("eps must lie in (0, 1/4)")
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    return [DyadicCube(eps, k, tuple(row)) for row in _cover_offsets(k, eps, domain)]
-
-
 def _magnitude(frame):
     return frame.magnitude() if hasattr(frame, "magnitude") else frame
 
@@ -306,14 +296,6 @@ class SelectionFamily:
     @property
     def empty(self):
         return len(self.F_keys) == 0
-
-    @property
-    def F(self):
-        return [DyadicCube(self.eps, self.level, tuple(r)) for r in self.F_indices]
-
-    @property
-    def G(self):
-        return [DyadicCube(self.eps, self.level, tuple(r)) for r in self.G_indices]
 
     def summary(self):
         return {

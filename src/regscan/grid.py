@@ -22,7 +22,6 @@ __all__ = [
     "Cube",
     "Cylinder",
     "region_measure",
-    "restrict",
     "gradient",
     "scalar_gradient",
 ]
@@ -98,12 +97,6 @@ class ScalarGrid:
     def sample(cls, box, fn):
         """Sample fn(x, y, z) at cell centers (fn must broadcast)."""
         return cls(box, fn(*box.center_mesh()))
-
-    def cell_sum(self, mask=None):
-        """Integral of the field: sum of cell values times cell volume."""
-        if mask is None:
-            return float(np.sum(self.data) * self.box.cell_volume)
-        return float(np.sum(self.data[mask]) * self.box.cell_volume)
 
 
 @dataclass
@@ -200,7 +193,7 @@ class Ball:
             raise ValueError("ball radius must be positive")
 
     def mask(self, box):
-        x, y, z = box.center_mesh()
+        x, y, z = np.meshgrid(*box.centers(), indexing="ij", sparse=True)
         cx, cy, cz = self.center
         return (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 < self.r ** 2
 
@@ -224,7 +217,7 @@ class Cube:
             raise ValueError("cube side must be positive")
 
     def mask(self, box):
-        x, y, z = box.center_mesh()
+        x, y, z = np.meshgrid(*box.centers(), indexing="ij", sparse=True)
         m = np.ones(box.n, dtype=bool)
         for coord, c in zip((x, y, z), self.corner):
             m &= (coord >= c) & (coord < c + self.side)
@@ -275,21 +268,6 @@ def region_measure(f, region, h):
         return 0.0
     over = np.abs(f.data) > h
     return float(np.count_nonzero(mask & over) * f.box.cell_volume)
-
-
-def restrict(f, cyl):
-    """Restrict a SpaceTimeField to a cylinder.
-
-    Keeps frames with t in (t0 - r^2, t0] and zeroes values outside
-    B(x0, r). Raises when the cylinder misses the sampled data entirely.
-    """
-    keep = (f.times > cyl.t_start) & (f.times <= cyl.t0 + 1e-12)
-    mask = cyl.ball.mask(f.box)
-    if not keep.any() or not mask.any():
-        raise ValueError("empty region: cylinder does not intersect the sampled field")
-    frames = [VectorGrid.from_array(f.box, f.frames[i].data * mask)
-              for i in np.nonzero(keep)[0]]
-    return SpaceTimeField(f.times[keep], frames)
 
 
 def scalar_gradient(g):

@@ -61,10 +61,16 @@ class LevelSetProfile:
         return float(np.sum(self.measures * (lq - lower)))
 
 
+def _sorted_abs(f):
+    """|f| as one flat array of its own, sorted ascending in place."""
+    vals = np.abs(f.data).ravel()
+    vals.sort()
+    return vals
+
+
 def distribution(f):
     """LevelSetProfile of a ScalarGrid (all-zero fields give the single level 0)."""
-    vals = np.abs(f.data).ravel()
-    asc = np.sort(vals)
+    asc = _sorted_abs(f)
     levels = np.unique(asc)[::-1]
     # count of samples >= level, via positions in the ascending sort
     counts = len(asc) - np.searchsorted(asc, levels, side="left")
@@ -80,11 +86,15 @@ def weak_norm(f, q):
     """
     if not (np.isfinite(q) and q > 0):
         raise ValueError(f"exponent q must be finite and positive, got {q}")
-    vals = np.sort(np.abs(f.data).ravel())[::-1]
+    vals = _sorted_abs(f)[::-1]
     if vals[0] == 0.0:
         return 0.0
-    ranks = np.arange(1, len(vals) + 1) * f.box.cell_volume
-    return float(np.max(vals * ranks ** (1.0 / q)))
+    # in place, so the sort's copy and one rank array are all the memory
+    ranks = np.arange(1.0, len(vals) + 1)
+    ranks *= f.box.cell_volume
+    ranks **= 1.0 / q
+    ranks *= vals
+    return float(np.max(ranks))
 
 
 def equivalent_norm(f, q, r):
@@ -97,12 +107,18 @@ def equivalent_norm(f, q, r):
     """
     if not (0 < r < q < np.inf):
         raise ValueError(f"need 0 < r < q < inf, got r={r}, q={q}")
-    vals = np.sort(np.abs(f.data).ravel())[::-1]
+    vals = _sorted_abs(f)[::-1]
     if vals[0] == 0.0:
         return 0.0
-    k = np.arange(1, len(vals) + 1)
-    prefix = np.cumsum(vals ** r)
-    return float(np.max((k * f.box.cell_volume) ** (1.0 / q) * (prefix / k) ** (1.0 / r)))
+    k = np.arange(1.0, len(vals) + 1)   # in place below, as in weak_norm
+    vals **= r
+    np.cumsum(vals, out=vals)   # the prefix sums of |f|^r
+    vals /= k
+    vals **= 1.0 / r
+    k *= f.box.cell_volume
+    k **= 1.0 / q
+    k *= vals
+    return float(np.max(k))
 
 
 def lp_norm(f, p):

@@ -284,10 +284,10 @@ def estar(F, tol=1e-8):
         residual_history=history)
 
 
-def projection_residual(sol, tol=1e-8):
+def projection_residual(sol):
     """Face-level ‖estar(∇p) − ∇p‖ / ‖∇p‖ of a solution's own gradient:
     reapplying the projection isolates solver error from grid transfer."""
-    grad, again = sol._face_grad, estar(sol, tol)._face_grad
+    grad, again = sol._face_grad, estar(sol)._face_grad
     num = np.sqrt(sum(float(((a - b) ** 2).sum()) for a, b in zip(again, grad)))
     den = np.sqrt(sum(float((g ** 2).sum()) for g in grad))
     return num / den if den > 0 else 0.0
@@ -368,11 +368,11 @@ def _warn_if_compressible(u, what, interior=False):
         )
 
 
-def pressure_parts(u, tol=1e-8):
+def pressure_parts(u):
     _warn_if_compressible(u, "the pressure decomposition")
     forcing = {"ph": -u.data, "p1": -convective_divergence(u).data,
                "p2": vector_laplacian(u).data}
-    return LocalPressure({k: estar(VectorGrid.from_array(u.box, f), tol)
+    return LocalPressure({k: estar(VectorGrid.from_array(u.box, f))
                           for k, f in forcing.items()})
 
 
@@ -521,8 +521,7 @@ def check_bump(f, cube, phi, s=None):
     return slices, sub_box, idx
 
 
-def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
-                          nu=1.0):
+def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
     """Evaluate the seven integrals of the localized energy balance.
 
     For v = u + ∇p_h the balance reads::
@@ -556,7 +555,7 @@ def local_energy_residual(f, cube, phi, tol=1e-8, s=None, pressures=None,
             continue
         phi_val, phi_grad, phi_lap, phi_dt = phi_at(t)
         u = _restrict_frame(f.frames[i], slices, sub_box)
-        lp = pressures[i] if pressures is not None else pressure_parts(u, tol)
+        lp = pressures[i] if pressures is not None else pressure_parts(u)
         uarr, gph = u.data, lp.grad_ph.data
         varr = uarr + gph
         v2 = (varr ** 2).sum(axis=0)

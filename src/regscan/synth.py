@@ -132,8 +132,9 @@ def _wavenumbers(n):
     return np.stack([kx, ky, kzr])
 
 
-def random_solenoidal(box=None, n=32, seed=0, band=(2.0, 8.0), rms=1.0):
-    """Band-limited random solenoidal field: curl of white noise in Fourier space.
+def random_solenoidal(box=None, n=32, seed=0, rms=1.0):
+    """Random solenoidal field on the band 2 <= |k| <= 8: curl of white noise
+    in Fourier space.
 
     Taking the curl makes the spectral divergence vanish identically, so the
     field is solenoidal to rounding error at the sampled resolution. Fixed
@@ -149,7 +150,7 @@ def random_solenoidal(box=None, n=32, seed=0, band=(2.0, 8.0), rms=1.0):
     ah = sfft.rfftn(noise, axes=(1, 2, 3))
     k = _wavenumbers(n)
     kk = np.sqrt(np.sum(k * k, axis=0))
-    mask = (kk >= band[0]) & (kk <= band[1])
+    mask = (kk >= 2.0) & (kk <= 8.0)
     ah *= mask
     uh = 1j * _cross(k, ah)
     u = sfft.irfftn(uh, s=(n, n, n), axes=(1, 2, 3))

@@ -17,6 +17,7 @@ from regscan.dyadic import (
     DyadicCube,
     _children_of,
     _cluster_labels,
+    _cover_offsets,
     _cover_ranges,
     _first_parents,
     _greedy_disjoint,
@@ -25,7 +26,6 @@ from regscan.dyadic import (
     _spread,
     _unpack,
     build_chains,
-    build_cover,
     count_bound,
     localize,
     select_f0,
@@ -54,17 +54,18 @@ def brute_cover(k, eps, box):
 @pytest.mark.parametrize("k,eps", [(0, 0.2), (1, 0.2), (2, 0.22), (1, 0.13)])
 def test_build_cover_matches_brute_enumeration(k, eps):
     box = Box3((0.0, 0.1, -0.2), (1.0, 0.7, 0.55), (8, 8, 8))
-    cover = build_cover(k, eps, box)
-    got = {c.j for c in cover}
-    assert all(c.level == k and c.eps == eps for c in cover)
-    assert got == brute_cover(k, eps, box)
+    cover = _cover_offsets(k, eps, box)
+    # lexicographic order, so the packed keys come out sorted
+    assert np.all(np.diff(_pack(cover)) > 0)
+    assert {tuple(r) for r in cover} == brute_cover(k, eps, box)
 
 
 def test_build_cover_validation():
     box = Box3((0, 0, 0), (1, 1, 1), (4, 4, 4))
+    frame = VectorGrid.from_array(box, np.zeros((3, 4, 4, 4)))
     for eps in (0.0, 0.25, 0.4):
-        with pytest.raises(ValueError):
-            build_cover(0, eps, box)
+        with pytest.raises(ValueError, match="eps must lie in"):
+            select_f0(frame, eps)
 
 
 def test_cube_geometry():
@@ -140,7 +141,7 @@ def test_first_parents_is_the_least_reachable_parent(rng, eps):
 @pytest.mark.parametrize("eps", [0.13, 0.15, 0.2, 0.24])
 def test_children_of_matches_brute_containment(rng, eps):
     box = Box3((0.0, 0.1, -0.2), (1.0, 0.7, 0.55), (8, 8, 8))
-    cover = {c.j for c in build_cover(2, eps, box)}
+    cover = brute_cover(2, eps, box)
     j = random_offsets(rng, 10, -3, 12)
     got = {tuple(r) for r in _unpack(_children_of(_pack(j), eps, 2, box))}
     expect = set()
@@ -300,13 +301,15 @@ def two_bump_frame(n=12, extent=0.6):
 
 
 def brute_family(frame, eps, k, parent_G=None):
-    """Re-derive F_k by measuring every admissible cover cube directly."""
+    """Re-derive F_k by measuring every admissible cover cube directly;
+    parent_G holds the level-(k-1) G offsets."""
     mag = frame.magnitude()
     height = 2.0 ** k * eps
     thr = 2.0 ** (-3 * k) * eps
-    cubes = build_cover(k, eps, frame.box)
+    cubes = [DyadicCube(eps, k, j) for j in brute_cover(k, eps, frame.box)]
     if parent_G is not None:
-        cubes = [c for c in cubes if any(g.contains(c) for g in parent_G)]
+        parents = [DyadicCube(eps, k - 1, tuple(r)) for r in parent_G]
+        cubes = [c for c in cubes if any(g.contains(c) for g in parents)]
     selected = {
         c.j for c in cubes
         if region_measure(mag, Cube(c.corner, c.side), height) > thr
@@ -327,9 +330,10 @@ def test_select_f0_matches_direct_measures():
     fset = {tuple(r) for r in fam.F_indices}
     gset = {tuple(r) for r in fam.G_indices}
     assert fset <= gset
-    F = fam.F
-    for cube in build_cover(0, eps, frame.box):
-        assert (cube.j in gset) == any(cube.meets(f) for f in F)
+    F = [DyadicCube(eps, 0, j) for j in fset]
+    for j in brute_cover(0, eps, frame.box):
+        cube = DyadicCube(eps, 0, j)
+        assert (j in gset) == any(cube.meets(f) for f in F)
 
 
 def test_select_fk_descends_into_parents():
@@ -341,7 +345,7 @@ def test_select_fk_descends_into_parents():
     assert f1.height == pytest.approx(2 * eps)
     assert f1.measure_threshold == pytest.approx(eps / 8.0)
     got = {tuple(r) for r in f1.F_indices}
-    assert got == brute_family(frame, eps, 1, parent_G=f0.G)
+    assert got == brute_family(frame, eps, 1, parent_G=f0.G_indices)
 
 
 def test_select_fk_takes_eps_from_prev():
@@ -354,7 +358,7 @@ def test_select_fk_takes_eps_from_prev():
     f1 = select_fk(frame, f0)
     assert (f1.level, f1.eps) == (1, 0.22)
     got = {tuple(r) for r in f1.F_indices}
-    assert got and got == brute_family(frame, 0.22, 1, parent_G=f0.G)
+    assert got and got == brute_family(frame, 0.22, 1, parent_G=f0.G_indices)
 
 
 def test_selection_certificates_hold_with_measured_m():

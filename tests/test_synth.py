@@ -105,19 +105,19 @@ def test_taylor_green_is_mean_zero_and_solenoidal():
 
 
 def test_random_solenoidal_properties():
-    u = random_solenoidal(n=24, seed=3, band=(2.0, 8.0), rms=1.5)
+    u = random_solenoidal(n=24, seed=3, rms=1.5)
     rms = np.sqrt(np.mean(u.magnitude().data ** 2))
     assert rms == pytest.approx(1.5, rel=1e-12)
     assert spectral_divergence_rms(u) <= 1e-12 * rms
     # determinism and seed sensitivity
-    again = random_solenoidal(n=24, seed=3, band=(2.0, 8.0), rms=1.5)
+    again = random_solenoidal(n=24, seed=3, rms=1.5)
     assert np.array_equal(u.data, again.data)
-    other = random_solenoidal(n=24, seed=4, band=(2.0, 8.0), rms=1.5)
+    other = random_solenoidal(n=24, seed=4, rms=1.5)
     assert not np.allclose(u.data, other.data)
 
 
 def test_random_solenoidal_band_limit():
-    u = random_solenoidal(n=24, seed=3, band=(2.0, 8.0))
+    u = random_solenoidal(n=24, seed=3)
     uh = sfft.rfftn(u.data, axes=(1, 2, 3))
     k1 = np.fft.fftfreq(24, 1.0 / 24)
     kx, ky, kz = np.meshgrid(k1, k1, np.arange(13), indexing="ij")
