@@ -11,6 +11,7 @@ report.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -38,6 +39,24 @@ from .stokes import (
 from .synth import SolverConfig, SolverError, run_solver
 
 SCHEMA_VERSION = 1
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):    # no glibc: nothing to release
+    _malloc_trim = None
+
+
+def _release_heap():
+    """Hand the heap's free pages back to the OS (glibc only).
+
+    glibc raises its mmap threshold to the size of the largest block freed
+    so far, so later grid-sized arrays come from the heap, and the holes
+    they leave there stay resident. A command run after another in one
+    process would then peak higher by an amount that depends on where the
+    earlier command's arrays happened to land.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _jsonable(obj):
@@ -345,6 +364,8 @@ def main(argv=None):
     except (FieldFormatError, SolverError, StokesError, CountBoundError, ValueError,
             OSError) as exc:
         return _fail(exc)
+    finally:
+        _release_heap()
     if result is None:                      # report command prints directly
         return 0
 
