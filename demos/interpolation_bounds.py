@@ -56,10 +56,10 @@ def main():
                     0.25 * min(f.box.extent))
         l2 = local_l2_check(f, ball, M)
         print(f"{name}  (measured M = {M:.4f})")
-        print(f"  L4:       {l4.lhs:12.5e} <= {l4.rhs:12.5e}   "
-              f"slack x{l4.rhs / max(l4.lhs, 1e-300):.1f}")
-        print(f"  local L2: {l2.lhs:12.5e} <= {l2.rhs:12.5e}   "
-              f"slack x{l2.rhs / max(l2.lhs, 1e-300):.1f}")
+        print(f"  L4:       {l4.lhs_l4_integral:12.5e} <= {l4.rhs_bound:12.5e}   "
+              f"slack x{l4.rhs_bound / max(l4.lhs_l4_integral, 1e-300):.1f}")
+        print(f"  local L2: {l2.lhs_l2_integral:12.5e} <= {l2.rhs_bound:12.5e}   "
+              f"slack x{l2.rhs_bound / max(l2.lhs_l2_integral, 1e-300):.1f}")
 
         prof = distribution(f)
         s6 = lp_norm(f, 6.0) ** 6

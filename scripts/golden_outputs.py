@@ -1,14 +1,14 @@
 """Dump the numerical outputs of `stokes`, `dyadic.localize`, the dyadic
 meet-relation clustering, packing count and key expansion, the CLI
-pipeline path (`run_solver`, field I/O, the cylinder quantities) and the
-weak-norm layer (`lorentz` and the region masks), or compare two dumps
-bit for bit.
+pipeline path (`run_solver`, field I/O, the cylinder quantities), the
+weak-norm layer (`lorentz` and the region masks) and the CLI reports, or
+compare two dumps bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
-dumping at the parent commit and at the change, then comparing (the script
-calls `_cluster_labels` and `_greedy_disjoint` with packed keys where the
-module's `SelectionFamily` holds `F_keys`, and with offsets where it does
-not, so it runs against both):
+dumping at the parent commit and at the change, then comparing (a result
+record is dumped through its `to_dict()` where it has one and as its
+fields otherwise, so the script runs against both sides of the change that
+made the fields the payload keys):
 
     PYTHONPATH=<parent>/src python scripts/golden_outputs.py dump parent.npz
     PYTHONPATH=src python scripts/golden_outputs.py dump change.npz
@@ -21,18 +21,16 @@ to p_h, `estar` of a random forcing on 17 x 20 x 23 cells,
 `harmonic_residual` and `local_energy_residual`) are compared to
 rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
-`localize` run dumps its whole `to_dict()` payload (less the constant
-`flags.eps_shape_factor` of modules that had a shape factor, always 1.0
-here), its chains, its clusters as sorted offset lists and the per-level F
-and G offsets; each run passes the one eps it selects at. The
-clusters section dumps the `_cluster_labels` partition of seeded random
-offset sets, a broken filament and 8000 isolated offsets, with labels
-renumbered by first appearance, so a change of label numbering alone
-compares equal. The packing section dumps `_greedy_disjoint` counts on a
-dense level-0 selection of a seeded random field, on a lattice where every
-cube is kept and on seeded random sets, each with the bulk-kill cut-over
-`_BULK_KILL` as set, always on and always off (a module without it ignores
-it), and the `_spread` keys for the dilation, child and parent bounds, with
+`localize` run dumps its whole `to_dict()` payload, its chains, its
+clusters as sorted offset lists and the per-level F and G offsets; each run
+passes the one eps it selects at. The clusters section dumps the
+`_cluster_labels` partition of seeded random offset sets, a broken filament
+and 8000 isolated offsets, with labels renumbered by first appearance, so a
+change of label numbering alone compares equal. The packing section dumps
+`_greedy_disjoint` counts on a dense level-0 selection of a seeded random
+field, on a lattice where every cube is kept and on seeded random sets,
+each with the bulk-kill cut-over `_BULK_KILL` as set, always on and always
+off, and the `_spread` keys for the dilation, child and parent bounds, with
 and without a cover, on sorted and on shuffled keys with repeats. The pipeline
 section dumps solver frames and histories, the SHA-256 of the
 written field file, the read-back frames with their memory layout, the
@@ -44,10 +42,18 @@ random field, a field with many ties and zeros, and the zero field: the
 levels and measures, `l4_interpolation_check` and `local_l2_check` at the
 measured weak-L^3 norm M and at M/2 (1 and 1/2 for the zero field), and
 `region_measure` on balls and cubes off the cell lattice, whose `mask`s
-it dumps too.
+it dumps too. The CLI section writes a seeded 24^3 random run to one
+temporary directory and runs `norms --M auto`, `norms --M 0.5`, `scan`,
+`localize`, `stokes-check --bump` and `count-bound` on it in process, with
+relative paths, dumping each report's payload and `config_hash`. These are
+compared exactly, the `stokes-check` payload too, since a report is
+promised byte for byte.
 """
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -56,7 +62,7 @@ import warnings
 
 import numpy as np
 
-from regscan import dyadic
+from regscan import cli, dyadic
 from regscan.dyadic import localize
 from regscan.fieldio import FieldFormatError, read_field, write_field
 from regscan.grid import (Ball, Box3, Cube, Cylinder, ScalarGrid,
@@ -72,12 +78,15 @@ from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
 from regscan.synth import (SolverConfig, SpikeSpec, random_solenoidal,
                            run_solver, spike_field)
 
-# the dyadic helpers take packed keys where SelectionFamily holds them
-KEYED = "F_keys" in dyadic.SelectionFamily.__dataclass_fields__
-
 
 def _js(obj):
     return np.array(json.dumps(obj, sort_keys=True, default=float))
+
+
+def _record(x):
+    """A result record as a dict: its to_dict() where it has one, else its
+    fields, which are then its payload keys."""
+    return x.to_dict() if hasattr(x, "to_dict") else dataclasses.asdict(x)
 
 
 def _arr(v):
@@ -134,14 +143,11 @@ def _localize_outputs(out, tag, frame, eps, k_max, **kw):
         warnings.simplefilter("ignore")  # deep levels span < 4 cells
         cs = localize(frame, AnalysisConfig(eps=eps), k_max,
                       on_underresolved="warn", **kw)
-    payload = cs.to_dict()
-    payload["flags"].pop("eps_shape_factor", None)
-    out[f"{tag}.payload"] = _js(payload)
+    out[f"{tag}.payload"] = _js(cs.to_dict())
     out[f"{tag}.chains"] = _js([[(c.level, [int(v) for v in c.j])
                                  for c in chain] for chain in cs.chains])
-    # a cluster is a list of DyadicCube or an (m, 3) offset array
-    out[f"{tag}.clusters"] = _js([sorted([int(v) for v in getattr(c, "j", c)]
-                                         for c in cl) for cl in cs.clusters])
+    out[f"{tag}.clusters"] = _js([sorted([int(v) for v in c] for c in cl)
+                                  for cl in cs.clusters])
     for fam in cs.families:
         out[f"{tag}.L{fam.level}.F"] = fam.F_indices
         out[f"{tag}.L{fam.level}.G"] = fam.G_indices
@@ -212,26 +218,20 @@ def cluster_outputs(out):
     sets["isolated8000"] = (grid + rng.integers(0, 6, size=grid.shape), 9)
     for tag, (j, dm) in sets.items():
         out[f"clusters.{tag}"] = _partition(dyadic._cluster_labels(
-            dyadic._pack(j) if KEYED else j, dm))
+            dyadic._pack(j), dm))
 
 
 def _greedy_counts(j, eps):
     """`_greedy_disjoint` with the bulk-kill cut-over as set, always on and
     always off."""
-    missing = object()
-    saved = getattr(dyadic, "_BULK_KILL", missing)
+    saved = dyadic._BULK_KILL
     counts = []
     try:
         for cut in (saved, -1.0, np.inf):
-            if cut is not missing:
-                dyadic._BULK_KILL = cut
-            counts.append(dyadic._greedy_disjoint(dyadic._pack(j), j, eps)
-                          if KEYED else dyadic._greedy_disjoint(j, eps))
+            dyadic._BULK_KILL = cut
+            counts.append(dyadic._greedy_disjoint(dyadic._pack(j), j, eps))
     finally:
-        if saved is missing:
-            del dyadic._BULK_KILL
-        else:
-            dyadic._BULK_KILL = saved
+        dyadic._BULK_KILL = saved
     return np.array(counts)
 
 
@@ -320,10 +320,10 @@ def _fieldio_outputs(out, field, tmp):
 def _cylinder_outputs(out, tag, f, cyl, eps=0.1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # t0 need not be a sample time
-        out[f"{tag}.quant_report"] = _js(quant_report(
-            f, cyl, AnalysisConfig(eps=eps)).to_dict())
+        out[f"{tag}.quant_report"] = _js(_record(quant_report(
+            f, cyl, AnalysisConfig(eps=eps))))
     out[f"{tag}.q3"] = _js(q3(f, cyl))
-    out[f"{tag}.caccioppoli"] = _js(caccioppoli_sides(f, cyl).to_dict())
+    out[f"{tag}.caccioppoli"] = _js(_record(caccioppoli_sides(f, cyl)))
     out[f"{tag}.energy_sup"] = _js(energy_sup(f, cyl))
 
 
@@ -384,19 +384,58 @@ def lorentz_outputs(out):
     for tag, f in fields.items():
         for q, r in ((3.0, 2.0), (4.0, 2.0), (2.5, 1.0)):
             out[f"lorentz.{tag}.norms(q{q},r{r})"] = _js(
-                NormReport.from_scalar(f, q, r).to_dict())
+                _record(NormReport.from_scalar(f, q, r)))
         prof = distribution(f)
         out[f"lorentz.{tag}.levels"] = prof.levels
         out[f"lorentz.{tag}.measures"] = prof.measures
         M = weak_norm(f, 3.0) or 1.0
         for m_tag, m in (("M", M), ("M/2", 0.5 * M)):
             out[f"lorentz.{tag}.l4_interpolation({m_tag})"] = _js(
-                l4_interpolation_check(f, m).to_dict())
+                _record(l4_interpolation_check(f, m)))
             out[f"lorentz.{tag}.local_l2({m_tag})"] = _js(
-                local_l2_check(f, regions["ball"], m).to_dict())
+                _record(local_l2_check(f, regions["ball"], m)))
         for name, region in regions.items():
             out[f"lorentz.{tag}.region_measure({name})"] = _js(
                 [region_measure(f, region, h) for h in (0.0, 0.1 * M, M)])
+
+
+CLI_COMMANDS = {
+    "norms(M=auto)": ["norms", "run.rsf", "--M", "auto", "--frame", "3"],
+    "norms(M=0.5)": ["norms", "run.rsf", "--M", "0.5", "--time", "1.2"],
+    "scan": ["scan", "run.rsf", "--x0", "3.1,2.9,3.3", "--t0", "2.7",
+             "--r", "1.2", "--eps", "0.2"],
+    "localize": ["localize", "run.rsf", "--eps", "0.2", "--kmax", "1",
+                 "--frame", "5", "--on-underresolved", "warn"],
+    "stokes-check": ["stokes-check", "run.rsf", "--cube", "0.8,0.8,0.8,4.5",
+                     "--bump", "3.0,3.1,2.9,1.5,1.5,0.9", "--nu", "0.05"],
+    "count-bound": ["count-bound", "--M", "2.0", "--eps", "0.1"],
+}
+
+
+def cli_outputs(out):
+    # paths are relative to one temporary directory, so config hashes
+    # do not depend on where it is
+    run = run_solver(SolverConfig(n=24, nu=0.05, dt=0.02, t_end=3.0,
+                                  save_every=15, initial="random", seed=13,
+                                  amplitude=1.5))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_field("run.rsf", run.field)
+            for tag, argv in CLI_COMMANDS.items():
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # under-resolved levels
+                    rc = cli.main(argv + ["--out", "report.json"])
+                if rc != 0:
+                    raise RuntimeError(f"regscan {' '.join(argv)} exited {rc}")
+                with open("report.json") as fh:
+                    doc = json.load(fh)
+                out[f"cli.{tag}.payload"] = _js(doc["payload"])
+                out[f"cli.{tag}.config_hash"] = _js(doc["manifest"]["config_hash"])
+        finally:
+            os.chdir(cwd)
 
 
 # the projection's outputs; their basis transforms are BLAS products, so
@@ -469,6 +508,7 @@ def main(argv):
         packing_outputs(out)
         pipeline_outputs(out)
         lorentz_outputs(out)
+        cli_outputs(out)
         np.savez(argv[1], **out)
         print(f"{len(out)} outputs written to {argv[1]}")
         return 0

@@ -60,7 +60,9 @@ def _release_heap():
 
 
 def _jsonable(obj):
-    """Coerce numpy scalars/arrays and containers to plain JSON types."""
+    """Coerce records (keyed by field name), numpy values and containers to JSON."""
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,35 +109,36 @@ def _floats(text, what, count):
     return parts
 
 
-def _pick_frame(field, args):
-    if getattr(args, "frame", None) is not None:
+def _read_frame(args):
+    """The field, the index of the frame --frame or --time picks (else the
+    last), and a payload that records that frame and its time."""
+    field = read_field(args.field)
+    i = len(field.frames) - 1
+    if args.frame is not None:
         if not (0 <= args.frame < len(field.frames)):
             raise ValueError(f"frame {args.frame} out of range")
-        return args.frame
-    if getattr(args, "time", None) is not None:
-        return field.frame_index_at(args.time)
-    return len(field.frames) - 1
+        i = args.frame
+    elif args.time is not None:
+        i = field.frame_index_at(args.time)
+    return field, i, {"frame": i, "time": float(field.times[i])}
 
 
 # -- command payloads -----------------------------------------------------------
 
 
 def cmd_norms(args):
-    field = read_field(args.field)
-    i = _pick_frame(field, args)
+    field, i, payload = _read_frame(args)
     mag = field.frames[i].magnitude()
     report = NormReport.from_scalar(mag)
-    payload = report.to_dict()
-    payload["frame"] = i
-    payload["time"] = float(field.times[i])
+    payload.update(dataclasses.asdict(report))
     if args.M is not None:
-        M = report.weak if args.M == "auto" else float(args.M)
-        payload["l4_interpolation"] = l4_interpolation_check(mag, M).to_dict()
+        M = report.weak_norm if args.M == "auto" else float(args.M)
+        payload["l4_interpolation"] = l4_interpolation_check(mag, M)
         ball = Ball(
             tuple(0.5 * (lo + hi) for lo, hi in zip(mag.box.lo, mag.box.hi)),
             0.25 * min(mag.box.extent),
         )
-        payload["local_l2"] = local_l2_check(mag, ball, M).to_dict()
+        payload["local_l2"] = local_l2_check(mag, ball, M)
     return "norms", payload, [args.field]
 
 
@@ -143,13 +146,11 @@ def cmd_scan(args):
     field = read_field(args.field)
     cfg = AnalysisConfig(eps=args.eps, zeta=args.zeta)
     cyl = Cylinder(center=args.x0, t0=args.t0, r=args.r)
-    report = quant_report(field, cyl, cfg)
-    return "scan", report.to_dict(), [args.field]
+    return "scan", quant_report(field, cyl, cfg), [args.field]
 
 
 def cmd_localize(args):
-    field = read_field(args.field)
-    i = _pick_frame(field, args)
+    field, i, payload = _read_frame(args)
     cfg = AnalysisConfig(eps=args.eps)
     M = None if args.M == "auto" else float(args.M)
     cs = localize(
@@ -159,9 +160,7 @@ def cmd_localize(args):
         M=M,
         on_underresolved=args.on_underresolved,
     )
-    payload = cs.to_dict()
-    payload["frame"] = i
-    payload["time"] = float(field.times[i])
+    payload.update(cs.to_dict())
     return "localize", payload, [args.field]
 
 
@@ -170,8 +169,7 @@ def cmd_stokes_check(args):
         raise ValueError(f"--nu must be finite and positive, got {args.nu}")
     phi = (None if args.bump is None
            else BumpTestFunction(tuple(args.bump[:3]), *args.bump[3:]))
-    field = read_field(args.field)
-    i = _pick_frame(field, args)
+    field, i, payload = _read_frame(args)
     cube = Cube(corner=tuple(args.cube[:3]), side=args.cube[3])
     u = restrict_to_cube(field.frames[i], cube)
     if phi is not None:
@@ -179,10 +177,8 @@ def cmd_stokes_check(args):
     parts = pressure_parts(u)
     sol_h = parts.solutions["ph"]
     unorm = float(np.sqrt((u.data ** 2).sum()))
-    payload = {
+    payload.update({
         "cube": {"corner": list(cube.corner), "side": cube.side},
-        "frame": i,
-        "time": float(field.times[i]),
         "iterations": {k: s.iterations for k, s in parts.solutions.items()},
         "residuals": {k: s.residuals for k, s in parts.solutions.items()},
         "harmonic_residual": harmonic_residual(sol_h, u),
@@ -191,7 +187,7 @@ def cmd_stokes_check(args):
             float(np.sqrt((parts.grad_ph.data ** 2).sum())) / unorm
             if unorm > 0 else 0.0
         ),
-    }
+    })
     if phi is not None:
         payload["energy"] = local_energy_residual(field, cube, phi, nu=args.nu)
     return "stokes", payload, [args.field]
@@ -213,7 +209,7 @@ def cmd_simulate(args):
     run = run_solver(cfg)
     write_field(args.out, run.field)
     payload = {
-        "config": _jsonable(vars(cfg)),
+        "config": cfg,
         "frames": len(run.field.frames),
         "energy_initial": float(run.energy[0]),
         "energy_final": float(run.energy[-1]),
@@ -260,8 +256,15 @@ def cmd_report(args):
 # -- argument parsing -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a malformed command line, for main to report as JSON."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regscan",
         description="local regularity analysis of discretized velocity fields",
     )
@@ -271,12 +274,17 @@ def _build_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="print the full JSON report")
-        p.add_argument("--out", help="write the JSON report to this path")
+        p.add_argument("--out", dest="report_out",
+                       help="write the JSON report to this path")
+
+    def frame(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--frame", type=int)
+        group.add_argument("--time", type=float)
 
     p = sub.add_parser("norms", help="weak-L3, equivalent and Lp norms of |u|")
     p.add_argument("field")
-    p.add_argument("--frame", type=int)
-    p.add_argument("--time", type=float)
+    frame(p)
     p.add_argument("--M", help="'auto' or a number: also run the "
                    "interpolation checks against this weak-norm bound")
     common(p)
@@ -299,8 +307,7 @@ def _build_parser():
     p.add_argument("--M", default="auto")
     p.add_argument("--on-underresolved", choices=("error", "warn"),
                    default="error", dest="on_underresolved")
-    p.add_argument("--frame", type=int)
-    p.add_argument("--time", type=float)
+    frame(p)
     common(p)
     p.set_defaults(func=cmd_localize)
 
@@ -308,8 +315,7 @@ def _build_parser():
     p.add_argument("field")
     p.add_argument("--cube", type=lambda s: _floats(s, "--cube", 4),
                    required=True, metavar="X,Y,Z,SIDE")
-    p.add_argument("--frame", type=int)
-    p.add_argument("--time", type=float)
+    frame(p)
     p.add_argument("--bump", type=lambda s: _floats(s, "--bump", 6),
                    metavar="CX,CY,CZ,R,T_CENTER,T_RADIUS",
                    help="test function for the local energy balance")
@@ -356,13 +362,12 @@ def _fail(exc):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        started = time.perf_counter()
         result = args.func(args)
-    except (FieldFormatError, SolverError, StokesError, CountBoundError, ValueError,
-            OSError) as exc:
+    except (argparse.ArgumentError, FieldFormatError, SolverError, StokesError,
+            CountBoundError, ValueError, OSError) as exc:
         return _fail(exc)
     finally:
         _release_heap()
@@ -371,10 +376,7 @@ def main(argv=None):
 
     kind, payload, inputs = result
     wall = time.perf_counter() - started
-    out_path = getattr(args, "out", None) if kind != "simulate" else None
-    report_out = getattr(args, "report_out", None) or out_path
-    outputs = [p for p in (report_out,
-                           args.out if kind == "simulate" else None) if p]
+    outputs = [p for p in (args.report_out, getattr(args, "out", None)) if p]
     arg_items = {
         k: v for k, v in vars(args).items()
         if k not in ("func", "json", "out", "report_out") and v is not None
@@ -386,9 +388,9 @@ def main(argv=None):
         "manifest": _manifest(kind, arg_items, inputs, outputs, wall),
     }
     text = json.dumps(doc, sort_keys=True, indent=2)
-    if report_out:
+    if args.report_out:
         try:
-            with open(report_out, "w") as fh:
+            with open(args.report_out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             return _fail(exc)
@@ -399,8 +401,8 @@ def main(argv=None):
         for key in _SUMMARY_KEYS.get(kind, ()):
             if key in doc["payload"]:
                 print(f"  {key} = {doc['payload'][key]}")
-        if report_out:
-            print(f"  report written to {report_out}")
+        if args.report_out:
+            print(f"  report written to {args.report_out}")
     return 0
 
 

@@ -22,6 +22,7 @@ of one (x, y) line chain into runs, runs on nearby lines join by their z
 spans, and clusters are numbered by their lexicographically first offset.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
@@ -579,14 +580,17 @@ def localize(frame, cfg, k_max, M=None, on_underresolved="error"):
     cubes, certifies the per-level packing chain, and clusters surviving
     chains into candidate points. M defaults to the measured weak-L^3
     norm of |u|. The finest cubes must span at least 4 cells per axis;
-    on_underresolved chooses between raising (default) and warning.
+    on_underresolved chooses between raising (default) and warning. Cubes
+    narrower than one cell are an error either way.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    hmax = max(frame.box.spacing)
+    if math.ldexp(1.0, -k_max) < hmax:
+        raise ValueError(f"k_max {k_max} makes cubes narrower than a cell of {hmax!r}")
     if M is not None:
         _check_m(M)
     mag = _magnitude(frame)
-    hmax = max(mag.box.spacing)
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]
     if underresolved:
         suggested = int(np.floor(np.log2(1.0 / (4.0 * hmax))))

@@ -9,7 +9,7 @@ integrals use the trapezoid rule on the piecewise-linear interpolant of
 the per-frame integrand.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -110,9 +110,6 @@ class E16Result:
     level: float
     passes: bool
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def criterion_e16(frame, x0, r, eps):
     """Evaluate the level-set criterion for one frame and one ball."""
@@ -140,9 +137,6 @@ class CaccioppoliReport:
     both_zero: bool
     lhs_terms: tuple
     rhs_terms: tuple
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def caccioppoli_sides(f, cyl):
@@ -216,9 +210,6 @@ class QuantReport:
     e16: E16Result
     caccioppoli: CaccioppoliReport
     energy_sup: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def quant_report(f, cyl, cfg):

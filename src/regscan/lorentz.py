@@ -134,8 +134,8 @@ class NormReport:
 
     q: float
     r: float
-    weak: float
-    equivalent: float
+    weak_norm: float
+    equivalent_norm: float
     lp_norms: dict
     ratio: float | None = None
     ratio_bound: float = 0.0
@@ -147,23 +147,12 @@ class NormReport:
         return cls(
             q=float(q),
             r=float(r),
-            weak=w,
-            equivalent=e,
+            weak_norm=w,
+            equivalent_norm=e,
             lp_norms={p: lp_norm(f, p) for p in (2.0, 3.0, 6.0)},
             ratio=(e / w) if w > 0 else None,
             ratio_bound=float((q / (q - r)) ** (1.0 / r)),
         )
-
-    def to_dict(self):
-        return {
-            "q": self.q,
-            "r": self.r,
-            "weak_norm": self.weak,
-            "equivalent_norm": self.equivalent,
-            "lp_norms": {str(k): v for k, v in self.lp_norms.items()},
-            "ratio": self.ratio,
-            "ratio_bound": self.ratio_bound,
-        }
 
 
 @dataclass
@@ -176,28 +165,15 @@ class InterpolationCheck:
     valid whenever the weak-L^3 norm of f is at most M.
     """
 
-    lhs: float
-    rhs: float
-    cut: float
-    m_given: float
-    weak_measured: float
-    l6: float
+    lhs_l4_integral: float
+    rhs_bound: float
+    cut_H: float
+    M: float
+    weak_norm_measured: float
+    l6_norm: float
     hypothesis_ok: bool
     holds: bool
     constant: float = 6.0
-
-    def to_dict(self):
-        return {
-            "lhs_l4_integral": self.lhs,
-            "rhs_bound": self.rhs,
-            "cut_H": self.cut,
-            "M": self.m_given,
-            "weak_norm_measured": self.weak_measured,
-            "l6_norm": self.l6,
-            "hypothesis_ok": self.hypothesis_ok,
-            "holds": self.holds,
-            "constant": self.constant,
-        }
 
 
 def _check_m(M):
@@ -219,12 +195,12 @@ def l4_interpolation_check(f, M):
     H = l6 ** 2 / M
     rhs = 4.0 * M ** 3 * H + 2.0 * s6 / H ** 2
     return InterpolationCheck(
-        lhs=lhs,
-        rhs=rhs,
-        cut=H,
-        m_given=float(M),
-        weak_measured=w,
-        l6=l6,
+        lhs_l4_integral=lhs,
+        rhs_bound=rhs,
+        cut_H=H,
+        M=float(M),
+        weak_norm_measured=w,
+        l6_norm=l6,
         hypothesis_ok=w <= M * (1 + 1e-12),
         holds=lhs <= rhs * (1 + 1e-12),
     )
@@ -242,30 +218,16 @@ class LocalL2Check:
     i.e. V_B -> |B_r|, is reported alongside.
     """
 
-    lhs: float
-    rhs: float
-    cut: float
-    m_given: float
-    weak_measured: float
+    lhs_l2_integral: float
+    rhs_bound: float
+    cut_H: float
+    M: float
+    weak_norm_measured: float
     ball_volume_grid: float
     rhs_continuum: float
     constant_continuum: float
     hypothesis_ok: bool
     holds: bool
-
-    def to_dict(self):
-        return {
-            "lhs_l2_integral": self.lhs,
-            "rhs_bound": self.rhs,
-            "cut_H": self.cut,
-            "M": self.m_given,
-            "weak_norm_measured": self.weak_measured,
-            "ball_volume_grid": self.ball_volume_grid,
-            "rhs_continuum": self.rhs_continuum,
-            "constant_continuum": self.constant_continuum,
-            "hypothesis_ok": self.hypothesis_ok,
-            "holds": self.holds,
-        }
 
 
 def local_l2_check(f, ball, M):
@@ -282,11 +244,11 @@ def local_l2_check(f, ball, M):
     cv = 4.0 / 3.0 * np.pi
     w = weak_norm(f, 3.0)
     return LocalL2Check(
-        lhs=lhs,
-        rhs=rhs,
-        cut=H,
-        m_given=float(M),
-        weak_measured=w,
+        lhs_l2_integral=lhs,
+        rhs_bound=rhs,
+        cut_H=H,
+        M=float(M),
+        weak_norm_measured=w,
         ball_volume_grid=vb,
         rhs_continuum=(cv + 2.0) * M ** 2 * ball.r,
         constant_continuum=cv + 2.0,

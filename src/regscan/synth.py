@@ -31,6 +31,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 _DEALIAS = 2.0 / 3.0   # run_solver keeps modes below this fraction of n/2
+MAX_STEPS = 10 ** 6    # SolverConfig rejects a run of more steps
 
 
 def default_box(n):
@@ -183,11 +184,14 @@ class SolverConfig:
             raise ValueError("nu, dt, t_end and amplitude must be finite")
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("nu, dt, t_end must be positive")
-        if self.t_end / self.dt <= 0.5:   # run_solver's round() gives no step
-            raise ValueError(f"t_end / dt = {self.t_end / self.dt!r} rounds to 0 steps")
+        steps = self.t_end / self.dt
+        if steps <= 0.5:   # run_solver's round() gives no step
+            raise ValueError(f"t_end / dt = {steps!r} rounds to 0 steps")
+        if not np.isfinite(steps) or round(steps) > MAX_STEPS:
+            raise ValueError(f"t_end / dt = {steps!r} exceeds {MAX_STEPS} steps")
         if self.initial not in ("taylor_green", "random"):
             raise ValueError(f"unknown initial profile {self.initial!r}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         s = self.save_every
         if s is not None and (isinstance(s, bool) or not isinstance(s, (int, np.integer))

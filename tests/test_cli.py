@@ -175,9 +175,9 @@ def test_scan_matches_library(capsys, field_file):
     path, field = field_file
     doc = run_json(capsys, ["scan", path, "--x0", "0.5,0.5,0.5",
                             "--t0", "0.15", "--r", "0.35"])
-    direct = quant_report(
+    direct = cli._jsonable(quant_report(
         field, Cylinder(center=(0.5, 0.5, 0.5), t0=0.15, r=0.35),
-        AnalysisConfig(eps=0.1, zeta=1.0)).to_dict()
+        AnalysisConfig(eps=0.1, zeta=1.0)))
     payload = doc["payload"]
     assert payload["q3"] == pytest.approx(direct["q3"], rel=1e-12)
     assert payload["q3_small"] == direct["q3_small"]
@@ -250,6 +250,23 @@ def test_localize_rejects_bad_m_up_front(capsys, field_file, monkeypatch, M):
                                        "--kmax", "0", "--M", M]))
     assert err["type"] == "ValueError"
     assert "M must be finite and nonnegative" in err["error"]
+
+
+@pytest.mark.parametrize("kmax", ["6", "1000000000"])
+def test_localize_rejects_cubes_narrower_than_a_cell(capsys, field_file,
+                                                      monkeypatch, kmax):
+    import regscan.dyadic
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran before k_max was checked")
+
+    monkeypatch.setattr(regscan.dyadic, "select_f0", no_selection)
+    path, _ = field_file
+    # 32 cells per unit side: level 5 cubes are one cell wide, level 6 half
+    err = one_line_error(capsys, main(["localize", path, "--kmax", kmax,
+                                       "--on-underresolved", "warn"]))
+    assert err["type"] == "ValueError"
+    assert f"k_max {kmax} makes cubes narrower than a cell" in err["error"]
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -374,10 +391,9 @@ def test_stokes_check_rejects_bad_bump_before_reading(capsys, tmp_path, bump,
                                   "a,b,c,d"])
 def test_stokes_check_rejects_malformed_cube(capsys, field_file, cube):
     path, _ = field_file
-    with pytest.raises(SystemExit) as exc:
-        main(["stokes-check", path, "--cube", cube])
-    assert exc.value.code == 2
-    assert "--cube" in capsys.readouterr().err
+    err = one_line_error(capsys, main(["stokes-check", path, "--cube", cube]))
+    assert err["type"] == "ArgumentError"
+    assert "--cube" in err["error"]
 
 
 @pytest.mark.parametrize("bump", ["0.5,0.5,0.5,0.22,0.1",
@@ -385,11 +401,27 @@ def test_stokes_check_rejects_malformed_cube(capsys, field_file, cube):
                                   "0.5,0.5,0.5,R,0.1,0.1"])
 def test_stokes_check_rejects_malformed_bump(capsys, field_file, bump):
     path, _ = field_file
-    with pytest.raises(SystemExit) as exc:
-        main(["stokes-check", path, "--cube", "0.25,0.25,0.25,0.5",
-              "--bump", bump])
-    assert exc.value.code == 2
-    assert "--bump" in capsys.readouterr().err
+    err = one_line_error(capsys, main([
+        "stokes-check", path, "--cube", "0.25,0.25,0.25,0.5", "--bump", bump]))
+    assert err["type"] == "ArgumentError"
+    assert "--bump" in err["error"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["stokes-check", "FIELD"], "required: --cube"),
+    (["norms", "FIELD", "--frame", "x"], "argument --frame: invalid int value"),
+    (["localize", "FIELD", "--kmax", "x"], "argument --kmax: invalid int value"),
+    (["norms", "FIELD", "--frame", "0", "--time", "0"],
+     "argument --time: not allowed with argument --frame"),
+    (["norms", "FIELD", "--q", "2"], "unrecognized arguments: --q 2"),
+], ids=["unknown-command", "missing-cube", "frame-not-int", "kmax-not-int",
+        "frame-and-time", "unrecognized-q"])
+def test_argument_errors_are_clean_errors(capsys, field_file, argv, expected):
+    path, _ = field_file
+    err = one_line_error(capsys, main([path if a == "FIELD" else a for a in argv]))
+    assert err["type"] == "ArgumentError"
+    assert expected in err["error"]
 
 
 def test_simulate_writes_field_and_report(capsys, tmp_path):
@@ -442,8 +474,18 @@ def test_simulate_rejects_bad_config(capsys, tmp_path):
     ([1], "invalid config: expected a JSON object, got [1]"),
     (5, "invalid config: expected a JSON object, got 5"),
     (None, "invalid config: expected a JSON object, got None"),
+    ({"n": 8, "dt": 5e-324, "t_end": 1.0}, "t_end / dt = inf exceeds 1000000 steps"),
+    ({"n": 8, "dt": 1e-300, "t_end": 0.1}, "exceeds 1000000 steps"),
+    ({"n": 16, "t_end": 0.05, "seed": True}, "seed must be an integer, got True"),
 ])
-def test_simulate_rejects_malformed_config(capsys, tmp_path, cfg, expected):
+def test_simulate_rejects_malformed_config(capsys, tmp_path, monkeypatch, cfg,
+                                           expected):
+    import regscan.cli
+
+    def no_run(cfg):
+        raise AssertionError("the solver ran before the config was checked")
+
+    monkeypatch.setattr(regscan.cli, "run_solver", no_run)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(cfg_path),

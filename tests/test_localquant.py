@@ -8,6 +8,8 @@ Trilinear/linear interpolation is exact on fields affine in space and
 time, which pins down the resampling branch of rescale to round-off.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -200,7 +202,7 @@ def test_quant_report_is_consistent_with_parts():
     assert rep.e16.ratio == criterion_e16(f.frames[-1], cyl.center, cyl.r, 0.1).ratio
     assert rep.caccioppoli.lhs == caccioppoli_sides(f, cyl).lhs
     assert rep.q3_small == (rep.q3 <= cfg.zeta ** 3)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["q3"] == rep.q3 and d["e16"]["ratio"] == rep.e16.ratio
 
 

@@ -6,6 +6,7 @@ full variational definition rather than against itself.
 """
 
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -193,8 +194,8 @@ def test_l4_interpolation_check_closed_form(rng):
     l6 = lp_norm(g, 6.0)
     assert chk.hypothesis_ok and chk.holds
     assert chk.constant == 6.0
-    assert chk.rhs == pytest.approx(6.0 * M ** 2 * l6 ** 2, rel=1e-12)
-    assert chk.lhs == pytest.approx(lp_norm(g, 4.0) ** 4, rel=1e-12)
+    assert chk.rhs_bound == pytest.approx(6.0 * M ** 2 * l6 ** 2, rel=1e-12)
+    assert chk.lhs_l4_integral == pytest.approx(lp_norm(g, 4.0) ** 4, rel=1e-12)
     # an undersized M breaks the hypothesis but is still reported
     weakened = l4_interpolation_check(g, 0.5 * M)
     assert not weakened.hypothesis_ok
@@ -212,7 +213,7 @@ def test_local_l2_check_closed_form():
     vb = chk.ball_volume_grid
     assert vb == pytest.approx(np.count_nonzero(ball.mask(g.box))
                                * g.box.cell_volume, rel=1e-12)
-    assert chk.rhs == pytest.approx(vb * (M / r) ** 2 + 2 * M ** 2 * r, rel=1e-12)
+    assert chk.rhs_bound == pytest.approx(vb * (M / r) ** 2 + 2 * M ** 2 * r, rel=1e-12)
     assert chk.rhs_continuum == pytest.approx(
         (4 * np.pi / 3 + 2) * M ** 2 * r, rel=1e-12)
 
@@ -220,10 +221,10 @@ def test_local_l2_check_closed_form():
 def test_norm_report_bundles_everything():
     g = bump_grid()
     rep = NormReport.from_scalar(g, q=3.0, r=2.0)
-    assert rep.ratio == pytest.approx(rep.equivalent / rep.weak, rel=1e-13)
+    assert rep.ratio == pytest.approx(rep.equivalent_norm / rep.weak_norm, rel=1e-13)
     assert rep.ratio_bound == pytest.approx(np.sqrt(3.0), rel=1e-13)
     assert set(rep.lp_norms) == {2.0, 3.0, 6.0}
-    d = rep.to_dict()
-    assert d["weak_norm"] == rep.weak
+    d = asdict(rep)   # the field names are the payload keys
+    assert d["weak_norm"] == rep.weak_norm
     zero = NormReport.from_scalar(line_grid([0.0]))
     assert zero.ratio is None

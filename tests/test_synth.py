@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from regscan.grid import Box3, gradient
 from regscan.lorentz import weak_norm
 from regscan.synth import (
+    MAX_STEPS,
     SolverConfig,
     SolverError,
     SpikeSpec,
@@ -151,6 +152,13 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="save_every must be None or an integer"):
             SolverConfig(save_every=save_every)
     assert SolverConfig(save_every=np.int64(2)).save_every == 2
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SolverConfig(initial="random", seed=True)
+    # the step count is bounded before any step: MAX_STEPS is the last allowed
+    for dt, t_end in ((5e-324, 1.0), (1e-300, 0.1), (1.0 / (MAX_STEPS + 1), 1.0)):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_STEPS} steps"):
+            SolverConfig(dt=dt, t_end=t_end)
+    SolverConfig(dt=1.0 / MAX_STEPS, t_end=1.0)
 
 
 def test_solver_cfl_is_taken_on_the_stored_states():
