@@ -44,10 +44,13 @@ measured weak-L^3 norm M and at M/2 (1 and 1/2 for the zero field), and
 `region_measure` on balls and cubes off the cell lattice, whose `mask`s
 it dumps too. The CLI section writes a seeded 24^3 random run to one
 temporary directory and runs `norms --M auto`, `norms --M 0.5`, `scan`,
-`localize`, `stokes-check --bump` and `count-bound` on it in process, with
-relative paths, dumping each report's payload and `config_hash`. These are
-compared exactly, the `stokes-check` payload too, since a report is
-promised byte for byte.
+`localize`, `stokes-check --bump`, `stokes-check --frame 2` (no bump, so
+one decoded frame) and `count-bound` on it in process, with relative paths,
+dumping each report's payload and `config_hash`, and dumps the exit code
+and JSON error of `norms --frame 0` on a copy whose last frame holds a NaN,
+which every frame's finiteness check must still catch. These are compared
+exactly, the `stokes-check` payloads too, since a report is promised byte
+for byte.
 """
 
 import contextlib
@@ -408,6 +411,8 @@ CLI_COMMANDS = {
                  "--frame", "5", "--on-underresolved", "warn"],
     "stokes-check": ["stokes-check", "run.rsf", "--cube", "0.8,0.8,0.8,4.5",
                      "--bump", "3.0,3.1,2.9,1.5,1.5,0.9", "--nu", "0.05"],
+    "stokes-check(frame=2)": ["stokes-check", "run.rsf", "--cube", "0.8,0.8,0.8,4.5",
+                              "--frame", "2"],
     "count-bound": ["count-bound", "--M", "2.0", "--eps", "0.1"],
 }
 
@@ -434,6 +439,17 @@ def cli_outputs(out):
                     doc = json.load(fh)
                 out[f"cli.{tag}.payload"] = _js(doc["payload"])
                 out[f"cli.{tag}.config_hash"] = _js(doc["manifest"]["config_hash"])
+            # a NaN as the last value of the last frame fails a read of frame 0
+            with open("run.rsf", "rb") as fh:
+                raw = fh.read()
+            with open("nan.rsf", "wb") as fh:
+                fh.write(raw[:-8] + np.array([np.nan], "<f8").tobytes())
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(["norms", "nan.rsf", "--frame", "0"])
+            out["cli.norms(nan in last frame).error"] = _js(
+                [rc, json.loads(err.getvalue())])
         finally:
             os.chdir(cwd)
 

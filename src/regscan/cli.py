@@ -22,14 +22,15 @@ import numpy as np
 
 from . import __version__
 from .dyadic import CountBoundError, count_bound, localize
-from .fieldio import FieldFormatError, read_field, write_field
-from .grid import Ball, Cube, Cylinder
+from .fieldio import FieldFormatError, read_field, read_header, write_field
+from .grid import Ball, Cube, Cylinder, nearest_frame
 from .localquant import AnalysisConfig, quant_report
 from .lorentz import NormReport, l4_interpolation_check, local_l2_check
 from .stokes import (
     BumpTestFunction,
     StokesError,
     check_bump,
+    cube_slices,
     harmonic_residual,
     local_energy_residual,
     pressure_parts,
@@ -109,26 +110,25 @@ def _floats(text, what, count):
     return parts
 
 
-def _read_frame(args):
-    """The field, the index of the frame --frame or --time picks (else the
-    last), and a payload that records that frame and its time."""
-    field = read_field(args.field)
-    i = len(field.frames) - 1
-    if args.frame is not None:
-        if not (0 <= args.frame < len(field.frames)):
-            raise ValueError(f"frame {args.frame} out of range")
-        i = args.frame
-    elif args.time is not None:
-        i = field.frame_index_at(args.time)
-    return field, i, {"frame": i, "time": float(field.times[i])}
+def _pick_frame(args):
+    """The box in the field's header, the index of the frame --frame or --time
+    picks (else the last), and a payload that records that frame and its time."""
+    box, times = read_header(args.field)
+    if args.time is not None:
+        i = nearest_frame(times, args.time)
+    else:
+        i = len(times) - 1 if args.frame is None else args.frame
+        if not 0 <= i < len(times):
+            raise ValueError(f"frame {i} out of range")
+    return box, i, {"frame": i, "time": float(times[i])}
 
 
 # -- command payloads -----------------------------------------------------------
 
 
 def cmd_norms(args):
-    field, i, payload = _read_frame(args)
-    mag = field.frames[i].magnitude()
+    _, i, payload = _pick_frame(args)
+    mag = read_field(args.field, frames=[i]).frames[0].magnitude()
     report = NormReport.from_scalar(mag)
     payload.update(dataclasses.asdict(report))
     if args.M is not None:
@@ -150,11 +150,11 @@ def cmd_scan(args):
 
 
 def cmd_localize(args):
-    field, i, payload = _read_frame(args)
+    _, i, payload = _pick_frame(args)
     cfg = AnalysisConfig(eps=args.eps)
     M = None if args.M == "auto" else float(args.M)
     cs = localize(
-        field.frames[i],
+        read_field(args.field, frames=[i]).frames[0],
         cfg,
         args.kmax,
         M=M,
@@ -169,9 +169,15 @@ def cmd_stokes_check(args):
         raise ValueError(f"--nu must be finite and positive, got {args.nu}")
     phi = (None if args.bump is None
            else BumpTestFunction(tuple(args.bump[:3]), *args.bump[3:]))
-    field, i, payload = _read_frame(args)
+    box, i, payload = _pick_frame(args)
     cube = Cube(corner=tuple(args.cube[:3]), side=args.cube[3])
-    u = restrict_to_cube(field.frames[i], cube)
+    try:
+        cube_slices(box, cube)          # before any frame is decoded
+    except ValueError as exc:
+        raise ValueError(f"--cube: {exc}") from None
+    # the energy balance needs every frame, the projection only frame i
+    field = read_field(args.field, frames=[i] if phi is None else None)
+    u = restrict_to_cube(field.frames[0 if phi is None else i], cube)
     if phi is not None:
         check_bump(field, cube, phi)    # before any solve
     parts = pressure_parts(u)

@@ -18,6 +18,7 @@ __all__ = [
     "ScalarGrid",
     "VectorGrid",
     "SpaceTimeField",
+    "nearest_frame",
     "Ball",
     "Cube",
     "Cylinder",
@@ -162,14 +163,19 @@ class SpaceTimeField:
 
     def frame_index_at(self, t):
         """Index of the frame nearest to t (warn when not an exact sample time)."""
-        if not np.isfinite(t):
-            raise ValueError(f"time must be finite, got {t}")
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            warnings.warn(
-                f"time {t} is not a sample time; using nearest frame t={self.times[i]}"
-            )
-        return i
+        return nearest_frame(self.times, t)
+
+
+def nearest_frame(times, t):
+    """Index of the time nearest to t (warn when t is not one of them)."""
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    i = int(np.argmin(np.abs(np.subtract(times, t))))
+    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        warnings.warn(
+            f"time {t} is not a sample time; using nearest frame t={times[i]}"
+        )
+    return i
 
 
 def _require_finite(region, **values):

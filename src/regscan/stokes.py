@@ -32,7 +32,7 @@ __all__ = [
     "StokesError", "StokesSolution", "LocalPressure", "BumpTestFunction",
     "estar", "pressure_parts", "harmonic_residual", "local_energy_residual",
     "check_bump", "harmonic_rigidity_check", "projection_residual",
-    "restrict_to_cube", "vector_laplacian", "convective_divergence",
+    "restrict_to_cube", "cube_slices", "vector_laplacian", "convective_divergence",
 ]
 
 
@@ -47,7 +47,7 @@ class StokesError(RuntimeError):
 def _check_domain(box):
     ext = box.extent
     if max(ext) - min(ext) > 1e-9 * max(ext):
-        raise ValueError("solver domain must be a cube")
+        raise ValueError(f"solver domain must be a cube, got {box.n} cells per axis")
     if min(box.n) < 16:
         raise ValueError("solver needs at least 16 cells per axis")
 
@@ -462,9 +462,10 @@ class BumpTestFunction:
         return self._at(mesh)(t)[3]
 
 
-def _cube_slices(box, corner, side):
-    """Snap a requested cube onto the cell lattice of the parent box."""
-    h, lo = box.spacing, box.lo
+def cube_slices(box, cube):
+    """Snap a Cube region onto the cell lattice of a field's box: the index
+    slices and the box of the sub-grid, checked as a solver domain."""
+    corner, side, h, lo = cube.corner, cube.side, box.spacing, box.lo
     i0 = [int(round((corner[a] - lo[a]) / h[a])) for a in range(3)]
     i1 = [int(round((corner[a] + side - lo[a]) / h[a])) for a in range(3)]
     if min(i0) < 0 or any(j > m for j, m in zip(i1, box.n)):
@@ -472,10 +473,11 @@ def _cube_slices(box, corner, side):
                          f"leaves the field's box {box.lo} to {box.hi}")
     if any(j - i < 16 for i, j in zip(i0, i1)):
         raise ValueError("analysis cube must span at least 16 cells per axis")
-    return (tuple(slice(i, j) for i, j in zip(i0, i1)),
-            Box3(tuple(lo[a] + i0[a] * h[a] for a in range(3)),
-                 tuple(lo[a] + i1[a] * h[a] for a in range(3)),
-                 tuple(j - i for i, j in zip(i0, i1))))
+    sub_box = Box3(tuple(lo[a] + i0[a] * h[a] for a in range(3)),
+                   tuple(lo[a] + i1[a] * h[a] for a in range(3)),
+                   tuple(j - i for i, j in zip(i0, i1)))
+    _check_domain(sub_box)      # axes round apart, so their counts may differ
+    return tuple(slice(i, j) for i, j in zip(i0, i1)), sub_box
 
 
 def _restrict_frame(frame, slices, sub_box):
@@ -485,7 +487,7 @@ def _restrict_frame(frame, slices, sub_box):
 
 def restrict_to_cube(frame, cube):
     """Extract the sub-grid of a frame covered by a Cube region."""
-    slices, sub_box = _cube_slices(frame.box, cube.corner, cube.side)
+    slices, sub_box = cube_slices(frame.box, cube)
     return _restrict_frame(frame, slices, sub_box)
 
 
@@ -496,7 +498,7 @@ def check_bump(f, cube, phi, s=None):
     time support, and at least 4 cells and 2 frame steps across it.
     Returns the cube's slices and box and the indices of the frames up to s.
     """
-    slices, sub_box = _cube_slices(f.box, cube.corner, cube.side)
+    slices, sub_box = cube_slices(f.box, cube)
     times = f.times
     if s is None:
         s = times[-1]

@@ -19,7 +19,9 @@ from regscan.fieldio import read_field, write_field
 from regscan.grid import Box3, Cube, Cylinder, SpaceTimeField, VectorGrid
 from regscan.localquant import AnalysisConfig, quant_report
 from regscan.lorentz import weak_norm
-from regscan.stokes import BumpTestFunction, local_energy_residual
+from regscan.stokes import (BumpTestFunction, harmonic_residual, local_energy_residual,
+                            pressure_parts, restrict_to_cube)
+from regscan.synth import SolverConfig, run_solver
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +387,92 @@ def test_stokes_check_rejects_bad_bump_before_reading(capsys, tmp_path, bump,
         "--bump", bump]))
     assert err["type"] == "ValueError"
     assert expected in err["error"]
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """The number of frames each cli.read_field call of a test decodes."""
+    counts = []
+    read = cli.read_field
+
+    def spy(*args, **kwargs):
+        field = read(*args, **kwargs)
+        counts.append(len(field.frames))
+        return field
+
+    monkeypatch.setattr(cli, "read_field", spy)
+    return counts
+
+
+CUBE = ["--cube", "0.25,0.25,0.25,0.5"]
+
+
+@pytest.mark.parametrize("argv, frames", [
+    (["norms", "FIELD", "--M", "auto"], 1),
+    (["localize", "FIELD", "--eps", "0.1", "--kmax", "2"], 1),
+    (["stokes-check", "FIELD", *CUBE, "--frame", "1"], 1),
+    (["scan", "FIELD", "--x0", "0.5,0.5,0.5", "--t0", "0.15", "--r", "0.35"], 4),
+    (["stokes-check", "FIELD", *CUBE, "--bump", "0.5,0.5,0.5,0.22,0.1,0.1"], 4),
+], ids=["norms", "localize", "stokes-check", "scan", "stokes-check-bump"])
+def test_commands_decode_only_the_frames_they_use(capsys, field_file, decoded,
+                                                  argv, frames):
+    path, _ = field_file
+    run_json(capsys, [path if a == "FIELD" else a for a in argv])
+    assert decoded == [frames]
+
+
+def test_one_frame_payload_keeps_the_file_index(capsys, field_file):
+    path, field = field_file
+    payload = run_json(capsys, ["stokes-check", path, *CUBE, "--time", "0.05"])["payload"]
+    assert (payload["frame"], payload["time"]) == (1, field.times[1])
+    u = restrict_to_cube(field.frames[1], Cube((0.25, 0.25, 0.25), 0.5))
+    assert payload["harmonic_residual"] == harmonic_residual(
+        pressure_parts(u).solutions["ph"], u)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["norms", "FIELD", "--frame", "7"], "frame 7 out of range"),
+    (["norms", "FIELD", "--time", "nan"], "time must be finite"),
+    (["stokes-check", "FIELD", *CUBE, "--frame", "4"], "frame 4 out of range"),
+], ids=["norms-frame", "norms-time", "stokes-frame"])
+def test_frame_errors_come_before_any_frame_is_decoded(capsys, field_file, decoded,
+                                                       argv, expected):
+    path, _ = field_file
+    err = one_line_error(capsys, main([path if a == "FIELD" else a for a in argv]))
+    assert err["type"] == "ValueError"
+    assert expected in err["error"]
+    assert decoded == []
+
+
+@pytest.fixture(scope="module")
+def box24_file(tmp_path_factory):
+    """A short Taylor-Green run on 24^3 cells of the 2*pi box, written to disk."""
+    run = run_solver(SolverConfig(n=24, dt=0.02, t_end=0.04, save_every=1))
+    path = tmp_path_factory.mktemp("box24") / "run.rsf"
+    write_field(path, run.field)
+    return str(path), run.field
+
+
+def test_stokes_check_names_a_cube_that_snaps_to_unequal_counts(capsys, box24_file,
+                                                                decoded):
+    path, _ = box24_file
+    err = one_line_error(capsys, main(["stokes-check", path,
+                                       "--cube", "0.8,0.9,0.7,4.5"]))
+    assert err["type"] == "ValueError"
+    assert err["error"].startswith("--cube: ")
+    assert "(17, 18, 17) cells per axis" in err["error"]
+    assert decoded == []
+
+
+def test_stokes_check_keeps_a_cube_that_snaps_to_equal_counts(capsys, box24_file):
+    path, field = box24_file
+    payload = run_json(capsys, ["stokes-check", path,
+                                "--cube", "0.8,0.8,0.8,4.5"])["payload"]
+    u = restrict_to_cube(field.frames[-1], Cube((0.8, 0.8, 0.8), 4.5))
+    assert u.box.n == (17, 17, 17)
+    parts = pressure_parts(u)
+    assert payload["iterations"] == {k: v.iterations for k, v in parts.solutions.items()}
+    assert payload["harmonic_residual"] == harmonic_residual(parts.solutions["ph"], u)
 
 
 @pytest.mark.parametrize("cube", ["0.25,0.25,0.5", "0.25,0.25,0.25,0.5,0.9",

@@ -7,10 +7,13 @@ produced rather than hard-coded.
 
 import json
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from regscan import fieldio
 from regscan.fieldio import CANARY, FieldFormatError, read_field, write_field
 from regscan.grid import Box3, SpaceTimeField, VectorGrid
 
@@ -184,6 +187,7 @@ def test_read_frames_are_writable_contiguous_float64(tmp_path, rng):
     ("n", 5, "bad box"),
     ("times", 5, "bad times"),
     ("times", [0.1, 0.1], "strictly increasing"),
+    ("times", [], "no frame times"),
 ])
 def test_malformed_header_values(tmp_path, rng, key, value, message):
     raw = valid_bytes(tmp_path, rng)
@@ -195,3 +199,70 @@ def test_malformed_header_values(tmp_path, rng, key, value, message):
     err = reject(tmp_path, doctored)
     assert message in str(err)
     assert err.offset == len(MAGIC)
+
+
+def test_read_field_keeps_only_the_asked_frames(tmp_path, rng):
+    f = small_field(rng, frames=3)
+    write_field(tmp_path / "f.rsf", f)
+    full = read_field(tmp_path / "f.rsf")
+    for k in range(3):
+        one = read_field(tmp_path / "f.rsf", frames=[k])
+        assert one.box == full.box
+        assert tuple(one.times) == (full.times[k],)
+        (frame,) = one.frames
+        assert frame.data.tobytes() == full.frames[k].data.tobytes()
+        assert frame.data.dtype == np.float64
+        assert frame.data.flags.c_contiguous and frame.data.flags.writeable
+    both = read_field(tmp_path / "f.rsf", frames=[0, 2])
+    assert np.array_equal(both.times, full.times[[0, 2]])
+    assert np.array_equal(both.frames[1].data, full.frames[2].data)
+
+
+def test_one_frame_read_still_checks_every_frame(tmp_path, rng):
+    f = small_field(rng, frames=3)
+    path = tmp_path / "three.rsf"
+    write_field(path, f)
+    raw = path.read_bytes()
+    bad_at = payload_offset(raw) + (2 * 3 * 4 * 5 * 3 + 7) * 8   # frame 2
+    path.write_bytes(raw[:bad_at] + struct.pack("<d", np.nan) + raw[bad_at + 8:])
+    with pytest.raises(FieldFormatError) as full:
+        read_field(path)
+    with pytest.raises(FieldFormatError) as one:
+        read_field(path, frames=[0])
+    assert str(one.value) == str(full.value)
+    assert one.value.offset == full.value.offset == bad_at
+    assert "non-finite value in frame 2 component 0" in str(one.value)
+
+
+def test_a_file_that_shrinks_after_the_size_check(tmp_path, rng, monkeypatch):
+    raw = valid_bytes(tmp_path, rng)
+    # the size check sees the full size, as if the file shrank after it
+    monkeypatch.setattr(fieldio, "os", SimpleNamespace(
+        fstat=lambda fd: SimpleNamespace(st_size=len(raw))))
+    err = reject(tmp_path, raw[:-8])
+    assert "payload ends inside frame 1" in str(err)
+    assert err.offset == payload_offset(raw) + 3 * 4 * 5 * 3 * 8
+
+
+@pytest.mark.parametrize("frames", [[3], [-1], [1, 0], [1, 1], []])
+def test_frames_must_be_increasing_indices_of_the_file(tmp_path, rng, frames):
+    write_field(tmp_path / "f.rsf", small_field(rng, frames=3))
+    with pytest.raises(ValueError, match="not increasing indices below 3"):
+        read_field(tmp_path / "f.rsf", frames=frames)
+
+
+@pytest.mark.parametrize("frames", [[2], None], ids=["one-frame", "all-frames"])
+def test_read_holds_the_decoded_frames_plus_one(tmp_path, rng, frames):
+    # numpy reports its buffers to tracemalloc; the old whole-file read
+    # peaked at the file, its finiteness mask and the decoded frames
+    n = (24, 20, 16)
+    write_field(tmp_path / "f.rsf", small_field(rng, frames=4, n=n))
+    frame_bytes = 3 * n[0] * n[1] * n[2] * 8
+    tracemalloc.start()
+    try:
+        g = read_field(tmp_path / "f.rsf", frames=frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.frames) == (4 if frames is None else 1)
+    assert peak <= (len(g.frames) + 1) * frame_bytes + 32 * 1024
