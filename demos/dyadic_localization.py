@@ -6,7 +6,9 @@ keeps exactly those cubes where m({|u| > 2^k eps} inside Q) exceeds
 2^(-3k) eps, and candidates must chain up through every coarser level.
 Survivors at the deepest level cluster into one component per spike,
 and each level carries a certificate that the counting argument behind
-the bound N(M) = eps^-7 M^3 + eps^-3 actually held on this data.
+the bound N(M) = eps^-7 M^3 + eps^-3 actually held on this data: in cells
+of E = {|u| > 2^k eps}, the selected cubes' overlap sum is at most
+ceil(1/eps)^3 |E|, and n_k times the threshold stays below that sum.
 """
 
 import time
@@ -36,14 +38,17 @@ def main():
 
     print(f"grid {n}^3, eps = {cfg.eps}, deepest level k = {cs.k_max} "
           f"({elapsed:.2f} s)\n")
-    print(f"{'k':>2} {'F_k':>6} {'G_k':>6} {'disjoint':>8} "
-          f"{'overlap':>8} {'packing':>8} {'weak':>6}")
+    print(f"{'k':>2} {'F_k':>6} {'G_k':>6} {'n_k thr <':>11} {'sum|EnQ| <=':>11} "
+          f"{'ceil(1/eps)^3|E|':>16} {'|E| <=':>9} {'(M/h)^3':>9} ok")
     for fam in cs.families:
         c = fam.certificate
-        print(f"{fam.level:>2} {len(fam.F_indices):>6} "
-              f"{len(fam.G_indices):>6} {fam.n_disjoint:>8} "
-              f"{str(c['overlap_ok']):>8} {str(c['packing_ok']):>8} "
-              f"{str(c['weak_ok']):>6}")
+        cells = fam.global_measure / u.box.cell_volume
+        ok = c["overlap_ok"] and c["packing_ok"] and c["weak_ok"]
+        print(f"{fam.level:>2} {fam.n:>6} {len(fam.G_keys):>6} "
+              f"{c['packing_lhs']:>11.0f} {c['overlap_lhs']:>11} "
+              f"{c['overlap_rhs']:>16} {cells:>9.0f} "
+              f"{c['weak_rhs'] / u.box.cell_volume:>9.0f} {ok}")
+    print("(measures in cells; h = 2^k eps is the level height)")
 
     print(f"\nsurvivors per level: {cs.survivors_per_level}")
     print(f"terminated per level: {cs.terminated_per_level}")

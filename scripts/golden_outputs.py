@@ -1,5 +1,5 @@
 """Dump the numerical outputs of `stokes`, `dyadic.localize`, the dyadic
-meet-relation clustering, packing count and key expansion, the CLI
+meet-relation clustering and key expansion, the CLI
 pipeline path (`run_solver`, field I/O, the cylinder quantities), the
 weak-norm layer (`lorentz` and the region masks) and the CLI reports, or
 compare two dumps bit for bit.
@@ -21,17 +21,19 @@ to p_h, `estar` of a random forcing on 17 x 20 x 23 cells,
 `harmonic_residual` and `local_energy_residual`) are compared to
 rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
-`localize` run dumps its whole `to_dict()` payload, its chains, its
-clusters as sorted offset lists and the per-level F and G offsets; each run
-passes the one eps it selects at. The clusters section dumps the
+`localize` run dumps its `to_dict()` payload, its chains, its clusters as
+sorted offset lists and the per-level F and G offsets; each run passes the
+one eps it selects at. Each level of the payload keeps only `LEVEL_KEYS`:
+the counts, measures and `weak_*` keys, and not the `overlap_*` and
+`packing_*` keys (or the disjoint-packing count) of the count certificate,
+which changed form; so a dump of the parent compares with one of a change
+to that certificate. The clusters section dumps the
 `_cluster_labels` partition of seeded random offset sets, a broken filament
 and 8000 isolated offsets, with labels renumbered by first appearance, so a
-change of label numbering alone compares equal. The packing section dumps
-`_greedy_disjoint` counts on a dense level-0 selection of a seeded random
-field, on a lattice where every cube is kept and on seeded random sets,
-each with the bulk-kill cut-over `_BULK_KILL` as set, always on and always
-off, and the `_spread` keys for the dilation, child and parent bounds, with
-and without a cover, on sorted and on shuffled keys with repeats. The pipeline
+change of label numbering alone compares equal. The spread section dumps
+the `_spread` keys of a dense level-0 selection of a seeded random field
+for the dilation, child and parent bounds, with and without a cover, on
+sorted and on shuffled keys with repeats. The pipeline
 section dumps solver frames and histories, the SHA-256 of the
 written field file, the read-back frames with their memory layout, the
 non-finite read and write errors, every cylinder quantity on windows that
@@ -46,7 +48,8 @@ it dumps too. The CLI section writes a seeded 24^3 random run to one
 temporary directory and runs `norms --M auto`, `norms --M 0.5`, `scan`,
 `localize`, `stokes-check --bump`, `stokes-check --frame 2` (no bump, so
 one decoded frame) and `count-bound` on it in process, with relative paths,
-dumping each report's payload and `config_hash`, and dumps the exit code
+dumping each report's payload (`localize`'s levels cut to `LEVEL_KEYS`, as
+above) and `config_hash`, and dumps the exit code
 and JSON error of `norms --frame 0` on a copy whose last frame holds a NaN,
 which every frame's finiteness check must still catch. These are compared
 exactly, the `stokes-check` payloads too, since a report is promised byte
@@ -141,12 +144,22 @@ def stokes_outputs(out):
         g, np.linspace(0.3, 0.9, 7), M=weak_norm(g, 3.0)))
 
 
+LEVEL_KEYS = ("level", "height", "measure_threshold", "n_selected", "n_extended",
+              "global_measure", "boundary_adjacent", "weak_ok", "weak_rhs")
+
+
+def _without_certificate(payload):
+    """A localize payload whose levels keep only LEVEL_KEYS."""
+    levels = [{k: lev[k] for k in LEVEL_KEYS} for lev in payload["levels"]]
+    return {**payload, "levels": levels}
+
+
 def _localize_outputs(out, tag, frame, eps, k_max, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # deep levels span < 4 cells
         cs = localize(frame, AnalysisConfig(eps=eps), k_max,
                       on_underresolved="warn", **kw)
-    out[f"{tag}.payload"] = _js(cs.to_dict())
+    out[f"{tag}.payload"] = _js(_without_certificate(cs.to_dict()))
     out[f"{tag}.chains"] = _js([[(c.level, [int(v) for v in c.j])
                                  for c in chain] for chain in cs.chains])
     out[f"{tag}.clusters"] = _js([sorted([int(v) for v in c] for c in cl)
@@ -224,38 +237,11 @@ def cluster_outputs(out):
             dyadic._pack(j), dm))
 
 
-def _greedy_counts(j, eps):
-    """`_greedy_disjoint` with the bulk-kill cut-over as set, always on and
-    always off."""
-    saved = dyadic._BULK_KILL
-    counts = []
-    try:
-        for cut in (saved, -1.0, np.inf):
-            dyadic._BULK_KILL = cut
-            counts.append(dyadic._greedy_disjoint(dyadic._pack(j), j, eps))
-    finally:
-        dyadic._BULK_KILL = saved
-    return np.array(counts)
-
-
-def packing_outputs(out):
+def spread_outputs(out):
     frame = random_solenoidal(n=48, seed=3, rms=0.5)
-    sets = {f"dense(eps{eps})": (dyadic.select_f0(frame, eps).F_indices, eps)
-            for eps in (0.1, 0.2)}
-    a = 10 * np.arange(30)
-    sets["all_kept(dm9)"] = (np.stack(np.meshgrid(a, a, a, indexing="ij"),
-                                      axis=-1).reshape(-1, 3), 0.1)
     rng = np.random.default_rng(11)
-    for dm in (1, 2, 3, 5, 9):
-        for i in range(4):
-            n = int(rng.integers(1, 3000))
-            j = rng.integers(-4 * dm, 4 * dm, size=(n, 3))
-            sets[f"random(dm{dm})[{i}]"] = (np.unique(j, axis=0), 1 / (dm + 1))
-    for tag, (j, eps) in sets.items():
-        out[f"greedy.{tag}"] = _greedy_counts(j, eps)
-
     # the dilation, child and parent bounds at eps 0.2 (dm 4, span 5)
-    keys = dyadic._pack(sets["dense(eps0.2)"][0])
+    keys = dyadic.select_f0(frame, 0.2).F_keys
     shuffled = rng.permutation(np.concatenate([keys[::7], keys[::11]]))
     dm, span = 4, 5
     bounds = {"dilation": (lambda j: (j - dm, j + dm), 0),
@@ -437,7 +423,10 @@ def cli_outputs(out):
                     raise RuntimeError(f"regscan {' '.join(argv)} exited {rc}")
                 with open("report.json") as fh:
                     doc = json.load(fh)
-                out[f"cli.{tag}.payload"] = _js(doc["payload"])
+                payload = doc["payload"]
+                if tag == "localize":
+                    payload = _without_certificate(payload)
+                out[f"cli.{tag}.payload"] = _js(payload)
                 out[f"cli.{tag}.config_hash"] = _js(doc["manifest"]["config_hash"])
             # a NaN as the last value of the last frame fails a read of frame 0
             with open("run.rsf", "rb") as fh:
@@ -521,7 +510,7 @@ def main(argv):
         stokes_outputs(out)
         chain_outputs(out)
         cluster_outputs(out)
-        packing_outputs(out)
+        spread_outputs(out)
         pipeline_outputs(out)
         lorentz_outputs(out)
         cli_outputs(out)

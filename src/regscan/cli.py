@@ -24,7 +24,7 @@ from . import __version__
 from .dyadic import CountBoundError, count_bound, localize
 from .fieldio import FieldFormatError, read_field, read_header, write_field
 from .grid import Ball, Cube, Cylinder, nearest_frame
-from .localquant import AnalysisConfig, quant_report
+from .localquant import AnalysisConfig, check_cylinder, quant_report
 from .lorentz import NormReport, l4_interpolation_check, local_l2_check
 from .stokes import (
     BumpTestFunction,
@@ -143,9 +143,10 @@ def cmd_norms(args):
 
 
 def cmd_scan(args):
-    field = read_field(args.field)
     cfg = AnalysisConfig(eps=args.eps, zeta=args.zeta)
     cyl = Cylinder(center=args.x0, t0=args.t0, r=args.r)
+    check_cylinder(*read_header(args.field), cyl)   # before any frame is decoded
+    field = read_field(args.field)
     return "scan", quant_report(field, cyl, cfg), [args.field]
 
 

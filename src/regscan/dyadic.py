@@ -6,20 +6,18 @@ cube is selected when the set where |u| exceeds the level height 2^k * eps
 fills more than 2^-3k * eps of space inside it; selected cubes plus their
 meeting neighbours admit the next, finer level. Chains of nested admitted
 cubes that survive to the finest level cluster around the candidate
-points; the count of selected cubes per level is certified against the
-measure-packing bounds that cap the number of candidates at
-eps^-7 M^3 + eps^-3 for fields with weak-L^3 norm at most M.
+points. Each level's count of selected cubes is certified from the cube
+counts the selection already has (`SelectionFamily`): it stays below
+ceil(1/eps)^3 eps^-4 M^3, which is eps^-7 M^3 when 1/eps is an integer,
+for fields with weak-L^3 norm at most M.
 
 Cube families are sorted, distinct int64 keys of packed lattice offsets at
 one eps, unpacked only where arithmetic needs the offsets. Neighbour, child
 and parent families are separable per axis: `_spread` expands merged runs
-of ranges, at three sorts of the distinct keys. The packing count
-`_greedy_disjoint` kills a kept cube's later neighbours in bulk where they
-are dense, so it pays a Python step per kept cube there, not per selected
-one. Keys and counts are those of a plain expansion and a plain greedy.
-The survivors cluster on z-runs of their keys (`_cluster_labels`): offsets
-of one (x, y) line chain into runs, runs on nearby lines join by their z
-spans, and clusters are numbered by their lexicographically first offset.
+of ranges, at three sorts of the distinct keys. The survivors cluster on
+z-runs of their keys (`_cluster_labels`): offsets of one (x, y) line chain
+into runs, runs on nearby lines join by their z spans, and clusters are
+numbered by their lexicographically first offset.
 """
 
 import math
@@ -198,7 +196,10 @@ def _prefix(mag, height):
 
 
 def _cube_counts(p, box, j, k, eps):
-    """Super-level cell counts (prefix sums p) for cubes at lattice offsets j."""
+    """Super-level cell counts (prefix sums p) for cubes at lattice offsets
+    j: a cube counts the cells whose centre c has corner <= c < corner +
+    side on every axis, so a centre on a face counts in the cube whose low
+    face it lies on."""
     s = 2.0 ** (-k)
     lo = eps * s * j
     (x0, y0, z0), (x1, y1, z1) = (
@@ -208,67 +209,30 @@ def _cube_counts(p, box, j, k, eps):
             + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0])
 
 
-_NEIGHBOURS = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
-_BULK_KILL = 0.5
-
-
-def _greedy_disjoint(keys, j, eps):
-    """Size of the greedy maximal pairwise-disjoint subfamily of the cubes
-    with keys and offsets j = _unpack(keys), taken in order (key order, as
-    every caller sorts them).
-
-    Two kept cubes never meet, so a bucket of side dm + 1 holds at most one
-    of them, and a cube can only meet kept cubes of the 27 buckets around it.
-    A kept cube in a dense row (more than _BULK_KILL * (dm + 1) cubes of its
-    (x, y) row within z distance dm, itself included) also kills each later
-    cube within dm by one `searchsorted` over the (dm + 1)(2dm + 1) rows
-    ahead, and the walk jumps to the next live cube. A dense level so costs
-    about a Python step per kept cube; a sparse one, one per cube as before.
-    Kills remove only cubes the bucket check rejects, so the count is exact.
-    """
-    dm = _meet_radius(eps)
-    b = dm + 1
-    n = len(keys)
-    row = np.searchsorted(keys, keys + dm, "right") - np.searchsorted(keys, keys - dm)
-    # kills need sorted distinct keys and room for the rows around the cube
-    bulk = ((row > _BULK_KILL * b) & np.all(np.abs(j) < _OFF - dm, axis=1)
-            & np.all(keys[1:] > keys[:-1]))
-    rel = ((np.arange(b)[:, None] << 40) + (np.arange(-dm, b) << 20)).ravel()
-    dead = np.zeros(n + 1, dtype=bool)   # dead[n] stays live: the walk's end
-    kept = {}
-    i = 0
-    while i < n:
-        x, y, z = j[i].tolist()
-        bx, by, bz = x // b, y // b, z // b
-        for dx, dy, dz in _NEIGHBOURS:
-            q = kept.get((bx + dx, by + dy, bz + dz))
-            if q and (abs(x - q[0]) <= dm and abs(y - q[1]) <= dm
-                      and abs(z - q[2]) <= dm):
-                break
-        else:
-            kept[bx, by, bz] = (x, y, z)
-            if bulk[i]:
-                lo = np.searchsorted(keys, keys[i] + rel - dm)
-                count = np.searchsorted(keys, keys[i] + rel + dm, "right") - lo
-                dead[np.repeat(lo - np.cumsum(count) + count, count)
-                     + np.arange(count.sum())] = True
-        i += 1
-        if dead[i]:   # jump to the next live cube; argmin stops at the first
-            i += int(dead[i:].argmin())
-    return len(kept)
-
-
 @dataclass
 class SelectionFamily:
     """Selected cubes F and their meeting extension G at one level.
 
-    F holds the cubes passing the measure condition
-    m{x in E : |u| > 2^k eps} > 2^-3k eps; G adds every cover cube whose
+    F holds the cubes passing the measure condition |E n Q| > thr, where
+    E = {|u| > 2^k eps} and thr = 2^-3k eps; G adds every cover cube whose
     interior touches a member of F. Both are sorted, distinct packed keys
     of level-k offsets at the family's eps (F_keys, G_keys); F_indices and
-    G_indices unpack them to (n, 3) offsets. The certificate records the
-    packing chain: n <= eps^-3 n_disjoint, n_disjoint * 2^-3k eps <= m_global,
-    and m_global <= (2^k eps)^-3 M^3.
+    G_indices unpack them to (n, 3) offsets.
+
+    The certificate bounds n; its overlap_* and packing_lhs count cells of
+    E. Cubes that hold a common cell centre pairwise meet, so their offsets
+    span at most the meet radius dm per axis and the centre lies in at most
+    (dm + 1)^3 = ceil(1/eps)^3 cubes. So the overlap sum over F,
+    overlap_lhs = sum |E n Q|, is at most overlap_rhs = ceil(1/eps)^3 |E|
+    (overlap_ok, both exact integers); packing_lhs = n thr < overlap_lhs
+    (packing_ok, as each cube of F holds more than thr); and the measure
+    global_measure of E is at most weak_rhs = (M / 2^k eps)^3 (weak_ok).
+    Together
+
+        n < ceil(1/eps)^3 (2^k eps)^-3 M^3 / (2^-3k eps) = ceil(1/eps)^3 eps^-4 M^3,
+
+    which is eps^-7 M^3, the first term of `count_bound`, when 1/eps is an
+    integer.
     """
 
     level: int
@@ -277,7 +241,6 @@ class SelectionFamily:
     measure_threshold: float
     F_keys: np.ndarray
     G_keys: np.ndarray
-    n_disjoint: int
     global_measure: float
     certificate: dict
     boundary_adjacent: bool = False
@@ -305,32 +268,16 @@ class SelectionFamily:
             "measure_threshold": self.measure_threshold,
             "n_selected": self.n,
             "n_extended": len(self.G_keys),
-            "n_disjoint": self.n_disjoint,
             "global_measure": self.global_measure,
             "boundary_adjacent": self.boundary_adjacent,
             **self.certificate,
         }
 
 
-def _certificate(n, n_disjoint, thr_measure, global_measure, height, M, eps):
-    inv = 1.0 / eps
-    overlap_rhs = inv ** 3 * n_disjoint
-    packing_lhs = n_disjoint * thr_measure
-    weak_rhs = (M / height) ** 3 if height > 0 else float("inf")
-    return {
-        "overlap_ok": n <= overlap_rhs,
-        "overlap_rhs": overlap_rhs,
-        "packing_ok": packing_lhs <= global_measure or n_disjoint == 0,
-        "packing_lhs": packing_lhs,
-        "weak_ok": global_measure <= weak_rhs * (1 + 1e-12),
-        "weak_rhs": weak_rhs,
-    }
-
-
 def _make_family(mag, k, eps, keys, M, prefix):
     """Apply the level-k measure condition to the sorted distinct candidate
-    keys; prefix is _prefix at the level-k height and M defaults to the
-    weak-L^3 norm of the magnitude grid mag."""
+    keys and certify the count; prefix is _prefix at the level-k height and
+    M defaults to the weak-L^3 norm of the magnitude grid mag."""
     if M is None:
         M = weak_norm(mag, 3.0)
     height = (2.0 ** k) * eps
@@ -338,20 +285,28 @@ def _make_family(mag, k, eps, keys, M, prefix):
     p, global_measure = prefix
     box = mag.box
     j = _unpack(keys)
-    sel = _cube_counts(p, box, j, k, eps) * box.cell_volume > thr
-    f_keys, f = keys[sel], j[sel]
-    nd = _greedy_disjoint(f_keys, f, eps)
+    counts = _cube_counts(p, box, j, k, eps)
+    sel = counts * box.cell_volume > thr
+    f_keys, f, counts = keys[sel], j[sel], counts[sel]
+    n, overlap = len(f_keys), int(counts.sum(dtype=np.int64))
 
     # G: the Minkowski sum of F with the meeting offsets [-dm, dm]^3, in the cover
     dm = _meet_radius(eps)
     g_keys = _spread(f_keys, lambda j: (j - dm, j + dm), _cover_ranges(k, eps, box))
 
-    cert = _certificate(len(f), nd, thr, global_measure, height, M, eps)
+    overlap_rhs = (dm + 1) ** 3 * int(p[-1, -1, -1])
+    packing_lhs = n * thr / box.cell_volume
+    weak_rhs = (M / height) ** 3
+    cert = {
+        "overlap_ok": overlap <= overlap_rhs, "overlap_lhs": overlap,
+        "overlap_rhs": overlap_rhs,
+        "packing_ok": packing_lhs < overlap or n == 0, "packing_lhs": packing_lhs,
+        "weak_ok": global_measure <= weak_rhs * (1 + 1e-12), "weak_rhs": weak_rhs,
+    }
     return SelectionFamily(
         level=k, eps=eps, height=height, measure_threshold=thr,
-        F_keys=f_keys, G_keys=g_keys, n_disjoint=nd,
-        global_measure=global_measure, certificate=cert,
-        boundary_adjacent=bool(_protrudes(f, k, eps, box).any()))
+        F_keys=f_keys, G_keys=g_keys, global_measure=global_measure,
+        certificate=cert, boundary_adjacent=bool(_protrudes(f, k, eps, box).any()))
 
 
 def select_f0(frame, eps, M=None):
@@ -577,7 +532,7 @@ def localize(frame, cfg, k_max, M=None, on_underresolved="error"):
     """Full localization pipeline for one frame.
 
     Runs the level-0 selection, descends to k_max following admitted
-    cubes, certifies the per-level packing chain, and clusters surviving
+    cubes, certifies each level's count, and clusters surviving
     chains into candidate points. M defaults to the measured weak-L^3
     norm of |u|. The finest cubes must span at least 4 cells per axis;
     on_underresolved chooses between raising (default) and warning. Cubes

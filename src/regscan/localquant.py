@@ -26,6 +26,7 @@ __all__ = [
     "caccioppoli_sides",
     "energy_sup",
     "rescale",
+    "check_cylinder",
 ]
 
 
@@ -78,20 +79,34 @@ def _frames_in_window(f, cyl):
     return idx
 
 
-def _check_cylinder(f, cyl):
-    """Check the cylinder against the sampled field; return its ball mask."""
+def _ball_mask(box, times, cyl):
+    """Check the cylinder's window against the sampled times and its ball
+    against the box; return the ball's cell mask."""
     tol = 1e-9 * max(1.0, abs(cyl.t0))
-    if cyl.t_start < f.times[0] - tol or cyl.t0 > f.times[-1] + tol:
+    if cyl.t_start < times[0] - tol or cyl.t0 > times[-1] + tol:
         raise ValueError("cylinder time window exceeds the sampled range")
-    mask = cyl.ball.mask(f.box)
+    mask = cyl.ball.mask(box)
     if not mask.any():
         raise ValueError("empty region: cylinder ball misses all cell centers")
     return mask
 
 
+def check_cylinder(box, times, cyl):
+    """Check the cylinder's time window, its ball's cells and its radius of
+    at least 4 cells, as `caccioppoli_sides` needs; return the ball's cell
+    mask. It reads only the box and the sample times, so a caller holding
+    a file's header can run it before decoding a frame."""
+    mask = _ball_mask(box, times, cyl)
+    if cyl.r < 4.0 * max(box.spacing):
+        raise ValueError(
+            f"inner cylinder under-resolved: radius {cyl.r} spans fewer than 4 cells"
+        )
+    return mask
+
+
 def q3(f, cyl):
     """r^-2 * integral of |u|^3 over Q(z0, r)."""
-    mask = _check_cylinder(f, cyl)
+    mask = _ball_mask(f.box, f.times, cyl)
     c = f.box.cell_volume
 
     def cubes(idx):
@@ -141,12 +156,8 @@ class CaccioppoliReport:
 
 def caccioppoli_sides(f, cyl):
     """Evaluate both sides of the Caccioppoli-type inequality."""
-    mask_out = _check_cylinder(f, cyl)
+    mask_out = check_cylinder(f.box, f.times, cyl)
     r = cyl.r
-    if r < 4.0 * max(f.box.spacing):
-        raise ValueError(
-            f"inner cylinder under-resolved: radius {r} spans fewer than 4 cells"
-        )
     inner = Cylinder(cyl.center, cyl.t0, r / 2.0)
     mask_in = inner.ball.mask(f.box)
     c = f.box.cell_volume
@@ -188,7 +199,7 @@ def caccioppoli_sides(f, cyl):
 
 def energy_sup(f, cyl):
     """r^-1 * max over frames in the window of int_{B(x0,r)} |u|^2 dx."""
-    mask = _check_cylinder(f, cyl)
+    mask = _ball_mask(f.box, f.times, cyl)
     idx = _frames_in_window(f, cyl)
     c = f.box.cell_volume
     best = max(

@@ -129,13 +129,15 @@ def test_criterion_04_scaling_invariance_of_local_quantities():
         assert rep.energy_sup == pytest.approx(ref.energy_sup, rel=1e-2)
 
 
-def test_criterion_05_two_spike_localization():
+@pytest.mark.parametrize("amplitudes", [(0.125, 0.125), (0.125, -0.125)],
+                         ids=["co-rotating", "counter-rotating"])
+def test_criterion_05_two_spike_localization(amplitudes):
     n = 128
     box = Box3((0, 0, 0), (1.1, 1.1, 1.1), (n, n, n))
     h = 1.1 / n
     centers = np.array([[0.05, 0.05, 0.05], [1.05, 1.05, 1.05]])
     spec = SpikeSpec(centers=tuple(map(tuple, centers)),
-                     amplitudes=(0.125, 0.125),
+                     amplitudes=amplitudes,
                      axes=((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
                      delta=2.05 * h)
     u = spike_field(spec, box)
@@ -155,8 +157,9 @@ def test_criterion_05_two_spike_localization():
     assert len(cs.families) >= 1
     for fam in cs.families:
         cert = fam.certificate
-        assert cert["overlap_ok"]                    # N_k <= eps^-3 N_k^d
-        assert cert["packing_ok"]                    # measure sum vs (2^k eps)^-3 M^3
+        assert cert["overlap_ok"]    # sum |E n Q| <= ceil(1/eps)^3 |E|
+        assert cert["packing_ok"]    # n_k 2^-3k eps < sum |E n Q|
+        assert cert["weak_ok"]       # |E| <= (2^k eps)^-3 M^3
     assert cs.points.shape[0] <= cs.bound
     assert cs.bound == count_bound(cs.M, cfg.eps)
 

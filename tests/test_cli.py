@@ -444,6 +444,23 @@ def test_frame_errors_come_before_any_frame_is_decoded(capsys, field_file, decod
     assert decoded == []
 
 
+@pytest.mark.parametrize("x0, t0, r, expected", [
+    ("0.5,0.5,0.5", 0.15, 0.1, "inner cylinder under-resolved"),
+    ("0.5,0.5,0.5", 0.15, 0.5, "time window exceeds the sampled range"),
+    ("5,5,5", 0.15, 0.2, "empty region"),
+], ids=["under-resolved", "time-range", "empty-ball"])
+def test_scan_cylinder_errors_come_before_any_frame_is_decoded(
+        capsys, field_file, decoded, x0, t0, r, expected):
+    path, field = field_file
+    cyl = Cylinder(center=tuple(float(v) for v in x0.split(",")), t0=t0, r=r)
+    with pytest.raises(ValueError, match=expected) as library:
+        quant_report(field, cyl, AnalysisConfig(eps=0.1))
+    err = one_line_error(capsys, main(["scan", path, "--x0", x0, "--t0", str(t0),
+                                       "--r", str(r)]))
+    assert err == {"error": str(library.value), "type": "ValueError"}
+    assert decoded == []
+
+
 @pytest.fixture(scope="module")
 def box24_file(tmp_path_factory):
     """A short Taylor-Green run on 24^3 cells of the 2*pi box, written to disk."""

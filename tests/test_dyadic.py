@@ -2,8 +2,10 @@
 
 Each combinatorial primitive is checked against a brute-force enumeration:
 covers against a direct scan over lattice offsets, the selection families
-against per-cube region measures, and the meet-relation clustering against
-a quadratic union-find. The brute forms only use interval arithmetic.
+against per-cube region measures, the certificate's overlap sum against
+literal cube membership of every cell centre, and the meet-relation
+clustering against a quadratic union-find. The brute forms only use
+interval arithmetic.
 """
 
 from itertools import product
@@ -20,7 +22,6 @@ from regscan.dyadic import (
     _cover_offsets,
     _cover_ranges,
     _first_parents,
-    _greedy_disjoint,
     _pack,
     _parents_of,
     _spread,
@@ -226,67 +227,6 @@ def test_spread_matches_plain_expansion(rng, kind):
             _spread(_pack([[0, _OFF - 3, 0]]), bounds, cover)
 
 
-def brute_greedy_disjoint(j, dm):
-    """Lexicographic greedy over sorted offsets, each compared with every
-    kept offset whose x lies within dm (kept x never decreases)."""
-    assert np.array_equal(np.unique(j, axis=0), j)
-    kept = np.empty_like(j)
-    m = 0
-    for row in j:
-        near = kept[np.searchsorted(kept[:m, 0], row[0] - dm):m]
-        if not np.any(np.max(np.abs(near - row), axis=1) <= dm):
-            kept[m] = row
-            m += 1
-    return m
-
-
-@pytest.mark.parametrize("dm", [1, 2, 3, 5])
-def test_greedy_disjoint_matches_quadratic_greedy(rng, dm):
-    eps = 1.0 / (dm + 1)
-    for _ in range(20):
-        j = random_offsets(rng, int(rng.integers(1, 120)), -12, 12)
-        assert _greedy_disjoint(_pack(j), j, eps) == brute_greedy_disjoint(j, dm)
-
-
-def lattice(n, pitch):
-    a = pitch * np.arange(n)
-    return np.stack(np.meshgrid(a, a, a, indexing="ij"), axis=-1).reshape(-1, 3)
-
-
-def test_greedy_disjoint_matches_brute_greedy(rng, monkeypatch):
-    """With the bulk-kill cut-over as set, always on and always off."""
-    import regscan.dyadic
-
-    cases = [(lattice(30, 1), 9), (lattice(30, 1), 4), (lattice(30, 10), 9)]
-    for dm in (1, 2, 3, 5, 9):
-        for _ in range(8):
-            n = int(rng.integers(1, 400))
-            cases.append((random_offsets(rng, n, -3 * dm, 3 * dm), dm))
-    counts = [brute_greedy_disjoint(j, dm) for j, dm in cases]
-    # a full 30^3 block keeps every (dm + 1)-th offset per axis; the pitch-10
-    # lattice keeps every offset
-    assert counts[:3] == [27, 216, 27000]
-    for bulk in (regscan.dyadic._BULK_KILL, -1.0, np.inf):
-        with monkeypatch.context() as m:
-            m.setattr(regscan.dyadic, "_BULK_KILL", bulk)
-            for (j, dm), count in zip(cases, counts):
-                assert _greedy_disjoint(_pack(j), j, 1.0 / (dm + 1)) == count
-
-
-def test_greedy_disjoint_follows_an_unsorted_order(rng, monkeypatch):
-    """Offsets out of order or repeated take the bucket check alone."""
-    import regscan.dyadic
-
-    monkeypatch.setattr(regscan.dyadic, "_BULK_KILL", -1.0)
-    for dm in (2, 5, 9):
-        j = rng.integers(-3 * dm, 3 * dm, size=(300, 3))
-        kept = []
-        for row in j:
-            if all(np.max(np.abs(row - q)) > dm for q in kept):
-                kept.append(row)
-        assert _greedy_disjoint(_pack(j), j, 1.0 / (dm + 1)) == len(kept)
-
-
 def two_bump_frame(n=12, extent=0.6):
     """A frame whose magnitude concentrates in two small blobs."""
     box = Box3((0, 0, 0), (extent, extent, extent), (n, n, n))
@@ -298,6 +238,14 @@ def two_bump_frame(n=12, extent=0.6):
     mag = 3.0 * blob(0.15, 0.15, 0.2) + 2.0 * blob(0.45, 0.4, 0.35)
     return VectorGrid.from_array(box, np.stack(
         [mag, np.zeros_like(mag), np.zeros_like(mag)]))
+
+
+def broad_blob_frame():
+    """A frame whose magnitude is one broad blob, so levels 0 and 1 select."""
+    box = Box3((0, 0, 0), (0.7, 0.7, 0.7), (14, 14, 14))
+    x, y, z = box.center_mesh()
+    mag = 3.0 * np.exp(-((x - 0.3) ** 2 + (y - 0.35) ** 2 + (z - 0.4) ** 2) / 0.09)
+    return VectorGrid.from_array(box, np.stack([mag, 0 * mag, 0 * mag]))
 
 
 def brute_family(frame, eps, k, parent_G=None):
@@ -350,10 +298,7 @@ def test_select_fk_descends_into_parents():
 
 def test_select_fk_takes_eps_from_prev():
     # one broad blob, so level 1 selects cubes at eps 0.22
-    box = Box3((0, 0, 0), (0.7, 0.7, 0.7), (14, 14, 14))
-    x, y, z = box.center_mesh()
-    mag = 3.0 * np.exp(-((x - 0.3) ** 2 + (y - 0.35) ** 2 + (z - 0.4) ** 2) / 0.09)
-    frame = VectorGrid.from_array(box, np.stack([mag, 0 * mag, 0 * mag]))
+    frame = broad_blob_frame()
     f0 = select_f0(frame, 0.22)
     f1 = select_fk(frame, f0)
     assert (f1.level, f1.eps) == (1, 0.22)
@@ -362,16 +307,66 @@ def test_select_fk_takes_eps_from_prev():
 
 
 def test_selection_certificates_hold_with_measured_m():
-    frame = two_bump_frame()
+    frame = broad_blob_frame()
     eps = 0.2
-    fam = select_f0(frame, eps)
+    empty = select_f0(two_bump_frame(), eps)
+    assert empty.empty and empty.certificate["packing_ok"]   # n == 0 passes
+    fam = select_fk(frame, select_f0(frame, eps))
     cert = fam.certificate
     assert cert["overlap_ok"] and cert["packing_ok"] and cert["weak_ok"]
-    assert fam.n_disjoint <= fam.n <= cert["overlap_rhs"]
-    assert cert["packing_lhs"] <= fam.global_measure * (1 + 1e-12)
+    cells = round(fam.global_measure / frame.box.cell_volume)
+    assert cert["overlap_rhs"] == 5 ** 3 * cells
+    assert fam.n * fam.measure_threshold / frame.box.cell_volume == pytest.approx(
+        cert["packing_lhs"], rel=1e-12)
+    assert 0 < cert["packing_lhs"] < cert["overlap_lhs"] <= cert["overlap_rhs"]
+    assert fam.global_measure <= cert["weak_rhs"]
     summary = fam.summary()
     assert summary["n_selected"] == fam.n
-    assert summary["level"] == 0
+    assert summary["level"] == 1
+
+
+def brute_memberships(box, eps, k, offsets):
+    """Per axis, a (len(offsets), cells) mask of the level-k cubes at the
+    given offsets whose interval holds each cell centre c by the literal
+    corner <= c < corner + side."""
+    side = 2.0 ** (-k)
+    corner = eps * side * np.asarray(offsets, dtype=np.int64)
+    return [(corner[:, a, None] <= c) & (c < corner[:, a, None] + side)
+            for a, c in enumerate(box.centers())]
+
+
+@pytest.mark.parametrize("n, extent, eps, amplitude", [
+    (12, 0.7, 0.2, 3.0), (12, 0.7, 0.13, 3.0), (10, 0.75, 0.22, 2.0),
+    (14, 0.7, 0.1, 4.0), (16, 1.0, 0.125, 6.0)])
+def test_certificate_overlap_is_the_brute_membership_sum(rng, n, extent, eps, amplitude):
+    """overlap_lhs counts each cell of E once per selected cube holding its
+    centre, and no centre lies in more than ceil(1/eps) lattice cubes per
+    axis. The 16-cell unit box at eps 1/8 puts every centre (2i + 1)/32
+    exactly on a face of the level-2 and level-3 cubes, and each centre
+    counts only in the cube whose low face it lies on: exactly 8 cubes per
+    axis."""
+    box = Box3((0, 0, 0), (extent,) * 3, (n,) * 3)
+    frame = VectorGrid.from_array(box, amplitude * rng.normal(size=(3, n, n, n)))
+    per_axis = int(np.ceil(1 / eps - 1e-12))
+    with pytest.warns(UserWarning, match="fewer than 4 cells"):
+        cs = localize(frame, AnalysisConfig(eps=eps), 3, on_underresolved="warn")
+    assert len(cs.families) == 4
+    for fam in cs.families:
+        cert = fam.certificate
+        E = frame.magnitude().data > fam.height
+        mx, my, mz = brute_memberships(box, eps, fam.level, fam.F_indices)
+        xy = (mx[:, :, None] & my[:, None, :]).reshape(fam.n, -1)
+        mult = (xy.T.astype(float) @ mz.astype(float)).reshape(E.shape)
+        assert fam.n > 0
+        assert cert["overlap_lhs"] == int(mult[E].sum())
+        assert cert["overlap_rhs"] == per_axis ** 3 * int(E.sum())
+        assert cert["overlap_ok"] and cert["packing_ok"] and cert["weak_ok"]
+        # every lattice cube within reach of the box, axis by axis
+        j = np.arange(-2 * per_axis, 2 ** fam.level * per_axis + 2)
+        for m in brute_memberships(box, eps, fam.level, np.stack([j] * 3, axis=1)):
+            assert m.sum(axis=0).max() <= per_axis
+            if eps == 0.125 and fam.level >= 2:
+                assert np.all(m.sum(axis=0) == per_axis)
 
 
 def test_count_bound_values():

@@ -1,8 +1,7 @@
-"""Property tests of the dyadic packing count, key expansion and clustering.
+"""Property tests of the dyadic key expansion and clustering.
 
-`_greedy_disjoint` (with its bulk-kill cut-over as set, always on and always
-off), `_spread` (over dilation, child and parent bounds of random widths,
-with and without a cover) and `_cluster_labels` (on shuffled offsets with
+`_spread` (over dilation, child and parent bounds of random widths, with
+and without a cover) and `_cluster_labels` (on shuffled offsets with
 repeats) are compared with the brute-force references of `test_dyadic` on
 offset sets drawn by hypothesis. Runs are derandomized and keep no example
 database, so every run checks the same examples.
@@ -16,12 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import regscan.dyadic  # noqa: E402
 from regscan.dyadic import (  # noqa: E402
-    _OFF, _cluster_labels, _greedy_disjoint, _pack, _spread)
+    _OFF, _cluster_labels, _pack, _spread)
 
 from test_dyadic import (  # noqa: E402
-    brute_greedy_disjoint, brute_partition, brute_spread, labels_to_partition)
+    brute_partition, brute_spread, labels_to_partition)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -32,21 +30,6 @@ def offsets(lo, hi, max_size):
     row = st.tuples(*[st.integers(lo, hi)] * 3)
     return st.lists(row, min_size=1, max_size=max_size, unique=True).map(
         lambda rows: np.array(sorted(rows), dtype=np.int64))
-
-
-@SETTINGS
-@given(st.integers(1, 9).flatmap(
-    lambda dm: st.tuples(st.just(dm), offsets(-3 * dm, 3 * dm, 300))))
-def test_greedy_disjoint_is_the_brute_greedy(case):
-    dm, j = case
-    expect = brute_greedy_disjoint(j, dm)
-    for bulk in (regscan.dyadic._BULK_KILL, -1.0, np.inf):
-        old = regscan.dyadic._BULK_KILL
-        regscan.dyadic._BULK_KILL = bulk
-        try:
-            assert _greedy_disjoint(_pack(j), j, 1.0 / (dm + 1)) == expect
-        finally:
-            regscan.dyadic._BULK_KILL = old
 
 
 BOUNDS = {
