@@ -34,7 +34,10 @@ change of label numbering alone compares equal. The spread section dumps
 the `_spread` keys of a dense level-0 selection of a seeded random field
 for the dilation, child and parent bounds, with and without a cover, on
 sorted and on shuffled keys with repeats. The pipeline
-section dumps solver frames and histories, the SHA-256 of the
+section dumps solver frames and histories (a random start at n=48, a
+Taylor-Green run whose last step is off the save schedule, and a random
+start at odd n=27, whose retained block of modes has no Nyquist plane),
+the SHA-256 of the
 written field file, the read-back frames with their memory layout, the
 non-finite read and write errors, every cylinder quantity on windows that
 start between frames, on a frame, and end before the last frame, and both
@@ -336,6 +339,10 @@ def pipeline_outputs(out):
     # Taylor-Green with a last step off the save schedule
     _run_outputs(out, "run_solver(tg)", SolverConfig(
         n=32, nu=0.05, dt=0.01, t_end=0.22, save_every=4))
+    # odd n: the retained 2/3 block of modes has no Nyquist plane
+    _run_outputs(out, "run_solver(random,n27)", SolverConfig(
+        n=27, nu=0.02, dt=0.01, t_end=0.05, save_every=2, initial="random",
+        seed=5, amplitude=0.7))
     with tempfile.TemporaryDirectory() as tmp:
         _fieldio_outputs(out, field, tmp)
 

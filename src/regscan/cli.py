@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -362,25 +363,16 @@ _SUMMARY_KEYS = {
 }
 
 
-def _fail(exc):
-    print(json.dumps({"error": str(exc), "type": type(exc).__name__}),
-          file=sys.stderr)
+def _fail(exc, caught):   # one stderr line, with the run's warnings inside
+    err = {"error": str(exc), "type": type(exc).__name__}
+    if caught:
+        err["warnings"] = [str(w.message) for w in caught]
+    print(json.dumps(err), file=sys.stderr)
     return 1
 
 
-def main(argv=None):
-    try:
-        args = _build_parser().parse_args(argv)
-        started = time.perf_counter()
-        result = args.func(args)
-    except (argparse.ArgumentError, FieldFormatError, SolverError, StokesError,
-            CountBoundError, ValueError, OSError) as exc:
-        return _fail(exc)
-    finally:
-        _release_heap()
-    if result is None:                      # report command prints directly
-        return 0
-
+def _document(args, started, result):
+    """A command's JSON document and its text, written to --out if given."""
     kind, payload, inputs = result
     wall = time.perf_counter() - started
     outputs = [p for p in (args.report_out, getattr(args, "out", None)) if p]
@@ -396,16 +388,33 @@ def main(argv=None):
     }
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.report_out:
+        with open(args.report_out, "w") as fh:
+            fh.write(text + "\n")
+    return doc, text
+
+
+def main(argv=None):
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            with open(args.report_out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _fail(exc)
+            args = _build_parser().parse_args(argv)
+            started = time.perf_counter()
+            result = args.func(args)
+            report = None if result is None else _document(args, started, result)
+        except (argparse.ArgumentError, FieldFormatError, SolverError, StokesError,
+                CountBoundError, ValueError, OSError) as exc:
+            return _fail(exc, caught)
+        finally:
+            _release_heap()
+    for w in caught:   # a successful command shows its warnings as raised
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if report is None:                      # report command prints directly
+        return 0
+    doc, text = report
     if args.json:
         print(text)
     else:
-        print(f"regscan {kind}")
-        for key in _SUMMARY_KEYS.get(kind, ()):
+        print(f"regscan {doc['kind']}")
+        for key in _SUMMARY_KEYS.get(doc["kind"], ()):
             if key in doc["payload"]:
                 print(f"  {key} = {doc['payload'][key]}")
         if args.report_out:

@@ -71,36 +71,39 @@ def _time_integral(times, values, ta, tb):
     return float(np.trapezoid(np.interp(knots, t, values(idx)), knots))
 
 
-def _frames_in_window(f, cyl):
+def _frames_in_window(times, cyl):
     tol = 1e-9 * max(1.0, abs(cyl.t0))
-    idx = np.nonzero((f.times > cyl.t_start - tol) & (f.times <= cyl.t0 + tol))[0]
+    times = np.asarray(times)
+    idx = np.nonzero((times > cyl.t_start - tol) & (times <= cyl.t0 + tol))[0]
     if len(idx) == 0:
         raise ValueError("no frames inside the cylinder time window")
     return idx
 
 
-def _ball_mask(box, times, cyl):
+def _ball_mask(box, times, cyl, min_cells=0):
     """Check the cylinder's window against the sampled times and its ball
-    against the box; return the ball's cell mask."""
+    against the box, with a radius of at least min_cells cells; return the
+    ball's cell mask."""
     tol = 1e-9 * max(1.0, abs(cyl.t0))
     if cyl.t_start < times[0] - tol or cyl.t0 > times[-1] + tol:
         raise ValueError("cylinder time window exceeds the sampled range")
     mask = cyl.ball.mask(box)
     if not mask.any():
         raise ValueError("empty region: cylinder ball misses all cell centers")
+    if cyl.r < min_cells * max(box.spacing):
+        raise ValueError(f"inner cylinder under-resolved: radius {cyl.r} spans "
+                         f"fewer than {min_cells} cells")
     return mask
 
 
 def check_cylinder(box, times, cyl):
-    """Check the cylinder's time window, its ball's cells and its radius of
-    at least 4 cells, as `caccioppoli_sides` needs; return the ball's cell
-    mask. It reads only the box and the sample times, so a caller holding
-    a file's header can run it before decoding a frame."""
-    mask = _ball_mask(box, times, cyl)
-    if cyl.r < 4.0 * max(box.spacing):
-        raise ValueError(
-            f"inner cylinder under-resolved: radius {cyl.r} spans fewer than 4 cells"
-        )
+    """Check the cylinder as `quant_report` needs: a time window inside the
+    sampled range that holds a frame, a ball on cells and a radius of at
+    least 4 cells; return the ball's cell mask. It reads only the box and
+    the sample times, so a caller holding a file's header can run it before
+    decoding a frame."""
+    mask = _ball_mask(box, times, cyl, min_cells=4)
+    _frames_in_window(times, cyl)
     return mask
 
 
@@ -156,7 +159,7 @@ class CaccioppoliReport:
 
 def caccioppoli_sides(f, cyl):
     """Evaluate both sides of the Caccioppoli-type inequality."""
-    mask_out = check_cylinder(f.box, f.times, cyl)
+    mask_out = _ball_mask(f.box, f.times, cyl, min_cells=4)
     r = cyl.r
     inner = Cylinder(cyl.center, cyl.t0, r / 2.0)
     mask_in = inner.ball.mask(f.box)
@@ -200,7 +203,7 @@ def caccioppoli_sides(f, cyl):
 def energy_sup(f, cyl):
     """r^-1 * max over frames in the window of int_{B(x0,r)} |u|^2 dx."""
     mask = _ball_mask(f.box, f.times, cyl)
-    idx = _frames_in_window(f, cyl)
+    idx = _frames_in_window(f.times, cyl)
     c = f.box.cell_volume
     best = max(
         float(np.sum(f.frames[i].magnitude().data[mask] ** 2) * c) for i in idx

@@ -8,6 +8,9 @@ validated on real files in a temp directory.
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -448,7 +451,9 @@ def test_frame_errors_come_before_any_frame_is_decoded(capsys, field_file, decod
     ("0.5,0.5,0.5", 0.15, 0.1, "inner cylinder under-resolved"),
     ("0.5,0.5,0.5", 0.15, 0.5, "time window exceeds the sampled range"),
     ("5,5,5", 0.15, 0.2, "empty region"),
-], ids=["under-resolved", "time-range", "empty-ball"])
+    # the window (0.1031, 0.12] falls between the frames at 0.10 and 0.15
+    ("0.5,0.5,0.5", 0.12, 0.13, "no frames inside the cylinder time window"),
+], ids=["under-resolved", "time-range", "empty-ball", "empty-window"])
 def test_scan_cylinder_errors_come_before_any_frame_is_decoded(
         capsys, field_file, decoded, x0, t0, r, expected):
     path, field = field_file
@@ -459,6 +464,46 @@ def test_scan_cylinder_errors_come_before_any_frame_is_decoded(
                                        "--r", str(r)]))
     assert err == {"error": str(library.value), "type": "ValueError"}
     assert decoded == []
+
+
+def run_regscan(field_file, *argv):
+    """regscan in a fresh interpreter, whose warnings reach stderr as in a shell."""
+    path, _ = field_file
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "regscan.cli", *(path if a == "FIELD" else a for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv, expected, warned", [
+    (["scan", "FIELD", "--x0", "0.5,0.5,0.5", "--t0", "0.12", "--r", "0.13"],
+     "no frames inside the cylinder time window", False),
+    (["stokes-check", "FIELD", "--time", "0.12", "--cube", "0.25,0.25,0.25,5"],
+     "leaves the field's box", True),
+], ids=["scan-empty-window", "stokes-check-after-a-warning"])
+def test_a_failing_command_prints_one_json_line(field_file, argv, expected, warned):
+    proc = run_regscan(field_file, *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["type"] == "ValueError" and expected in err["error"]
+    if warned:   # the warning raised before the failure is inside the error
+        assert len(err["warnings"]) == 1
+        assert "time 0.12 is not a sample time" in err["warnings"][0]
+    else:
+        assert "warnings" not in err
+
+
+def test_a_successful_command_keeps_its_warnings(capsys, field_file):
+    proc = run_regscan(field_file, "norms", "FIELD", "--time", "0.12")
+    assert proc.returncode == 0 and proc.stdout.startswith("regscan norms")
+    assert "UserWarning: time 0.12 is not a sample time" in proc.stderr
+    with pytest.warns(UserWarning, match="time 0.12 is not a sample time"):
+        assert run_json(capsys, ["norms", field_file[0], "--time", "0.12"])[
+            "payload"]["frame"] == 2
 
 
 @pytest.fixture(scope="module")

@@ -4,17 +4,24 @@ The spike-profile weak norm has a closed form: |u| = c sin(theta) / |x - a|
 away from the core, so m{|u| > h} = (2 pi / 3) (c/h)^3 int sin^4 and the
 weak-L^3 norm is (pi^2/4)^(1/3) c. The angular integral is evaluated here
 with scipy quadrature rather than copied from the implementation.
+
+`run_solver` keeps its state on the retained 2/3 block of modes; it is
+checked bit for bit against `full_spectrum_run`, the loop on the whole
+half-spectrum with scipy's n-d transforms.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from scipy.integrate import quad
 
-from regscan.grid import Box3, gradient
+from regscan.grid import Box3, SpaceTimeField, VectorGrid, gradient
 from regscan.lorentz import weak_norm
 from regscan.synth import (
     MAX_STEPS,
+    SolverRun,
     SolverConfig,
     SolverError,
     SpikeSpec,
@@ -23,6 +30,7 @@ from regscan.synth import (
     run_solver,
     spike_field,
     taylor_green,
+    _retained_block,
 )
 
 
@@ -211,3 +219,140 @@ def test_default_box_covers_one_period():
     assert box.lo == (0.0, 0.0, 0.0)
     assert box.hi == pytest.approx((2 * np.pi,) * 3)
     assert box.n == (12, 12, 12)
+
+
+def full_spectrum_run(cfg):
+    """The solver loop on the whole half-spectrum, with scipy's irfftn/rfftn
+    and the 2/3 mask applied as an array: the reference for run_solver."""
+    n = cfg.n
+    box = default_box(n)
+    h = 2 * np.pi / n
+    axes = (1, 2, 3)
+    k1d = sfft.fftfreq(n, 1.0 / n)
+    k = np.stack(np.meshgrid(k1d, k1d, np.arange(n // 2 + 1, dtype=float),
+                             indexing="ij"))
+    k2 = np.sum(k * k, axis=0)
+    k2_safe = np.where(k2 == 0, 1.0, k2)
+    cutoff = 2.0 / 3.0 * (n / 2.0)
+    dealias = (np.abs(k[0]) < cutoff) & (np.abs(k[1]) < cutoff) & (np.abs(k[2]) < cutoff)
+    wz = np.full(n // 2 + 1, 2.0)
+    wz[0] = 1.0
+    if n % 2 == 0:
+        wz[-1] = 1.0
+
+    def cross(a, b):
+        return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                         a[0] * b[1] - a[1] * b[0]])
+
+    def irfft(vh):
+        return sfft.irfftn(vh, s=(n, n, n), axes=axes)
+
+    def rhs(uh_, u):
+        o = irfft(1j * cross(k, uh_))
+        wh = sfft.rfftn(cross(u, o), axes=axes) * dealias
+        div = np.sum(k * wh, axis=0)
+        wh -= k * (div / k2_safe)
+        wh[:, 0, 0, 0] = 0.0
+        return wh - cfg.nu * k2 * uh_
+
+    def stage(uh_):
+        return rhs(uh_, irfft(uh_))
+
+    def sums(uh_):
+        a2 = np.abs(uh_) ** 2
+        return (float(np.sum(wz * a2) / n ** 3 * h ** 3),
+                2.0 * cfg.nu * float(np.sum(wz * k2 * a2) / n ** 3 * h ** 3))
+
+    if cfg.initial == "random":
+        u0 = random_solenoidal(box, n, seed=cfg.seed, rms=cfg.amplitude)
+    else:
+        u0 = taylor_green(box, n, cfg.amplitude)
+    uh = sfft.rfftn(u0.data, axes=axes) * dealias
+    nsteps = int(round(cfg.t_end / cfg.dt))
+    save_every = cfg.save_every or max(1, int(np.ceil(nsteps / 16)))
+    u = irfft(uh)
+    frames, frame_times, step_times = [u], [0.0], [0.0]
+    hist, cfl_hist = [sums(uh)], []
+    dt = cfg.dt
+    for step in range(1, nsteps + 1):
+        umax = float(np.max(np.abs(u)))
+        cfl = umax * dt / h
+        cfl_hist.append(cfl)
+        if cfl > 0.5:
+            raise SolverError(f"CFL {cfl:.3f} exceeds 0.5 at step {step}", {
+                "step": step, "t": (step - 1) * dt, "cfl": cfl, "umax": umax,
+                "suggested_dt": 0.45 * h / umax})
+        k1 = rhs(uh, u)
+        k2s = stage(uh + 0.5 * dt * k1)
+        k3s = stage(uh + 0.5 * dt * k2s)
+        k4s = stage(uh + dt * k3s)
+        uh = uh + (dt / 6.0) * (k1 + 2.0 * k2s + 2.0 * k3s + k4s)
+        if not np.all(np.isfinite(uh.view(float))):
+            raise SolverError(f"non-finite state at step {step}",
+                              {"step": step, "t": step * dt, "cfl": cfl})
+        u = irfft(uh)
+        step_times.append(step * dt)
+        hist.append(sums(uh))
+        if step % save_every == 0 or step == nsteps:
+            frames.append(u)
+            frame_times.append(step * dt)
+    energy, diss = (np.asarray(c) for c in zip(*hist))
+    return SolverRun(
+        field=SpaceTimeField(np.asarray(frame_times),
+                             [VectorGrid.from_array(box, f) for f in frames]),
+        step_times=np.asarray(step_times), energy=energy, dissipation=diss,
+        cfl=np.asarray(cfl_hist), config=cfg)
+
+
+def assert_runs_equal(run, ref):
+    assert np.array_equal(run.field.times, ref.field.times)
+    assert len(run.field.frames) == len(ref.field.frames)
+    for fr, fr_ref in zip(run.field.frames, ref.field.frames):
+        assert np.array_equal(fr.data, fr_ref.data)
+    for name in ("step_times", "energy", "dissipation", "cfl"):
+        assert np.array_equal(getattr(run, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("initial", ["taylor_green", "random"])
+@pytest.mark.parametrize("n", [8, 9, 15, 16, 24])
+def test_solver_equals_the_full_spectrum_loop(n, initial):
+    cfg = SolverConfig(n=n, nu=0.03, dt=0.01, t_end=0.04, initial=initial,
+                       seed=n, amplitude=0.8, save_every=2)
+    assert_runs_equal(run_solver(cfg), full_spectrum_run(cfg))
+
+
+def test_solver_equals_the_full_spectrum_loop_off_the_save_schedule():
+    # 7 steps saved every 3: frames at steps 0, 3, 6 and the last, 7
+    cfg = SolverConfig(n=12, nu=0.02, dt=0.01, t_end=0.07, initial="random",
+                       seed=2, save_every=3)
+    run = run_solver(cfg)
+    assert np.allclose(run.field.times, [0.0, 0.03, 0.06, 0.07])
+    assert_runs_equal(run, full_spectrum_run(cfg))
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(n=16, nu=0.05, dt=0.05, t_end=0.5, amplitude=50.0),
+    SolverConfig(n=8, nu=1e200, dt=0.01, t_end=0.05, initial="random"),
+], ids=["cfl", "non-finite"])
+def test_solver_aborts_like_the_full_spectrum_loop(cfg):
+    with pytest.raises(SolverError) as ref:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # overflow in the reference's arithmetic
+            full_spectrum_run(cfg)
+    with pytest.raises(SolverError) as err:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_solver(cfg)
+    assert str(err.value) == str(ref.value)
+    assert err.value.diagnostics == ref.value.diagnostics
+
+
+@pytest.mark.parametrize("n", [8, 9, 15, 16, 24, 27, 33, 48, 64])
+def test_retained_block_is_the_two_thirds_mask(n):
+    k1d = sfft.fftfreq(n, 1.0 / n)
+    kx, ky, kz = np.meshgrid(k1d, k1d, np.arange(n // 2 + 1.0), indexing="ij")
+    cutoff = 2.0 / 3.0 * (n / 2.0)
+    mask = (np.abs(kx) < cutoff) & (np.abs(ky) < cutoff) & (np.abs(kz) < cutoff)
+    X, rz = _retained_block(n)
+    assert len(X) ** 2 * rz == np.count_nonzero(mask)
+    assert mask[np.ix_(X, X, np.arange(rz))].all()
