@@ -57,10 +57,16 @@ def main():
         err = np.linalg.norm(p - centers, axis=1).min()
         print(f"  cluster {i}: centroid ({p[0]:.4f}, {p[1]:.4f}, {p[2]:.4f}), "
               f"{len(cluster)} cubes, distance to nearest spike {err:.4f}")
+    # chain row k is the level-k cube [eps 2^-k j, eps 2^-k j + 2^-k)^3; each
+    # holds the next when 2 j_k <= j_(k+1) <= 2 j_k + floor(1/eps) per axis
+    span = int(np.floor(1.0 / cfg.eps + 1e-12))
     for chain in cs.chains:
-        levels = " > ".join(f"k={c.level}" for c in chain)
-        print(f"  chain {levels} (nested: "
-              f"{all(a.contains(b) for a, b in zip(chain, chain[1:]))})")
+        nested = all(np.all((2 * a <= b) & (b <= 2 * a + span))
+                     for a, b in zip(chain, chain[1:]))
+        if not nested:
+            raise SystemExit(f"chain {chain.tolist()} is not nested")
+        print(f"  chain j = {' > '.join(str(tuple(j)) for j in chain.tolist())} "
+              f"(nested: {nested})")
 
     print(f"\nmeasured M = {cs.M:.4f}; candidates {cs.points.shape[0]} <= "
           f"N(M) = {cs.bound:,.0f} (= count_bound(M, eps) "

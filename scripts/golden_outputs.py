@@ -21,13 +21,18 @@ to p_h, `estar` of a random forcing on 17 x 20 x 23 cells,
 `harmonic_residual` and `local_energy_residual`) are compared to
 rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
-`localize` run dumps its `to_dict()` payload, its chains, its clusters as
-sorted offset lists and the per-level F and G offsets; each run passes the
-one eps it selects at. Each level of the payload keeps only `LEVEL_KEYS`:
-the counts, measures and `weak_*` keys, and not the `overlap_*` and
-`packing_*` keys (or the disjoint-packing count) of the count certificate,
-which changed form; so a dump of the parent compares with one of a change
-to that certificate. The clusters section dumps the
+`localize` run dumps its `to_dict()` payload, its chains as lists of
+per-level lattice offsets (read from an array of offsets or from a list of
+cube objects with offsets `j`), its cluster sizes and its clusters as
+sorted offset lists, and the per-level F and G offsets; each run passes
+the one eps it selects at. Each level of the payload keeps only
+`LEVEL_KEYS`: the counts, measures and `weak_*` keys, and not the
+`overlap_*` and `packing_*` keys (or the disjoint-packing count) of the
+count certificate, which changed form; so a dump of the parent compares
+with one of a change to that certificate. Every payload also drops
+`NEW_KEYS`, the keys older versions do not report: `localize`'s `chains`
+and `cluster_sizes`, which the chains and cluster-size outputs carry, and
+`stokes-check`'s `cube_analysed`. The clusters section dumps the
 `_cluster_labels` partition of seeded random offset sets, a broken filament
 and 8000 isolated offsets, with labels renumbered by first appearance, so a
 change of label numbering alone compares equal. The spread section dumps
@@ -51,8 +56,7 @@ it dumps too. The CLI section writes a seeded 24^3 random run to one
 temporary directory and runs `norms --M auto`, `norms --M 0.5`, `scan`,
 `localize`, `stokes-check --bump`, `stokes-check --frame 2` (no bump, so
 one decoded frame) and `count-bound` on it in process, with relative paths,
-dumping each report's payload (`localize`'s levels cut to `LEVEL_KEYS`, as
-above) and `config_hash`, and dumps the exit code
+dumping each report's payload (cut as above) and `config_hash`, and dumps the exit code
 and JSON error of `norms --frame 0` on a copy whose last frame holds a NaN,
 which every frame's finiteness check must still catch. These are compared
 exactly, the `stokes-check` payloads too, since a report is promised byte
@@ -149,12 +153,18 @@ def stokes_outputs(out):
 
 LEVEL_KEYS = ("level", "height", "measure_threshold", "n_selected", "n_extended",
               "global_measure", "boundary_adjacent", "weak_ok", "weak_rhs")
+# payload keys that only newer versions report; the same values are dumped
+# from the result records (chains, cluster sizes) or not compared
+NEW_KEYS = ("chains", "cluster_sizes", "cube_analysed")
 
 
-def _without_certificate(payload):
-    """A localize payload whose levels keep only LEVEL_KEYS."""
-    levels = [{k: lev[k] for k in LEVEL_KEYS} for lev in payload["levels"]]
-    return {**payload, "levels": levels}
+def _comparable(payload):
+    """A payload without NEW_KEYS, whose levels (if any) keep only LEVEL_KEYS."""
+    payload = {k: v for k, v in payload.items() if k not in NEW_KEYS}
+    if "levels" in payload:
+        payload["levels"] = [{k: lev[k] for k in LEVEL_KEYS}
+                             for lev in payload["levels"]]
+    return payload
 
 
 def _localize_outputs(out, tag, frame, eps, k_max, **kw):
@@ -162,9 +172,11 @@ def _localize_outputs(out, tag, frame, eps, k_max, **kw):
         warnings.simplefilter("ignore")  # deep levels span < 4 cells
         cs = localize(frame, AnalysisConfig(eps=eps), k_max,
                       on_underresolved="warn", **kw)
-    out[f"{tag}.payload"] = _js(_without_certificate(cs.to_dict()))
-    out[f"{tag}.chains"] = _js([[(c.level, [int(v) for v in c.j])
+    out[f"{tag}.payload"] = _js(_comparable(cs.to_dict()))
+    # a chain is a list of cubes with offsets j, or an array of offsets
+    out[f"{tag}.chains"] = _js([[[int(v) for v in getattr(c, "j", c)]
                                  for c in chain] for chain in cs.chains])
+    out[f"{tag}.cluster_sizes"] = _js([len(cl) for cl in cs.clusters])
     out[f"{tag}.clusters"] = _js([sorted([int(v) for v in c] for c in cl)
                                   for cl in cs.clusters])
     for fam in cs.families:
@@ -244,7 +256,7 @@ def spread_outputs(out):
     frame = random_solenoidal(n=48, seed=3, rms=0.5)
     rng = np.random.default_rng(11)
     # the dilation, child and parent bounds at eps 0.2 (dm 4, span 5)
-    keys = dyadic.select_f0(frame, 0.2).F_keys
+    keys = dyadic.select_f0(frame.magnitude(), 0.2).F_keys
     shuffled = rng.permutation(np.concatenate([keys[::7], keys[::11]]))
     dm, span = 4, 5
     bounds = {"dilation": (lambda j: (j - dm, j + dm), 0),
@@ -430,10 +442,7 @@ def cli_outputs(out):
                     raise RuntimeError(f"regscan {' '.join(argv)} exited {rc}")
                 with open("report.json") as fh:
                     doc = json.load(fh)
-                payload = doc["payload"]
-                if tag == "localize":
-                    payload = _without_certificate(payload)
-                out[f"cli.{tag}.payload"] = _js(payload)
+                out[f"cli.{tag}.payload"] = _js(_comparable(doc["payload"]))
                 out[f"cli.{tag}.config_hash"] = _js(doc["manifest"]["config_hash"])
             # a NaN as the last value of the last frame fails a read of frame 0
             with open("run.rsf", "rb") as fh:

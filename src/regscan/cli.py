@@ -174,7 +174,7 @@ def cmd_stokes_check(args):
     box, i, payload = _pick_frame(args)
     cube = Cube(corner=tuple(args.cube[:3]), side=args.cube[3])
     try:
-        cube_slices(box, cube)          # before any frame is decoded
+        _, sub_box = cube_slices(box, cube)     # before any frame is decoded
     except ValueError as exc:
         raise ValueError(f"--cube: {exc}") from None
     # the energy balance needs every frame, the projection only frame i
@@ -187,6 +187,8 @@ def cmd_stokes_check(args):
     unorm = float(np.sqrt((u.data ** 2).sum()))
     payload.update({
         "cube": {"corner": list(cube.corner), "side": cube.side},
+        "cube_analysed": {"corner": list(sub_box.lo), "side": sub_box.extent[0],
+                          "cells": list(sub_box.n)},
         "iterations": {k: s.iterations for k, s in parts.solutions.items()},
         "residuals": {k: s.residuals for k, s in parts.solutions.items()},
         "harmonic_residual": harmonic_residual(sol_h, u),

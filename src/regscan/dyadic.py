@@ -30,7 +30,7 @@ import numpy as np
 from .lorentz import weak_norm
 
 __all__ = [
-    "CountBoundError", "DyadicCube", "SelectionFamily", "CandidateSet",
+    "CountBoundError", "SelectionFamily", "CandidateSet",
     "select_f0", "select_fk", "build_chains", "count_bound", "localize",
 ]
 
@@ -104,46 +104,6 @@ def _child_span(eps):
     return int(np.floor(1.0 / eps + 1e-12))
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """Cube [corner, corner + side)^3 with corner = eps * 2^-level * j."""
-
-    eps: float
-    level: int
-    j: tuple
-
-    @property
-    def side(self):
-        return 2.0 ** (-self.level)
-
-    @property
-    def corner(self):
-        s = self.eps * self.side
-        return tuple(s * ji for ji in self.j)
-
-    @property
-    def center(self):
-        half = 0.5 * self.side
-        return tuple(c + half for c in self.corner)
-
-    def meets(self, other):
-        """Interiors intersect (same level only)."""
-        if other.level != self.level:
-            raise ValueError("meets() compares cubes of one level")
-        dm = _meet_radius(self.eps)
-        return all(abs(a - b) <= dm for a, b in zip(self.j, other.j))
-
-    def contains(self, child):
-        """Whole-cube containment of a cube one level finer."""
-        if child.level != self.level + 1:
-            raise ValueError("contains() expects a cube one level finer")
-        d = _child_span(self.eps)
-        return all(2 * a <= b <= 2 * a + d for a, b in zip(self.j, child.j))
-
-    def protrudes(self, box):
-        return bool(_protrudes(np.array([self.j]), self.level, self.eps, box)[0])
-
-
 def _protrudes(j, k, eps, box):
     """Per cube: does the level-k cube at offsets j leave the box?"""
     s = 2.0 ** (-k)
@@ -177,10 +137,6 @@ def _cover_offsets(k, eps, box):
     grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in r],
                         indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _magnitude(frame):
-    return frame.magnitude() if hasattr(frame, "magnitude") else frame
 
 
 def _prefix(mag, height):
@@ -309,11 +265,10 @@ def _make_family(mag, k, eps, keys, M, prefix):
         certificate=cert, boundary_adjacent=bool(_protrudes(f, k, eps, box).any()))
 
 
-def select_f0(frame, eps, M=None):
-    """Level-0 selection over the full cover of the frame's box."""
+def select_f0(mag, eps, M=None):
+    """Level-0 selection over the full cover of the box of the |u| grid mag."""
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    mag = _magnitude(frame)
     keys = _pack(_cover_offsets(0, eps, mag.box))
     return _make_family(mag, 0, eps, keys, M, _prefix(mag, eps))
 
@@ -325,11 +280,10 @@ def _children_of(keys, eps, k_child, box):
                    _cover_ranges(k_child, eps, box))
 
 
-def select_fk(frame, prev, M=None):
-    """Selection one level below prev, at prev's eps, among the cubes
-    contained in its G family."""
+def select_fk(mag, prev, M=None):
+    """Selection on the |u| grid mag one level below prev, at prev's eps,
+    among the cubes contained in its G family."""
     k = prev.level + 1
-    mag = _magnitude(frame)
     eps = prev.eps
     prefix = _prefix(mag, (2.0 ** k) * eps)
 
@@ -388,12 +342,15 @@ def _first_parents(keys, reach, eps):
 class CandidateSet:
     """Surviving nested-cube chains, clustered into candidate points: per
     candidate, clusters holds its (m, 3) int64 deepest-level offsets in
-    lexicographic order and chains one DyadicCube chain, coarsest first.
-    Candidates are ordered by their lexicographically first offset."""
+    lexicographic order, and chains is one (n_clusters, k_max + 1, 3) int64
+    array of lattice offsets, coarsest first: row k of a chain is the cube
+    [eps 2^-k j, eps 2^-k j + 2^-k)^3, and its last row is the cluster's
+    first offset. Candidates are ordered by their lexicographically first
+    offset."""
 
     points: np.ndarray
     clusters: list
-    chains: list
+    chains: np.ndarray
     regular: bool
     terminated_per_level: list
     survivors_per_level: list
@@ -410,6 +367,8 @@ class CandidateSet:
         return {
             "points": self.points.tolist(),
             "n_clusters": len(self.clusters),
+            "cluster_sizes": [len(c) for c in self.clusters],
+            "chains": self.chains.tolist(),
             "regular": self.regular,
             "eps": self.eps,
             "k_max": self.k_max,
@@ -489,7 +448,8 @@ def build_chains(families, box):
     families = list(families)
     if not families:
         return CandidateSet(
-            points=np.zeros((0, 3)), clusters=[], chains=[], regular=True,
+            points=np.zeros((0, 3)), clusters=[],
+            chains=np.zeros((0, 0, 3), np.int64), regular=True,
             terminated_per_level=[], survivors_per_level=[],
             boundary_adjacent=False, eps=float("nan"), k_max=-1)
 
@@ -517,8 +477,7 @@ def build_chains(families, box):
     walk = [reach[-1][np.unique(labels, return_index=True)[1]]]
     for k in range(k_max, 0, -1):
         walk.append(_first_parents(walk[-1], reach[k - 1], eps))
-    offsets = np.stack([_unpack(keys) for keys in reversed(walk)], axis=1)
-    chains = [[DyadicCube(eps, k, tuple(j)) for k, j in enumerate(row)] for row in offsets]
+    chains = np.stack([_unpack(keys) for keys in reversed(walk)], axis=1)
 
     return CandidateSet(
         points=np.asarray(points).reshape(-1, 3), clusters=clusters,
@@ -545,7 +504,7 @@ def localize(frame, cfg, k_max, M=None, on_underresolved="error"):
         raise ValueError(f"k_max {k_max} makes cubes narrower than a cell of {hmax!r}")
     if M is not None:
         _check_m(M)
-    mag = _magnitude(frame)
+    mag = frame.magnitude()
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]
     if underresolved:
         suggested = int(np.floor(np.log2(1.0 / (4.0 * hmax))))

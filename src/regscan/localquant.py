@@ -227,7 +227,8 @@ class QuantReport:
 
 
 def quant_report(f, cyl, cfg):
-    """Evaluate every local quantity on one cylinder."""
+    """Evaluate every local quantity on one cylinder, after `check_cylinder`."""
+    check_cylinder(f.box, f.times, cyl)
     val = q3(f, cyl)
     i0 = f.frame_index_at(cyl.t0)
     e16 = criterion_e16(f.frames[i0], cyl.center, cyl.r, cfg.eps)

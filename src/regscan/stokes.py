@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# relative Schur CG residual at which estar stops
+CG_TOL = 1e-8
+
+
 class StokesError(RuntimeError):
     """Solver failure; carries the Schur residual history."""
 
@@ -200,13 +204,14 @@ class StokesSolution:
         return _grad_to_faces(self.p.data, self.p.box.spacing)
 
 
-def estar(F, tol=1e-8):
+def estar(F):
     """Gradient part of F on a cube: solve the zero-boundary steady Stokes
     system and return ∇p (plus the full solution record).
 
     CG runs on the cosine coefficients p̂ of the pressure (see _basis),
-    where the Schur complement -div A⁻¹ ∇ is Σ_a K_aᵀ K_a / lam[a]. The
-    basis is orthonormal, so the residual norms are those of cell space.
+    where the Schur complement -div A⁻¹ ∇ is Σ_a K_aᵀ K_a / lam[a], until
+    the relative residual falls to CG_TOL. The basis is orthonormal, so
+    the residual norms are those of cell space.
     The momentum and divergence residuals are checked on the faces.
 
     Accepts a cell-centered VectorGrid; a StokesSolution may be passed to
@@ -216,9 +221,6 @@ def estar(F, tol=1e-8):
     reapply = isinstance(F, StokesSolution)
     box = F.p.box if reapply else F.box
     _check_domain(box)
-    if not (0 < tol < 1):
-        # CG starts at relative residual 1: tol >= 1 or NaN would skip the solve
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     n, h = box.n, box.spacing
     faces = F._face_grad if reapply else _to_faces(F)
 
@@ -242,16 +244,16 @@ def estar(F, tol=1e-8):
         d = r.copy()
         rs = float((r * r).sum())
         history.append(1.0)
-        while np.sqrt(rs) > tol * bnorm:
+        while np.sqrt(rs) > CG_TOL * bnorm:
             if len(history) > cap:
-                raise StokesError(f"Schur iteration failed to reach {tol} "
+                raise StokesError(f"Schur iteration failed to reach {CG_TOL} "
                                   f"within {cap} steps", history)
             q = schur(d)
             denom = float((d * q).sum())
             if not np.isfinite(denom) or denom <= 0.0:
                 # round-off breakdown: the direction carries no energy left
                 raise StokesError(f"Schur iteration stagnated before reaching "
-                                  f"{tol}", history)
+                                  f"{CG_TOL}", history)
             alpha = rs / denom
             p_hat += alpha * d
             r -= alpha * q

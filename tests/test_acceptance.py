@@ -205,7 +205,7 @@ def curl_field(n):
 
 def test_criterion_07_stokes_projection_idempotence_and_refinement():
     for F in (trig_gradient_64(), poly_gradient_64()):
-        sol = estar(F, tol=1e-8)
+        sol = estar(F)
         err = np.sqrt(((sol.grad_p.data - F.data) ** 2).sum())
         assert err / np.sqrt((F.data ** 2).sum()) <= 1e-3
     res = {}

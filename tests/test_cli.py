@@ -11,13 +11,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from regscan import __version__, cli
 from regscan.cli import main
-from regscan.dyadic import count_bound
+from regscan.dyadic import count_bound, localize
 from regscan.fieldio import read_field, write_field
 from regscan.grid import Box3, Cube, Cylinder, SpaceTimeField, VectorGrid
 from regscan.localquant import AnalysisConfig, quant_report
@@ -202,6 +203,23 @@ def test_localize_payload(capsys, field_file):
     assert len(payload["levels"]) <= 3
     assert payload["M"] == payload["weak_norm_measured"]
     assert payload["hypothesis_ok"] is True
+
+
+def test_localize_payload_carries_each_candidates_chain(capsys, field_file):
+    path, field = field_file
+    payload = run_json(capsys, ["localize", path, "--eps", "0.1", "--kmax", "2"])[
+        "payload"]
+    chains, sizes = payload["chains"], payload["cluster_sizes"]
+    assert len(chains) == len(sizes) == payload["n_clusters"] >= 1
+    assert sum(sizes) == payload["survivors_per_level"][-1]
+    # each level's cube lies in the one above: 2a <= b <= 2a + floor(1/eps)
+    for chain in chains:
+        assert len(chain) == payload["k_max"] + 1
+        for a, b in zip(chain, chain[1:]):
+            assert all(2 * x <= y <= 2 * x + 10 for x, y in zip(a, b))
+    cs = localize(field.frames[3], AnalysisConfig(eps=0.1), 2)
+    assert [chain[-1] for chain in chains] == [cl[0].tolist() for cl in cs.clusters]
+    assert sizes == [len(cl) for cl in cs.clusters]
 
 
 def test_localize_flags_m_below_measured_norm(capsys, field_file):
@@ -455,10 +473,19 @@ def test_frame_errors_come_before_any_frame_is_decoded(capsys, field_file, decod
     ("0.5,0.5,0.5", 0.12, 0.13, "no frames inside the cylinder time window"),
 ], ids=["under-resolved", "time-range", "empty-ball", "empty-window"])
 def test_scan_cylinder_errors_come_before_any_frame_is_decoded(
-        capsys, field_file, decoded, x0, t0, r, expected):
+        capsys, field_file, decoded, monkeypatch, x0, t0, r, expected):
+    import regscan.localquant
+
+    def no_quantity(*args, **kwargs):
+        raise AssertionError("a quantity ran before the cylinder was checked")
+
+    monkeypatch.setattr(regscan.localquant, "q3", no_quantity)
     path, field = field_file
     cyl = Cylinder(center=tuple(float(v) for v in x0.split(",")), t0=t0, r=r)
-    with pytest.raises(ValueError, match=expected) as library:
+    # the library checks the cylinder first too, before any frame pick warns
+    with pytest.raises(ValueError, match=expected) as library, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         quant_report(field, cyl, AnalysisConfig(eps=0.1))
     err = one_line_error(capsys, main(["scan", path, "--x0", x0, "--t0", str(t0),
                                        "--r", str(r)]))
@@ -532,6 +559,13 @@ def test_stokes_check_keeps_a_cube_that_snaps_to_equal_counts(capsys, box24_file
                                 "--cube", "0.8,0.8,0.8,4.5"])["payload"]
     u = restrict_to_cube(field.frames[-1], Cube((0.8, 0.8, 0.8), 4.5))
     assert u.box.n == (17, 17, 17)
+    # the payload names the snapped cube next to the request
+    h = 2 * np.pi / 24
+    assert payload["cube"] == {"corner": [0.8, 0.8, 0.8], "side": 4.5}
+    analysed = payload["cube_analysed"]
+    assert analysed["cells"] == [17, 17, 17]
+    assert analysed["corner"] == pytest.approx([3 * h] * 3, rel=1e-12)
+    assert analysed["side"] == pytest.approx(17 * h, rel=1e-12)
     parts = pressure_parts(u)
     assert payload["iterations"] == {k: v.iterations for k, v in parts.solutions.items()}
     assert payload["harmonic_residual"] == harmonic_residual(parts.solutions["ph"], u)

@@ -16,14 +16,16 @@ import pytest
 from regscan.dyadic import (
     _OFF,
     CandidateSet,
-    DyadicCube,
+    _child_span,
     _children_of,
     _cluster_labels,
     _cover_offsets,
     _cover_ranges,
     _first_parents,
+    _meet_radius,
     _pack,
     _parents_of,
+    _protrudes,
     _spread,
     _unpack,
     build_chains,
@@ -66,46 +68,59 @@ def test_build_cover_validation():
     frame = VectorGrid.from_array(box, np.zeros((3, 4, 4, 4)))
     for eps in (0.0, 0.25, 0.4):
         with pytest.raises(ValueError, match="eps must lie in"):
-            select_f0(frame, eps)
+            select_f0(frame.magnitude(), eps)
+
+
+def corner(eps, k, j):
+    """Low corner of the level-k cube at offset j: [eps 2^-k j, eps 2^-k j + 2^-k)^3."""
+    return tuple(eps * 2.0 ** -k * v for v in j)
+
+
+def meets(eps, a, b):
+    """Same-level cubes at offsets a and b overlap: |a - b| <= meet radius."""
+    return all(abs(x - y) <= _meet_radius(eps) for x, y in zip(a, b))
+
+
+def contains(eps, a, b):
+    """The cube at offset a holds the cube one level finer at offset b."""
+    return all(2 * x <= y <= 2 * x + _child_span(eps) for x, y in zip(a, b))
 
 
 def test_cube_geometry():
-    c = DyadicCube(0.1, 2, (4, -2, 0))
-    assert c.side == 0.25
-    assert c.corner == pytest.approx((0.1, -0.05, 0.0))
-    assert c.center == pytest.approx((0.225, 0.075, 0.125))
+    assert corner(0.1, 2, (4, -2, 0)) == pytest.approx((0.1, -0.05, 0.0))
+    # a candidate point is the centroid of its cluster's cube centres
+    cs = localize(broad_blob_frame(), AnalysisConfig(eps=0.2), 1)
+    assert cs.k_max == 1 and len(cs.clusters) >= 1
+    for p, cl in zip(cs.points, cs.clusters):
+        centres = [np.add(corner(0.2, 1, j), 0.25) for j in cl]
+        assert p == pytest.approx(np.mean(centres, axis=0), rel=1e-12)
 
 
 def test_meets_is_open_overlap(rng):
-    eps = 0.15
+    eps, side = 0.15, 0.5
     for _ in range(200):
-        a = DyadicCube(eps, 1, tuple(rng.integers(-8, 8, size=3)))
-        b = DyadicCube(eps, 1, tuple(rng.integers(-8, 8, size=3)))
-        geometric = all(abs(ca - cb) < a.side
-                        for ca, cb in zip(a.corner, b.corner))
-        assert a.meets(b) == geometric
-    with pytest.raises(ValueError):
-        DyadicCube(eps, 1, (0, 0, 0)).meets(DyadicCube(eps, 2, (0, 0, 0)))
+        a, b = (tuple(rng.integers(-8, 8, size=3)) for _ in range(2))
+        geometric = all(abs(ca - cb) < side
+                        for ca, cb in zip(corner(eps, 1, a), corner(eps, 1, b)))
+        assert meets(eps, a, b) == geometric
 
 
 def test_contains_is_geometric_inclusion(rng):
     eps = 0.15
     for _ in range(200):
-        parent = DyadicCube(eps, 1, tuple(rng.integers(-4, 4, size=3)))
-        child = DyadicCube(eps, 2, tuple(rng.integers(-9, 9, size=3)))
+        parent = tuple(rng.integers(-4, 4, size=3))
+        child = tuple(rng.integers(-9, 9, size=3))
         geometric = all(
-            pc <= cc and cc + child.side <= pc + parent.side + 1e-12
-            for pc, cc in zip(parent.corner, child.corner)
+            pc <= cc and cc + 0.25 <= pc + 0.5 + 1e-12
+            for pc, cc in zip(corner(eps, 1, parent), corner(eps, 2, child))
         )
-        assert parent.contains(child) == geometric
-    with pytest.raises(ValueError):
-        parent.contains(parent)
+        assert contains(eps, parent, child) == geometric
 
 
 def test_protrudes():
     box = Box3((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    assert DyadicCube(0.2, 0, (-1, 0, 0)).protrudes(box)
-    assert not DyadicCube(0.2, 2, (1, 1, 1)).protrudes(box)
+    assert _protrudes(np.array([[-1, 0, 0]]), 0, 0.2, box).tolist() == [True]
+    assert _protrudes(np.array([[1, 1, 1]]), 2, 0.2, box).tolist() == [False]
 
 
 def random_offsets(rng, n, lo, hi):
@@ -118,9 +133,8 @@ def test_parents_of_matches_brute_containment(rng, eps):
     got = {tuple(r) for r in _unpack(_parents_of(_pack(j), eps))}
     expect = set()
     for r in j:
-        child = DyadicCube(eps, 3, tuple(r))
         for q in product(*[range(v // 2 - 10, v // 2 + 2) for v in r]):
-            if DyadicCube(eps, 2, q).contains(child):
+            if contains(eps, q, r):
                 expect.add(q)
     assert got == expect
 
@@ -147,9 +161,8 @@ def test_children_of_matches_brute_containment(rng, eps):
     got = {tuple(r) for r in _unpack(_children_of(_pack(j), eps, 2, box))}
     expect = set()
     for r in j:
-        parent = DyadicCube(eps, 1, tuple(r))
         for q in product(*[range(2 * v - 2, 2 * v + 12) for v in r]):
-            if q in cover and parent.contains(DyadicCube(eps, 2, q)):
+            if q in cover and contains(eps, r, q):
                 expect.add(q)
     assert got == expect
 
@@ -254,21 +267,19 @@ def brute_family(frame, eps, k, parent_G=None):
     mag = frame.magnitude()
     height = 2.0 ** k * eps
     thr = 2.0 ** (-3 * k) * eps
-    cubes = [DyadicCube(eps, k, j) for j in brute_cover(k, eps, frame.box)]
+    cubes = brute_cover(k, eps, frame.box)
     if parent_G is not None:
-        parents = [DyadicCube(eps, k - 1, tuple(r)) for r in parent_G]
-        cubes = [c for c in cubes if any(g.contains(c) for g in parents)]
-    selected = {
-        c.j for c in cubes
-        if region_measure(mag, Cube(c.corner, c.side), height) > thr
+        cubes = [j for j in cubes if any(contains(eps, g, j) for g in parent_G)]
+    return {
+        j for j in cubes
+        if region_measure(mag, Cube(corner(eps, k, j), 2.0 ** -k), height) > thr
     }
-    return selected
 
 
 def test_select_f0_matches_direct_measures():
     frame = two_bump_frame()
     eps = 0.2
-    fam = select_f0(frame, eps)
+    fam = select_f0(frame.magnitude(), eps)
     assert fam.level == 0
     assert fam.height == pytest.approx(eps)
     assert fam.measure_threshold == pytest.approx(eps)
@@ -278,17 +289,16 @@ def test_select_f0_matches_direct_measures():
     fset = {tuple(r) for r in fam.F_indices}
     gset = {tuple(r) for r in fam.G_indices}
     assert fset <= gset
-    F = [DyadicCube(eps, 0, j) for j in fset]
     for j in brute_cover(0, eps, frame.box):
-        cube = DyadicCube(eps, 0, j)
-        assert (j in gset) == any(cube.meets(f) for f in F)
+        assert (j in gset) == any(meets(eps, j, f) for f in fset)
 
 
 def test_select_fk_descends_into_parents():
     frame = two_bump_frame()
     eps = 0.2
-    f0 = select_f0(frame, eps)
-    f1 = select_fk(frame, f0)
+    mag = frame.magnitude()
+    f0 = select_f0(mag, eps)
+    f1 = select_fk(mag, f0)
     assert f1.level == 1
     assert f1.height == pytest.approx(2 * eps)
     assert f1.measure_threshold == pytest.approx(eps / 8.0)
@@ -299,8 +309,9 @@ def test_select_fk_descends_into_parents():
 def test_select_fk_takes_eps_from_prev():
     # one broad blob, so level 1 selects cubes at eps 0.22
     frame = broad_blob_frame()
-    f0 = select_f0(frame, 0.22)
-    f1 = select_fk(frame, f0)
+    mag = frame.magnitude()
+    f0 = select_f0(mag, 0.22)
+    f1 = select_fk(mag, f0)
     assert (f1.level, f1.eps) == (1, 0.22)
     got = {tuple(r) for r in f1.F_indices}
     assert got and got == brute_family(frame, 0.22, 1, parent_G=f0.G_indices)
@@ -309,9 +320,10 @@ def test_select_fk_takes_eps_from_prev():
 def test_selection_certificates_hold_with_measured_m():
     frame = broad_blob_frame()
     eps = 0.2
-    empty = select_f0(two_bump_frame(), eps)
+    empty = select_f0(two_bump_frame().magnitude(), eps)
     assert empty.empty and empty.certificate["packing_ok"]   # n == 0 passes
-    fam = select_fk(frame, select_f0(frame, eps))
+    mag = frame.magnitude()
+    fam = select_fk(mag, select_f0(mag, eps))
     cert = fam.certificate
     assert cert["overlap_ok"] and cert["packing_ok"] and cert["weak_ok"]
     cells = round(fam.global_measure / frame.box.cell_volume)
@@ -455,7 +467,9 @@ def zero_frame(n=24):
 def test_localize_zero_field_is_regular():
     cs = localize(zero_frame(), AnalysisConfig(eps=0.1), k_max=2, M=1.0)
     assert cs.regular
-    assert len(cs.points) == 0 and cs.clusters == [] and cs.chains == []
+    assert len(cs.points) == 0 and cs.clusters == []
+    assert cs.chains.shape == (0, cs.k_max + 1, 3)
+    assert cs.to_dict()["chains"] == cs.to_dict()["cluster_sizes"] == []
     assert cs.flags["truncated"]
     assert cs.bound == count_bound(1.0, 0.1)
 
@@ -481,7 +495,7 @@ def test_localize_finds_a_single_spike():
     # every chain is nested: each cube contains its successor
     for chain in cs.chains:
         for parent, child in zip(chain, chain[1:]):
-            assert parent.contains(child)
+            assert contains(0.1, parent, child)
     d = cs.to_dict()
     assert d["n_clusters"] == 1 and len(d["levels"]) == len(cs.families)
 
@@ -499,7 +513,7 @@ def test_localize_clusters_partition_the_deepest_survivors():
     assert members.shape[1] == 3
     assert len(np.unique(members, axis=0)) == len(members)
     for cl, chain in zip(cs.clusters, cs.chains):
-        assert tuple(chain[-1].j) == tuple(cl[0])
+        assert tuple(chain[-1]) == tuple(cl[0])
 
 
 def plain_reach(families, box):
@@ -537,9 +551,10 @@ def test_build_chains_matches_the_per_cluster_walk(eps, amplitude):
                      amplitudes=rng.uniform(0.5, 1.0, 30) * amplitude,
                      axes=rng.normal(size=(30, 3)), delta=2.5 * 3 / 48)
     frame = spike_field(spec, box)
-    families = [select_f0(frame, eps)]
+    mag = frame.magnitude()
+    families = [select_f0(mag, eps)]
     for _ in range(3):
-        families.append(select_fk(frame, families[-1]))
+        families.append(select_fk(mag, families[-1]))
     cs = build_chains(families, box)
     assert len(cs.clusters) >= 10
     reach = plain_reach(families, box)
@@ -547,9 +562,9 @@ def test_build_chains_matches_the_per_cluster_walk(eps, amplitude):
     assert cs.terminated_per_level == [
         len(r) - len(np.intersect1d(r, _parents_of(r_next, eps)))
         for r, r_next in zip(reach, reach[1:])]
-    assert [[c.j for c in chain] for chain in cs.chains] == per_cluster_chains(
-        families, cs.clusters, reach)
-    assert all(chain[k].level == k for chain in cs.chains for k in range(4))
+    assert cs.chains.shape == (len(cs.clusters), 4, 3)
+    assert [[tuple(j) for j in chain] for chain in cs.chains.tolist()] == \
+        per_cluster_chains(families, cs.clusters, reach)
 
 
 def test_localize_underresolved_modes():
