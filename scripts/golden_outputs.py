@@ -45,7 +45,10 @@ start at odd n=27, whose retained block of modes has no Nyquist plane),
 the SHA-256 of the
 written field file, the read-back frames with their memory layout, the
 non-finite read and write errors, every cylinder quantity on windows that
-start between frames, on a frame, and end before the last frame, and both
+start between frames, on a frame, and end before the last frame, and on
+balls the box cuts (across a face, at a corner, centred outside the box
+with an inner ball that holds no cell, twice, and with an inner ball one
+cell thick at a face), and both
 forms of `rescale`. The Lorentz section dumps, for a 48^3 spike, a seeded
 random field, a field with many ties and zeros, and the zero field: the
 `NormReport` at (q, r) = (3, 2), (4, 2) and (2.5, 1), the `distribution`
@@ -361,6 +364,14 @@ def pipeline_outputs(out):
     # the pipeline's scan cylinders (windows start between frames)
     for i, x0 in enumerate(((2.3, 4.1, 3.0), (1.2, 1.9, 5.0), (3.1, 3.1, 3.1))):
         _cylinder_outputs(out, f"scan{i}", field, Cylinder(x0, 0.3, 0.54))
+    # balls the box cuts: index windows that stop at a face of the box
+    h, r = field.box.spacing[0], 0.54
+    for tag, x0 in (("face", (0.1, 3.0, 3.0)),
+                    ("corner", (0.05, 6.2, 0.1)),
+                    ("outside", (-0.3, 3.0, 3.0)),      # inner ball holds no cell
+                    ("inner_empty", (-r / 2 + 0.3 * h, 3.0, 3.0)),
+                    ("sliver", (-r / 2 + 0.6 * h, 3.0, 3.0))):  # inner: one x layer
+        _cylinder_outputs(out, f"edge.{tag}", field, Cylinder(x0, 0.3, r))
     # the same frames at binary times i/16, so windows can start on a frame
     binary = SpaceTimeField(np.arange(len(field.times)) / 16.0, field.frames)
     x0 = (3.0, 3.4, 2.8)

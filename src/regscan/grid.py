@@ -24,6 +24,7 @@ __all__ = [
     "Cylinder",
     "region_measure",
     "gradient",
+    "array_gradient",
     "scalar_gradient",
 ]
 
@@ -276,18 +277,32 @@ def region_measure(f, region, h):
     return float(np.count_nonzero(mask & over) * f.box.cell_volume)
 
 
+def _derivatives(a, spacing):
+    """The three partial derivatives of one (nx, ny, nz) array of cell samples:
+    central differences inside, one-sided at the array's faces."""
+    if any(m < 3 for m in a.shape):
+        raise ValueError("gradient needs at least 3 cells per axis")
+    return np.stack(np.gradient(a, *spacing, edge_order=2))
+
+
 def scalar_gradient(g):
     """Gradient of a ScalarGrid: central differences inside, one-sided at faces.
 
     Returns an array of shape (3, nx, ny, nz). Requires >= 3 cells per axis.
     """
-    if any(m < 3 for m in g.box.n):
-        raise ValueError("gradient needs at least 3 cells per axis")
-    hx, hy, hz = g.box.spacing
-    gx, gy, gz = np.gradient(g.data, hx, hy, hz, edge_order=2)
-    return np.stack([gx, gy, gz])
+    return _derivatives(g.data, g.box.spacing)
 
 
 def gradient(v):
     """Velocity gradient tensor: out[i, j] = d u_i / d x_j, shape (3, 3, nx, ny, nz)."""
-    return np.stack([scalar_gradient(c) for c in v.components])
+    return array_gradient(v.data, v.box.spacing)
+
+
+def array_gradient(data, spacing):
+    """Velocity gradient tensor of a (3, nx, ny, nz) array of cell samples at
+    the given spacing, laid out as `gradient`'s. Inside the array a
+    derivative reads the cell's two neighbours along its axis, at a face
+    the two cells inward. So on a slice of a field's data it equals the
+    field's own gradient at every cell off the slice's faces and on every
+    face the slice shares with the field. Requires >= 3 cells per axis."""
+    return np.stack([_derivatives(c, spacing) for c in data])

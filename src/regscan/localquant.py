@@ -7,6 +7,12 @@ criterion ratio, both sides of the Caccioppoli-type inequality, and the
 scaled kinetic energy supremum. Space integrals are cell sums, time
 integrals use the trapezoid rule on the piecewise-linear interpolant of
 the per-frame integrand.
+
+A cylinder's cell sums run over its ball's index window: the smallest
+index box that holds the ball's cells, with the ball's mask on the whole
+box sliced to it, and the whole box's cell volume and spacing. So they
+read and add the same values in the same order as sums over the whole
+box, and cost the ball, not the box.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .grid import Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, region_measure, gradient
+from .grid import (Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, region_measure,
+                   array_gradient)
 
 __all__ = [
     "AnalysisConfig",
@@ -96,6 +103,28 @@ def _ball_mask(box, times, cyl, min_cells=0):
     return mask
 
 
+def _window(mask, margin=0, min_cells=1):
+    """Index window of a mask's cells: per axis, the slice from its first to
+    its last cell, grown by margin cells on each side and clipped to the
+    mask, then widened inward where a face of the mask cuts it, to
+    min_cells or the whole axis if that is shorter. None for an empty mask."""
+    if not mask.any():
+        return None
+    win = []
+    for axis, n in enumerate(mask.shape):
+        hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(3) if b != axis)))
+        lo, hi = max(int(hit[0]) - margin, 0), min(int(hit[-1]) + 1 + margin, n)
+        lo = max(min(lo, hi - min_cells), 0)
+        win.append(slice(lo, min(max(hi, lo + min_cells), n)))
+    return tuple(win)
+
+
+def _speed(frame, win):
+    """|u| of one frame on an index window (VectorGrid.magnitude's arithmetic)."""
+    u1, u2, u3 = frame.data[(slice(None), *win)]
+    return np.sqrt(u1 ** 2 + u2 ** 2 + u3 ** 2)
+
+
 def check_cylinder(box, times, cyl):
     """Check the cylinder as `quant_report` needs: a time window inside the
     sampled range that holds a frame, a ball on cells and a radius of at
@@ -110,10 +139,12 @@ def check_cylinder(box, times, cyl):
 def q3(f, cyl):
     """r^-2 * integral of |u|^3 over Q(z0, r)."""
     mask = _ball_mask(f.box, f.times, cyl)
+    win = _window(mask)
+    mask = mask[win]
     c = f.box.cell_volume
 
     def cubes(idx):
-        return np.array([np.sum(f.frames[i].magnitude().data[mask] ** 3) * c
+        return np.array([np.sum(_speed(f.frames[i], win)[mask] ** 3) * c
                          for i in idx])
 
     return _time_integral(f.times, cubes, cyl.t_start, cyl.t0) / cyl.r ** 2
@@ -163,21 +194,33 @@ def caccioppoli_sides(f, cyl):
     r = cyl.r
     inner = Cylinder(cyl.center, cyl.t0, r / 2.0)
     mask_in = inner.ball.mask(f.box)
-    c = f.box.cell_volume
+    c, h = f.box.cell_volume, f.box.spacing
+    # the sums run over index windows of the balls (see the module docstring);
+    # the inner ball lies in the outer one, so both share the outer window
+    win = _window(mask_out)
+    in_out, mask_out = mask_in[win], mask_out[win]
+    # the gradient's window keeps one cell around the inner ball, so each of
+    # its cells has the stencil it has on the whole box, and at least 3 cells
+    # where a face of the box cuts it; an empty inner ball takes no gradient
+    grad_win = _window(mask_in, margin=1, min_cells=3)
+    in_grad = None if grad_win is None else mask_in[grad_win]
     # int_{B_r} |u|^2 and int_{B_r/2} |u|^{10/3} per frame, from one magnitude,
     # filled while integrating the outer window, whose frames include the inner's
     sums = np.full((len(f.times), 2), np.nan)
 
     def energy_cubed(idx):
         for i in idx:
-            mag = f.frames[i].magnitude().data
+            mag = _speed(f.frames[i], win)
             sums[i] = (np.sum(mag[mask_out] ** 2) * c,
-                       np.sum(mag[mask_in] ** (10.0 / 3.0)) * c)
+                       np.sum(mag[in_out] ** (10.0 / 3.0)) * c)
         return sums[idx, 0] ** 3
 
     def grad_squared(idx):
-        g2 = ((gradient(f.frames[i]) ** 2).sum(axis=(0, 1)) for i in idx)
-        return np.array([np.sum(g[mask_in]) * c for g in g2])
+        if grad_win is None:
+            return np.zeros(len(idx))
+        g2 = ((array_gradient(f.frames[i].data[(slice(None), *grad_win)], h) ** 2)
+              .sum(axis=(0, 1)) for i in idx)
+        return np.array([np.sum(g[in_grad]) * c for g in g2])
 
     ie23 = _time_integral(f.times, energy_cubed, cyl.t_start, cyl.t0)
     i103 = _time_integral(f.times, lambda idx: sums[idx, 1], inner.t_start, inner.t0)
@@ -204,10 +247,10 @@ def energy_sup(f, cyl):
     """r^-1 * max over frames in the window of int_{B(x0,r)} |u|^2 dx."""
     mask = _ball_mask(f.box, f.times, cyl)
     idx = _frames_in_window(f.times, cyl)
+    win = _window(mask)
+    mask = mask[win]
     c = f.box.cell_volume
-    best = max(
-        float(np.sum(f.frames[i].magnitude().data[mask] ** 2) * c) for i in idx
-    )
+    best = max(float(np.sum(_speed(f.frames[i], win)[mask] ** 2) * c) for i in idx)
     return best / cyl.r
 
 

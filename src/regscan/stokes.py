@@ -98,13 +98,18 @@ def _grad_to_faces(p, h):
     return [np.diff(p, axis=a) / h[a] for a in range(3)]
 
 
-def _along(mat, x, axis):
-    """Contract a matrix with x along one axis (one BLAS matmul)."""
+def _along(mat, x, axis, out=None):
+    """Contract a matrix with x along one axis (one BLAS matmul), into out
+    (C-contiguous, of the result's shape) when given."""
+    if out is None:
+        out = np.empty(x.shape[:axis] + (len(mat),) + x.shape[axis + 1:])
     if axis == 0:
-        return (mat @ x.reshape(x.shape[0], -1)).reshape((-1,) + x.shape[1:])
-    if axis == 1:
-        return np.matmul(mat, x)
-    return (x.reshape(-1, x.shape[2]) @ mat.T).reshape(x.shape[:2] + (-1,))
+        np.matmul(mat, x.reshape(x.shape[0], -1), out=out.reshape(len(mat), -1))
+    elif axis == 1:
+        np.matmul(mat, x, out=out)
+    else:
+        np.matmul(x.reshape(-1, x.shape[2]), mat.T, out=out.reshape(-1, len(mat)))
+    return out
 
 
 def _contract(x, mats):
@@ -159,16 +164,23 @@ def _basis(n, h):
                            Q=Q, g=g, lam=lam)
 
 
-def _spread(N, p_hat):
-    """p̂ under N along the two axes other than a, for a = 0, 1, 2."""
-    y1, y2 = _along(N[1], p_hat, 1), _along(N[2], p_hat, 2)
-    return [_along(N[2], y1, 2), _along(N[0], y2, 0), _along(N[0], y1, 0)]
+def _spread(N, p_hat, work=(None,) * 5):
+    """p̂ under N along the two axes other than a, for a = 0, 1, 2. Given
+    five work buffers, the result is work[2:5] and nothing is allocated."""
+    y1, y2 = _along(N[1], p_hat, 1, work[0]), _along(N[2], p_hat, 2, work[1])
+    return [_along(N[2], y1, 2, work[2]), _along(N[0], y2, 0, work[3]),
+            _along(N[0], y1, 0, work[4])]
 
 
-def _gather(N, z):
-    """Adjoint of _spread, summed over the three components."""
-    t = _along(N[2].T, z[0], 2) + _along(N[0].T, z[2], 0)
-    return _along(N[1].T, t, 1) + _along(N[2].T, _along(N[0].T, z[1], 0), 2)
+def _gather(N, z, work=(None,) * 5):
+    """Adjoint of _spread, summed over the three components. Given the
+    spread's work buffers, with z = work[2:5], the result is work[2]: each
+    buffer is written only after the last read of what it held."""
+    t = _along(N[2].T, z[0], 2, work[0])
+    t += _along(N[0].T, z[2], 0, work[1])
+    out = _along(N[1].T, t, 1, work[2])
+    out += _along(N[2].T, _along(N[0].T, z[1], 0, work[4]), 2, work[3])
+    return out
 
 
 def _apply_a(faces, h):
@@ -229,8 +241,16 @@ def estar(F):
     # Ŝ = Σ_a K_aᵀ K_a / lam[a]: one weight per component on the cosine grid
     weights = [g ** 2 / lam for g, lam in zip(B.g, B.lam)]
 
+    # the Schur apply and the CG updates write into buffers allocated once
+    # per solve, in the order and with the operands of the plain expressions
+    work = [np.empty(n) for _ in range(5)]
+    tmp = np.empty(n)
+
     def schur(p_hat):
-        return _gather(B.N, [w * x for w, x in zip(weights, _spread(B.N, p_hat))])
+        z = _spread(B.N, p_hat, work)
+        for w, x in zip(weights, z):
+            x *= w
+        return _gather(B.N, z, work)
 
     f_hat = [_contract(f, B.Q[a]) for a, f in enumerate(faces)]
     # Σ_a K_aᵀ f̂_a / lam[a]; its (0, 0, 0) mode, the mean of p, is zero
@@ -249,17 +269,18 @@ def estar(F):
                 raise StokesError(f"Schur iteration failed to reach {CG_TOL} "
                                   f"within {cap} steps", history)
             q = schur(d)
-            denom = float((d * q).sum())
+            denom = float(np.multiply(d, q, out=tmp).sum())
             if not np.isfinite(denom) or denom <= 0.0:
                 # round-off breakdown: the direction carries no energy left
                 raise StokesError(f"Schur iteration stagnated before reaching "
                                   f"{CG_TOL}", history)
             alpha = rs / denom
-            p_hat += alpha * d
-            r -= alpha * q
-            rs_new = float((r * r).sum())
+            p_hat += np.multiply(d, alpha, out=tmp)
+            r -= np.multiply(q, alpha, out=tmp)
+            rs_new = float(np.multiply(r, r, out=tmp).sum())
             history.append(np.sqrt(rs_new) / bnorm)
-            d = r + (rs_new / rs) * d
+            d *= rs_new / rs    # d = r + β d
+            d += r
             rs = rs_new
 
     p = _contract(p_hat, [c.T for c in B.C])

@@ -13,9 +13,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from regscan.grid import Ball, Box3, Cylinder, SpaceTimeField, VectorGrid
+from regscan.grid import Ball, Box3, Cylinder, SpaceTimeField, VectorGrid, gradient
 from regscan.localquant import (
     AnalysisConfig,
+    CaccioppoliReport,
+    QuantReport,
     _time_integral,
     caccioppoli_sides,
     criterion_e16,
@@ -149,17 +151,25 @@ def test_caccioppoli_takes_gradients_only_on_the_inner_window(monkeypatch):
     f = uniform_field(box, times, 1.0 + times)
     cyl = Cylinder((0.5, 0.5, 0.5), t0=0.9, r=0.5)
     expected = caccioppoli_sides(f, cyl)
-    seen = []
-    gradient = regscan.localquant.gradient
+    seen, shapes = [], []
+    array_gradient = regscan.localquant.array_gradient
 
-    def recording(frame):
-        seen.append(next(i for i, fr in enumerate(f.frames) if fr is frame))
-        return gradient(frame)
+    def recording(data, spacing):
+        seen.append(next(i for i, fr in enumerate(f.frames)
+                         if np.shares_memory(data, fr.data)))
+        shapes.append(data.shape)
+        return array_gradient(data, spacing)
 
-    monkeypatch.setattr(regscan.localquant, "gradient", recording)
+    monkeypatch.setattr(regscan.localquant, "array_gradient", recording)
     assert caccioppoli_sides(f, cyl) == expected
     # inner window [0.9 - 0.0625, 0.9] is read from the frames at 0.8 and 0.9
     assert seen == [8, 9]
+    # in space, from the inner ball's index window and one stencil cell a side
+    cells = np.nonzero(Ball(cyl.center, cyl.r / 2).mask(box))
+    bound = tuple(int(np.ptp(ix)) + 1 + 2 for ix in cells)
+    assert all(s[0] == 3 and all(m <= b for m, b in zip(s[1:], bound))
+               for s in shapes)
+    assert all(b < m for b, m in zip(bound, box.n))
 
 
 def test_caccioppoli_zero_field_sentinel():
@@ -263,3 +273,103 @@ def test_rescale_validation():
     with pytest.raises(ValueError):
         rescale(f, 1.0, (np.zeros(3), 0.0), target_box=far,
                 target_times=np.array([0.0, 0.1]))
+
+
+# -- full-box reference ---------------------------------------------------------
+#
+# The cylinder quantities as they were computed on the whole box: |u| and the
+# velocity gradient of every frame everywhere, then masked to the ball. The
+# index-window sums must give the same bits.
+
+
+def full_box_q3(f, cyl):
+    mask = cyl.ball.mask(f.box)
+    c = f.box.cell_volume
+
+    def cubes(idx):
+        return np.array([np.sum(f.frames[i].magnitude().data[mask] ** 3) * c
+                         for i in idx])
+
+    return _time_integral(f.times, cubes, cyl.t_start, cyl.t0) / cyl.r ** 2
+
+
+def full_box_caccioppoli(f, cyl):
+    mask_out = cyl.ball.mask(f.box)
+    r = cyl.r
+    inner = Cylinder(cyl.center, cyl.t0, r / 2.0)
+    mask_in = inner.ball.mask(f.box)
+    c = f.box.cell_volume
+    sums = np.full((len(f.times), 2), np.nan)
+
+    def energy_cubed(idx):
+        for i in idx:
+            mag = f.frames[i].magnitude().data
+            sums[i] = (np.sum(mag[mask_out] ** 2) * c,
+                       np.sum(mag[mask_in] ** (10.0 / 3.0)) * c)
+        return sums[idx, 0] ** 3
+
+    def grad_squared(idx):
+        g2 = ((gradient(f.frames[i]) ** 2).sum(axis=(0, 1)) for i in idx)
+        return np.array([np.sum(g[mask_in]) * c for g in g2])
+
+    ie23 = _time_integral(f.times, energy_cubed, cyl.t_start, cyl.t0)
+    i103 = _time_integral(f.times, lambda idx: sums[idx, 1], inner.t_start, inner.t0)
+    igrad = _time_integral(f.times, grad_squared, inner.t_start, inner.t0)
+    lhs1, lhs2 = i103 ** 0.6 / r, igrad / r
+    rhs1, rhs2 = (ie23 / r ** 5) ** (1.0 / 3.0), ie23 / r ** 5
+    lhs, rhs = lhs1 + lhs2, rhs1 + rhs2
+    both_zero = lhs == 0.0 and rhs == 0.0
+    return CaccioppoliReport(
+        lhs=lhs, rhs=rhs,
+        ratio=None if both_zero else (lhs / rhs if rhs > 0 else float("inf")),
+        both_zero=both_zero, lhs_terms=(lhs1, lhs2), rhs_terms=(rhs1, rhs2))
+
+
+def full_box_energy_sup(f, cyl):
+    mask = cyl.ball.mask(f.box)
+    c = f.box.cell_volume
+    times = f.times
+    idx = np.nonzero((times > cyl.t_start - 1e-9) & (times <= cyl.t0 + 1e-9))[0]
+    return max(float(np.sum(f.frames[i].magnitude().data[mask] ** 2) * c)
+               for i in idx) / cyl.r
+
+
+TWO_PI_H = 2 * np.pi / 48
+R_EDGE = 0.54
+
+
+@pytest.fixture(scope="module")
+def two_pi_field():
+    """A seeded random field on the 48^3 cells of [0, 2 pi]^3 at 7 times."""
+    box = Box3((0, 0, 0), (2 * np.pi,) * 3, (48,) * 3)
+    rng = np.random.default_rng(23)
+    times = np.linspace(0.0, 0.3, 7)
+    return SpaceTimeField(times, [VectorGrid.from_array(box, rng.normal(size=(3, *box.n)))
+                                  for _ in times])
+
+
+@pytest.mark.parametrize("center", [
+    (2.3, 4.1, 3.0),                                   # interior
+    (0.1, 3.0, 3.0),                                   # crosses the x = 0 face
+    (0.05, 6.2, 0.1),                                  # at a corner
+    (-0.3, 3.0, 3.0),                                  # centre outside, no inner cell
+    (-R_EDGE / 2 + 0.3 * TWO_PI_H, 3.0, 3.0),          # inner ball misses the box
+    (-R_EDGE / 2 + 0.6 * TWO_PI_H, 3.0, 3.0),          # inner ball: one-cell sliver
+    (2 * np.pi + R_EDGE / 2 - 0.6 * TWO_PI_H, 3.0, 3.0),   # sliver at x = 2 pi
+], ids=["interior", "face", "corner", "outside", "inner-empty", "sliver",
+        "sliver-high"])
+def test_window_sums_equal_full_box_sums(two_pi_field, center):
+    f = two_pi_field
+    cyl = Cylinder(center, 0.3, R_EDGE)
+    cfg = AnalysisConfig(eps=0.1)
+    expected = {"q3": full_box_q3(f, cyl),
+                "caccioppoli": full_box_caccioppoli(f, cyl),
+                "energy_sup": full_box_energy_sup(f, cyl)}
+    assert q3(f, cyl) == expected["q3"]
+    assert caccioppoli_sides(f, cyl) == expected["caccioppoli"]
+    assert energy_sup(f, cyl) == expected["energy_sup"]
+    assert quant_report(f, cyl, cfg) == QuantReport(
+        center=cyl.center, t0=cyl.t0, r=cyl.r, q3=expected["q3"], zeta=cfg.zeta,
+        q3_small=expected["q3"] <= cfg.zeta ** 3,
+        e16=criterion_e16(f.frames[-1], cyl.center, cyl.r, cfg.eps),
+        caccioppoli=expected["caccioppoli"], energy_sup=expected["energy_sup"])
