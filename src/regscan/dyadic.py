@@ -394,13 +394,13 @@ def _cluster_labels(keys, dm):
     inside the other lies between two members at most dm apart; a gap of at
     most dm is bridged by the two ends), and per line shift the runs a run
     meets form one range of the sorted runs, found by `searchsorted`. After
-    each x step of the shifts one `connected_components` call contracts the
-    components so far, so only one step's meeting pairs are held at once;
-    the steps stop once a single component is left.
+    each x step of the shifts the components so far are contracted over that
+    step's meeting pairs (each larger label hooks to the least label it
+    meets, then pointer jumping), so only one step's pairs are held at once;
+    the steps stop once a single component is left. A label only ever falls
+    to a label it meets, so each run ends labelled with its component's
+    first run.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     if len(keys) == 0:
         return np.empty(0, np.int64)
     if np.abs(_unpack(keys)).max() >= _OFF - dm:   # key + shift -/+ dm: no borrow
@@ -420,16 +420,20 @@ def _cluster_labels(keys, dm):
             b.append(comp[np.repeat(first - np.cumsum(count) + count, count)
                           + np.arange(count.sum())])
         a, b = np.concatenate(a), np.concatenate(b)
-        join = a != b
-        comp = connected_components(coo_matrix(
-            (join[join], (a[join], b[join])), shape=(len(lo), len(lo))),
-            directed=False)[1][comp]
+        root = np.arange(len(lo))
+        while len(a):
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(up := root[root], root):
+                root = up
+            a, b = root[a], root[b]
+            join = a != b
+            a, b = a[join], b[join]
+        comp = root[comp]
         if np.all(comp == comp[0]):
             break
-    # number by first run; scipy does not document its label order
-    rank = np.argsort(np.argsort(np.unique(comp, return_index=True)[1]))
+    # comp holds each run's first run, so its ranks number by first run
     labels = np.empty(len(keys), np.int64)
-    labels[order] = rank[comp][np.cumsum(start) - 1]
+    labels[order] = np.unique(comp, return_inverse=True)[1][np.cumsum(start) - 1]
     return labels
 
 

@@ -16,9 +16,9 @@ box, and cost the ball, not the box.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .grid import (Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, region_measure,
                    array_gradient)
@@ -319,18 +319,22 @@ def rescale(f, lam, pivot, target_box=None, target_times=None):
     for axis_pts, axis_src in zip((sx, sy, sz), cs):
         if axis_pts.min() > axis_src[-1] or axis_pts.max() < axis_src[0]:
             raise ValueError("rescaled domain does not intersect the source box")
-    mesh = np.stack(np.meshgrid(sx, sy, sz, indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, 3)
-
-    interps = {}
+    # trilinear corners (index, weight) per axis, extrapolating linearly past
+    # the outer centers; a one-cell axis is constant
+    axes = []
+    for p, c in zip((sx, sy, sz), cs):
+        i = np.clip(np.searchsorted(c, p, "right") - 1, 0, max(len(c) - 2, 0))
+        j = np.minimum(i + 1, len(c) - 1)
+        y = (p - c[i]) / (c[j] - c[i]) if len(c) > 1 else np.zeros_like(p)
+        axes.append(((i, 1 - y), (j, y)))
+    corners = [(np.ix_(ix, iy, iz), (wx[:, None, None] * wy[:, None]) * wz)
+               for (ix, wx), (iy, wy), (iz, wz) in product(*axes)]
 
     def interp_frame(i):
-        # one vector-valued interpolant per frame: (points, 3) per call
-        if i not in interps:
-            interps[i] = RegularGridInterpolator(
-                cs, np.moveaxis(f.frames[i].data, 0, -1), method="linear",
-                bounds_error=False, fill_value=None)
-        return interps[i](pts)
+        val = 0.0
+        for ind, w in corners:   # summed in RegularGridInterpolator's order
+            val = val + f.frames[i].data[(slice(None),) + ind] * w
+        return val
 
     src_t = t0 + lam ** 2 * (target_times - t0)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(f.times))))
@@ -348,6 +352,5 @@ def rescale(f, lam, pivot, target_box=None, target_times=None):
             t_lo, t_hi = f.times[j], f.times[j + 1]
             w = (s - t_lo) / (t_hi - t_lo)
             vals = (1 - w) * interp_frame(j) + w * interp_frame(j + 1)
-        arr = lam * vals.T.reshape(3, *target_box.n)
-        frames.append(VectorGrid.from_array(target_box, arr))
+        frames.append(VectorGrid.from_array(target_box, lam * vals))
     return SpaceTimeField(target_times, frames)

@@ -84,17 +84,8 @@ def weak_norm(f, q):
     distribution function: with magnitudes sorted descending v_1 >= v_2 >= ...
     it equals max_i v_i * (i * cellvol)^(1/q).
     """
-    if not (np.isfinite(q) and q > 0):
-        raise ValueError(f"exponent q must be finite and positive, got {q}")
-    vals = _sorted_abs(f)[::-1]
-    if vals[0] == 0.0:
-        return 0.0
-    # in place, so the sort's copy and one rank array are all the memory
-    ranks = np.arange(1.0, len(vals) + 1)
-    ranks *= f.box.cell_volume
-    ranks **= 1.0 / q
-    ranks *= vals
-    return float(np.max(ranks))
+    _check_q(q)
+    return _weak_of_desc(_sorted_abs(f)[::-1], f.box.cell_volume, q)
 
 
 def equivalent_norm(f, q, r):
@@ -105,9 +96,34 @@ def equivalent_norm(f, q, r):
     that of the i largest magnitudes), so prefix sums of the descending
     sort evaluate it exactly.
     """
+    _check_qr(q, r)
+    return _equivalent_of_desc(_sorted_abs(f)[::-1], f.box.cell_volume, q, r)
+
+
+def _check_q(q):
+    if not (np.isfinite(q) and q > 0):
+        raise ValueError(f"exponent q must be finite and positive, got {q}")
+
+
+def _check_qr(q, r):
     if not (0 < r < q < np.inf):
         raise ValueError(f"need 0 < r < q < inf, got r={r}, q={q}")
-    vals = _sorted_abs(f)[::-1]
+
+
+def _weak_of_desc(vals, cell_volume, q):
+    """weak_norm from the descending magnitudes vals, left as they are."""
+    if vals[0] == 0.0:
+        return 0.0
+    # in place, so the sort's copy and one rank array are all the memory
+    ranks = np.arange(1.0, len(vals) + 1)
+    ranks *= cell_volume
+    ranks **= 1.0 / q
+    ranks *= vals
+    return float(np.max(ranks))
+
+
+def _equivalent_of_desc(vals, cell_volume, q, r):
+    """equivalent_norm from the descending magnitudes vals, overwritten."""
     if vals[0] == 0.0:
         return 0.0
     k = np.arange(1.0, len(vals) + 1)   # in place below, as in weak_norm
@@ -115,7 +131,7 @@ def equivalent_norm(f, q, r):
     np.cumsum(vals, out=vals)   # the prefix sums of |f|^r
     vals /= k
     vals **= 1.0 / r
-    k *= f.box.cell_volume
+    k *= cell_volume
     k **= 1.0 / q
     k *= vals
     return float(np.max(k))
@@ -125,7 +141,9 @@ def lp_norm(f, p):
     """Plain L^p norm by cell sums."""
     if p <= 0:
         raise ValueError("exponent p must be positive")
-    return float((np.sum(np.abs(f.data) ** p) * f.box.cell_volume) ** (1.0 / p))
+    a = np.abs(f.data)
+    a **= p   # in place: one temporary, not two
+    return float((np.sum(a) * f.box.cell_volume) ** (1.0 / p))
 
 
 @dataclass
@@ -142,8 +160,11 @@ class NormReport:
 
     @classmethod
     def from_scalar(cls, f, q=3.0, r=2.0):
-        w = weak_norm(f, q)
-        e = equivalent_norm(f, q, r)
+        _check_q(q)
+        _check_qr(q, r)
+        vals = _sorted_abs(f)[::-1]   # one sort serves both norms
+        w = _weak_of_desc(vals, f.box.cell_volume, q)
+        e = _equivalent_of_desc(vals, f.box.cell_volume, q, r)
         return cls(
             q=float(q),
             r=float(r),

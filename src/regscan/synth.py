@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import Box3, VectorGrid, SpaceTimeField
 
@@ -127,7 +126,7 @@ def taylor_green(box=None, n=64, amplitude=1.0):
 
 
 def _wavenumbers(n):
-    k1 = sfft.fftfreq(n, 1.0 / n)
+    k1 = np.fft.fftfreq(n, 1.0 / n)
     kz = np.arange(n // 2 + 1, dtype=float)
     kx, ky, kzr = np.meshgrid(k1, k1, kz, indexing="ij")
     return np.stack([kx, ky, kzr])
@@ -136,7 +135,7 @@ def _wavenumbers(n):
 def _retained_block(n):
     """The 2/3 mask as a block: its kx (and ky) indices and its kz count."""
     cutoff = _DEALIAS * (n / 2.0)
-    return (np.flatnonzero(np.abs(sfft.fftfreq(n, 1.0 / n)) < cutoff),
+    return (np.flatnonzero(np.abs(np.fft.fftfreq(n, 1.0 / n)) < cutoff),
             int(np.count_nonzero(np.arange(n // 2 + 1) < cutoff)))
 
 
@@ -155,13 +154,15 @@ def random_solenoidal(box=None, n=32, seed=0, rms=1.0):
     n = box.n[0]
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3, n, n, n))
-    ah = sfft.rfftn(noise, axes=(1, 2, 3))
+    # 1-d passes in pocketfft's n-d order, as in run_solver
+    ah = np.fft.fft(np.fft.fft(np.fft.rfft(noise, axis=3), axis=1), axis=2)
     k = _wavenumbers(n)
     kk = np.sqrt(np.sum(k * k, axis=0))
     mask = (kk >= 2.0) & (kk <= 8.0)
     ah *= mask
     uh = 1j * _cross(k, ah, np.empty_like(ah))
-    u = sfft.irfftn(uh, s=(n, n, n), axes=(1, 2, 3))
+    uh = np.fft.ifft(np.fft.ifft(uh, axis=1, norm="forward"), axis=2, norm="forward")
+    u = np.fft.irfft(uh, n, axis=3, norm="forward") * float(1 / np.longdouble(n ** 3))
     cur = np.sqrt(np.mean(u ** 2) * 3.0)
     if cur > 0:
         u *= rms / cur
@@ -243,8 +244,8 @@ def run_solver(cfg):
 
     The mask is the block X x X x [0, rz) of (kx, ky, kz) indices and the
     state is zero off it, so the state, the stages and k live on the block.
-    The transforms are pocketfft's n-d ones (scipy's ``irfftn``/``rfftn``)
-    pass by pass in the same axis order, skipping lines that are zero on
+    The transforms are ``numpy.fft``'s 1-d passes in the axis order of
+    pocketfft's n-d ``irfftn``/``rfftn``, skipping lines that are zero on
     input or dropped on output: inverse x, y, z, then pocketfft's 1/n^3
     (formed in long double); forward z, x, y. A kept line is the same 1-d
     transform as in the n-d call, and the energy sums scatter the block into
@@ -274,7 +275,7 @@ def run_solver(cfg):
     curl_h, k1, k2s, k3s, k4s = np.zeros((5,) + k.shape, complex)
     spec = np.zeros((3, n, n, nz))
 
-    # np.fft takes out=, and its 1-d passes equal scipy.fft's bit for bit
+    # every pass writes into a work buffer through np.fft's out=
     def to_physical(vh, out):
         sx[:, X] = vh
         np.fft.ifft(sx, axis=1, norm="forward", out=tx)

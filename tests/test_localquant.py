@@ -262,6 +262,49 @@ def test_rescale_pullback_leaves_quantities_invariant():
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
+def scipy_resampled(f, lam, pivot, target, target_times):
+    """rescale's resampling with scipy's RegularGridInterpolator per frame."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    x0, t0 = pivot
+    pts = np.stack(np.meshgrid(*(a + lam * (t - a) for a, t in zip(x0, target.centers())),
+                               indexing="ij"), axis=-1).reshape(-1, 3)
+
+    def at(i):
+        interp = RegularGridInterpolator(f.box.centers(), np.moveaxis(f.frames[i].data, 0, -1),
+                                         bounds_error=False, fill_value=None)
+        return interp(pts).T.reshape(3, *target.n)
+
+    out = []
+    for t in target_times:
+        s = t0 + lam ** 2 * (t - t0)
+        j = int(np.searchsorted(f.times, s, side="right")) - 1
+        if f.times[j] == s:
+            out.append(lam * at(j))
+        else:
+            w = (s - f.times[j]) / (f.times[j + 1] - f.times[j])
+            out.append(lam * ((1 - w) * at(j) + w * at(j + 1)))
+    return out
+
+
+@pytest.mark.parametrize("n, target", [
+    ((9, 10, 11), Box3((-0.4, -0.4, -0.4), (0.35, 0.4, 0.45), (7, 9, 8))),
+    ((9, 10, 11), Box3((-1.3, -0.2, 0.6), (0.2, 1.4, 1.5), (6, 5, 9))),   # extrapolates
+    ((1, 6, 7), Box3((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5), (3, 4, 5))),   # one-cell axis
+], ids=["inside", "past-the-edge", "one-cell-axis"])
+def test_rescale_resampling_equals_scipy_interpolator(n, target):
+    box = Box3((-1, -1, -1), (1, 1, 1), n)
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 1.0, 5)
+    f = SpaceTimeField(times, [VectorGrid.from_array(box, rng.normal(size=(3, *n)))
+                               for _ in times])
+    pivot = (np.array([0.1, -0.2, 0.05]), 0.5)
+    target_times = np.array([0.3, 0.5, 0.6, 0.75])   # on a frame and between frames
+    g = rescale(f, 1.25, pivot, target_box=target, target_times=target_times)
+    for got, expect in zip(g.frames, scipy_resampled(f, 1.25, pivot, target, target_times)):
+        assert np.array_equal(got.data, expect)
+
+
 def test_rescale_validation():
     box = unit_box(8)
     f = uniform_field(box, [0.0, 0.1], [1.0, 1.0])

@@ -228,3 +228,19 @@ def test_norm_report_bundles_everything():
     assert d["weak_norm"] == rep.weak_norm
     zero = NormReport.from_scalar(line_grid([0.0]))
     assert zero.ratio is None
+
+
+@pytest.mark.parametrize("q, r", [(3.0, 2.0), (4.0, 2.0), (2.5, 1.0)])
+def test_norm_report_equals_the_separate_norms(rng, q, r):
+    # from_scalar sorts once for both norms; the values are the same bits
+    box = Box3((0, 0, 0), (1, 2, 3), (9, 10, 11))
+    data = np.round(rng.normal(size=box.n), 1)   # ties and zeros included
+    g = ScalarGrid(box, data)
+    rep = NormReport.from_scalar(g, q=q, r=r)
+    assert rep.weak_norm == weak_norm(g, q)
+    assert rep.equivalent_norm == equivalent_norm(g, q, r)
+    assert rep.lp_norms == {p: float((np.sum(np.abs(data) ** p) * box.cell_volume)
+                                     ** (1.0 / p)) for p in (2.0, 3.0, 6.0)}
+    for bad_q, bad_r in ((np.inf, 2.0), (3.0, 3.0)):
+        with pytest.raises(ValueError):
+            NormReport.from_scalar(g, q=bad_q, r=bad_r)

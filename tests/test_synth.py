@@ -7,7 +7,8 @@ with scipy quadrature rather than copied from the implementation.
 
 `run_solver` keeps its state on the retained 2/3 block of modes; it is
 checked bit for bit against `full_spectrum_run`, the loop on the whole
-half-spectrum with scipy's n-d transforms.
+half-spectrum with scipy's n-d transforms, and `random_solenoidal`'s numpy
+passes against the same construction with scipy's `rfftn`/`irfftn`.
 """
 
 import warnings
@@ -134,6 +135,27 @@ def test_random_solenoidal_band_limit():
     outside = float((np.abs(uh[:, (kk < 2.0) | (kk > 8.0)]) ** 2).sum())
     total = float((np.abs(uh) ** 2).sum())
     assert outside <= 1e-20 * total
+
+
+def scipy_random_solenoidal(n, seed, rms):
+    """random_solenoidal's construction with scipy's n-d rfftn/irfftn."""
+    ah = sfft.rfftn(np.random.default_rng(seed).standard_normal((3, n, n, n)),
+                    axes=(1, 2, 3))
+    k1 = sfft.fftfreq(n, 1.0 / n)
+    k = np.stack(np.meshgrid(k1, k1, np.arange(n // 2 + 1, dtype=float),
+                             indexing="ij"))
+    kk = np.sqrt(np.sum(k * k, axis=0))
+    ah *= (kk >= 2.0) & (kk <= 8.0)
+    uh = 1j * np.stack([k[p] * ah[q] - k[q] * ah[p] for p, q in ((1, 2), (2, 0), (0, 1))])
+    u = sfft.irfftn(uh, s=(n, n, n), axes=(1, 2, 3))
+    return u * (rms / np.sqrt(np.mean(u ** 2) * 3.0))
+
+
+@pytest.mark.parametrize("n", [27, 32, 48])
+def test_random_solenoidal_equals_scipy_nd_transforms(n):
+    for seed in (0, 5):
+        expect = scipy_random_solenoidal(n, seed, 1.5)
+        assert np.array_equal(random_solenoidal(n=n, seed=seed, rms=1.5).data, expect)
 
 
 def test_random_solenoidal_requires_cubic_grid():
