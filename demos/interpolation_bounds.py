@@ -51,10 +51,10 @@ def build_fields():
 def main():
     for name, f in build_fields():
         M = weak_norm(f, 3.0)
-        l4 = l4_interpolation_check(f, M)
+        l4 = l4_interpolation_check(f, M, M)
         ball = Ball(tuple(0.5 * (lo + hi) for lo, hi in zip(f.box.lo, f.box.hi)),
                     0.25 * min(f.box.extent))
-        l2 = local_l2_check(f, ball, M)
+        l2 = local_l2_check(f, ball, M, M)
         print(f"{name}  (measured M = {M:.4f})")
         print(f"  L4:       {l4.lhs_l4_integral:12.5e} <= {l4.rhs_bound:12.5e}   "
               f"slack x{l4.rhs_bound / max(l4.lhs_l4_integral, 1e-300):.1f}")

@@ -55,8 +55,11 @@ random field, a field with many ties and zeros, and the zero field: the
 levels and measures, `l4_interpolation_check` and `local_l2_check` at the
 measured weak-L^3 norm M and at M/2 (1 and 1/2 for the zero field), and
 `region_measure` on balls and cubes off the cell lattice, whose `mask`s
-it dumps too. The CLI section writes a seeded 24^3 random run to one
-temporary directory and runs `norms --M auto`, `norms --M 0.5`, `scan`,
+it dumps too (the checks are given the measured norm where they take it).
+The CLI section runs `simulate` on a random start at n=27 whose last step
+is off the save schedule, dumping the written file's SHA-256 and the
+payload without the output path, then writes a seeded 24^3 random run to
+the same temporary directory and runs `norms --M auto`, `norms --M 0.5`, `scan`,
 `localize`, `stokes-check --bump`, `stokes-check --frame 2` (no bump, so
 one decoded frame) and `count-bound` on it in process, with relative paths,
 dumping each report's payload (cut as above) and `config_hash`, and dumps the exit code
@@ -69,6 +72,7 @@ for byte.
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -384,6 +388,14 @@ def pipeline_outputs(out):
         field.times[20:27], field.frames[20:27]))
 
 
+def _measured(check, *args, weak):
+    """check(*args, weak), given the measured weak-L^3 norm; older versions
+    take no such argument and measure it themselves."""
+    if len(inspect.signature(check).parameters) > len(args):
+        return check(*args, weak)
+    return check(*args)
+
+
 def lorentz_outputs(out):
     box = Box3((0, 0, 0), (1, 1, 1), (48, 48, 48))
     spec = SpikeSpec(centers=[(0.5, 0.5, 0.5)], amplitudes=[0.125],
@@ -407,12 +419,13 @@ def lorentz_outputs(out):
         prof = distribution(f)
         out[f"lorentz.{tag}.levels"] = prof.levels
         out[f"lorentz.{tag}.measures"] = prof.measures
-        M = weak_norm(f, 3.0) or 1.0
+        w = weak_norm(f, 3.0)
+        M = w or 1.0
         for m_tag, m in (("M", M), ("M/2", 0.5 * M)):
             out[f"lorentz.{tag}.l4_interpolation({m_tag})"] = _js(
-                _record(l4_interpolation_check(f, m)))
+                _record(_measured(l4_interpolation_check, f, m, weak=w)))
             out[f"lorentz.{tag}.local_l2({m_tag})"] = _js(
-                _record(local_l2_check(f, regions["ball"], m)))
+                _record(_measured(local_l2_check, f, regions["ball"], m, weak=w)))
         for name, region in regions.items():
             out[f"lorentz.{tag}.region_measure({name})"] = _js(
                 [region_measure(f, region, h) for h in (0.0, 0.1 * M, M)])
@@ -433,6 +446,30 @@ CLI_COMMANDS = {
 }
 
 
+# a random start at odd n whose last step is off the save schedule
+SIMULATE_CONFIG = {"n": 27, "nu": 0.02, "dt": 0.01, "t_end": 0.22, "save_every": 4,
+                   "initial": "random", "seed": 5, "amplitude": 0.7}
+
+
+def _simulate_outputs(out):
+    """`simulate` in process: the written file's SHA-256 and the payload
+    without the output path (its SHA-256 is the file's)."""
+    with open("sim.json", "w") as fh:
+        json.dump(SIMULATE_CONFIG, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["simulate", "--config", "sim.json", "--out", "sim.rsf",
+                       "--report", "report.json"])
+    if rc != 0:
+        raise RuntimeError(f"regscan simulate exited {rc}")
+    with open("sim.rsf", "rb") as fh:
+        out["cli.simulate.sha256"] = _js(hashlib.sha256(fh.read()).hexdigest())
+    with open("report.json") as fh:
+        doc = json.load(fh)
+    out["cli.simulate.payload"] = _js({k: v for k, v in doc["payload"].items()
+                                      if k != "field"})
+    out["cli.simulate.config_hash"] = _js(doc["manifest"]["config_hash"])
+
+
 def cli_outputs(out):
     # paths are relative to one temporary directory, so config hashes
     # do not depend on where it is
@@ -443,6 +480,7 @@ def cli_outputs(out):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            _simulate_outputs(out)
             write_field("run.rsf", run.field)
             for tag, argv in CLI_COMMANDS.items():
                 with contextlib.redirect_stdout(io.StringIO()), \

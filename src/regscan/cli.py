@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dyadic import CountBoundError, count_bound, localize
-from .fieldio import FieldFormatError, read_field, read_header, write_field
+from .fieldio import FieldFormatError, read_field, read_header, writing_field
 from .grid import Ball, Cube, Cylinder, nearest_frame
 from .localquant import AnalysisConfig, check_cylinder, quant_report
 from .lorentz import NormReport, l4_interpolation_check, local_l2_check
@@ -38,7 +38,7 @@ from .stokes import (
     projection_residual,
     restrict_to_cube,
 )
-from .synth import SolverConfig, SolverError, run_solver
+from .synth import SolverConfig, SolverError, default_box, run_solver, save_schedule
 
 SCHEMA_VERSION = 1
 
@@ -134,20 +134,20 @@ def cmd_norms(args):
     payload.update(dataclasses.asdict(report))
     if args.M is not None:
         M = report.weak_norm if args.M == "auto" else float(args.M)
-        payload["l4_interpolation"] = l4_interpolation_check(mag, M)
+        payload["l4_interpolation"] = l4_interpolation_check(mag, M, report.weak_norm)
         ball = Ball(
             tuple(0.5 * (lo + hi) for lo, hi in zip(mag.box.lo, mag.box.hi)),
             0.25 * min(mag.box.extent),
         )
-        payload["local_l2"] = local_l2_check(mag, ball, M)
+        payload["local_l2"] = local_l2_check(mag, ball, M, report.weak_norm)
     return "norms", payload, [args.field]
 
 
 def cmd_scan(args):
     cfg = AnalysisConfig(eps=args.eps, zeta=args.zeta)
     cyl = Cylinder(center=args.x0, t0=args.t0, r=args.r)
-    check_cylinder(*read_header(args.field), cyl)   # before any frame is decoded
-    field = read_field(args.field)
+    frames, window = check_cylinder(*read_header(args.field), cyl)   # before any read
+    field = read_field(args.field, frames, window)   # only what the quantities read
     return "scan", quant_report(field, cyl, cfg), [args.field]
 
 
@@ -216,11 +216,12 @@ def cmd_simulate(args):
         cfg = SolverConfig(**raw)
     except TypeError as exc:
         raise ValueError(f"invalid config: {exc}") from exc
-    run = run_solver(cfg)
-    write_field(args.out, run.field)
+    times = save_schedule(cfg)[1]
+    with writing_field(args.out, default_box(cfg.n), times) as put:
+        run = run_solver(cfg, save=put)   # each saved frame goes to the file
     payload = {
         "config": cfg,
-        "frames": len(run.field.frames),
+        "frames": len(times),
         "energy_initial": float(run.energy[0]),
         "energy_final": float(run.energy[-1]),
         "energy_balance_residual": run.energy_balance_residual(),

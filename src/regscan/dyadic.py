@@ -509,6 +509,7 @@ def localize(frame, cfg, k_max, M=None, on_underresolved="error"):
     if M is not None:
         _check_m(M)
     mag = frame.magnitude()
+    del frame   # the levels read |u| alone; with no other reference the frame goes here
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]
     if underresolved:
         suggested = int(np.floor(np.log2(1.0 / (4.0 * hmax))))

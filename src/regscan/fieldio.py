@@ -11,26 +11,32 @@ Layout, in order:
   x-fastest order as little-endian float64.
 
 Every failure raises FieldFormatError carrying the byte offset at which
-the file stopped making sense. Round trips are bit-exact. read_header runs
-every check up to the payload's values. read_field then reads the frames one
-at a time into one frame-sized buffer and checks each for non-finite values,
-but decodes only the frames it is asked for, so it holds those plus one
-frame. The CLI decodes one frame for norms, localize and stokes-check, and
-every frame for scan and stokes-check --bump.
+the file stopped making sense. Round trips are bit-exact. writing_field
+writes one frame at a time. read_header runs every check up to the payload's
+values. read_field reads the components one at a time into one buffer and
+checks each for non-finite values, but keeps only the frames it is asked
+for, whole or on an index window of the box: one frame for norms, localize
+and stokes-check, what the cylinder reads for scan, all for --bump.
 """
 
+import contextlib
 import json
 import os
 import struct
+from collections import namedtuple
 
 import numpy as np
 
 from .grid import Box3, SpaceTimeField, VectorGrid
 
-__all__ = ["FieldFormatError", "write_field", "read_field", "read_header", "CANARY"]
+__all__ = ["FieldFormatError", "FieldWindow", "writing_field", "write_field", "read_field",
+           "read_header", "CANARY"]
 
 MAGIC = b"#rsf 1\n"
 CANARY = 0x1A2B3C4D
+# read_field's frames on an index window of the box: frames[i] holds the
+# (3, ...) values at times[i] of the cells from index `origin` on
+FieldWindow = namedtuple("FieldWindow", "box times frames origin")
 
 
 class FieldFormatError(ValueError):
@@ -41,29 +47,45 @@ class FieldFormatError(ValueError):
         self.offset = offset
 
 
+@contextlib.contextmanager
+def writing_field(path, box, times):
+    """Write a field file one frame at a time: yields put(data), which checks a
+    (3, nx, ny, nz) frame for non-finite values and appends it. The file goes
+    to path + ".part", and to path once every frame is in; on an error it is
+    removed, so path is left as it was."""
+    header = {"format": "rsf", "version": 1, "lo": list(box.lo), "hi": list(box.hi),
+              "n": list(box.n), "components": 3, "times": [float(t) for t in times]}
+    part, written = f"{os.fspath(path)}.part", 0
+
+    def put(data):
+        nonlocal written
+        if not np.isfinite(data).all():
+            raise FieldFormatError("payload contains non-finite values")
+        # (component, z, y, x) in C order is the file's x-fastest order
+        fh.write(np.array(data.transpose(0, 3, 2, 1), "<f8", order="C"))
+        written += 1
+
+    try:
+        with open(part, "wb") as fh:
+            fh.write(MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + struct.pack("<I", CANARY))
+            yield put
+        if written != len(times):
+            raise ValueError(f"{written} frames written, the header lists {len(times)}")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+
+
 def write_field(path, field):
     """Serialize a SpaceTimeField (or single VectorGrid, as one frame)."""
     if isinstance(field, VectorGrid):
         field = SpaceTimeField(times=(0.0,), frames=(field,))
-    box = field.box
-    header = {
-        "format": "rsf",
-        "version": 1,
-        "lo": list(box.lo),
-        "hi": list(box.hi),
-        "n": list(box.n),
-        "components": 3,
-        "times": [float(t) for t in field.times],
-    }
-    if not all(np.isfinite(fr.data).all() for fr in field.frames):
-        raise FieldFormatError("payload contains non-finite values")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(struct.pack("<I", CANARY))
+    with writing_field(path, field.box, field.times) as put:
         for frame in field.frames:
-            # (component, z, y, x) in C order is the file's x-fastest order
-            fh.write(np.array(frame.data.transpose(0, 3, 2, 1), "<f8", order="C"))
+            put(frame.data)
 
 
 def _read_header(fh):
@@ -133,30 +155,34 @@ def read_header(path):
         return _read_header(fh)[:2]
 
 
-def read_field(path, frames=None):
-    """The field in a file; only the frames at increasing indices `frames` (None: all)."""
+def read_field(path, frames=None, window=None):
+    """The field in a file; only the frames at increasing indices `frames`
+    (None: all), as a FieldWindow of their values on `window` (three slices
+    of the box's indices) if given. Every frame is read and checked."""
     with open(path, "rb") as fh:
         box, times, pos = _read_header(fh)
         keep = list(range(len(times)) if frames is None else frames)
         if not keep or keep != sorted(set(keep).intersection(range(len(times)))):
             raise ValueError(f"frames {keep} are not increasing indices below {len(times)}")
-        cells = box.n[0] * box.n[1] * box.n[2]
-        buf = np.empty(3 * cells, "<f8")
-        # file order is (component, z, y, x); frames are (component, x, y, z)
-        frame = buf.reshape(3, *box.n[::-1]).transpose(0, 3, 2, 1)
+        # one component at a time: the file holds each in (z, y, x) order
+        buf = np.empty(box.n[::-1], "<f8")
+        cut = buf.T if window is None else buf.T[window]
         decoded = []
-        for k in range(len(times)):
-            at = pos + k * buf.nbytes
+        for j in range(3 * len(times)):
+            (k, c), at = divmod(j, 3), pos + j * buf.nbytes
             if fh.readinto(buf) != buf.nbytes:    # the file shrank since the header
-                raise FieldFormatError(f"payload ends inside frame {k}", offset=at)
-            # NaN propagates to min and max, so no mask is made for a finite frame
+                raise FieldFormatError(f"payload ends inside frame {k}",
+                                       offset=at - c * buf.nbytes)
+            # NaN propagates to min and max, so no mask is made for finite values
             if not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
                 bad = int(np.argmin(np.isfinite(buf)))
-                raise FieldFormatError(
-                    f"non-finite value in frame {k} component {bad // cells}",
-                    offset=at + bad * 8,
-                )
+                raise FieldFormatError(f"non-finite value in frame {k} component {c}",
+                                       offset=at + bad * 8)
             if k in keep:
-                decoded.append(VectorGrid.from_array(
-                    box, np.array(frame, np.float64, order="C")))
-    return SpaceTimeField(times=tuple(times[k] for k in keep), frames=tuple(decoded))
+                if c == 0:
+                    decoded.append(np.empty((3, *cut.shape)))
+                decoded[-1][c] = cut
+    kept = np.asarray([times[k] for k in keep])
+    if window is None:
+        return SpaceTimeField(kept, tuple(VectorGrid.from_array(box, a) for a in decoded))
+    return FieldWindow(box, kept, tuple(decoded), tuple(s.start for s in window))

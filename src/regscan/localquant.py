@@ -10,18 +10,19 @@ the per-frame integrand.
 
 A cylinder's cell sums run over its ball's index window: the smallest
 index box that holds the ball's cells, with the ball's mask on the whole
-box sliced to it, and the whole box's cell volume and spacing. So they
-read and add the same values in the same order as sums over the whole
-box, and cost the ball, not the box.
+box sliced to it, and the whole box's cell volume and spacing. So they add
+the same values in the same order as whole-box sums, cost the ball, not the
+box, and run on a FieldWindow of the frames and window check_cylinder names.
 """
 
+import warnings
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .grid import (Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, region_measure,
-                   array_gradient)
+from .grid import (Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, array_gradient,
+                   nearest_frame)
 
 __all__ = [
     "AnalysisConfig",
@@ -56,11 +57,9 @@ class AnalysisConfig:
             raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
 
 
-def _time_integral(times, values, ta, tb):
-    """Integral over [ta, tb] of the piecewise-linear interpolant of a
-    per-frame integrand. values(idx) returns the integrand at the frames
-    idx; it is asked only for the frames the interpolant reads, from the
-    last sample at or before ta to the first at or after tb."""
+def _knots(times, ta, tb):
+    """The frames the piecewise-linear interpolant on [ta, tb] reads, from the
+    last sample at or before ta to the first at or after tb, and the knots."""
     tol = 1e-9 * max(1.0, abs(ta), abs(tb))
     if ta < times[0] - tol or tb > times[-1] + tol:
         raise ValueError(
@@ -74,8 +73,15 @@ def _time_integral(times, values, ta, tb):
     idx = np.arange(np.searchsorted(times, ta, side="right") - 1,
                     np.searchsorted(times, tb, side="left") + 1)
     t = times[idx]
-    knots = np.concatenate([[ta], t[(t > ta) & (t < tb)], [tb]])
-    return float(np.trapezoid(np.interp(knots, t, values(idx)), knots))
+    return idx, np.concatenate([[ta], t[(t > ta) & (t < tb)], [tb]])
+
+
+def _time_integral(times, values, ta, tb):
+    """Integral over [ta, tb] of the piecewise-linear interpolant of a
+    per-frame integrand. values(idx) returns the integrand at the frames
+    idx; it is asked only for the frames `_knots` names."""
+    idx, knots = _knots(times, ta, tb)
+    return float(np.trapezoid(np.interp(knots, times[idx], values(idx)), knots))
 
 
 def _frames_in_window(times, cyl):
@@ -87,10 +93,10 @@ def _frames_in_window(times, cyl):
     return idx
 
 
-def _ball_mask(box, times, cyl, min_cells=0):
+def _ball_window(box, times, cyl, min_cells=0):
     """Check the cylinder's window against the sampled times and its ball
     against the box, with a radius of at least min_cells cells; return the
-    ball's cell mask."""
+    ball's index window and its cell mask on the window."""
     tol = 1e-9 * max(1.0, abs(cyl.t0))
     if cyl.t_start < times[0] - tol or cyl.t0 > times[-1] + tol:
         raise ValueError("cylinder time window exceeds the sampled range")
@@ -100,7 +106,8 @@ def _ball_mask(box, times, cyl, min_cells=0):
     if cyl.r < min_cells * max(box.spacing):
         raise ValueError(f"inner cylinder under-resolved: radius {cyl.r} spans "
                          f"fewer than {min_cells} cells")
-    return mask
+    win = _window(mask)
+    return win, mask[win]
 
 
 def _window(mask, margin=0, min_cells=1):
@@ -119,33 +126,53 @@ def _window(mask, margin=0, min_cells=1):
     return tuple(win)
 
 
-def _speed(frame, win):
-    """|u| of one frame on an index window (VectorGrid.magnitude's arithmetic)."""
-    u1, u2, u3 = frame.data[(slice(None), *win)]
+def _inner(box, cyl):
+    """Q(z0, r/2), its ball's mask and its gradient window: the ball's window
+    grown by one cell, so each cell has its whole-box stencil, and at least 3
+    cells where a face of the box cuts it (None: the ball holds no cell)."""
+    inner = Cylinder(cyl.center, cyl.t0, cyl.r / 2.0)
+    mask = inner.ball.mask(box)
+    return inner, mask, _window(mask, margin=1, min_cells=3)
+
+
+def _cells(f, i, win):
+    """Frame i's (3, ...) values on an index window of the box, from a
+    SpaceTimeField or a FieldWindow, whose frames start at its origin."""
+    data, at = ((f.frames[i].data, (0, 0, 0)) if isinstance(f, SpaceTimeField)
+                else (f.frames[i], f.origin))
+    return data[(slice(None), *(slice(w.start - a, w.stop - a) for w, a in zip(win, at)))]
+
+
+def _speed(f, i, win):
+    """|u| of frame i on an index window (VectorGrid.magnitude's arithmetic)."""
+    u1, u2, u3 = _cells(f, i, win)
     return np.sqrt(u1 ** 2 + u2 ** 2 + u3 ** 2)
 
 
 def check_cylinder(box, times, cyl):
     """Check the cylinder as `quant_report` needs: a time window inside the
     sampled range that holds a frame, a ball on cells and a radius of at
-    least 4 cells; return the ball's cell mask. It reads only the box and
-    the sample times, so a caller holding a file's header can run it before
-    decoding a frame."""
-    mask = _ball_mask(box, times, cyl, min_cells=4)
-    _frames_in_window(times, cyl)
-    return mask
+    least 4 cells. It reads only the box and the sample times, so a caller
+    holding a file's header can run it before decoding a frame. Returns what
+    quant_report reads: the range of frames of the outer time integral (which
+    hold the inner one's and the one nearest t0) and of energy_sup, and the
+    index window that holds the ball's (e16's too) and the gradient's."""
+    times = np.asarray(times)
+    win, _ = _ball_window(box, times, cyl, min_cells=4)
+    idx = np.union1d(_frames_in_window(times, cyl),
+                     _knots(times, cyl.t_start, cyl.t0)[0])
+    wins = [w for w in (win, _inner(box, cyl)[2]) if w is not None]
+    return range(idx[0], idx[-1] + 1), tuple(
+        slice(min(s.start for s in axis), max(s.stop for s in axis)) for axis in zip(*wins))
 
 
 def q3(f, cyl):
     """r^-2 * integral of |u|^3 over Q(z0, r)."""
-    mask = _ball_mask(f.box, f.times, cyl)
-    win = _window(mask)
-    mask = mask[win]
+    win, mask = _ball_window(f.box, f.times, cyl)
     c = f.box.cell_volume
 
     def cubes(idx):
-        return np.array([np.sum(_speed(f.frames[i], win)[mask] ** 3) * c
-                         for i in idx])
+        return np.array([np.sum(_speed(f, i, win)[mask] ** 3) * c for i in idx])
 
     return _time_integral(f.times, cubes, cyl.t_start, cyl.t0) / cyl.r ** 2
 
@@ -160,12 +187,20 @@ class E16Result:
     passes: bool
 
 
-def criterion_e16(frame, x0, r, eps):
-    """Evaluate the level-set criterion for one frame and one ball."""
+def criterion_e16(frame, x0, r, eps, i=0):
+    """Evaluate the level-set criterion for one ball on a VectorGrid, or on
+    frame i of a field (a SpaceTimeField, or a FieldWindow that holds the
+    ball), counted on the ball's index window."""
+    f = SpaceTimeField((0.0,), (frame,)) if isinstance(frame, VectorGrid) else frame
     if eps <= 0:
         raise ValueError("eps must be positive")
     level = eps / r
-    m = region_measure(frame.magnitude(), Ball(x0, r), level)
+    mask = Ball(x0, r).mask(f.box)
+    win = _window(mask)
+    if win is None:
+        warnings.warn("region contains no cell centers of the sampled box")
+    m = 0.0 if win is None else float(
+        np.count_nonzero(mask[win] & (_speed(f, i, win) > level)) * f.box.cell_volume)
     ratio = m / r ** 3
     return E16Result(ratio=ratio, eps=float(eps), level=level, passes=ratio <= eps)
 
@@ -190,19 +225,14 @@ class CaccioppoliReport:
 
 def caccioppoli_sides(f, cyl):
     """Evaluate both sides of the Caccioppoli-type inequality."""
-    mask_out = _ball_mask(f.box, f.times, cyl, min_cells=4)
+    win, mask_out = _ball_window(f.box, f.times, cyl, min_cells=4)
     r = cyl.r
-    inner = Cylinder(cyl.center, cyl.t0, r / 2.0)
-    mask_in = inner.ball.mask(f.box)
+    inner, mask_in, grad_win = _inner(f.box, cyl)
     c, h = f.box.cell_volume, f.box.spacing
     # the sums run over index windows of the balls (see the module docstring);
-    # the inner ball lies in the outer one, so both share the outer window
-    win = _window(mask_out)
-    in_out, mask_out = mask_in[win], mask_out[win]
-    # the gradient's window keeps one cell around the inner ball, so each of
-    # its cells has the stencil it has on the whole box, and at least 3 cells
-    # where a face of the box cuts it; an empty inner ball takes no gradient
-    grad_win = _window(mask_in, margin=1, min_cells=3)
+    # the inner ball lies in the outer one, so both share the outer window;
+    # an empty inner ball takes no gradient
+    in_out = mask_in[win]
     in_grad = None if grad_win is None else mask_in[grad_win]
     # int_{B_r} |u|^2 and int_{B_r/2} |u|^{10/3} per frame, from one magnitude,
     # filled while integrating the outer window, whose frames include the inner's
@@ -210,7 +240,7 @@ def caccioppoli_sides(f, cyl):
 
     def energy_cubed(idx):
         for i in idx:
-            mag = _speed(f.frames[i], win)
+            mag = _speed(f, i, win)
             sums[i] = (np.sum(mag[mask_out] ** 2) * c,
                        np.sum(mag[in_out] ** (10.0 / 3.0)) * c)
         return sums[idx, 0] ** 3
@@ -218,8 +248,8 @@ def caccioppoli_sides(f, cyl):
     def grad_squared(idx):
         if grad_win is None:
             return np.zeros(len(idx))
-        g2 = ((array_gradient(f.frames[i].data[(slice(None), *grad_win)], h) ** 2)
-              .sum(axis=(0, 1)) for i in idx)
+        g2 = ((array_gradient(_cells(f, i, grad_win), h) ** 2).sum(axis=(0, 1))
+              for i in idx)
         return np.array([np.sum(g[in_grad]) * c for g in g2])
 
     ie23 = _time_integral(f.times, energy_cubed, cyl.t_start, cyl.t0)
@@ -233,24 +263,17 @@ def caccioppoli_sides(f, cyl):
     lhs = lhs1 + lhs2
     rhs = rhs1 + rhs2
     both_zero = lhs == 0.0 and rhs == 0.0
-    return CaccioppoliReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=None if both_zero else (lhs / rhs if rhs > 0 else float("inf")),
-        both_zero=both_zero,
-        lhs_terms=(lhs1, lhs2),
-        rhs_terms=(rhs1, rhs2),
-    )
+    ratio = None if both_zero else (lhs / rhs if rhs > 0 else float("inf"))
+    return CaccioppoliReport(lhs=lhs, rhs=rhs, ratio=ratio, both_zero=both_zero,
+                             lhs_terms=(lhs1, lhs2), rhs_terms=(rhs1, rhs2))
 
 
 def energy_sup(f, cyl):
     """r^-1 * max over frames in the window of int_{B(x0,r)} |u|^2 dx."""
-    mask = _ball_mask(f.box, f.times, cyl)
+    win, mask = _ball_window(f.box, f.times, cyl)
     idx = _frames_in_window(f.times, cyl)
-    win = _window(mask)
-    mask = mask[win]
     c = f.box.cell_volume
-    best = max(float(np.sum(_speed(f.frames[i], win)[mask] ** 2) * c) for i in idx)
+    best = max(float(np.sum(_speed(f, i, win)[mask] ** 2) * c) for i in idx)
     return best / cyl.r
 
 
@@ -270,24 +293,16 @@ class QuantReport:
 
 
 def quant_report(f, cyl, cfg):
-    """Evaluate every local quantity on one cylinder, after `check_cylinder`."""
+    """Evaluate every local quantity on one cylinder, after `check_cylinder`,
+    on a SpaceTimeField or on a FieldWindow of what check_cylinder names."""
     check_cylinder(f.box, f.times, cyl)
     val = q3(f, cyl)
-    i0 = f.frame_index_at(cyl.t0)
-    e16 = criterion_e16(f.frames[i0], cyl.center, cyl.r, cfg.eps)
+    e16 = criterion_e16(f, cyl.center, cyl.r, cfg.eps, nearest_frame(f.times, cyl.t0))
     cacc = caccioppoli_sides(f, cyl)
     esup = energy_sup(f, cyl)
-    return QuantReport(
-        center=cyl.center,
-        t0=cyl.t0,
-        r=cyl.r,
-        q3=val,
-        zeta=cfg.zeta,
-        q3_small=val <= cfg.zeta ** 3,
-        e16=e16,
-        caccioppoli=cacc,
-        energy_sup=esup,
-    )
+    return QuantReport(center=cyl.center, t0=cyl.t0, r=cyl.r, q3=val, zeta=cfg.zeta,
+                       q3_small=val <= cfg.zeta ** 3, e16=e16, caccioppoli=cacc,
+                       energy_sup=esup)
 
 
 def rescale(f, lam, pivot, target_box=None, target_times=None):

@@ -202,29 +202,22 @@ def _check_m(M):
         raise ValueError(f"M must be finite and positive, got {M}")
 
 
-def l4_interpolation_check(f, M):
-    """Check int |f|^4 <= 4 M^3 H + 2 ||f||_6^6 H^-2 at H = ||f||_6^2 / M."""
+def l4_interpolation_check(f, M, w):
+    """Check int |f|^4 <= 4 M^3 H + 2 ||f||_6^6 H^-2 at H = ||f||_6^2 / M,
+    with the hypothesis checked on w, the measured weak_norm(f, 3)."""
     _check_m(M)
     c = f.box.cell_volume
     a = np.abs(f.data)
     lhs = float(np.sum(a ** 4) * c)
     s6 = float(np.sum(a ** 6) * c)
     l6 = s6 ** (1.0 / 6.0)
-    w = weak_norm(f, 3.0)
     if s6 == 0.0:
         return InterpolationCheck(0.0, 0.0, 0.0, M, w, 0.0, True, True)
     H = l6 ** 2 / M
     rhs = 4.0 * M ** 3 * H + 2.0 * s6 / H ** 2
     return InterpolationCheck(
-        lhs_l4_integral=lhs,
-        rhs_bound=rhs,
-        cut_H=H,
-        M=float(M),
-        weak_norm_measured=w,
-        l6_norm=l6,
-        hypothesis_ok=w <= M * (1 + 1e-12),
-        holds=lhs <= rhs * (1 + 1e-12),
-    )
+        lhs_l4_integral=lhs, rhs_bound=rhs, cut_H=H, M=float(M), weak_norm_measured=w,
+        l6_norm=l6, hypothesis_ok=w <= M * (1 + 1e-12), holds=lhs <= rhs * (1 + 1e-12))
 
 
 @dataclass
@@ -251,8 +244,9 @@ class LocalL2Check:
     holds: bool
 
 
-def local_l2_check(f, ball, M):
-    """Check int_{B(x0,r)} |f|^2 <= V_B H^2 + 2 M^3 / H at H = M / r."""
+def local_l2_check(f, ball, M, w):
+    """Check int_{B(x0,r)} |f|^2 <= V_B H^2 + 2 M^3 / H at H = M / r, with
+    the hypothesis checked on w, the measured weak_norm(f, 3)."""
     _check_m(M)
     mask = ball.mask(f.box)
     if not mask.any():
@@ -263,16 +257,8 @@ def local_l2_check(f, ball, M):
     H = M / ball.r
     rhs = vb * H ** 2 + 2.0 * M ** 3 / H
     cv = 4.0 / 3.0 * np.pi
-    w = weak_norm(f, 3.0)
     return LocalL2Check(
-        lhs_l2_integral=lhs,
-        rhs_bound=rhs,
-        cut_H=H,
-        M=float(M),
-        weak_norm_measured=w,
-        ball_volume_grid=vb,
-        rhs_continuum=(cv + 2.0) * M ** 2 * ball.r,
-        constant_continuum=cv + 2.0,
-        hypothesis_ok=w <= M * (1 + 1e-12),
-        holds=lhs <= rhs * (1 + 1e-12),
-    )
+        lhs_l2_integral=lhs, rhs_bound=rhs, cut_H=H, M=float(M), weak_norm_measured=w,
+        ball_volume_grid=vb, rhs_continuum=(cv + 2.0) * M ** 2 * ball.r,
+        constant_continuum=cv + 2.0, hypothesis_ok=w <= M * (1 + 1e-12),
+        holds=lhs <= rhs * (1 + 1e-12))

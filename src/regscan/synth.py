@@ -25,6 +25,7 @@ __all__ = [
     "taylor_green",
     "random_solenoidal",
     "run_solver",
+    "save_schedule",
     "default_box",
 ]
 
@@ -219,7 +220,7 @@ class SolverError(RuntimeError):
 class SolverRun:
     """Result of run_solver: stored frames plus per-step histories."""
 
-    field: SpaceTimeField
+    field: SpaceTimeField | None    # None when run_solver handed its frames to save
     step_times: np.ndarray
     energy: np.ndarray          # int |u|^2 dx per step
     dissipation: np.ndarray     # 2 nu int |grad u|^2 dx per step
@@ -233,8 +234,18 @@ class SolverRun:
         return abs(self.energy[-1] - self.energy[0] + diss) / span
 
 
-def run_solver(cfg):
-    """March the incompressible equations; returns a SolverRun.
+def save_schedule(cfg):
+    """The steps after which run_solver saves a frame: 0 (the start), every
+    save_every-th and the last; and their times, the solver's own step * dt."""
+    nsteps = int(round(cfg.t_end / cfg.dt))
+    every = cfg.save_every or max(1, int(np.ceil(nsteps / 16)))
+    steps = [*range(0, nsteps, every), nsteps]
+    return steps, [step * cfg.dt for step in steps]
+
+
+def run_solver(cfg, save=None):
+    """March the incompressible equations; returns a SolverRun. Given save,
+    it hands each saved frame's (3, n, n, n) array to save and keeps none.
 
     Collocation in space (FFT), rotational-form nonlinearity u x curl(u)
     projected onto divergence-free modes, 2/3-type dealiasing mask, and a
@@ -308,14 +319,14 @@ def run_solver(cfg):
         u0 = taylor_green(box, cfg.n, cfg.amplitude)
     uh = to_block(u0.data, np.empty_like(k1))
 
-    nsteps = int(round(cfg.t_end / cfg.dt))
+    saved, frame_times = save_schedule(cfg)
+    nsteps, saved = saved[-1], set(saved)
     if abs(nsteps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         warnings.warn("t_end is not a multiple of dt; stopping at the nearest step")
-    save_every = cfg.save_every or max(1, int(np.ceil(nsteps / 16)))
+    frames = []
+    save = save or (lambda a: frames.append(VectorGrid.from_array(box, a.copy())))
 
-    to_physical(uh, u)   # serves the CFL check, stage 1 and the saved frame
-    frames = [VectorGrid.from_array(box, u.copy())]
-    frame_times = [0.0]
+    save(to_physical(uh, u))   # serves the CFL check, stage 1 and the saved frame
     energy = [spectral_sum(wz, uh)]
     diss = [2.0 * cfg.nu * spectral_sum(wz_k2, uh)]
     step_times = [0.0]
@@ -343,10 +354,9 @@ def run_solver(cfg):
         step_times.append(t)
         energy.append(spectral_sum(wz, uh))
         diss.append(2.0 * cfg.nu * spectral_sum(wz_k2, uh))
-        if step % save_every == 0 or step == nsteps:
-            frames.append(VectorGrid.from_array(box, u.copy()))
-            frame_times.append(t)
+        if step in saved:
+            save(u)
 
-    return SolverRun(field=SpaceTimeField(np.asarray(frame_times), frames),
+    return SolverRun(field=SpaceTimeField(frame_times, frames) if frames else None,
                      step_times=np.asarray(step_times), energy=np.asarray(energy),
                      dissipation=np.asarray(diss), cfl=np.asarray(cfl_hist), config=cfg)

@@ -255,11 +255,11 @@ def test_criterion_09_interpolation_inequalities_hold_with_measured_m():
     )
     for f in fields:
         M = weak_norm(f, 3.0)
-        l4 = l4_interpolation_check(f, M)
+        l4 = l4_interpolation_check(f, M, M)
         assert l4.hypothesis_ok and l4.holds
         ball = Ball(tuple(0.5 * (lo + hi) for lo, hi in zip(f.box.lo, f.box.hi)),
                     0.25 * min(f.box.extent))
-        l2 = local_l2_check(f, ball, M)
+        l2 = local_l2_check(f, ball, M, M)
         assert l2.hypothesis_ok and l2.holds
         prof = distribution(f)
         s6 = lp_norm(f, 6.0) ** 6

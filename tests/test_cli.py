@@ -19,10 +19,10 @@ import pytest
 from regscan import __version__, cli
 from regscan.cli import main
 from regscan.dyadic import count_bound, localize
-from regscan.fieldio import read_field, write_field
+from regscan.fieldio import FieldFormatError, read_field, read_header, write_field
 from regscan.grid import Box3, Cube, Cylinder, SpaceTimeField, VectorGrid
-from regscan.localquant import AnalysisConfig, quant_report
-from regscan.lorentz import weak_norm
+from regscan.localquant import AnalysisConfig, check_cylinder, quant_report
+from regscan.lorentz import NormReport, weak_norm
 from regscan.stokes import (BumpTestFunction, harmonic_residual, local_energy_residual,
                             pressure_parts, restrict_to_cube)
 from regscan.synth import SolverConfig, run_solver
@@ -779,3 +779,191 @@ def test_every_listed_name_resolves(module):
     assert mod.__all__
     for name in mod.__all__:
         assert hasattr(mod, name), f"regscan.{module}.{name}"
+
+
+def test_norms_sorts_the_magnitudes_once(capsys, field_file, monkeypatch):
+    import regscan.lorentz
+
+    sorts = []
+    sorted_abs = regscan.lorentz._sorted_abs
+    monkeypatch.setattr(regscan.lorentz, "_sorted_abs",
+                        lambda f: sorts.append(f) or sorted_abs(f))
+    payload = run_json(capsys, ["norms", field_file[0], "--M", "auto"])["payload"]
+    assert len(sorts) == 1     # the checks take the measured weak norm in
+    for key in ("l4_interpolation", "local_l2"):
+        assert payload[key]["weak_norm_measured"] == payload["weak_norm"]
+
+
+def simulate(tmp_path, cfg, *extra):
+    """main() on simulate with cfg as the config, writing tmp_path/run.rsf."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run.rsf")]
+    return main([*argv, *extra])
+
+
+@pytest.mark.parametrize("cfg", [
+    {"n": 16, "nu": 0.02, "dt": 0.01, "t_end": 0.05, "initial": "random", "seed": 4,
+     "save_every": 1},
+    # 7 steps saved every 3: the last step is off the schedule
+    {"n": 15, "nu": 0.05, "dt": 0.01, "t_end": 0.07, "save_every": 3},
+    # save_every None: every second step of 20
+    {"n": 12, "nu": 0.05, "dt": 0.01, "t_end": 0.2},
+], ids=["random-every-step", "taylor-green-odd-n", "default-schedule"])
+def test_simulate_streams_the_file_write_field_writes(capsys, tmp_path, cfg):
+    assert simulate(tmp_path, cfg, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    write_field(tmp_path / "whole.rsf", run_solver(SolverConfig(**cfg)).field)
+    out = tmp_path / "run.rsf"
+    assert out.read_bytes() == (tmp_path / "whole.rsf").read_bytes()
+    assert payload["frames"] == len(read_header(out)[1])
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "run.rsf", "whole.rsf"]
+
+
+# CFL 0.513 at step 24, after the frames of steps 0 to 22 were written
+CFL_TRIP = {"n": 16, "nu": 1e-4, "dt": 0.0125, "t_end": 0.5, "amplitude": 8.0,
+            "initial": "random", "seed": 5, "save_every": 2}
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier run"], ids=["no-file", "a-file"])
+def test_a_simulate_that_fails_mid_run_leaves_out_as_it_was(capsys, tmp_path,
+                                                            monkeypatch, earlier):
+    out = tmp_path / "run.rsf"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    written = []
+
+    def run_and_look(cfg, save):     # the partial file as the solver gives up
+        try:
+            return run_solver(cfg, save=save)
+        finally:
+            written.append(os.path.getsize(f"{out}.part"))
+
+    monkeypatch.setattr(cli, "run_solver", run_and_look)
+    err = one_line_error(capsys, simulate(tmp_path, CFL_TRIP))
+    assert err["type"] == "SolverError"
+    assert err["error"].startswith("CFL ") and "exceeds 0.5 at step" in err["error"]
+    assert written[0] > 12 * 3 * 16 ** 3 * 8     # mid-run: 12 frames were in
+    if earlier is None:
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+    else:
+        assert sorted(os.listdir(tmp_path)) == ["run.json", "run.rsf"]
+        assert out.read_bytes() == earlier
+
+
+@pytest.fixture(scope="module")
+def random_file(tmp_path_factory):
+    """A seeded random field on the 24^3 cells of [0, 1]^3 at 7 times, on disk."""
+    box = Box3((0, 0, 0), (1, 1, 1), (24, 24, 24))
+    rng = np.random.default_rng(31)
+    times = np.linspace(0.0, 0.3, 7)
+    field = SpaceTimeField(times, [VectorGrid.from_array(box, rng.normal(size=(3, *box.n)))
+                                   for _ in times])
+    path = tmp_path_factory.mktemp("random") / "random.rsf"
+    write_field(path, field)
+    return str(path), field
+
+
+H24 = 1.0 / 24
+
+
+@pytest.mark.parametrize("x0, t0, r", [
+    ((0.5, 0.5, 0.5), 0.3, 0.25),               # window starts between frames
+    ((0.05, 0.5, 0.5), 0.3, 0.25),              # crosses the x = 0 face
+    ((0.02, 0.97, 0.03), 0.3, 0.3),             # at a corner
+    ((-0.125 + 0.6 * H24, 0.5, 0.5), 0.3, 0.25),    # inner ball: a one-cell sliver
+    ((-0.125 + 0.3 * H24, 0.5, 0.5), 0.3, 0.25),    # inner ball holds no cell
+    ((0.4, 0.6, 0.5), 0.2, 0.26),               # frames 2 to 4 of 7
+    ((0.6, 0.4, 0.5), 0.27, 0.3),               # t0 between frames
+], ids=["interior", "face", "corner", "sliver", "inner-empty", "ends-early", "t0-off-frame"])
+def test_scan_equals_the_whole_field_report(capsys, random_file, decoded, x0, t0, r):
+    path, field = random_file
+    cyl = Cylinder(x0, t0, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # t0 need not be a sample time
+        payload = run_json(capsys, ["scan", path, "--x0=" + ",".join(map(repr, x0)),
+                                    "--t0", repr(t0), "--r", repr(r)])["payload"]
+        whole = quant_report(read_field(path), cyl, AnalysisConfig(eps=0.1))
+    assert payload == json.loads(json.dumps(cli._jsonable(whole)))
+    frames, window = check_cylinder(field.box, field.times, cyl)
+    assert decoded == [len(frames)] and all(s.stop - s.start < 24 for s in window)
+
+
+@pytest.mark.parametrize("frame", [0, 6])
+def test_scan_reports_a_nan_outside_its_frames(capsys, random_file, tmp_path, frame):
+    path, _ = random_file
+    raw = open(path, "rb").read()
+    cells = 24 ** 3
+    bad_at = len(raw) - (7 - frame) * 3 * cells * 8 + (2 * cells + 1000) * 8
+    bad = tmp_path / "bad.rsf"
+    bad.write_bytes(raw[:bad_at] + np.array([np.nan], "<f8").tobytes() + raw[bad_at + 8:])
+    with pytest.raises(FieldFormatError) as whole:
+        read_field(bad)
+    # the cylinder reads frames 2 to 4 only
+    err = one_line_error(capsys, main(["scan", str(bad), "--x0", "0.4,0.6,0.5",
+                                       "--t0", "0.2", "--r", "0.26"]))
+    assert err == {"error": str(whole.value), "type": "FieldFormatError"}
+    assert err["error"] == (f"format error at byte {bad_at}: non-finite value in "
+                            f"frame {frame} component 2")
+
+
+PEAK_ABOVE_IMPORT = """
+import sys
+import regscan.cli
+
+def peak():   # VmHWM: the high-water mark of this interpreter's resident memory
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except OSError:   # no procfs: the memory test is skipped
+        return 0
+
+before = peak()
+rc = regscan.cli.main(sys.argv[1:])
+print(rc, (peak() - before) / 1024, file=sys.stderr)
+"""
+
+
+def peak_above_import(cwd, *argv):
+    """Exit code and peak resident memory (MB) above `import regscan.cli` of
+    one command in a fresh interpreter. On Linux ru_maxrss also holds the
+    peak of the process that started it (the kernel keeps the high-water
+    mark across exec), which here is the test run's; VmHWM does not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_ABOVE_IMPORT, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=300)
+    rc, mb = proc.stderr.split()[-2:]
+    return int(rc), float(mb)
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """The bench pipeline's run (n=48, 30 steps, 31 frames), written by
+    `simulate` in a fresh interpreter; with that command's peak resident
+    memory above the import, in MB."""
+    cwd = tmp_path_factory.mktemp("pipeline")
+    (cwd / "run.json").write_text(json.dumps({
+        "n": 48, "nu": 0.02, "dt": 0.01, "t_end": 0.3, "save_every": 1,
+        "initial": "random", "seed": 3, "amplitude": 0.5}))
+    rc, mb = peak_above_import(cwd, "simulate", "--config", "run.json", "--out", "run.rsf")
+    assert rc == 0
+    return cwd, mb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_simulate_and_scan_hold_frames_not_the_run(pipeline_run):
+    # one frame is 2.65 MB and the run 82 MB; whole frames took 113 and 82 MB
+    cwd, simulate_mb = pipeline_run
+    assert len(read_header(cwd / "run.rsf")[1]) == 31
+    assert simulate_mb <= 45
+    rc, scan_mb = peak_above_import(cwd, "scan", "run.rsf", "--x0", "2.3,4.1,3.0",
+                                   "--t0", "0.3", "--r", "0.54")
+    assert rc == 0 and scan_mb <= 25
+
+
+@pytest.mark.parametrize("k", [0, 1, 30])
+def test_norm_report_weak_norm_is_weak_norm_bit_for_bit(pipeline_run, k):
+    mag = read_field(pipeline_run[0] / "run.rsf", frames=[k]).frames[0].magnitude()
+    assert NormReport.from_scalar(mag).weak_norm == weak_norm(mag, 3.0)

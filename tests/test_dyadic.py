@@ -8,6 +8,8 @@ clustering against a quadratic union-find. The brute forms only use
 interval arithmetic.
 """
 
+import sys
+import weakref
 from itertools import product
 
 import numpy as np
@@ -577,3 +579,26 @@ def test_localize_underresolved_modes():
     assert cs.flags["underresolved_levels"] == [3, 4]
     with pytest.raises(ValueError):
         localize(frame, cfg, k_max=-1, M=1.0)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the caller's stack keeps call arguments alive")
+def test_localize_frees_a_frame_passed_by_value(monkeypatch):
+    import regscan.dyadic
+
+    refs, alive = [], []
+
+    def one_spike():
+        spec = SpikeSpec(centers=[(0.5, 0.5, 0.5)], amplitudes=[0.125],
+                         axes=[(0, 0, 1)], delta=0.1)
+        frame = spike_field(spec, Box3((0, 0, 0), (1, 1, 1), (24, 24, 24)))
+        refs.append(weakref.ref(frame))
+        return frame
+
+    def spy(mag, *args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return select_f0(mag, *args, **kwargs)
+
+    monkeypatch.setattr(regscan.dyadic, "select_f0", spy)
+    localize(one_spike(), AnalysisConfig(eps=0.1), 0, on_underresolved="warn")
+    assert alive == [False]     # the levels run on |u| alone

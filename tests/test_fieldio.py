@@ -6,6 +6,7 @@ produced rather than hard-coded.
 """
 
 import json
+import os
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -251,18 +252,71 @@ def test_frames_must_be_increasing_indices_of_the_file(tmp_path, rng, frames):
         read_field(tmp_path / "f.rsf", frames=frames)
 
 
-@pytest.mark.parametrize("frames", [[2], None], ids=["one-frame", "all-frames"])
-def test_read_holds_the_decoded_frames_plus_one(tmp_path, rng, frames):
+@pytest.mark.parametrize("frames, window", [
+    ([2], None), (None, None), ([1, 2], (slice(2, 9), slice(0, 20), slice(5, 6))),
+], ids=["one-frame", "all-frames", "window"])
+def test_read_holds_the_decoded_frames_plus_one(tmp_path, rng, frames, window):
     # numpy reports its buffers to tracemalloc; the old whole-file read
-    # peaked at the file, its finiteness mask and the decoded frames
+    # peaked at the file, its finiteness mask and the decoded frames, and a
+    # frame-sized read buffer held one frame more: the buffer is one component
     n = (24, 20, 16)
     write_field(tmp_path / "f.rsf", small_field(rng, frames=4, n=n))
-    frame_bytes = 3 * n[0] * n[1] * n[2] * 8
     tracemalloc.start()
     try:
-        g = read_field(tmp_path / "f.rsf", frames=frames)
+        g = read_field(tmp_path / "f.rsf", frames=frames, window=window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(g.frames) == (4 if frames is None else 1)
-    assert peak <= (len(g.frames) + 1) * frame_bytes + 32 * 1024
+    assert len(g.frames) == (4 if frames is None else len(frames))
+    kept = sum(a.nbytes for a in (g.frames if window else [f.data for f in g.frames]))
+    assert peak <= kept + n[0] * n[1] * n[2] * 8 + 32 * 1024
+
+
+def test_a_non_finite_later_frame_leaves_the_path_as_it_was(tmp_path, rng):
+    f = small_field(rng, frames=3)
+    f.frames[2].data[1, 2, 3, 0] = np.nan
+    path = tmp_path / "nan.rsf"
+    with pytest.raises(FieldFormatError) as err:
+        write_field(path, f)
+    assert str(err.value) == "payload contains non-finite values"
+    assert err.value.offset is None
+    assert os.listdir(tmp_path) == []       # no file, and no partial one
+    path.write_bytes(b"an earlier file")
+    with pytest.raises(FieldFormatError):
+        write_field(path, f)
+    assert os.listdir(tmp_path) == ["nan.rsf"]
+    assert path.read_bytes() == b"an earlier file"
+
+
+def test_writing_field_streams_the_file_write_field_writes(tmp_path, rng):
+    f = small_field(rng, frames=3)
+    write_field(tmp_path / "whole.rsf", f)
+    with fieldio.writing_field(tmp_path / "streamed.rsf", f.box, f.times) as put:
+        for frame in f.frames:
+            put(frame.data)
+            assert not (tmp_path / "streamed.rsf").exists()   # moved in at the end
+    assert sorted(os.listdir(tmp_path)) == ["streamed.rsf", "whole.rsf"]
+    assert ((tmp_path / "streamed.rsf").read_bytes()
+            == (tmp_path / "whole.rsf").read_bytes())
+
+
+def test_writing_field_refuses_a_short_run(tmp_path, rng):
+    f = small_field(rng, frames=3)
+    with pytest.raises(ValueError, match="2 frames written, the header lists 3"):
+        with fieldio.writing_field(tmp_path / "short.rsf", f.box, f.times) as put:
+            for frame in f.frames[:2]:
+                put(frame.data)
+    assert os.listdir(tmp_path) == []
+
+
+def test_read_field_keeps_a_window_of_the_asked_frames(tmp_path, rng):
+    f = small_field(rng, frames=4, n=(6, 5, 7))
+    write_field(tmp_path / "f.rsf", f)
+    window = (slice(1, 4), slice(0, 5), slice(2, 7))
+    held = read_field(tmp_path / "f.rsf", frames=[1, 2], window=window)
+    assert held.box == f.box and held.origin == (1, 0, 2)
+    assert held.times.tolist() == [f.times[1], f.times[2]]
+    for a, k in zip(held.frames, (1, 2)):
+        assert a.tobytes() == np.ascontiguousarray(
+            f.frames[k].data[(slice(None), *window)]).tobytes()
+

@@ -190,24 +190,24 @@ def test_chebyshev_inequality_at_every_sampled_level(rng):
 def test_l4_interpolation_check_closed_form(rng):
     g = bump_grid()
     M = weak_norm(g, 3.0)
-    chk = l4_interpolation_check(g, M)
+    chk = l4_interpolation_check(g, M, M)
     l6 = lp_norm(g, 6.0)
     assert chk.hypothesis_ok and chk.holds
     assert chk.constant == 6.0
     assert chk.rhs_bound == pytest.approx(6.0 * M ** 2 * l6 ** 2, rel=1e-12)
     assert chk.lhs_l4_integral == pytest.approx(lp_norm(g, 4.0) ** 4, rel=1e-12)
     # an undersized M breaks the hypothesis but is still reported
-    weakened = l4_interpolation_check(g, 0.5 * M)
+    weakened = l4_interpolation_check(g, 0.5 * M, M)
     assert not weakened.hypothesis_ok
     with pytest.raises(ValueError):
-        l4_interpolation_check(g, 0.0)
+        l4_interpolation_check(g, 0.0, M)
 
 
 def test_local_l2_check_closed_form():
     g = bump_grid(n=20)
     ball = Ball((0.0, 0.0, 0.0), 0.6)
     M = weak_norm(g, 3.0)
-    chk = local_l2_check(g, ball, M)
+    chk = local_l2_check(g, ball, M, M)
     assert chk.hypothesis_ok and chk.holds
     r = ball.r
     vb = chk.ball_volume_grid

@@ -29,6 +29,7 @@ from regscan.synth import (
     default_box,
     random_solenoidal,
     run_solver,
+    save_schedule,
     spike_field,
     taylor_green,
     _retained_block,
@@ -378,3 +379,23 @@ def test_retained_block_is_the_two_thirds_mask(n):
     X, rz = _retained_block(n)
     assert len(X) ** 2 * rz == np.count_nonzero(mask)
     assert mask[np.ix_(X, X, np.arange(rz))].all()
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(n=8, dt=0.01, t_end=0.07, save_every=3),      # last step off schedule
+    SolverConfig(n=9, dt=0.01, t_end=0.23, initial="random"),   # default schedule
+    SolverConfig(n=8, dt=0.01, t_end=0.05, save_every=1),
+], ids=["off-schedule", "default", "every-step"])
+def test_save_schedule_is_the_solvers_own(cfg):
+    steps, times = save_schedule(cfg)
+    run = run_solver(cfg)
+    assert steps[0] == 0 and steps[-1] == len(run.step_times) - 1
+    # fixed before step 1, each time is the solver's own step * dt, bit for bit
+    assert run.step_times[steps].tolist() == times == run.field.times.tolist()
+    handed = []
+    streamed = run_solver(cfg, save=lambda a: handed.append(a.copy()))
+    assert streamed.field is None and len(handed) == len(steps)
+    for a, frame in zip(handed, run.field.frames):
+        assert a.tobytes() == frame.data.tobytes()
+    for key in ("step_times", "energy", "dissipation", "cfl"):
+        assert getattr(streamed, key).tobytes() == getattr(run, key).tobytes()
