@@ -5,10 +5,7 @@ weak-norm layer (`lorentz` and the region masks) and the CLI reports, or
 compare two dumps bit for bit.
 
 A refactor that promises unchanged floating-point results is checked by
-dumping at the parent commit and at the change, then comparing (a result
-record is dumped through its `to_dict()` where it has one and as its
-fields otherwise, so the script runs against both sides of the change that
-made the fields the payload keys):
+dumping at the parent commit and at the change, then comparing:
 
     PYTHONPATH=<parent>/src python scripts/golden_outputs.py dump parent.npz
     PYTHONPATH=src python scripts/golden_outputs.py dump change.npz
@@ -22,17 +19,9 @@ to p_h, `estar` of a random forcing on 17 x 20 x 23 cells,
 rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
 `localize` run dumps its `to_dict()` payload, its chains as lists of
-per-level lattice offsets (read from an array of offsets or from a list of
-cube objects with offsets `j`), its cluster sizes and its clusters as
-sorted offset lists, and the per-level F and G offsets; each run passes
-the one eps it selects at. Each level of the payload keeps only
-`LEVEL_KEYS`: the counts, measures and `weak_*` keys, and not the
-`overlap_*` and `packing_*` keys (or the disjoint-packing count) of the
-count certificate, which changed form; so a dump of the parent compares
-with one of a change to that certificate. Every payload also drops
-`NEW_KEYS`, the keys older versions do not report: `localize`'s `chains`
-and `cluster_sizes`, which the chains and cluster-size outputs carry, and
-`stokes-check`'s `cube_analysed`. The clusters section dumps the
+per-level lattice offsets, its cluster sizes and its clusters as sorted
+offset lists, and the per-level F and G offsets; each run passes the one
+eps it selects at. The clusters section dumps the
 `_cluster_labels` partition of seeded random offset sets, a broken filament
 and 8000 isolated offsets, with labels renumbered by first appearance, so a
 change of label numbering alone compares equal. The spread section dumps
@@ -55,14 +44,14 @@ random field, a field with many ties and zeros, and the zero field: the
 levels and measures, `l4_interpolation_check` and `local_l2_check` at the
 measured weak-L^3 norm M and at M/2 (1 and 1/2 for the zero field), and
 `region_measure` on balls and cubes off the cell lattice, whose `mask`s
-it dumps too (the checks are given the measured norm where they take it).
+it dumps too (the checks are given the measured norm).
 The CLI section runs `simulate` on a random start at n=27 whose last step
 is off the save schedule, dumping the written file's SHA-256 and the
 payload without the output path, then writes a seeded 24^3 random run to
 the same temporary directory and runs `norms --M auto`, `norms --M 0.5`, `scan`,
 `localize`, `stokes-check --bump`, `stokes-check --frame 2` (no bump, so
 one decoded frame) and `count-bound` on it in process, with relative paths,
-dumping each report's payload (cut as above) and `config_hash`, and dumps the exit code
+dumping each report's whole payload and `config_hash`, and dumps the exit code
 and JSON error of `norms --frame 0` on a copy whose last frame holds a NaN,
 which every frame's finiteness check must still catch. These are compared
 exactly, the `stokes-check` payloads too, since a report is promised byte
@@ -72,7 +61,6 @@ for byte.
 import contextlib
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -103,22 +91,10 @@ def _js(obj):
     return np.array(json.dumps(obj, sort_keys=True, default=float))
 
 
-def _record(x):
-    """A result record as a dict: its to_dict() where it has one, else its
-    fields, which are then its payload keys."""
-    return x.to_dict() if hasattr(x, "to_dict") else dataclasses.asdict(x)
-
-
-def _arr(v):
-    """A copy of a VectorGrid's (3, nx, ny, nz) values, built only from
-    `components`, which both the old and the new VectorGrid provide."""
-    return np.stack([c.data for c in v.components])
-
-
 def _solution(out, name, sol):
     out[f"{name}.p"] = sol.p.data
-    out[f"{name}.v"] = _arr(sol.v)
-    out[f"{name}.grad_p"] = _arr(sol.grad_p)
+    out[f"{name}.v"] = sol.v.data
+    out[f"{name}.grad_p"] = sol.grad_p.data
     out[f"{name}.residuals"] = _js(sol.residuals)
     out[f"{name}.residual_history"] = np.asarray(sol.residual_history)
 
@@ -141,8 +117,8 @@ def stokes_outputs(out):
     _solution(out, "estar(17,20,23)", estar(VectorGrid.from_array(
         Box3((0, 0, 0), (1, 1, 1), n), forcing)))
     out["harmonic_residual"] = _js(harmonic_residual(lp.solutions["ph"], u))
-    out["vector_laplacian"] = _arr(vector_laplacian(u))
-    out["convective_divergence"] = _arr(convective_divergence(u))
+    out["vector_laplacian"] = vector_laplacian(u).data
+    out["convective_divergence"] = convective_divergence(u).data
 
     phi = BumpTestFunction((np.pi, np.pi, np.pi), 1.8, 0.21, 0.15)
     out["local_energy_residual"] = _js(local_energy_residual(
@@ -158,31 +134,13 @@ def stokes_outputs(out):
         g, np.linspace(0.3, 0.9, 7), M=weak_norm(g, 3.0)))
 
 
-LEVEL_KEYS = ("level", "height", "measure_threshold", "n_selected", "n_extended",
-              "global_measure", "boundary_adjacent", "weak_ok", "weak_rhs")
-# payload keys that only newer versions report; the same values are dumped
-# from the result records (chains, cluster sizes) or not compared
-NEW_KEYS = ("chains", "cluster_sizes", "cube_analysed")
-
-
-def _comparable(payload):
-    """A payload without NEW_KEYS, whose levels (if any) keep only LEVEL_KEYS."""
-    payload = {k: v for k, v in payload.items() if k not in NEW_KEYS}
-    if "levels" in payload:
-        payload["levels"] = [{k: lev[k] for k in LEVEL_KEYS}
-                             for lev in payload["levels"]]
-    return payload
-
-
 def _localize_outputs(out, tag, frame, eps, k_max, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # deep levels span < 4 cells
         cs = localize(frame, AnalysisConfig(eps=eps), k_max,
                       on_underresolved="warn", **kw)
-    out[f"{tag}.payload"] = _js(_comparable(cs.to_dict()))
-    # a chain is a list of cubes with offsets j, or an array of offsets
-    out[f"{tag}.chains"] = _js([[[int(v) for v in getattr(c, "j", c)]
-                                 for c in chain] for chain in cs.chains])
+    out[f"{tag}.payload"] = _js(cs.to_dict())
+    out[f"{tag}.chains"] = _js(cs.chains.tolist())
     out[f"{tag}.cluster_sizes"] = _js([len(cl) for cl in cs.clusters])
     out[f"{tag}.clusters"] = _js([sorted([int(v) for v in c] for c in cl)
                                   for cl in cs.clusters])
@@ -280,7 +238,7 @@ def spread_outputs(out):
 def _run_outputs(out, tag, cfg):
     run = run_solver(cfg)
     out[f"{tag}.times"] = run.field.times
-    out[f"{tag}.frames"] = np.stack([_arr(fr) for fr in run.field.frames])
+    out[f"{tag}.frames"] = np.stack([fr.data for fr in run.field.frames])
     out[f"{tag}.step_times"] = run.step_times
     out[f"{tag}.energy"] = run.energy
     out[f"{tag}.dissipation"] = run.dissipation
@@ -304,7 +262,7 @@ def _fieldio_outputs(out, field, tmp):
     out["write_field.sha256"] = _js(hashlib.sha256(raw).hexdigest())
     back = read_field(path)
     out["read_field.times"] = back.times
-    out["read_field.frames"] = np.stack([_arr(fr) for fr in back.frames])
+    out["read_field.frames"] = np.stack([fr.data for fr in back.frames])
     out["read_field.layout"] = _js(sorted({
         (c.data.dtype.str, c.data.flags.c_contiguous, c.data.flags.writeable)
         for fr in back.frames for c in fr.components}))
@@ -319,7 +277,7 @@ def _fieldio_outputs(out, field, tmp):
     with open(bad_path, "wb") as fh:
         fh.write(raw[:len(raw) - bad.nbytes] + bad.tobytes())
     out["read_field.nonfinite"] = _js(_error(lambda: read_field(bad_path)))
-    arr = _arr(field.frames[1])   # a copy: the frame itself stays finite
+    arr = field.frames[1].data.copy()   # the frame itself stays finite
     arr[2, 3, 4, 5] = np.inf
     one = VectorGrid.from_array(field.box, arr)
     out["write_field.nonfinite"] = _js(_error(
@@ -331,10 +289,10 @@ def _fieldio_outputs(out, field, tmp):
 def _cylinder_outputs(out, tag, f, cyl, eps=0.1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # t0 need not be a sample time
-        out[f"{tag}.quant_report"] = _js(_record(quant_report(
+        out[f"{tag}.quant_report"] = _js(dataclasses.asdict(quant_report(
             f, cyl, AnalysisConfig(eps=eps))))
     out[f"{tag}.q3"] = _js(q3(f, cyl))
-    out[f"{tag}.caccioppoli"] = _js(_record(caccioppoli_sides(f, cyl)))
+    out[f"{tag}.caccioppoli"] = _js(dataclasses.asdict(caccioppoli_sides(f, cyl)))
     out[f"{tag}.energy_sup"] = _js(energy_sup(f, cyl))
 
 
@@ -342,12 +300,12 @@ def _rescale_outputs(out, tag, f):
     x0 = (3.0, 3.2, 2.9)
     pull = rescale(f, 1.7, (x0, f.times[-2]))
     out[f"{tag}.pullback.times"] = pull.times
-    out[f"{tag}.pullback.frames"] = np.stack([_arr(fr) for fr in pull.frames])
+    out[f"{tag}.pullback.frames"] = np.stack([fr.data for fr in pull.frames])
     box = Box3((2.1, 2.5, 2.0), (3.9, 4.0, 3.7), (20, 17, 23))
     times = np.linspace(f.times[1] + 0.003, f.times[-1], 5)
     res = rescale(f, 0.8, (x0, f.times[3]), target_box=box,
                   target_times=times)
-    out[f"{tag}.resampled.frames"] = np.stack([_arr(fr) for fr in res.frames])
+    out[f"{tag}.resampled.frames"] = np.stack([fr.data for fr in res.frames])
 
 
 def pipeline_outputs(out):
@@ -388,14 +346,6 @@ def pipeline_outputs(out):
         field.times[20:27], field.frames[20:27]))
 
 
-def _measured(check, *args, weak):
-    """check(*args, weak), given the measured weak-L^3 norm; older versions
-    take no such argument and measure it themselves."""
-    if len(inspect.signature(check).parameters) > len(args):
-        return check(*args, weak)
-    return check(*args)
-
-
 def lorentz_outputs(out):
     box = Box3((0, 0, 0), (1, 1, 1), (48, 48, 48))
     spec = SpikeSpec(centers=[(0.5, 0.5, 0.5)], amplitudes=[0.125],
@@ -415,7 +365,7 @@ def lorentz_outputs(out):
     for tag, f in fields.items():
         for q, r in ((3.0, 2.0), (4.0, 2.0), (2.5, 1.0)):
             out[f"lorentz.{tag}.norms(q{q},r{r})"] = _js(
-                _record(NormReport.from_scalar(f, q, r)))
+                dataclasses.asdict(NormReport.from_scalar(f, q, r)))
         prof = distribution(f)
         out[f"lorentz.{tag}.levels"] = prof.levels
         out[f"lorentz.{tag}.measures"] = prof.measures
@@ -423,9 +373,9 @@ def lorentz_outputs(out):
         M = w or 1.0
         for m_tag, m in (("M", M), ("M/2", 0.5 * M)):
             out[f"lorentz.{tag}.l4_interpolation({m_tag})"] = _js(
-                _record(_measured(l4_interpolation_check, f, m, weak=w)))
+                dataclasses.asdict(l4_interpolation_check(f, m, w)))
             out[f"lorentz.{tag}.local_l2({m_tag})"] = _js(
-                _record(_measured(local_l2_check, f, regions["ball"], m, weak=w)))
+                dataclasses.asdict(local_l2_check(f, regions["ball"], m, w)))
         for name, region in regions.items():
             out[f"lorentz.{tag}.region_measure({name})"] = _js(
                 [region_measure(f, region, h) for h in (0.0, 0.1 * M, M)])
@@ -491,7 +441,7 @@ def cli_outputs(out):
                     raise RuntimeError(f"regscan {' '.join(argv)} exited {rc}")
                 with open("report.json") as fh:
                     doc = json.load(fh)
-                out[f"cli.{tag}.payload"] = _js(_comparable(doc["payload"]))
+                out[f"cli.{tag}.payload"] = _js(doc["payload"])
                 out[f"cli.{tag}.config_hash"] = _js(doc["manifest"]["config_hash"])
             # a NaN as the last value of the last frame fails a read of frame 0
             with open("run.rsf", "rb") as fh:

@@ -11,7 +11,6 @@ report.
 """
 
 import argparse
-import ctypes
 import dataclasses
 import hashlib
 import json
@@ -41,25 +40,6 @@ from .stokes import (
 from .synth import SolverConfig, SolverError, default_box, run_solver, save_schedule
 
 SCHEMA_VERSION = 1
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):    # no glibc: nothing to release
-    _malloc_trim = None
-
-
-def _release_heap():
-    """Hand the heap's free pages back to the OS (glibc only).
-
-    glibc raises its mmap threshold to the size of the largest block freed
-    so far, so later grid-sized arrays come from the heap, and the holes
-    they leave there stay resident. A command run after another in one
-    process would then peak higher by an amount that depends on where the
-    earlier command's arrays happened to land.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
 
 def _jsonable(obj):
     """Coerce records (keyed by field name), numpy values and containers to JSON."""
@@ -389,7 +369,10 @@ def _document(args, started, result):
         "payload": _jsonable(payload),
         "manifest": _manifest(kind, arg_items, inputs, outputs, wall),
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    try:    # strict JSON: a bound beyond a float is an error, not "Infinity"
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"the {kind} report holds a number beyond a float") from None
     if args.report_out:
         with open(args.report_out, "w") as fh:
             fh.write(text + "\n")
@@ -404,10 +387,8 @@ def main(argv=None):
             result = args.func(args)
             report = None if result is None else _document(args, started, result)
         except (argparse.ArgumentError, FieldFormatError, SolverError, StokesError,
-                CountBoundError, ValueError, OSError) as exc:
+                CountBoundError, ValueError, OverflowError, OSError) as exc:
             return _fail(exc, caught)
-        finally:
-            _release_heap()
     for w in caught:   # a successful command shows its warnings as raised
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     if report is None:                      # report command prints directly

@@ -55,6 +55,8 @@ def writing_field(path, box, times):
     removed, so path is left as it was."""
     header = {"format": "rsf", "version": 1, "lo": list(box.lo), "hi": list(box.hi),
               "n": list(box.n), "components": 3, "times": [float(t) for t in times]}
+    if not np.isfinite(header["times"]).all():
+        raise FieldFormatError("frame times must be finite")
     part, written = f"{os.fspath(path)}.part", 0
 
     def put(data):
@@ -132,6 +134,8 @@ def _read_header(fh):
         raise FieldFormatError(f"bad times: {exc}", offset=len(MAGIC))
     if not times:
         raise FieldFormatError("header lists no frame times", offset=len(MAGIC))
+    if not np.isfinite(times).all():
+        raise FieldFormatError("frame times must be finite", offset=len(MAGIC))
     if any(not b > a for a, b in zip(times, times[1:])):
         raise FieldFormatError("times must be strictly increasing", offset=len(MAGIC))
     try:

@@ -5,7 +5,8 @@ of a box with spacing h owns the sample at ``lo + (index + 1/2) * h``.
 Data arrays are indexed ``data[ix, iy, iz]``; serialization flattens them
 x-fastest (Fortran order). A VectorGrid holds one float array of shape
 ``(3, nx, ny, nz)``, component first; its ``.data`` is that array itself,
-not a copy, and its ``components`` are ScalarGrid views into it.
+not a copy, and its ``components`` are ScalarGrid views into it. One
+``gradient(data, spacing)`` differentiates the last three axes of any array.
 """
 
 import warnings
@@ -24,8 +25,6 @@ __all__ = [
     "Cylinder",
     "region_measure",
     "gradient",
-    "array_gradient",
-    "scalar_gradient",
 ]
 
 
@@ -162,10 +161,6 @@ class SpaceTimeField:
     def box(self):
         return self.frames[0].box
 
-    def frame_index_at(self, t):
-        """Index of the frame nearest to t (warn when not an exact sample time)."""
-        return nearest_frame(self.times, t)
-
 
 def nearest_frame(times, t):
     """Index of the time nearest to t (warn when t is not one of them)."""
@@ -277,32 +272,15 @@ def region_measure(f, region, h):
     return float(np.count_nonzero(mask & over) * f.box.cell_volume)
 
 
-def _derivatives(a, spacing):
-    """The three partial derivatives of one (nx, ny, nz) array of cell samples:
-    central differences inside, one-sided at the array's faces."""
-    if any(m < 3 for m in a.shape):
+def gradient(data, spacing):
+    """Derivatives along the last three axes of a (..., nx, ny, nz) array of
+    cell samples at the given spacing, stacked just before those axes: of a
+    scalar array the (3, nx, ny, nz) gradient, of a velocity array the
+    tensor out[i, j] = d u_i / d x_j. Inside the array a derivative reads
+    the cell's two neighbours along its axis, at a face the two cells inward
+    (second order). So on a slice of a field's data it equals the field's own
+    gradient at every cell off the slice's faces and on every face the slice
+    shares with the field. Requires >= 3 cells per axis."""
+    if any(m < 3 for m in np.shape(data)[-3:]):
         raise ValueError("gradient needs at least 3 cells per axis")
-    return np.stack(np.gradient(a, *spacing, edge_order=2))
-
-
-def scalar_gradient(g):
-    """Gradient of a ScalarGrid: central differences inside, one-sided at faces.
-
-    Returns an array of shape (3, nx, ny, nz). Requires >= 3 cells per axis.
-    """
-    return _derivatives(g.data, g.box.spacing)
-
-
-def gradient(v):
-    """Velocity gradient tensor: out[i, j] = d u_i / d x_j, shape (3, 3, nx, ny, nz)."""
-    return array_gradient(v.data, v.box.spacing)
-
-
-def array_gradient(data, spacing):
-    """Velocity gradient tensor of a (3, nx, ny, nz) array of cell samples at
-    the given spacing, laid out as `gradient`'s. Inside the array a
-    derivative reads the cell's two neighbours along its axis, at a face
-    the two cells inward. So on a slice of a field's data it equals the
-    field's own gradient at every cell off the slice's faces and on every
-    face the slice shares with the field. Requires >= 3 cells per axis."""
-    return np.stack([_derivatives(c, spacing) for c in data])
+    return np.stack(np.gradient(data, *spacing, axis=(-3, -2, -1), edge_order=2), axis=-4)

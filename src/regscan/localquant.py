@@ -21,8 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .grid import (Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, array_gradient,
-                   nearest_frame)
+from .grid import Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, gradient, nearest_frame
 
 __all__ = [
     "AnalysisConfig",
@@ -248,7 +247,7 @@ def caccioppoli_sides(f, cyl):
     def grad_squared(idx):
         if grad_win is None:
             return np.zeros(len(idx))
-        g2 = ((array_gradient(_cells(f, i, grad_win), h) ** 2).sum(axis=(0, 1))
+        g2 = ((gradient(_cells(f, i, grad_win), h) ** 2).sum(axis=(0, 1))
               for i in idx)
         return np.array([np.sum(g[in_grad]) * c for g in g2])
 

@@ -25,8 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import (Ball, Box3, ScalarGrid, VectorGrid, _require_finite,
-                   gradient, scalar_gradient)
+from .grid import Ball, Box3, ScalarGrid, VectorGrid, _require_finite, gradient
 
 __all__ = [
     "StokesError", "StokesSolution", "LocalPressure", "BumpTestFunction",
@@ -298,11 +297,10 @@ def estar(F):
                  "divergence": divv / bnorm if bnorm > 0 else divv,
                  "mean_p": abs(float(p.mean()))}
 
-    p_grid = ScalarGrid(box, p)
     return StokesSolution(
         v=VectorGrid.from_array(box, np.array(
             [_avg(_with_walls(f, a), a) for a, f in enumerate(vfaces)])),
-        p=p_grid, grad_p=VectorGrid.from_array(box, scalar_gradient(p_grid)),
+        p=ScalarGrid(box, p), grad_p=VectorGrid.from_array(box, gradient(p, h)),
         residuals=residuals, iterations=max(len(history) - 1, 0),
         residual_history=history)
 
@@ -378,7 +376,7 @@ class LocalPressure:
 def _warn_if_compressible(u, what, interior=False):
     """Warn when rms |div u| exceeds a tenth of rms |∇u|: `what` assumes
     div u ≈ 0. interior=True skips the one-sided wall layer of div u."""
-    gu = gradient(u)
+    gu = gradient(u.data, u.box.spacing)
     divu = gu[0, 0] + gu[1, 1] + gu[2, 2]
     if interior:
         divu = divu[1:-1, 1:-1, 1:-1]
@@ -584,8 +582,8 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
         uarr, gph = u.data, lp.grad_ph.data
         varr = uarr + gph
         v2 = (varr ** 2).sum(axis=0)
-        gv = gradient(VectorGrid.from_array(sub_box, varr))
-        hess = gradient(VectorGrid.from_array(sub_box, gph))
+        gv = gradient(varr, sub_box.spacing)
+        hess = gradient(gph, sub_box.spacing)
         contraction = sum(varr[a] * uarr[b] * hess[a][b]
                           for a in range(3) for b in range(3))
         psum = lp.solutions["p1"].p.data + nu * lp.solutions["p2"].p.data

@@ -90,15 +90,6 @@ def test_count_bound_rejects_non_finite_m(capsys, M):
     assert "M must be finite and nonnegative" in err["error"]
 
 
-
-def test_every_command_releases_the_heap(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "_malloc_trim", calls.append)
-    assert main(["count-bound", "--M", "1.0", "--eps", "0.1"]) == 0
-    assert main(["count-bound", "--M", "-1.0", "--eps", "0.1"]) == 1
-    capsys.readouterr()
-    assert calls == [0, 0]
-
 def test_config_hash_is_deterministic(capsys):
     a = run_json(capsys, ["count-bound", "--M", "2.0", "--eps", "0.2"])
     b = run_json(capsys, ["count-bound", "--M", "2.0", "--eps", "0.2"])
@@ -159,6 +150,73 @@ def one_line_error(capsys, rc):
     err = err.splitlines()
     assert len(err) == 1
     return json.loads(err[0])
+
+
+def test_count_bound_with_a_huge_m_is_a_clean_error(capsys, tmp_path):
+    # M ** 3 overflows a float
+    out = tmp_path / "cb.json"
+    err = one_line_error(capsys, main(["count-bound", "--M", "1e200", "--eps", "0.1",
+                                       "--out", str(out)]))
+    assert err["type"] == "OverflowError" and not out.exists()
+
+
+def test_norms_with_a_huge_m_is_a_clean_error(capsys, field_file, tmp_path):
+    # M ** 3 in the interpolation checks overflows a float
+    out = tmp_path / "norms.json"
+    err = one_line_error(capsys, main(["norms", field_file[0], "--M", "1e200",
+                                       "--out", str(out)]))
+    assert err["type"] == "OverflowError" and not out.exists()
+
+
+@pytest.mark.parametrize("M", ["1e200", "1e120"])
+def test_localize_with_a_huge_m_is_a_clean_error(capsys, field_file, tmp_path, M):
+    # (M / height) ** 3 of the level-0 certificate overflows a float
+    out = tmp_path / "localize.json"
+    err = one_line_error(capsys, main(["localize", field_file[0], "--M", M, "--kmax", "0",
+                                       "--on-underresolved", "warn", "--out", str(out)]))
+    assert err["type"] == "OverflowError" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "FIELD", "--M", "5e102"],
+    ["localize", "FIELD", "--M", "1e101", "--kmax", "0"],
+], ids=["norms", "localize"])
+def test_a_bound_that_overflows_to_infinity_is_a_clean_error(capsys, field_file, argv):
+    # no exception on the way: 4 M^3 and M^3 eps^-7 round to inf
+    err = one_line_error(capsys, main([field_file[0] if a == "FIELD" else a for a in argv]))
+    assert err == {"error": f"the {argv[0]} report holds a number beyond a float",
+                   "type": "ValueError"}
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which strict JSON has no words for."""
+    def refuse(name):
+        raise ValueError(f"report holds {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_report_is_strict_json(capsys, field_file, tmp_path):
+    path, _ = field_file
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"n": 16, "nu": 0.05, "dt": 0.01, "t_end": 0.03, "save_every": 1}))
+    runs = {
+        "norms": ["norms", path, "--M", "auto"],
+        "scan": ["scan", path, "--x0", "0.5,0.5,0.5", "--t0", "0.15", "--r", "0.35"],
+        "localize": ["localize", path, "--kmax", "2"],
+        "stokes": ["stokes-check", path, "--cube", "0.25,0.25,0.25,0.5"],
+        "stokes-bump": ["stokes-check", path, "--cube", "0.25,0.25,0.25,0.5",
+                        "--bump", "0.5,0.5,0.5,0.22,0.1,0.1"],
+        "simulate": ["simulate", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "run.rsf"), "--report"],
+        "count-bound": ["count-bound", "--M", "1.0", "--eps", "0.1"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        if argv[-1] != "--report":
+            argv.append("--out")
+        assert main(argv + [str(out)]) == 0, name
+        assert strict_json(out.read_text())["payload"], name
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("M", ["nan", "inf", "-1"])

@@ -189,6 +189,9 @@ def test_read_frames_are_writable_contiguous_float64(tmp_path, rng):
     ("times", 5, "bad times"),
     ("times", [0.1, 0.1], "strictly increasing"),
     ("times", [], "no frame times"),
+    ("times", [0.0, float("inf")], "frame times must be finite"),
+    ("times", [float("-inf"), 0.1], "frame times must be finite"),
+    ("times", [0.0, float("nan")], "frame times must be finite"),
 ])
 def test_malformed_header_values(tmp_path, rng, key, value, message):
     raw = valid_bytes(tmp_path, rng)
@@ -306,6 +309,15 @@ def test_writing_field_refuses_a_short_run(tmp_path, rng):
         with fieldio.writing_field(tmp_path / "short.rsf", f.box, f.times) as put:
             for frame in f.frames[:2]:
                 put(frame.data)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_writing_field_refuses_a_non_finite_time_before_writing(tmp_path, rng, bad):
+    f = small_field(rng)
+    with pytest.raises(FieldFormatError, match="frame times must be finite"):
+        with fieldio.writing_field(tmp_path / "f.rsf", f.box, [0.0, bad]):
+            pass
     assert os.listdir(tmp_path) == []
 
 

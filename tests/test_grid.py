@@ -12,8 +12,8 @@ from regscan.grid import (
     SpaceTimeField,
     VectorGrid,
     gradient,
+    nearest_frame,
     region_measure,
-    scalar_gradient,
 )
 
 
@@ -100,12 +100,12 @@ def test_space_time_field_validation():
     with pytest.raises(ValueError):
         SpaceTimeField([0.0, 1.0], [f0, constant_frame(unit_box(5))])
     f = SpaceTimeField([0.0, 0.5, 1.0], [f0, f0, f0])
-    assert f.frame_index_at(0.5) == 1
+    assert nearest_frame(f.times, 0.5) == 1
     with pytest.warns(UserWarning):
-        assert f.frame_index_at(0.52) == 1
+        assert nearest_frame(f.times, 0.52) == 1
     for t in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="time must be finite"):
-            f.frame_index_at(t)
+            nearest_frame(f.times, t)
 
 
 def test_region_masks_match_direct_predicates():
@@ -164,26 +164,55 @@ def test_region_measure_by_cell_counting():
         assert region_measure(g, Ball((5.0, 5.0, 5.0), 0.1), 0.0) == 0.0
 
 
-def test_scalar_gradient_exact_on_affine():
+def test_gradient_of_a_scalar_exact_on_affine():
     box = Box3((0, 0, 0), (1, 2, 1), (8, 8, 8))
     g = ScalarGrid.sample(box, lambda x, y, z: 2.0 * x - 3.0 * y + 0.5 * z)
-    grad = scalar_gradient(g)
+    grad = gradient(g.data, box.spacing)
     assert grad.shape == (3, 8, 8, 8)
     assert np.allclose(grad[0], 2.0, atol=1e-12)
     assert np.allclose(grad[1], -3.0, atol=1e-12)
     assert np.allclose(grad[2], 0.5, atol=1e-12)
-    with pytest.raises(ValueError):
-        scalar_gradient(ScalarGrid(Box3((0, 0, 0), (1, 1, 1), (2, 4, 4)),
-                                   np.zeros((2, 4, 4))))
 
 
 def test_velocity_gradient_tensor_layout():
     box = unit_box(8)
     v = VectorGrid.sample(box, lambda x, y, z: (y, z, x))
-    tensor = gradient(v)
+    tensor = gradient(v.data, box.spacing)
     assert tensor.shape == (3, 3, 8, 8, 8)
     # d u_i / d x_j: u1 = y, u2 = z, u3 = x
     assert np.allclose(tensor[0, 1], 1.0, atol=1e-12)
     assert np.allclose(tensor[1, 2], 1.0, atol=1e-12)
     assert np.allclose(tensor[2, 0], 1.0, atol=1e-12)
     assert np.allclose(tensor[0, 0], 0.0, atol=1e-12)
+
+
+def stacked_gradient(data, spacing):
+    """np.gradient one (nx, ny, nz) array at a time, stacked component first."""
+    if data.ndim == 3:
+        return np.stack(np.gradient(data, *spacing, edge_order=2))
+    return np.stack([stacked_gradient(c, spacing) for c in data])
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 32), (3, 32, 32, 32), (3, 9, 11, 7),
+                                   (3, 3, 5, 4)])
+def test_gradient_is_per_component_np_gradient_bit_for_bit(shape):
+    data = np.random.default_rng(1).normal(size=shape)
+    spacing = (0.1, 0.25, 1.0 / 3.0)
+    out = gradient(data, spacing)
+    assert out.shape == (3, *shape)
+    assert out.tobytes() == stacked_gradient(data, spacing).tobytes()
+
+
+@pytest.mark.parametrize("window", [(slice(5, 17), slice(0, 9), slice(20, 32)),
+                                    (slice(1, 4), slice(28, 32), slice(0, 32))])
+def test_gradient_of_a_sliced_window_is_bit_for_bit(window):
+    # a (non-contiguous) index window of a frame, as the cylinder quantities take it
+    data = np.random.default_rng(2).normal(size=(3, 32, 32, 32))[(slice(None), *window)]
+    spacing = (0.1, 0.25, 1.0 / 3.0)
+    assert gradient(data, spacing).tobytes() == stacked_gradient(data, spacing).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4), (4, 2, 4), (3, 4, 4, 2)])
+def test_gradient_needs_three_cells_per_axis(shape):
+    with pytest.raises(ValueError, match="at least 3 cells per axis"):
+        gradient(np.zeros(shape), (1.0, 1.0, 1.0))

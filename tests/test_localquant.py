@@ -152,15 +152,15 @@ def test_caccioppoli_takes_gradients_only_on_the_inner_window(monkeypatch):
     cyl = Cylinder((0.5, 0.5, 0.5), t0=0.9, r=0.5)
     expected = caccioppoli_sides(f, cyl)
     seen, shapes = [], []
-    array_gradient = regscan.localquant.array_gradient
+    original = regscan.localquant.gradient
 
     def recording(data, spacing):
         seen.append(next(i for i, fr in enumerate(f.frames)
                          if np.shares_memory(data, fr.data)))
         shapes.append(data.shape)
-        return array_gradient(data, spacing)
+        return original(data, spacing)
 
-    monkeypatch.setattr(regscan.localquant, "array_gradient", recording)
+    monkeypatch.setattr(regscan.localquant, "gradient", recording)
     assert caccioppoli_sides(f, cyl) == expected
     # inner window [0.9 - 0.0625, 0.9] is read from the frames at 0.8 and 0.9
     assert seen == [8, 9]
@@ -352,7 +352,7 @@ def full_box_caccioppoli(f, cyl):
         return sums[idx, 0] ** 3
 
     def grad_squared(idx):
-        g2 = ((gradient(f.frames[i]) ** 2).sum(axis=(0, 1)) for i in idx)
+        g2 = ((gradient(f.frames[i].data, f.box.spacing) ** 2).sum(axis=(0, 1)) for i in idx)
         return np.array([np.sum(g[mask_in]) * c for g in g2])
 
     ie23 = _time_integral(f.times, energy_cubed, cyl.t_start, cyl.t0)
