@@ -11,6 +11,7 @@ report.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -40,6 +41,25 @@ from .stokes import (
 from .synth import SolverConfig, SolverError, default_box, run_solver, save_schedule
 
 SCHEMA_VERSION = 1
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):    # no glibc: nothing to release
+    _malloc_trim = None
+
+
+def _release_heap():
+    """Hand the heap's free pages back to the OS (glibc only).
+
+    glibc raises its mmap threshold to the size of the largest block freed
+    so far, so later grid-sized arrays come from the heap, and the holes
+    they leave there stay resident. A command run after another in one
+    process would then peak higher by an amount that depends on where the
+    earlier command's arrays happened to land.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
 
 def _jsonable(obj):
     """Coerce records (keyed by field name), numpy values and containers to JSON."""
@@ -389,6 +409,8 @@ def main(argv=None):
         except (argparse.ArgumentError, FieldFormatError, SolverError, StokesError,
                 CountBoundError, ValueError, OverflowError, OSError) as exc:
             return _fail(exc, caught)
+        finally:
+            _release_heap()
     for w in caught:   # a successful command shows its warnings as raised
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     if report is None:                      # report command prints directly

@@ -90,6 +90,15 @@ def test_count_bound_rejects_non_finite_m(capsys, M):
     assert "M must be finite and nonnegative" in err["error"]
 
 
+def test_every_command_releases_the_heap(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_malloc_trim", calls.append)
+    assert main(["count-bound", "--M", "1.0", "--eps", "0.1"]) == 0
+    assert main(["count-bound", "--M", "-1.0", "--eps", "0.1"]) == 1
+    capsys.readouterr()
+    assert calls == [0, 0]
+
+
 def test_config_hash_is_deterministic(capsys):
     a = run_json(capsys, ["count-bound", "--M", "2.0", "--eps", "0.2"])
     b = run_json(capsys, ["count-bound", "--M", "2.0", "--eps", "0.2"])
