@@ -236,6 +236,7 @@ def _make_family(mag, k, eps, keys, M, prefix):
     M defaults to the weak-L^3 norm of the magnitude grid mag."""
     if M is None:
         M = weak_norm(mag, 3.0)
+    count_bound(M, eps)     # rejects M; (M / height)^3 is at most the bound it checks
     height = (2.0 ** k) * eps
     thr = (2.0 ** (-3 * k)) * eps
     p, global_measure = prefix
@@ -294,18 +295,21 @@ def select_fk(mag, prev, M=None):
     return _make_family(mag, k, eps, keys, M, prefix)
 
 
-def _check_m(M):
-    if not (np.isfinite(M) and M >= 0):
-        raise ValueError(f"M must be finite and nonnegative, got {M}")
-
-
 def count_bound(M, eps):
     """Upper bound eps^-7 M^3 + eps^-3 on the number of candidate points."""
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    _check_m(M)
+    if not (np.isfinite(M) and M >= 0):
+        raise ValueError(f"M must be finite and nonnegative, got {M}")
     inv = 1.0 / eps
-    return M ** 3 * inv ** 7 + inv ** 3
+    try:
+        with np.errstate(over="ignore"):    # a numpy M rounds to inf, a float M raises
+            bound = M ** 3 * inv ** 7 + inv ** 3
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(f"M = {M:g} overflows the count bound eps^-7 M^3 + eps^-3")
+    return bound
 
 
 def _parents_of(keys, eps):
@@ -507,7 +511,7 @@ def localize(frame, cfg, k_max, M=None, on_underresolved="error"):
     if math.ldexp(1.0, -k_max) < hmax:
         raise ValueError(f"k_max {k_max} makes cubes narrower than a cell of {hmax!r}")
     if M is not None:
-        _check_m(M)
+        count_bound(M, cfg.eps)     # M and the bound it sets, before any selection
     mag = frame.magnitude()
     del frame   # the levels read |u| alone; with no other reference the frame goes here
     underresolved = [k for k in range(k_max + 1) if 2.0 ** (-k) < 4.0 * hmax]

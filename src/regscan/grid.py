@@ -42,6 +42,7 @@ class Box3:
         n = tuple(int(v) for v in self.n)
         if len(lo) != 3 or len(hi) != 3 or len(n) != 3:
             raise ValueError("Box3 requires 3 components for lo, hi, n")
+        _require_finite("box", lo=lo, hi=hi)
         if any(h <= l for l, h in zip(lo, hi)):
             raise ValueError(f"box must satisfy hi > lo componentwise, got lo={lo} hi={hi}")
         if any(m <= 0 for m in n):

@@ -197,20 +197,21 @@ class InterpolationCheck:
     constant: float = 6.0
 
 
-def _check_m(M):
-    if not (np.isfinite(M) and M > 0):
+def _check_m(M, zero):
+    if not (np.isfinite(M) and (M > 0 or (M == 0 and zero))):
         raise ValueError(f"M must be finite and positive, got {M}")
 
 
 def l4_interpolation_check(f, M, w):
     """Check int |f|^4 <= 4 M^3 H + 2 ||f||_6^6 H^-2 at H = ||f||_6^2 / M,
-    with the hypothesis checked on w, the measured weak_norm(f, 3)."""
-    _check_m(M)
+    with the hypothesis checked on w, the measured weak_norm(f, 3); M = 0
+    (the zero field's w) is taken when f is zero, and the bound is 0."""
     c = f.box.cell_volume
     a = np.abs(f.data)
     lhs = float(np.sum(a ** 4) * c)
     s6 = float(np.sum(a ** 6) * c)
     l6 = s6 ** (1.0 / 6.0)
+    _check_m(M, s6 == 0.0)
     if s6 == 0.0:
         return InterpolationCheck(0.0, 0.0, 0.0, M, w, 0.0, True, True)
     H = l6 ** 2 / M
@@ -246,16 +247,17 @@ class LocalL2Check:
 
 def local_l2_check(f, ball, M, w):
     """Check int_{B(x0,r)} |f|^2 <= V_B H^2 + 2 M^3 / H at H = M / r, with
-    the hypothesis checked on w, the measured weak_norm(f, 3)."""
-    _check_m(M)
+    the hypothesis checked on w, the measured weak_norm(f, 3); M = 0 is
+    taken when the lhs is 0, and the bound is its limit 0."""
     mask = ball.mask(f.box)
-    if not mask.any():
-        warnings.warn("ball contains no cell centers of the sampled box")
     c = f.box.cell_volume
     lhs = float(np.sum(f.data[mask] ** 2) * c)
+    _check_m(M, lhs == 0.0)
+    if not mask.any():
+        warnings.warn("ball contains no cell centers of the sampled box")
     vb = float(np.count_nonzero(mask) * c)
     H = M / ball.r
-    rhs = vb * H ** 2 + 2.0 * M ** 3 / H
+    rhs = vb * H ** 2 + (2.0 * M ** 3 / H if M > 0 else 0.0)   # 2 M^3 / H = 2 M^2 r
     cv = 4.0 / 3.0 * np.pi
     return LocalL2Check(
         lhs_l2_integral=lhs, rhs_bound=rhs, cut_H=H, M=float(M), weak_norm_measured=w,

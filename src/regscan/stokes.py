@@ -1,7 +1,7 @@
 """Local pressure projection on a cube and its verification quantities.
 
 estar(F) solves the steady Stokes system -Δv + ∇p = F, div v = 0 on a
-cube with zero boundary velocity and mean-zero pressure, and returns ∇p.
+cube with zero boundary velocity and mean-zero pressure, and records p alone.
 The discretization is a staggered (MAC) grid: pressures at cell centers,
 velocity components on their normal faces, which gives exact discrete
 div/grad duality and no pressure checkerboard. Each velocity component's
@@ -59,8 +59,8 @@ def _check_domain(box):
 #
 # Component a lives on its interior a-faces: an array of shape n with n[a]-1
 # along axis a, which holds exactly the unknowns. The zero wall faces are
-# not stored; only the stencils that read them (_div_faces, _apply_a and
-# the face-to-center average in estar) pad them in.
+# not stored; only the stencils that read them (_div_faces and _apply_a)
+# pad them in.
 
 
 def _ax(axis, s):
@@ -82,11 +82,6 @@ def _d2(x, axis):
 def _with_walls(x, axis):
     """Interior face values padded with the zero wall faces of one axis."""
     return np.pad(x, [(1, 1) if b == axis else (0, 0) for b in range(3)])
-
-
-def _to_faces(v):
-    # interior face i sits between cells i and i+1
-    return [_avg(c, a) for a, c in enumerate(v.data)]
 
 
 def _div_faces(faces, h):
@@ -200,14 +195,17 @@ def _apply_a(faces, h):
 
 @dataclass
 class StokesSolution:
-    """Velocity, mean-zero pressure and its gradient from one projection."""
+    """Mean-zero pressure of one projection, with its solve's residuals and CG history."""
 
-    v: VectorGrid
     p: ScalarGrid
-    grad_p: VectorGrid
     residuals: dict
     iterations: int
     residual_history: list = field(default_factory=list, repr=False)
+
+    @property
+    def grad_p(self):
+        """Cell-centred ∇p, derived on every read so a held record keeps p alone."""
+        return VectorGrid.from_array(self.p.box, gradient(self.p.data, self.p.box.spacing))
 
     @property
     def _face_grad(self):
@@ -217,13 +215,13 @@ class StokesSolution:
 
 def estar(F):
     """Gradient part of F on a cube: solve the zero-boundary steady Stokes
-    system and return ∇p (plus the full solution record).
+    system and return its StokesSolution, whose grad_p is ∇p.
 
     CG runs on the cosine coefficients p̂ of the pressure (see _basis),
     where the Schur complement -div A⁻¹ ∇ is Σ_a K_aᵀ K_a / lam[a], until
     the relative residual falls to CG_TOL. The basis is orthonormal, so
     the residual norms are those of cell space.
-    The momentum and divergence residuals are checked on the faces.
+    The face velocities serve the momentum and divergence residuals alone.
 
     Accepts a cell-centered VectorGrid; a StokesSolution may be passed to
     reapply the projection to its own gradient without the cell/face
@@ -233,7 +231,8 @@ def estar(F):
     box = F.p.box if reapply else F.box
     _check_domain(box)
     n, h = box.n, box.spacing
-    faces = F._face_grad if reapply else _to_faces(F)
+    # interior face i sits between cells i and i+1
+    faces = F._face_grad if reapply else [_avg(c, a) for a, c in enumerate(F.data)]
 
     B = _basis(n, h)
     cap = 10 * max(n)
@@ -284,25 +283,19 @@ def estar(F):
 
     p = _contract(p_hat, [c.T for c in B.C])
     p -= p.mean()
-    gfaces = _grad_to_faces(p, h)
     vfaces = [_contract((f_hat[a] - B.g[a] * x) / B.lam[a], [q.T for q in B.Q[a]])
               for a, x in enumerate(_spread(B.N, p_hat))]
 
-    av = _apply_a(vfaces, h)
     fnorm = np.sqrt(sum(float((f ** 2).sum()) for f in faces))
-    mom = np.sqrt(sum(float(((av[a] + gfaces[a] - faces[a]) ** 2).sum())
-                      for a in range(3)))
+    mom = np.sqrt(sum(float(((av + g - f) ** 2).sum()) for av, g, f in zip(
+        _apply_a(vfaces, h), _grad_to_faces(p, h), faces)))
     divv = float(np.linalg.norm(_div_faces(vfaces, h)))
     residuals = {"momentum": mom / fnorm if fnorm > 0 else 0.0,
                  "divergence": divv / bnorm if bnorm > 0 else divv,
                  "mean_p": abs(float(p.mean()))}
 
-    return StokesSolution(
-        v=VectorGrid.from_array(box, np.array(
-            [_avg(_with_walls(f, a), a) for a, f in enumerate(vfaces)])),
-        p=ScalarGrid(box, p), grad_p=VectorGrid.from_array(box, gradient(p, h)),
-        residuals=residuals, iterations=max(len(history) - 1, 0),
-        residual_history=history)
+    return StokesSolution(ScalarGrid(box, p), residuals,
+                          max(len(history) - 1, 0), history)
 
 
 def projection_residual(sol):

@@ -162,11 +162,13 @@ def one_line_error(capsys, rc):
 
 
 def test_count_bound_with_a_huge_m_is_a_clean_error(capsys, tmp_path):
-    # M ** 3 overflows a float
+    # M ** 3 overflows a float; the library names M, not a bare errno 34
     out = tmp_path / "cb.json"
     err = one_line_error(capsys, main(["count-bound", "--M", "1e200", "--eps", "0.1",
                                        "--out", str(out)]))
-    assert err["type"] == "OverflowError" and not out.exists()
+    assert err == {"error": "M = 1e+200 overflows the count bound eps^-7 M^3 "
+                            "+ eps^-3", "type": "ValueError"}
+    assert not out.exists()
 
 
 def test_norms_with_a_huge_m_is_a_clean_error(capsys, field_file, tmp_path):
@@ -179,22 +181,28 @@ def test_norms_with_a_huge_m_is_a_clean_error(capsys, field_file, tmp_path):
 
 @pytest.mark.parametrize("M", ["1e200", "1e120"])
 def test_localize_with_a_huge_m_is_a_clean_error(capsys, field_file, tmp_path, M):
-    # (M / height) ** 3 of the level-0 certificate overflows a float
+    # the count bound, and (M / height) ** 3 of the level-0 certificate,
+    # overflow a float; localize checks the bound before any selection
     out = tmp_path / "localize.json"
     err = one_line_error(capsys, main(["localize", field_file[0], "--M", M, "--kmax", "0",
                                        "--on-underresolved", "warn", "--out", str(out)]))
-    assert err["type"] == "OverflowError" and not out.exists()
+    assert err == {"error": f"M = {float(M):g} overflows the count bound eps^-7 M^3 "
+                            "+ eps^-3", "type": "ValueError"}
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["norms", "FIELD", "--M", "5e102"],
-    ["localize", "FIELD", "--M", "1e101", "--kmax", "0"],
+@pytest.mark.parametrize("argv,error", [
+    (["norms", "FIELD", "--M", "5e102"],
+     "the norms report holds a number beyond a float"),
+    (["localize", "FIELD", "--M", "1e101", "--kmax", "0"],
+     "M = 1e+101 overflows the count bound eps^-7 M^3 + eps^-3"),
 ], ids=["norms", "localize"])
-def test_a_bound_that_overflows_to_infinity_is_a_clean_error(capsys, field_file, argv):
-    # no exception on the way: 4 M^3 and M^3 eps^-7 round to inf
+def test_a_bound_that_overflows_to_infinity_is_a_clean_error(capsys, field_file,
+                                                             argv, error):
+    # no exception on the way: 4 M^3 and M^3 eps^-7 round to inf; the
+    # report catches the first, count_bound the second
     err = one_line_error(capsys, main([field_file[0] if a == "FIELD" else a for a in argv]))
-    assert err == {"error": f"the {argv[0]} report holds a number beyond a float",
-                   "type": "ValueError"}
+    assert err == {"error": error, "type": "ValueError"}
 
 
 def strict_json(text):
@@ -234,6 +242,28 @@ def test_norms_rejects_non_finite_or_negative_m(capsys, field_file, M):
     err = one_line_error(capsys, main(["norms", path, "--M", M, "--json"]))
     assert err["type"] == "ValueError"
     assert "M must be finite and positive" in err["error"]
+
+
+def test_norms_with_auto_m_on_a_zero_field(capsys, tmp_path):
+    # the measured weak-L3 norm, and so M, is 0: both bounds hold trivially
+    box = Box3((0, 0, 0), (1, 1, 1), (16, 16, 16))
+    zero = VectorGrid.from_array(box, np.zeros((3, 16, 16, 16)))
+    path = tmp_path / "zero.rsf"
+    write_field(path, SpaceTimeField((0.0, 0.1), [zero, zero]))
+    payload = run_json(capsys, ["norms", str(path), "--M", "auto"])["payload"]
+    assert payload["weak_norm"] == 0.0
+    for key, lhs in (("l4_interpolation", "lhs_l4_integral"),
+                     ("local_l2", "lhs_l2_integral")):
+        check = payload[key]
+        assert check["M"] == 0.0 and check[lhs] == 0.0 and check["rhs_bound"] == 0.0
+        assert check["hypothesis_ok"] is True and check["holds"] is True
+
+
+@pytest.mark.parametrize("M", ["0", "0.0"])
+def test_norms_rejects_zero_m_on_a_nonzero_field(capsys, field_file, M):
+    err = one_line_error(capsys, main(["norms", field_file[0], "--M", M]))
+    assert err == {"error": "M must be finite and positive, got 0.0",
+                   "type": "ValueError"}
 
 
 def test_norms_rejects_out_of_range_frame(capsys, field_file):

@@ -8,6 +8,7 @@ clustering against a quadratic union-find. The brute forms only use
 interval arithmetic.
 """
 
+import re
 import sys
 import weakref
 from itertools import product
@@ -390,6 +391,25 @@ def test_count_bound_values():
         count_bound(1.0, 0.3)
     with pytest.raises(ValueError):
         count_bound(-1.0, 0.1)
+
+
+@pytest.mark.parametrize("M", [1e200, 1e101, np.float64(1e200)],
+                         ids=["cube-overflows", "sum-is-inf", "numpy-m"])
+def test_count_bound_overflow_is_a_value_error_naming_m(M):
+    # M ** 3 overflows (1e200) or the sum rounds to inf (1e101)
+    with pytest.raises(ValueError, match=re.escape(f"M = {M:g} overflows the count bound")):
+        count_bound(M, 0.1)
+    assert np.isfinite(count_bound(1e100, 0.1))
+
+
+def test_selection_with_a_huge_m_is_a_value_error_naming_m():
+    # (M / height)^3 of the weak-L3 certificate would overflow
+    mag = two_bump_frame().magnitude()
+    with pytest.raises(ValueError, match=r"M = 1e\+120 overflows the count bound"):
+        select_f0(mag, 0.1, M=1e120)
+    fam = select_f0(mag, 0.2)
+    with pytest.raises(ValueError, match=r"M = 1e\+200 overflows the count bound"):
+        select_fk(mag, fam, M=1e200)
 
 
 def brute_partition(j, dm):

@@ -192,6 +192,7 @@ def test_read_frames_are_writable_contiguous_float64(tmp_path, rng):
     ("times", [0.0, float("inf")], "frame times must be finite"),
     ("times", [float("-inf"), 0.1], "frame times must be finite"),
     ("times", [0.0, float("nan")], "frame times must be finite"),
+    ("lo", [float("nan"), 0.0, 1.0], "bad box: box lo must be finite"),
 ])
 def test_malformed_header_values(tmp_path, rng, key, value, message):
     raw = valid_bytes(tmp_path, rng)

@@ -39,6 +39,9 @@ def test_box_geometry():
     ((0, 0, 0), (1, 1, 0.5), (4, 4)),           # wrong arity
     ((0, 0, 0), (1, 0, 1), (4, 4, 4)),          # hi not above lo
     ((0, 0, 0), (1, 1, 1), (4, 0, 4)),          # empty axis
+    ((np.nan, 0, 0), (1, 1, 1), (4, 4, 4)),     # NaN corner: hi <= lo is false
+    ((0, 0, 0), (1, np.inf, 1), (4, 4, 4)),     # infinite corner
+    ((-np.inf, 0, 0), (1, 1, 1), (4, 4, 4)),
 ])
 def test_box_validation(lo, hi, n):
     with pytest.raises(ValueError):

@@ -218,6 +218,24 @@ def test_local_l2_check_closed_form():
         (4 * np.pi / 3 + 2) * M ** 2 * r, rel=1e-12)
 
 
+def test_checks_take_m_zero_on_the_zero_field():
+    # the measured weak-L3 norm of the zero field is 0; both bounds are 0
+    g = ScalarGrid(bump_grid().box, np.zeros((16, 16, 16)))
+    w = weak_norm(g, 3.0)
+    assert w == 0.0
+    l4 = l4_interpolation_check(g, w, w)
+    l2 = local_l2_check(g, Ball((0.0, 0.0, 0.0), 0.5), w, w)
+    for chk in (l4, l2):
+        assert chk.rhs_bound == 0.0 and chk.cut_H == 0.0
+        assert chk.hypothesis_ok and chk.holds
+    assert l4.lhs_l4_integral == 0.0 and l2.lhs_l2_integral == 0.0
+    # a nonzero field still needs a positive M
+    for check in (lambda f: l4_interpolation_check(f, 0.0, 0.0),
+                  lambda f: local_l2_check(f, Ball((0.0, 0.0, 0.0), 0.5), 0.0, 0.0)):
+        with pytest.raises(ValueError, match="M must be finite and positive"):
+            check(bump_grid())
+
+
 def test_norm_report_bundles_everything():
     g = bump_grid()
     rep = NormReport.from_scalar(g, q=3.0, r=2.0)

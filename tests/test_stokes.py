@@ -8,6 +8,8 @@ integral vanish. The rigidity bounds are checked on fields whose ball
 integrals have elementary values.
 """
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,8 +65,10 @@ def rel_diff(a, b):
 def test_estar_zero_field():
     F = VectorGrid.from_array(unit_box(16), np.zeros((3, 16, 16, 16)))
     sol = estar(F)
+    assert np.all(sol.p.data == 0.0)
     assert np.all(sol.grad_p.data == 0.0)
-    assert np.all(sol.v.data == 0.0)
+    assert sol.residuals["momentum"] == 0.0
+    assert sol.residuals["divergence"] == 0.0
     assert sol.iterations == 0
 
 
@@ -246,7 +250,26 @@ def test_pressure_parts_rigid_rotation():
 def test_local_pressure_reads_through_to_its_solutions():
     parts = pressure_parts(rotation_field(16))
     for key in ("ph", "p1", "p2"):
-        assert getattr(parts, "grad_" + key) is parts.solutions[key].grad_p
+        assert np.array_equal(getattr(parts, "grad_" + key).data,
+                              parts.solutions[key].grad_p.data)
+
+
+def test_local_pressure_holds_only_its_pressures():
+    # a record keeps p alone: ∇p is derived on read and the velocity is
+    # certified by the residuals, not stored (3 n³ arrays for 3 solves)
+    n = 24
+    u = rotation_field(n)
+    pressure_parts(u)     # fills the basis cache, which is not the records'
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parts = pressure_parts(u)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert set(parts.solutions) == {"ph", "p1", "p2"}
+    assert held <= 4 * n ** 3 * 8
 
 
 def test_pressure_parts_zero_field():
@@ -290,8 +313,7 @@ def test_harmonic_residual_vanishes_on_discrete_harmonic():
     box = unit_box(20)
     p = ScalarGrid.sample(box, lambda x, y, z: x * x + y * y - 2 * z * z)
     sol = estar(trig_gradient(20))
-    fake = type(sol)(v=sol.v, p=p, grad_p=sol.grad_p,
-                     residuals={}, iterations=0)
+    fake = type(sol)(p=p, residuals={}, iterations=0)
     assert harmonic_residual(fake) <= 1e-10
 
 
