@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dyadic import CountBoundError, count_bound, localize
 from .fieldio import FieldFormatError, read_field, read_header, writing_field
-from .grid import Ball, Cube, Cylinder, nearest_frame
+from .grid import Ball, Cube, Cylinder, VectorGrid, nearest_frame
 from .localquant import AnalysisConfig, check_cylinder, quant_report
 from .lorentz import NormReport, l4_interpolation_check, local_l2_check
 from .stokes import (
@@ -36,7 +36,6 @@ from .stokes import (
     local_energy_residual,
     pressure_parts,
     projection_residual,
-    restrict_to_cube,
 )
 from .synth import SolverConfig, SolverError, default_box, run_solver, save_schedule
 
@@ -112,8 +111,8 @@ def _floats(text, what, count):
 
 
 def _pick_frame(args):
-    """The box in the field's header, the index of the frame --frame or --time
-    picks (else the last), and a payload that records that frame and its time."""
+    """The box and frame times in the field's header, the index of the frame --frame
+    or --time picks (else the last), and a payload of that frame and its time."""
     box, times = read_header(args.field)
     if args.time is not None:
         i = nearest_frame(times, args.time)
@@ -121,14 +120,14 @@ def _pick_frame(args):
         i = len(times) - 1 if args.frame is None else args.frame
         if not 0 <= i < len(times):
             raise ValueError(f"frame {i} out of range")
-    return box, i, {"frame": i, "time": float(times[i])}
+    return box, times, i, {"frame": i, "time": float(times[i])}
 
 
 # -- command payloads -----------------------------------------------------------
 
 
 def cmd_norms(args):
-    _, i, payload = _pick_frame(args)
+    *_, i, payload = _pick_frame(args)
     mag = read_field(args.field, frames=[i]).frames[0].magnitude()
     report = NormReport.from_scalar(mag)
     payload.update(dataclasses.asdict(report))
@@ -152,7 +151,7 @@ def cmd_scan(args):
 
 
 def cmd_localize(args):
-    _, i, payload = _pick_frame(args)
+    *_, i, payload = _pick_frame(args)
     cfg = AnalysisConfig(eps=args.eps)
     M = None if args.M == "auto" else float(args.M)
     cs = localize(
@@ -171,17 +170,16 @@ def cmd_stokes_check(args):
         raise ValueError(f"--nu must be finite and positive, got {args.nu}")
     phi = (None if args.bump is None
            else BumpTestFunction(tuple(args.bump[:3]), *args.bump[3:]))
-    box, i, payload = _pick_frame(args)
+    box, times, i, payload = _pick_frame(args)
     cube = Cube(corner=tuple(args.cube[:3]), side=args.cube[3])
     try:
-        _, sub_box = cube_slices(box, cube)     # before any frame is decoded
+        slices, sub_box = cube_slices(box, cube)     # before any frame is decoded
     except ValueError as exc:
         raise ValueError(f"--cube: {exc}") from None
-    # the energy balance needs every frame, the projection only frame i
-    field = read_field(args.field, frames=[i] if phi is None else None)
-    u = restrict_to_cube(field.frames[0 if phi is None else i], cube)
-    if phi is not None:
-        check_bump(field, cube, phi)    # before any solve
+    # the projection reads frame i, the energy balance the frames up to the last
+    keep = [i] if phi is None else check_bump(box, times, cube, phi)[2]
+    field = read_field(args.field, keep, slices)   # only the cube of each
+    u = VectorGrid(sub_box, field.frames[keep.index(i)])
     parts = pressure_parts(u)
     sol_h = parts.solutions["ph"]
     unorm = float(np.sqrt((u.data ** 2).sum()))

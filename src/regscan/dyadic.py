@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .lorentz import weak_norm
+from .lorentz import _finite_bound, weak_norm
 
 __all__ = [
     "CountBoundError", "SelectionFamily", "CandidateSet",
@@ -302,14 +302,8 @@ def count_bound(M, eps):
     if not (np.isfinite(M) and M >= 0):
         raise ValueError(f"M must be finite and nonnegative, got {M}")
     inv = 1.0 / eps
-    try:
-        with np.errstate(over="ignore"):    # a numpy M rounds to inf, a float M raises
-            bound = M ** 3 * inv ** 7 + inv ** 3
-    except OverflowError:
-        bound = math.inf
-    if bound == math.inf:
-        raise ValueError(f"M = {M:g} overflows the count bound eps^-7 M^3 + eps^-3")
-    return bound
+    return _finite_bound(M, "count bound eps^-7 M^3 + eps^-3",
+                         lambda: M ** 3 * inv ** 7 + inv ** 3)
 
 
 def _parents_of(keys, eps):

@@ -15,28 +15,24 @@ the file stopped making sense. Round trips are bit-exact. writing_field
 writes one frame at a time. read_header runs every check up to the payload's
 values. read_field reads the components one at a time into one buffer and
 checks each for non-finite values, but keeps only the frames it is asked
-for, whole or on an index window of the box: one frame for norms, localize
-and stokes-check, what the cylinder reads for scan, all for --bump.
+for, whole or on an index window of the box: one frame for norms and
+localize, what the cylinder reads for scan, the cube for stokes-check.
 """
 
 import contextlib
 import json
 import os
 import struct
-from collections import namedtuple
 
 import numpy as np
 
-from .grid import Box3, SpaceTimeField, VectorGrid
+from .grid import Box3, FieldWindow, SpaceTimeField, VectorGrid
 
 __all__ = ["FieldFormatError", "FieldWindow", "writing_field", "write_field", "read_field",
            "read_header", "CANARY"]
 
 MAGIC = b"#rsf 1\n"
 CANARY = 0x1A2B3C4D
-# read_field's frames on an index window of the box: frames[i] holds the
-# (3, ...) values at times[i] of the cells from index `origin` on
-FieldWindow = namedtuple("FieldWindow", "box times frames origin")
 
 
 class FieldFormatError(ValueError):

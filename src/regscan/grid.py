@@ -10,6 +10,7 @@ not a copy, and its ``components`` are ScalarGrid views into it. One
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "ScalarGrid",
     "VectorGrid",
     "SpaceTimeField",
+    "FieldWindow",
+    "frame_cells",
     "nearest_frame",
     "Ball",
     "Cube",
@@ -161,6 +164,19 @@ class SpaceTimeField:
     @property
     def box(self):
         return self.frames[0].box
+
+
+# frames on an index window of a box: frames[i] holds the (3, ...) values
+# at times[i] of the cells from index `origin` on
+FieldWindow = namedtuple("FieldWindow", "box times frames origin")
+
+
+def frame_cells(f, i, win):
+    """Frame i's (3, ...) values on an index window of the box, from a
+    SpaceTimeField or a FieldWindow, whose frames start at its origin."""
+    data, at = ((f.frames[i].data, (0, 0, 0)) if isinstance(f, SpaceTimeField)
+                else (f.frames[i], f.origin))
+    return data[(slice(None), *(slice(w.start - a, w.stop - a) for w, a in zip(win, at)))]
 
 
 def nearest_frame(times, t):

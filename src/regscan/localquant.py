@@ -12,7 +12,7 @@ A cylinder's cell sums run over its ball's index window: the smallest
 index box that holds the ball's cells, with the ball's mask on the whole
 box sliced to it, and the whole box's cell volume and spacing. So they add
 the same values in the same order as whole-box sums, cost the ball, not the
-box, and run on a FieldWindow of the frames and window check_cylinder names.
+box, and run on a FieldWindow of what check_cylinder names, via grid.frame_cells.
 """
 
 import warnings
@@ -21,7 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .grid import Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, gradient, nearest_frame
+from .grid import (Box3, Ball, Cylinder, VectorGrid, SpaceTimeField, frame_cells, gradient,
+                   nearest_frame)
 
 __all__ = [
     "AnalysisConfig",
@@ -134,17 +135,9 @@ def _inner(box, cyl):
     return inner, mask, _window(mask, margin=1, min_cells=3)
 
 
-def _cells(f, i, win):
-    """Frame i's (3, ...) values on an index window of the box, from a
-    SpaceTimeField or a FieldWindow, whose frames start at its origin."""
-    data, at = ((f.frames[i].data, (0, 0, 0)) if isinstance(f, SpaceTimeField)
-                else (f.frames[i], f.origin))
-    return data[(slice(None), *(slice(w.start - a, w.stop - a) for w, a in zip(win, at)))]
-
-
 def _speed(f, i, win):
     """|u| of frame i on an index window (VectorGrid.magnitude's arithmetic)."""
-    u1, u2, u3 = _cells(f, i, win)
+    u1, u2, u3 = frame_cells(f, i, win)
     return np.sqrt(u1 ** 2 + u2 ** 2 + u3 ** 2)
 
 
@@ -247,7 +240,7 @@ def caccioppoli_sides(f, cyl):
     def grad_squared(idx):
         if grad_win is None:
             return np.zeros(len(idx))
-        g2 = ((gradient(_cells(f, i, grad_win), h) ** 2).sum(axis=(0, 1))
+        g2 = ((gradient(frame_cells(f, i, grad_win), h) ** 2).sum(axis=(0, 1))
               for i in idx)
         return np.array([np.sum(g[in_grad]) * c for g in g2])
 

@@ -202,6 +202,18 @@ def _check_m(M, zero):
         raise ValueError(f"M must be finite and positive, got {M}")
 
 
+def _finite_bound(M, what, bound):
+    """bound(), or a ValueError naming M where it overflows a float."""
+    try:    # a numpy M rounds to inf (or H^2 to 0), a float M raises
+        with np.errstate(over="ignore", divide="ignore"):
+            value = bound()
+    except (OverflowError, ZeroDivisionError):
+        value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"M = {M:g} overflows the {what}")
+    return value
+
+
 def l4_interpolation_check(f, M, w):
     """Check int |f|^4 <= 4 M^3 H + 2 ||f||_6^6 H^-2 at H = ||f||_6^2 / M,
     with the hypothesis checked on w, the measured weak_norm(f, 3); M = 0
@@ -215,7 +227,8 @@ def l4_interpolation_check(f, M, w):
     if s6 == 0.0:
         return InterpolationCheck(0.0, 0.0, 0.0, M, w, 0.0, True, True)
     H = l6 ** 2 / M
-    rhs = 4.0 * M ** 3 * H + 2.0 * s6 / H ** 2
+    rhs = _finite_bound(M, "L4 interpolation bound 4 M^3 H + 2 ||f||_6^6 H^-2",
+                        lambda: 4.0 * M ** 3 * H + 2.0 * s6 / H ** 2)
     return InterpolationCheck(
         lhs_l4_integral=lhs, rhs_bound=rhs, cut_H=H, M=float(M), weak_norm_measured=w,
         l6_norm=l6, hypothesis_ok=w <= M * (1 + 1e-12), holds=lhs <= rhs * (1 + 1e-12))
@@ -257,7 +270,8 @@ def local_l2_check(f, ball, M, w):
         warnings.warn("ball contains no cell centers of the sampled box")
     vb = float(np.count_nonzero(mask) * c)
     H = M / ball.r
-    rhs = vb * H ** 2 + (2.0 * M ** 3 / H if M > 0 else 0.0)   # 2 M^3 / H = 2 M^2 r
+    rhs = _finite_bound(M, "local L2 bound V_B H^2 + 2 M^3 / H",   # 2 M^3 / H = 2 M^2 r
+                        lambda: vb * H ** 2 + (2.0 * M ** 3 / H if M > 0 else 0.0))
     cv = 4.0 / 3.0 * np.pi
     return LocalL2Check(
         lhs_l2_integral=lhs, rhs_bound=rhs, cut_H=H, M=float(M), weak_norm_measured=w,

@@ -25,7 +25,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Ball, Box3, ScalarGrid, VectorGrid, _require_finite, gradient
+from .grid import (Ball, Box3, ScalarGrid, VectorGrid, _require_finite, frame_cells,
+                   gradient)
 
 __all__ = [
     "StokesError", "StokesSolution", "LocalPressure", "BumpTestFunction",
@@ -494,26 +495,21 @@ def cube_slices(box, cube):
     return tuple(slice(i, j) for i, j in zip(i0, i1)), sub_box
 
 
-def _restrict_frame(frame, slices, sub_box):
+def restrict_to_cube(frame, cube):
+    """Extract the sub-grid of a frame covered by a Cube region."""
+    slices, sub_box = cube_slices(frame.box, cube)
     # a copy, so that the sub-cube is C-contiguous
     return VectorGrid.from_array(sub_box, np.array(frame.data[(slice(None), *slices)]))
 
 
-def restrict_to_cube(frame, cube):
-    """Extract the sub-grid of a frame covered by a Cube region."""
-    slices, sub_box = cube_slices(frame.box, cube)
-    return _restrict_frame(frame, slices, sub_box)
-
-
-def check_bump(f, cube, phi, s=None):
-    """Check a test function against a field and an analysis cube before
-    any pressure solve: at least 3 frames up to s, the bump's support
-    inside the cube and after the first frame, a frame up to s inside its
-    time support, and at least 4 cells and 2 frame steps across it.
-    Returns the cube's slices and box and the indices of the frames up to s.
+def check_bump(box, times, cube, phi, s=None):
+    """Check a test function against a field's box and frame times (a file's
+    header will do) and an analysis cube: at least 3 frames up to s, the
+    bump's support inside the cube and after the first frame, a frame up to
+    s inside its time support, and at least 4 cells and 2 frame steps across
+    it. Returns the cube's slices and box and the indices of the frames up to s.
     """
-    slices, sub_box = cube_slices(f.box, cube)
-    times = f.times
+    slices, sub_box = cube_slices(box, cube)
     if s is None:
         s = times[-1]
     idx = [i for i, t in enumerate(times) if t <= s + 1e-12]
@@ -552,14 +548,15 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
     (the part of the local pressure driven by Δu). Time integrals use the
     frame trapezoid rule; φ and its derivatives are analytic.
 
-    pressures may carry a precomputed list of LocalPressure records (one
-    per frame) to amortize solves across several test functions.
+    f is a SpaceTimeField or a FieldWindow of the cube; pressures may carry
+    a precomputed list of LocalPressure records (one per frame) to amortize
+    solves across several test functions.
     """
     if not (np.isfinite(nu) and nu > 0):
         raise ValueError(f"viscosity must be finite and positive, got {nu}")
-    slices, sub_box, idx = check_bump(f, cube, phi, s)
-    phi_at = phi._at(sub_box.center_mesh())
     times = f.times
+    slices, sub_box, idx = check_bump(f.box, times, cube, phi, s)
+    phi_at = phi._at(sub_box.center_mesh())
 
     vol = sub_box.cell_volume
     rows, boundary = [], 0.0
@@ -570,7 +567,7 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
             rows.append([0.0] * 6)
             continue
         phi_val, phi_grad, phi_lap, phi_dt = phi_at(t)
-        u = _restrict_frame(f.frames[i], slices, sub_box)
+        u = VectorGrid.from_array(sub_box, np.array(frame_cells(f, i, slices)))
         lp = pressures[i] if pressures is not None else pressure_parts(u)
         uarr, gph = u.data, lp.grad_ph.data
         varr = uarr + gph

@@ -172,11 +172,13 @@ def test_count_bound_with_a_huge_m_is_a_clean_error(capsys, tmp_path):
 
 
 def test_norms_with_a_huge_m_is_a_clean_error(capsys, field_file, tmp_path):
-    # M ** 3 in the interpolation checks overflows a float
+    # M ** 3 in the interpolation checks overflows a float; the library names M
     out = tmp_path / "norms.json"
     err = one_line_error(capsys, main(["norms", field_file[0], "--M", "1e200",
                                        "--out", str(out)]))
-    assert err["type"] == "OverflowError" and not out.exists()
+    assert err == {"error": "M = 1e+200 overflows the L4 interpolation bound "
+                            "4 M^3 H + 2 ||f||_6^6 H^-2", "type": "ValueError"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("M", ["1e200", "1e120"])
@@ -193,14 +195,14 @@ def test_localize_with_a_huge_m_is_a_clean_error(capsys, field_file, tmp_path, M
 
 @pytest.mark.parametrize("argv,error", [
     (["norms", "FIELD", "--M", "5e102"],
-     "the norms report holds a number beyond a float"),
+     "M = 5e+102 overflows the L4 interpolation bound 4 M^3 H + 2 ||f||_6^6 H^-2"),
     (["localize", "FIELD", "--M", "1e101", "--kmax", "0"],
      "M = 1e+101 overflows the count bound eps^-7 M^3 + eps^-3"),
 ], ids=["norms", "localize"])
 def test_a_bound_that_overflows_to_infinity_is_a_clean_error(capsys, field_file,
                                                              argv, error):
-    # no exception on the way: 4 M^3 and M^3 eps^-7 round to inf; the
-    # report catches the first, count_bound the second
+    # no exception on the way: 4 M^3 and M^3 eps^-7 round to inf, which the
+    # interpolation check and count_bound catch
     err = one_line_error(capsys, main([field_file[0] if a == "FIELD" else a for a in argv]))
     assert err == {"error": error, "type": "ValueError"}
 
@@ -552,7 +554,9 @@ def test_one_frame_payload_keeps_the_file_index(capsys, field_file):
     (["norms", "FIELD", "--frame", "7"], "frame 7 out of range"),
     (["norms", "FIELD", "--time", "nan"], "time must be finite"),
     (["stokes-check", "FIELD", *CUBE, "--frame", "4"], "frame 4 out of range"),
-], ids=["norms-frame", "norms-time", "stokes-frame"])
+    (["stokes-check", "FIELD", *CUBE, "--bump", "0.5,0.5,0.5,0.22,0.12,0.01"],
+     "time support (0.11, 0.13) holds no frame up to s=0.15"),
+], ids=["norms-frame", "norms-time", "stokes-frame", "stokes-bump-no-frame"])
 def test_frame_errors_come_before_any_frame_is_decoded(capsys, field_file, decoded,
                                                        argv, expected):
     path, _ = field_file
@@ -986,20 +990,39 @@ def test_scan_equals_the_whole_field_report(capsys, random_file, decoded, x0, t0
     assert decoded == [len(frames)] and all(s.stop - s.start < 24 for s in window)
 
 
-@pytest.mark.parametrize("frame", [0, 6])
-def test_scan_reports_a_nan_outside_its_frames(capsys, random_file, tmp_path, frame):
-    path, _ = random_file
-    raw = open(path, "rb").read()
+def with_a_nan(random_file, tmp_path, frame):
+    """A copy of the random file with a NaN in component 2 of `frame` at the
+    cell (16, 17, 1), the byte offset of the NaN, and read_field's error."""
+    raw = open(random_file[0], "rb").read()
     cells = 24 ** 3
     bad_at = len(raw) - (7 - frame) * 3 * cells * 8 + (2 * cells + 1000) * 8
     bad = tmp_path / "bad.rsf"
     bad.write_bytes(raw[:bad_at] + np.array([np.nan], "<f8").tobytes() + raw[bad_at + 8:])
     with pytest.raises(FieldFormatError) as whole:
         read_field(bad)
+    return str(bad), bad_at, str(whole.value)
+
+
+@pytest.mark.parametrize("frame", [0, 6])
+def test_scan_reports_a_nan_outside_its_frames(capsys, random_file, tmp_path, frame):
+    bad, bad_at, error = with_a_nan(random_file, tmp_path, frame)
     # the cylinder reads frames 2 to 4 only
-    err = one_line_error(capsys, main(["scan", str(bad), "--x0", "0.4,0.6,0.5",
+    err = one_line_error(capsys, main(["scan", bad, "--x0", "0.4,0.6,0.5",
                                        "--t0", "0.2", "--r", "0.26"]))
-    assert err == {"error": str(whole.value), "type": "FieldFormatError"}
+    assert err == {"error": error, "type": "FieldFormatError"}
+    assert err["error"] == (f"format error at byte {bad_at}: non-finite value in "
+                            f"frame {frame} component 2")
+
+
+@pytest.mark.parametrize("frame", [0, 6])
+def test_stokes_check_bump_reports_a_nan_outside_its_cube(capsys, random_file, tmp_path,
+                                                          frame):
+    bad, bad_at, error = with_a_nan(random_file, tmp_path, frame)
+    # the cube holds the cells 3 to 20 of each axis, the NaN's cell has z index 1
+    err = one_line_error(capsys, main(["stokes-check", bad,
+                                       "--cube", "0.125,0.125,0.125,0.75",
+                                       "--bump", "0.5,0.5,0.5,0.3,0.2,0.12"]))
+    assert err == {"error": error, "type": "FieldFormatError"}
     assert err["error"] == (f"format error at byte {bad_at}: non-finite value in "
                             f"frame {frame} component 2")
 
@@ -1058,6 +1081,15 @@ def test_simulate_and_scan_hold_frames_not_the_run(pipeline_run):
     rc, scan_mb = peak_above_import(cwd, "scan", "run.rsf", "--x0", "2.3,4.1,3.0",
                                    "--t0", "0.3", "--r", "0.54")
     assert rc == 0 and scan_mb <= 25
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_stokes_check_bump_holds_its_cube_not_the_run(pipeline_run):
+    # the cube is 19^3 of the 48^3 cells; every whole frame took 85 MB
+    rc, mb = peak_above_import(pipeline_run[0], "stokes-check", "run.rsf",
+                               "--cube", "0.6,0.6,0.6,2.6",
+                               "--bump", "1.9,1.9,1.9,0.6,0.15,0.13")
+    assert rc == 0 and mb <= 25
 
 
 @pytest.mark.parametrize("k", [0, 1, 30])

@@ -236,6 +236,28 @@ def test_checks_take_m_zero_on_the_zero_field():
             check(bump_grid())
 
 
+@pytest.mark.parametrize("M", [1e200, 5e102])
+@pytest.mark.parametrize("check, bound", [
+    (lambda f, M: l4_interpolation_check(f, M, 1.0),
+     "L4 interpolation bound 4 M^3 H + 2 ||f||_6^6 H^-2"),
+    (lambda f, M: local_l2_check(f, Ball((0.5, 0.5, 0.5), 0.3), M, 1.0),
+     "local L2 bound V_B H^2 + 2 M^3 / H"),
+], ids=["l4", "local_l2"])
+def test_a_huge_m_is_an_error_naming_m(check, bound, M):
+    # at 1e200 M ** 3 raises OverflowError, at 5e102 the bound rounds to inf
+    g = ScalarGrid(Box3((0, 0, 0), (1, 1, 1), (4, 4, 4)), np.ones((4, 4, 4)))
+    with pytest.raises(ValueError) as err:
+        check(g, M)
+    assert str(err.value) == f"M = {M:g} overflows the {bound}"
+
+
+def test_l4_check_with_a_cut_that_squares_to_zero_is_an_error_naming_m():
+    # H = ||f||_6^2 / M is 1e-180, so H ** 2 is 0.0 and 2 ||f||_6^6 / H ** 2 divides by 0
+    g = ScalarGrid(Box3((0, 0, 0), (1, 1, 1), (4, 4, 4)), np.full((4, 4, 4), 1e-40))
+    with pytest.raises(ValueError, match=r"^M = 1e\+100 overflows the L4 interpolation"):
+        l4_interpolation_check(g, 1e100, 1.0)
+
+
 def test_norm_report_bundles_everything():
     g = bump_grid()
     rep = NormReport.from_scalar(g, q=3.0, r=2.0)
