@@ -197,7 +197,8 @@ def cmd_stokes_check(args):
         ),
     })
     if phi is not None:
-        payload["energy"] = local_energy_residual(field, cube, phi, nu=args.nu)
+        payload["energy"] = local_energy_residual(field, cube, phi, nu=args.nu,
+                                                  pressures={keep.index(i): parts})
     return "stokes", payload, [args.field]
 
 

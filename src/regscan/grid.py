@@ -300,4 +300,10 @@ def gradient(data, spacing):
     shares with the field. Requires >= 3 cells per axis."""
     if any(m < 3 for m in np.shape(data)[-3:]):
         raise ValueError("gradient needs at least 3 cells per axis")
-    return np.stack(np.gradient(data, *spacing, axis=(-3, -2, -1), edge_order=2), axis=-4)
+    out = np.empty(np.shape(data)[:-3] + (3,) + np.shape(data)[-3:])
+    for j, h in enumerate(spacing):     # np.gradient's uniform formulas, operand for operand
+        f, o = (np.moveaxis(x, j - 3, -1) for x in (data, out[..., j, :, :, :]))
+        o[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2. * h)
+        o[..., 0] = -1.5 / h * f[..., 0] + 2. / h * f[..., 1] + -0.5 / h * f[..., 2]
+        o[..., -1] = 0.5 / h * f[..., -3] + -2. / h * f[..., -2] + 1.5 / h * f[..., -1]
+    return out

@@ -15,11 +15,15 @@ On top of the projection sit the derived quantities used by the local
 regularity analysis: the pressure triple (∇p_h, ∇p₁, ∇p₂), the interior
 harmonicity residual of p_h, the seven-integral local energy balance for
 a space-time field, and the mean-value gradient bound for harmonic
-candidates.
+candidates. pressure_parts runs the triple's three solves on two threads
+when a CPU is spare, else in series; each works on its own buffers, so
+every record is bit-identical to a serial solve's.
 """
 
 import functools
+import os
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -85,12 +89,12 @@ def _with_walls(x, axis):
     return np.pad(x, [(1, 1) if b == axis else (0, 0) for b in range(3)])
 
 
-def _div_faces(faces, h):
-    return sum(np.diff(_with_walls(faces[a], a), axis=a) / h[a] for a in range(3))
+def _div_face(f, a, h):
+    return np.diff(_with_walls(f, a), axis=a) / h[a]
 
 
-def _grad_to_faces(p, h):
-    return [np.diff(p, axis=a) / h[a] for a in range(3)]
+def _grad_face(p, a, h):
+    return np.diff(p, axis=a) / h[a]
 
 
 def _along(mat, x, axis, out=None):
@@ -155,8 +159,9 @@ def _basis(n, h):
     # cosine modes k = 0.. along a, sine modes k = 1.. along the other axes
     lam = [sum(_on_axis(eig[b][:-1] if b == a else eig[b][1:], b)
                for b in range(3)) for a in range(3)]
+    # Ŝ = Σ_a K_aᵀ K_a / lam[a]: one Schur weight w[a] per component on the cosine grid
     return SimpleNamespace(C=C, Q1=Q1, Q2=Q2, N=[q @ c.T for q, c in zip(Q2, C)],
-                           Q=Q, g=g, lam=lam)
+                           Q=Q, g=g, lam=lam, w=[ga ** 2 / la for ga, la in zip(g, lam)])
 
 
 def _spread(N, p_hat, work=(None,) * 5):
@@ -178,20 +183,17 @@ def _gather(N, z, work=(None,) * 5):
     return out
 
 
-def _apply_a(faces, h):
-    """Forward no-slip vector Laplacian at the interior faces (for residual
-    reporting); the wall faces are constraints, not equations."""
-    out = []
-    for a, f in enumerate(faces):
-        acc = 0
-        for b in range(3):
-            # the zero wall faces close the face lines; cell lines reflect
-            # with a sign flip across the walls
-            ext = _with_walls(f, b) if b == a else np.concatenate(
-                [-f[_ax(b, slice(0, 1))], f, -f[_ax(b, slice(-1, None))]], axis=b)
-            acc += _d2(ext, b) / h[b] ** 2
-        out.append(-acc)
-    return out
+def _apply_a(f, a, h):
+    """Forward no-slip vector Laplacian of component a at its interior faces
+    (for residual reporting); the wall faces are constraints, not equations."""
+    acc = 0
+    for b in range(3):
+        # the zero wall faces close the face lines; cell lines reflect
+        # with a sign flip across the walls
+        ext = _with_walls(f, b) if b == a else np.concatenate(
+            [-f[_ax(b, slice(0, 1))], f, -f[_ax(b, slice(-1, None))]], axis=b)
+        acc += _d2(ext, b) / h[b] ** 2
+    return -acc
 
 
 @dataclass
@@ -207,11 +209,6 @@ class StokesSolution:
     def grad_p(self):
         """Cell-centred ∇p, derived on every read so a held record keeps p alone."""
         return VectorGrid.from_array(self.p.box, gradient(self.p.data, self.p.box.spacing))
-
-    @property
-    def _face_grad(self):
-        """∇p on the interior faces: the projection's own gradient."""
-        return _grad_to_faces(self.p.data, self.p.box.spacing)
 
 
 def estar(F):
@@ -232,13 +229,12 @@ def estar(F):
     box = F.p.box if reapply else F.box
     _check_domain(box)
     n, h = box.n, box.spacing
-    # interior face i sits between cells i and i+1
-    faces = F._face_grad if reapply else [_avg(c, a) for a, c in enumerate(F.data)]
+
+    def face(a):    # interior face i sits between cells i and i+1; rebuilt where read
+        return _grad_face(F.p.data, a, h) if reapply else _avg(F.data[a], a)
 
     B = _basis(n, h)
     cap = 10 * max(n)
-    # Ŝ = Σ_a K_aᵀ K_a / lam[a]: one weight per component on the cosine grid
-    weights = [g ** 2 / lam for g, lam in zip(B.g, B.lam)]
 
     # the Schur apply and the CG updates write into buffers allocated once
     # per solve, in the order and with the operands of the plain expressions
@@ -247,19 +243,21 @@ def estar(F):
 
     def schur(p_hat):
         z = _spread(B.N, p_hat, work)
-        for w, x in zip(weights, z):
+        for w, x in zip(B.w, z):
             x *= w
         return _gather(B.N, z, work)
 
-    f_hat = [_contract(f, B.Q[a]) for a, f in enumerate(faces)]
+    fnorm = np.sqrt(sum(float((face(a) ** 2).sum()) for a in range(3)))
+    f_hat = [_contract(face(a), B.Q[a]) for a in range(3)]
     # Σ_a K_aᵀ f̂_a / lam[a]; its (0, 0, 0) mode, the mean of p, is zero
-    rhs = _gather(B.N, [g * f / lam for g, f, lam in zip(B.g, f_hat, B.lam)])
+    rhs = _gather(B.N, [np.divide(np.multiply(g, f, out=z), lam, out=z)
+                        for g, f, lam, z in zip(B.g, f_hat, B.lam, work[2:])], work)
     bnorm = float(np.linalg.norm(rhs))
 
     p_hat = np.zeros(box.n)
     history = []
     if bnorm > 0.0:
-        r = rhs.copy()
+        r = rhs.copy()      # rhs is a work buffer, which the Schur apply overwrites
         d = r.copy()
         rs = float((r * r).sum())
         history.append(1.0)
@@ -281,18 +279,18 @@ def estar(F):
             d *= rs_new / rs    # d = r + β d
             d += r
             rs = rs_new
+        del r, d, tmp       # so that the residuals below run beside none of them
 
     p = _contract(p_hat, [c.T for c in B.C])
     p -= p.mean()
-    vfaces = [_contract((f_hat[a] - B.g[a] * x) / B.lam[a], [q.T for q in B.Q[a]])
-              for a, x in enumerate(_spread(B.N, p_hat))]
-
-    fnorm = np.sqrt(sum(float((f ** 2).sum()) for f in faces))
-    mom = np.sqrt(sum(float(((av + g - f) ** 2).sum()) for av, g, f in zip(
-        _apply_a(vfaces, h), _grad_to_faces(p, h), faces)))
-    divv = float(np.linalg.norm(_div_faces(vfaces, h)))
-    residuals = {"momentum": mom / fnorm if fnorm > 0 else 0.0,
-                 "divergence": divv / bnorm if bnorm > 0 else divv,
+    # one face velocity component at a time, the residuals summed in component order
+    mom, div = 0.0, 0
+    for a, x in enumerate(_spread(B.N, p_hat, work)):
+        v = _contract((f_hat.pop(0) - B.g[a] * x) / B.lam[a], [q.T for q in B.Q[a]])
+        mom += float(((_apply_a(v, a, h) + _grad_face(p, a, h) - face(a)) ** 2).sum())
+        div += _div_face(v, a, h)
+    residuals = {"momentum": np.sqrt(mom) / fnorm if fnorm > 0 else 0.0,
+                 "divergence": float(np.linalg.norm(div)) / (bnorm if bnorm > 0 else 1.0),
                  "mean_p": abs(float(p.mean()))}
 
     return StokesSolution(ScalarGrid(box, p), residuals,
@@ -302,7 +300,8 @@ def estar(F):
 def projection_residual(sol):
     """Face-level ‖estar(∇p) − ∇p‖ / ‖∇p‖ of a solution's own gradient:
     reapplying the projection isolates solver error from grid transfer."""
-    grad, again = sol._face_grad, estar(sol)._face_grad
+    h = sol.p.box.spacing
+    grad, again = ([_grad_face(s.p.data, a, h) for a in range(3)] for s in (sol, estar(sol)))
     num = np.sqrt(sum(float(((a - b) ** 2).sum()) for a, b in zip(again, grad)))
     den = np.sqrt(sum(float((g ** 2).sum()) for g in grad))
     return num / den if den > 0 else 0.0
@@ -383,12 +382,42 @@ def _warn_if_compressible(u, what, interior=False):
         )
 
 
+def _now(fn, *args):
+    """fn(*args) run here and now, its outcome kept in a Future as a pool keeps it."""
+    out = Future()
+    try:
+        out.set_result(fn(*args))
+    except Exception as exc:
+        out.set_exception(exc)
+    return out
+
+
+def _solver_pool():
+    """submit of one worker thread if the process may use more CPUs than it runs
+    threads (numpy's BLAS starts one per CPU unless limited to one), else _now."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
+    return ThreadPoolExecutor(1, "regscan-stokes").submit if (cpus or 1) > threads else _now
+
+
+_submit = _solver_pool()      # the worker starts at the first call, not on import
+if hasattr(os, "register_at_fork"):     # a forked child has no copy of the worker
+    os.register_at_fork(after_in_child=lambda: globals().update(_submit=_solver_pool()))
+
+
 def pressure_parts(u):
+    """The LocalPressure of u on its cube. The three solves share no state:
+    ph and p2 run on the worker thread while this thread solves p1 (all here
+    without a spare CPU). Each applies the same operations to its own buffers,
+    so every record is bit-identical to a serial solve's. A failed solve's
+    error is raised once all three have finished."""
     _warn_if_compressible(u, "the pressure decomposition")
-    forcing = {"ph": -u.data, "p1": -convective_divergence(u).data,
-               "p2": vector_laplacian(u).data}
-    return LocalPressure({k: estar(VectorGrid.from_array(u.box, f))
-                          for k, f in forcing.items()})
+    _basis(u.box.n, u.box.spacing)      # built here, so the worker only reads the cache
+    jobs = {"ph": _submit(estar, VectorGrid.from_array(u.box, -u.data)),
+            "p2": _submit(estar, vector_laplacian(u))}
+    jobs["p1"] = _now(estar, VectorGrid.from_array(u.box, -convective_divergence(u).data))
+    wait(jobs.values())
+    return LocalPressure({k: jobs[k].result() for k in ("ph", "p1", "p2")})
 
 
 def harmonic_residual(ph_solution, u=None):
@@ -548,9 +577,10 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
     (the part of the local pressure driven by Δu). Time integrals use the
     frame trapezoid rule; φ and its derivatives are analytic.
 
-    f is a SpaceTimeField or a FieldWindow of the cube; pressures may carry
-    a precomputed list of LocalPressure records (one per frame) to amortize
-    solves across several test functions.
+    f is a SpaceTimeField or a FieldWindow of the cube. pressures may carry
+    LocalPressure records solved before, to amortize solves across several
+    test functions: a list one per frame, a dict by frame index (the frames
+    it lacks are solved here).
     """
     if not (np.isfinite(nu) and nu > 0):
         raise ValueError(f"viscosity must be finite and positive, got {nu}")
@@ -558,6 +588,7 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
     slices, sub_box, idx = check_bump(f.box, times, cube, phi, s)
     phi_at = phi._at(sub_box.center_mesh())
 
+    known = pressures if isinstance(pressures, dict) else dict(enumerate(pressures or ()))
     vol = sub_box.cell_volume
     rows, boundary = [], 0.0
     for i in idx:
@@ -568,17 +599,18 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
             continue
         phi_val, phi_grad, phi_lap, phi_dt = phi_at(t)
         u = VectorGrid.from_array(sub_box, np.array(frame_cells(f, i, slices)))
-        lp = pressures[i] if pressures is not None else pressure_parts(u)
+        lp = known[i] if i in known else pressure_parts(u)
         uarr, gph = u.data, lp.grad_ph.data
         varr = uarr + gph
         v2 = (varr ** 2).sum(axis=0)
-        gv = gradient(varr, sub_box.spacing)
+        grad2 = (gradient(varr, sub_box.spacing) ** 2).sum(axis=(0, 1))
         hess = gradient(gph, sub_box.spacing)
         contraction = sum(varr[a] * uarr[b] * hess[a][b]
                           for a in range(3) for b in range(3))
+        del hess    # like ∇v, not held until the next frame replaces it
         psum = lp.solutions["p1"].p.data + nu * lp.solutions["p2"].p.data
         rows.append([float(x.sum()) * vol for x in (
-            (gv ** 2).sum(axis=(0, 1)) * phi_val, v2 * phi_dt, v2 * phi_lap,
+            grad2 * phi_val, v2 * phi_dt, v2 * phi_lap,
             v2 * (uarr * phi_grad).sum(axis=0), contraction * phi_val,
             psum * (varr * phi_grad).sum(axis=0))])
         if i == idx[-1]:

@@ -443,6 +443,31 @@ def test_stokes_check_energy_at_the_given_viscosity(capsys, field_file):
     assert doc["payload"]["energy"] == json.loads(json.dumps(ref))
 
 
+def test_stokes_check_bump_solves_each_frame_once(capsys, field_file, monkeypatch):
+    # frames 1 to 3 lie in the bump's time support; frame 3, the projection's,
+    # is solved once for both blocks of the payload
+    import regscan.stokes
+
+    path, field = field_file
+    calls = []
+    solve = regscan.stokes.pressure_parts
+
+    def counted(u):
+        calls.append(u.box)
+        return solve(u)
+
+    monkeypatch.setattr(regscan.stokes, "pressure_parts", counted)
+    monkeypatch.setattr(cli, "pressure_parts", counted)
+    doc = run_json(capsys, [
+        "stokes-check", path, "--cube", "0.25,0.25,0.25,0.5",
+        "--bump", "0.5,0.5,0.5,0.22,0.1,0.1"])
+    assert len(calls) == 3
+    ref = local_energy_residual(field, Cube((0.25, 0.25, 0.25), 0.5),
+                                BumpTestFunction((0.5, 0.5, 0.5), 0.22, 0.1, 0.1))
+    assert (json.dumps(doc["payload"]["energy"], sort_keys=True)
+            == json.dumps(ref, sort_keys=True))
+
+
 @pytest.mark.parametrize("nu", ["0", "-0.05", "nan", "inf"])
 def test_stokes_check_rejects_bad_viscosity(capsys, field_file, nu):
     path, _ = field_file

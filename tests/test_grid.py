@@ -197,13 +197,16 @@ def stacked_gradient(data, spacing):
 
 
 @pytest.mark.parametrize("shape", [(32, 32, 32), (3, 32, 32, 32), (3, 9, 11, 7),
-                                   (3, 3, 5, 4)])
+                                   (3, 3, 5, 4), (3, 3, 9, 11, 7)])
 def test_gradient_is_per_component_np_gradient_bit_for_bit(shape):
     data = np.random.default_rng(1).normal(size=shape)
     spacing = (0.1, 0.25, 1.0 / 3.0)
     out = gradient(data, spacing)
     assert out.shape == (3, *shape)
     assert out.tobytes() == stacked_gradient(data, spacing).tobytes()
+    # and np.gradient over the last three axes at once, stacked before them
+    ref = np.stack(np.gradient(data, *spacing, axis=(-3, -2, -1), edge_order=2), axis=-4)
+    assert out.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("window", [(slice(5, 17), slice(0, 9), slice(20, 32)),

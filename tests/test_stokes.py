@@ -9,8 +9,14 @@ integrals have elementary values.
 """
 
 import gc
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,8 +38,8 @@ from regscan.stokes import (
     restrict_to_cube,
     vector_laplacian,
 )
-from regscan.stokes import (_apply_a, _ax, _basis, _div_faces, _gather,
-                            _grad_to_faces, _spread)
+from regscan.stokes import (_apply_a, _ax, _basis, _div_face, _gather, _grad_face,
+                            _spread)
 
 
 def unit_box(n):
@@ -56,6 +62,16 @@ def poly_gradient(n):
     """grad of p = x^3 y + z^2 - x y z."""
     return VectorGrid.sample(unit_box(n), lambda x, y, z: (
         3 * x ** 2 * y - y * z, x ** 3 - x * z, 2 * z - x * y))
+
+
+def face_grad(sol):
+    """∇p of a solution on the interior faces: the projection's own gradient."""
+    return [_grad_face(sol.p.data, a, sol.p.box.spacing) for a in range(3)]
+
+
+def div_faces(faces, h):
+    """The cell divergence of face velocities, summed over components."""
+    return sum(_div_face(f, a, h) for a, f in enumerate(faces))
 
 
 def rel_diff(a, b):
@@ -96,8 +112,8 @@ def test_estar_reprojection_is_idempotent_at_face_level():
     sol = estar(trig_gradient(24))
     again = estar(sol)
     num = np.sqrt(sum(float(((a - b) ** 2).sum())
-                      for a, b in zip(again._face_grad, sol._face_grad)))
-    den = np.sqrt(sum(float((g ** 2).sum()) for g in sol._face_grad))
+                      for a, b in zip(face_grad(again), face_grad(sol))))
+    den = np.sqrt(sum(float((g ** 2).sum()) for g in face_grad(sol)))
     assert num / den <= 1e-5
 
 
@@ -179,9 +195,9 @@ def test_cosine_basis_velocity_solves_the_momentum_equation():
     p, Sp = p_hat, S(p_hat)
     for b in range(3):
         p, Sp = along(basis.C[b].T, p, b), along(basis.C[b].T, Sp, b)
-    for av, g in zip(_apply_a(v, h), _grad_to_faces(p, h)):
-        assert rel_diff(av, g) <= 1e-12
-    assert rel_diff(Sp, -_div_faces(v, h)) <= 1e-12
+    for a, f in enumerate(v):
+        assert rel_diff(_apply_a(f, a, h), _grad_face(p, a, h)) <= 1e-12
+    assert rel_diff(Sp, -div_faces(v, h)) <= 1e-12
 
 
 def test_cosine_schur_operator_is_symmetric_with_the_constant_null_space():
@@ -209,16 +225,16 @@ def test_mac_duality_on_interior_faces():
     p = rng.normal(size=n)
     faces = [rng.normal(size=[m - 1 if b == a else m for b, m in enumerate(n)])
              for a in range(3)]
-    lhs = float((p * _div_faces(faces, h)).sum())
-    rhs = -sum(float((f * g).sum()) for f, g in zip(faces, _grad_to_faces(p, h)))
+    lhs = float((p * div_faces(faces, h)).sum())
+    rhs = -sum(float((f * _grad_face(p, a, h)).sum()) for a, f in enumerate(faces))
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_projection_residual_is_the_face_level_reprojection_error():
     sol = estar(trig_gradient(24))
-    grad = sol._face_grad
+    grad = face_grad(sol)
     assert [g.shape for g in grad] == [(23, 24, 24), (24, 23, 24), (24, 24, 23)]
-    again = estar(sol)._face_grad
+    again = face_grad(estar(sol))
     num = np.sqrt(sum(float(((a - b) ** 2).sum()) for a, b in zip(again, grad)))
     den = np.sqrt(sum(float((g ** 2).sum()) for g in grad))
     assert projection_residual(sol) == num / den
@@ -279,14 +295,161 @@ def test_pressure_parts_zero_field():
         assert np.all(g.data == 0.0)
 
 
+@pytest.fixture
+def worker_pool(monkeypatch):
+    """pressure_parts with a worker thread, whatever this process's CPUs and
+    threads would pick."""
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(stokes, "_submit", pool.submit)
+        yield
+
+
+@pytest.fixture(params=["worker", "inline"])
+def solver_pool(request, monkeypatch):
+    """pressure_parts with a worker thread, then with every solve inline."""
+    if request.param == "worker":
+        request.getfixturevalue("worker_pool")
+    else:
+        monkeypatch.setattr(stokes, "_submit", stokes._now)
+
+
 @pytest.mark.parametrize("call", [
     pressure_parts,
     lambda u: harmonic_residual(estar(u), u),
 ], ids=["pressure_parts", "harmonic_residual"])
-def test_pressure_parts_warns_on_compressible_input(call):
+def test_pressure_parts_warns_on_compressible_input(call, worker_pool):
+    # the check runs on the calling thread, where pytest.warns records it
     u = VectorGrid.sample(unit_box(16), lambda x, y, z: (x, y, z))
-    with pytest.warns(UserWarning, match="far from solenoidal"):
+    with pytest.warns(UserWarning, match="far from solenoidal") as record:
         call(u)
+    assert len(record) == 1
+
+
+def random_field(n, seed=3):
+    return VectorGrid.from_array(unit_box(n), np.random.default_rng(seed).normal(size=(3, n, n, n)))
+
+
+def same_solution(a, b):
+    return (a.p.data.tobytes() == b.p.data.tobytes() and a.residuals == b.residuals
+            and a.iterations == b.iterations and a.residual_history == b.residual_history)
+
+
+@pytest.mark.filterwarnings("ignore:input is far from solenoidal")
+@pytest.mark.parametrize("n", [16, 27])
+def test_pressure_parts_is_three_serial_solves_bit_for_bit(n, solver_pool):
+    u = random_field(n)
+    parts = pressure_parts(u)
+    serial = {"ph": -u.data, "p1": -convective_divergence(u).data,
+              "p2": vector_laplacian(u).data}
+    assert list(parts.solutions) == ["ph", "p1", "p2"]
+    for key, f in serial.items():
+        assert same_solution(parts.solutions[key], estar(VectorGrid.from_array(u.box, f)))
+
+
+@pytest.mark.parametrize("failing", ["ph", "p1", "p2"])
+def test_pressure_parts_raises_a_failed_solve_once_all_have_finished(monkeypatch, failing,
+                                                                     solver_pool):
+    u = rotation_field(16)
+    forcing = {"ph": -u.data, "p1": -convective_divergence(u).data,
+               "p2": vector_laplacian(u).data}
+    error = StokesError("planted failure", [1.0, 0.5])
+    lock, running, finished = threading.Lock(), set(), []
+    solve = stokes.estar
+
+    def estar_or_fail(F):
+        part = next(k for k, f in forcing.items() if np.array_equal(F.data, f))
+        with lock:
+            running.add(part)
+        try:
+            if part == failing:
+                raise error
+            # the others outlast the failure, a worker's solve the longest
+            time.sleep(0.1 if threading.current_thread() is threading.main_thread() else 0.4)
+            return solve(F)
+        finally:
+            with lock:
+                running.discard(part)
+                finished.append(part)
+
+    monkeypatch.setattr(stokes, "estar", estar_or_fail)
+    with pytest.raises(StokesError) as err:
+        pressure_parts(u)
+    assert err.value is error and err.value.residual_history == [1.0, 0.5]
+    assert not running and sorted(finished) == ["p1", "p2", "ph"]
+
+
+@pytest.mark.filterwarnings("ignore:input is far from solenoidal")
+def test_concurrent_callers_share_the_solver_thread(solver_pool):
+    # more calling threads than CPUs, over more grid sizes than the basis
+    # cache holds, with thread switches forced often
+    sizes = [16, 17, 18, 19, 20, 21]
+    fields = [random_field(n, seed=n) for n in sizes]
+    expected = [pressure_parts(u) for u in fields]
+    got = [None] * len(fields)
+
+    def run(i):
+        got[i] = pressure_parts(fields[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(fields))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, expected):
+        assert all(same_solution(a.solutions[k], b.solutions[k]) for k in b.solutions)
+
+
+@pytest.mark.parametrize("cpus, threads, worker", [
+    (1, 1, False), (2, 1, True), (2, 2, False), (4, 2, True)])
+def test_solver_thread_needs_a_spare_cpu(monkeypatch, cpus, threads, worker):
+    # numpy's BLAS runs one thread per CPU unless limited to one: a worker
+    # beside them only contends for the CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    tasks, listdir, isdir = "/proc/self/task", os.listdir, os.path.isdir
+    monkeypatch.setattr(os.path, "isdir", lambda path: path == tasks or isdir(path))
+    monkeypatch.setattr(os, "listdir", lambda path=".": (
+        [str(i) for i in range(threads)] if path == tasks else listdir(path)))
+    submit = stokes._solver_pool()
+    if not worker:
+        assert submit is stokes._now
+        return
+    assert isinstance(submit.__self__, ThreadPoolExecutor)
+    assert submit.__self__._max_workers == 1
+    submit.__self__.shutdown()
+
+
+def test_solver_pool_without_a_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert stokes._solver_pool() is stokes._now
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pressure_parts_runs_in_a_forked_child(worker_pool):
+    u = rotation_field(16)
+    expected = pressure_parts(u)        # the worker thread now exists
+    pid = os.fork()
+    if pid == 0:    # the child has no copy of the worker; it reports by exit code
+        code = 1
+        try:
+            code = 0 if same_solution(pressure_parts(u).solutions["p2"],
+                                      expected.solutions["p2"]) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the child hung in pressure_parts"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_convective_divergence_exact_on_linear_field():
