@@ -24,7 +24,7 @@ from regscan.lorentz import (
     lp_norm,
     weak_norm,
 )
-from regscan.synth import SpikeSpec, random_solenoidal, spike_field
+from regscan.synth import SpikeSpec, default_box, random_solenoidal, spike_field
 
 
 def capped_pole(n, delta=0.125):
@@ -42,7 +42,7 @@ def build_fields():
     return [
         ("capped pole (borderline)", capped_pole(48)),
         ("single spike |u|", spike.magnitude()),
-        ("random solenoidal |u|", random_solenoidal(n=32, seed=1).magnitude()),
+        ("random solenoidal |u|", random_solenoidal(default_box(32), seed=1).magnitude()),
         ("uniform noise", ScalarGrid(Box3((0, 0, 0), (1, 1, 1), (16, 16, 16)),
                                      rng.uniform(0, 2, (16, 16, 16)))),
     ]

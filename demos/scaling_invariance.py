@@ -25,7 +25,7 @@ def smooth_field(n=64, frames=9):
         np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y), np.zeros_like(z))).data
     times = np.linspace(0.0, 0.5, frames)
     return SpaceTimeField(tuple(times), [
-        VectorGrid.from_array(box, np.exp(-t) * base) for t in times])
+        VectorGrid(box, np.exp(-t) * base) for t in times])
 
 
 def five(report):

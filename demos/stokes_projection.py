@@ -66,9 +66,9 @@ def main():
     centrifugal = np.stack([omega ** 2 * (x - 0.5),
                             omega ** 2 * (y - 0.5), np.zeros_like(z)])
     print(f"  grad p1 vs centrifugal closed form: rel err "
-          f"{rel(parts.grad_p1.data, centrifugal):.2e}")
+          f"{rel(parts.solutions['p1'].grad_p.data, centrifugal):.2e}")
     print(f"  |grad p2| (viscous part, zero for linear fields): "
-          f"{np.abs(parts.grad_p2.data).max():.2e}")
+          f"{np.abs(parts.solutions['p2'].grad_p.data).max():.2e}")
     print(f"  harmonic residual of p_h: "
           f"{harmonic_residual(parts.solutions['ph'], u):.2e}")
 

@@ -12,10 +12,11 @@ dumping at the parent commit and at the change, then comparing:
     PYTHONPATH=src python scripts/golden_outputs.py compare parent.npz change.npz
 
 Arrays are compared with np.array_equal (NaN equal to NaN); scalars and
-dicts are stored as JSON, whose float repr round-trips exactly. The 22
+dicts are stored as JSON, whose float repr round-trips exactly. The 23
 outputs of the Stokes projection (the pressure triple, `estar` reapplied
 to p_h, `estar` of a random forcing on 17 x 20 x 23 cells,
-`harmonic_residual` and `local_energy_residual`) are compared to
+`harmonic_residual`, and `local_energy_residual` on the run and on its
+first 9 frames, so up to an earlier time s) are compared to
 rtol=1e-10, atol=1e-12 after JSON parsing, with equal shapes, so equal
 Schur CG iteration counts; the largest difference of each is printed. Each
 `localize` run dumps its `to_dict()` payload, its chains as lists of
@@ -83,8 +84,8 @@ from regscan.stokes import (BumpTestFunction, convective_divergence, estar,
                             harmonic_residual, harmonic_rigidity_check,
                             local_energy_residual, pressure_parts,
                             restrict_to_cube, vector_laplacian)
-from regscan.synth import (SolverConfig, SpikeSpec, random_solenoidal,
-                           run_solver, spike_field)
+from regscan.synth import (SolverConfig, SpikeSpec, default_box,
+                           random_solenoidal, run_solver, spike_field)
 
 
 def _js(obj):
@@ -113,7 +114,7 @@ def stokes_outputs(out):
     # odd and unequal cell counts on a cubic box, with a random forcing
     n = (17, 20, 23)
     forcing = np.random.default_rng(23).normal(size=(3,) + n)
-    _solution(out, "estar(17,20,23)", estar(VectorGrid.from_array(
+    _solution(out, "estar(17,20,23)", estar(VectorGrid(
         Box3((0, 0, 0), (1, 1, 1), n), forcing)))
     out["harmonic_residual"] = _js(harmonic_residual(lp.solutions["ph"], u))
     out["vector_laplacian"] = vector_laplacian(u).data
@@ -122,9 +123,10 @@ def stokes_outputs(out):
     phi = BumpTestFunction((np.pi, np.pi, np.pi), 1.8, 0.21, 0.15)
     out["local_energy_residual"] = _js(local_energy_residual(
         field, cube, phi, nu=0.05, pressures=pressures))
-    mesh = u.box.center_mesh()
-    out["bump.grad"] = phi.grad(mesh, 0.2)
-    out["bump.laplacian"] = phi.laplacian(mesh, 0.2)
+    out["local_energy_residual(9 frames)"] = _js(local_energy_residual(
+        SpaceTimeField(field.times[:9], field.frames[:9]), cube, phi, nu=0.05,
+        pressures=pressures[:9]))
+    _, out["bump.grad"], out["bump.laplacian"], _ = phi._at(u.box.center_mesh())(0.2)
 
     box = Box3((-1, -1, -1), (1, 1, 1), (48, 48, 48))
     g = ScalarGrid.sample(box, lambda x, y, z: 1.0 / np.maximum(
@@ -171,7 +173,7 @@ def chain_outputs(out):
     _localize_outputs(out, "spike", frame, 0.1, 3)
     _localize_outputs(out, "spike(eps0.13)", frame, 0.13, 3)
     _localize_outputs(out, "spike(M2)", frame, 0.1, 3, M=2.0)
-    _localize_outputs(out, "zero", VectorGrid.from_array(
+    _localize_outputs(out, "zero", VectorGrid(
         box, np.zeros((3, 48, 48, 48))), 0.1, 2, M=1.0)
 
     # dense regime: every level-0 cube of the 2*pi box is selected
@@ -217,7 +219,7 @@ def cluster_outputs(out):
 
 
 def spread_outputs(out):
-    frame = random_solenoidal(n=48, seed=3, rms=0.5)
+    frame = random_solenoidal(default_box(48), seed=3, rms=0.5)
     rng = np.random.default_rng(11)
     # the dilation, child and parent bounds at eps 0.2 (dm 4, span 5)
     keys = dyadic.select_f0(frame.magnitude(), 0.2).F_keys
@@ -263,8 +265,8 @@ def _fieldio_outputs(out, field, tmp):
     out["read_field.times"] = back.times
     out["read_field.frames"] = np.stack([fr.data for fr in back.frames])
     out["read_field.layout"] = _js(sorted({
-        (c.data.dtype.str, c.data.flags.c_contiguous, c.data.flags.writeable)
-        for fr in back.frames for c in fr.components}))
+        (c.dtype.str, c.flags.c_contiguous, c.flags.writeable)
+        for fr in back.frames for c in fr.data}))
     # one non-finite value in frame 2, component 1, voxel (5, 7, 11)
     n = field.box.n
     cells = n[0] * n[1] * n[2]
@@ -278,7 +280,7 @@ def _fieldio_outputs(out, field, tmp):
     out["read_field.nonfinite"] = _js(_error(lambda: read_field(bad_path)))
     arr = field.frames[1].data.copy()   # the frame itself stays finite
     arr[2, 3, 4, 5] = np.inf
-    one = VectorGrid.from_array(field.box, arr)
+    one = VectorGrid(field.box, arr)
     out["write_field.nonfinite"] = _js(_error(
         lambda: write_field(os.path.join(tmp, "inf.rsf"), one)))
     out["write_field.nonfinite.written"] = _js(
@@ -463,7 +465,8 @@ SOLVER_OUTPUTS = {f"{name}.{part}"
                   for name in ("ph", "p1", "p2", "estar(ph)", "estar(17,20,23)")
                   for part in ("p", "grad_p", "residuals",
                                "residual_history")}
-SOLVER_OUTPUTS |= {"harmonic_residual", "local_energy_residual"}
+SOLVER_OUTPUTS |= {"harmonic_residual", "local_energy_residual",
+                   "local_energy_residual(9 frames)"}
 RTOL, ATOL = 1e-10, 1e-12
 
 

@@ -176,8 +176,10 @@ def cmd_stokes_check(args):
         slices, sub_box = cube_slices(box, cube)     # before any frame is decoded
     except ValueError as exc:
         raise ValueError(f"--cube: {exc}") from None
-    # the projection reads frame i, the energy balance the frames up to the last
-    keep = [i] if phi is None else check_bump(box, times, cube, phi)[2]
+    if phi is not None:
+        check_bump(box, times, cube, phi)
+    # the projection reads frame i, the energy balance every frame
+    keep = [i] if phi is None else list(range(len(times)))
     field = read_field(args.field, keep, slices)   # only the cube of each
     u = VectorGrid(sub_box, field.frames[keep.index(i)])
     parts = pressure_parts(u)
@@ -192,7 +194,7 @@ def cmd_stokes_check(args):
         "harmonic_residual": harmonic_residual(sol_h, u),
         "projection_residual": projection_residual(sol_h),
         "gradp_over_f": (
-            float(np.sqrt((parts.grad_ph.data ** 2).sum())) / unorm
+            float(np.sqrt((sol_h.grad_p.data ** 2).sum())) / unorm
             if unorm > 0 else 0.0
         ),
     })

@@ -28,8 +28,8 @@ import numpy as np
 
 from .grid import Box3, FieldWindow, SpaceTimeField, VectorGrid
 
-__all__ = ["FieldFormatError", "FieldWindow", "writing_field", "write_field", "read_field",
-           "read_header", "CANARY"]
+__all__ = ["FieldFormatError", "writing_field", "write_field", "read_field", "read_header",
+           "CANARY"]
 
 MAGIC = b"#rsf 1\n"
 CANARY = 0x1A2B3C4D
@@ -184,5 +184,5 @@ def read_field(path, frames=None, window=None):
                 decoded[-1][c] = cut
     kept = np.asarray([times[k] for k in keep])
     if window is None:
-        return SpaceTimeField(kept, tuple(VectorGrid.from_array(box, a) for a in decoded))
+        return SpaceTimeField(kept, tuple(VectorGrid(box, a) for a in decoded))
     return FieldWindow(box, kept, tuple(decoded), tuple(s.start for s in window))

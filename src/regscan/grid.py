@@ -5,7 +5,7 @@ of a box with spacing h owns the sample at ``lo + (index + 1/2) * h``.
 Data arrays are indexed ``data[ix, iy, iz]``; serialization flattens them
 x-fastest (Fortran order). A VectorGrid holds one float array of shape
 ``(3, nx, ny, nz)``, component first; its ``.data`` is that array itself,
-not a copy, and its ``components`` are ScalarGrid views into it. One
+not a copy, and ``.data[a]`` is component a. One
 ``gradient(data, spacing)`` differentiates the last three axes of any array.
 """
 
@@ -121,20 +121,10 @@ class VectorGrid:
             raise ValueError(f"expected shape {(3, *self.box.n)}, got {self.data.shape}")
 
     @classmethod
-    def from_array(cls, box, arr):
-        """Build from an array of shape (3, nx, ny, nz)."""
-        return cls(box, arr)
-
-    @classmethod
     def sample(cls, box, fn):
         """Sample fn(x, y, z) -> (u1, u2, u3) at cell centers."""
         return cls(box, np.stack([np.broadcast_to(u, box.n)
                                   for u in fn(*box.center_mesh())]))
-
-    @property
-    def components(self):
-        """The three components as ScalarGrid views of ``data``."""
-        return tuple(ScalarGrid(self.box, c) for c in self.data)
 
     def magnitude(self):
         """|u| as a ScalarGrid."""
@@ -155,6 +145,7 @@ class SpaceTimeField:
             raise ValueError("times must be 1-d and match the number of frames")
         if len(self.frames) == 0:
             raise ValueError("need at least one frame")
+        _require_finite("field", times=self.times)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         box = self.frames[0].box

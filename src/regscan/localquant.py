@@ -179,13 +179,12 @@ class E16Result:
     passes: bool
 
 
-def criterion_e16(frame, x0, r, eps, i=0):
-    """Evaluate the level-set criterion for one ball on a VectorGrid, or on
-    frame i of a field (a SpaceTimeField, or a FieldWindow that holds the
-    ball), counted on the ball's index window."""
-    f = SpaceTimeField((0.0,), (frame,)) if isinstance(frame, VectorGrid) else frame
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def criterion_e16(f, x0, r, eps, i):
+    """Evaluate the level-set criterion for one ball on frame i of a field (a
+    SpaceTimeField, or a FieldWindow that holds the ball), counted on the
+    ball's index window; eps lies in (0, 1/4), as in AnalysisConfig."""
+    if not (0.0 < eps < 0.25):
+        raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
     level = eps / r
     mask = Ball(x0, r).mask(f.box)
     win = _window(mask)
@@ -359,5 +358,5 @@ def rescale(f, lam, pivot, target_box=None, target_times=None):
             t_lo, t_hi = f.times[j], f.times[j + 1]
             w = (s - t_lo) / (t_hi - t_lo)
             vals = (1 - w) * interp_frame(j) + w * interp_frame(j + 1)
-        frames.append(VectorGrid.from_array(target_box, lam * vals))
+        frames.append(VectorGrid(target_box, lam * vals))
     return SpaceTimeField(target_times, frames)

@@ -36,7 +36,6 @@ class LevelSetProfile:
 
     levels: np.ndarray
     measures: np.ndarray
-    cell_volume: float
 
     def distribution_at(self, h):
         """m{ |f| > h } (right-continuous distribution function)."""
@@ -74,7 +73,7 @@ def distribution(f):
     levels = np.unique(asc)[::-1]
     # count of samples >= level, via positions in the ascending sort
     counts = len(asc) - np.searchsorted(asc, levels, side="left")
-    return LevelSetProfile(levels, counts * f.box.cell_volume, f.box.cell_volume)
+    return LevelSetProfile(levels, counts * f.box.cell_volume)
 
 
 def weak_norm(f, q):
@@ -139,8 +138,8 @@ def _equivalent_of_desc(vals, cell_volume, q, r):
 
 def lp_norm(f, p):
     """Plain L^p norm by cell sums."""
-    if p <= 0:
-        raise ValueError("exponent p must be positive")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"exponent p must be finite and positive, got {p}")
     a = np.abs(f.data)
     a **= p   # in place: one temporary, not two
     return float((np.sum(a) * f.box.cell_volume) ** (1.0 / p))

@@ -64,7 +64,7 @@ def _check_domain(box):
 #
 # Component a lives on its interior a-faces: an array of shape n with n[a]-1
 # along axis a, which holds exactly the unknowns. The zero wall faces are
-# not stored; only the stencils that read them (_div_faces and _apply_a)
+# not stored; only the stencils that read them (_div_face and _apply_a)
 # pad them in.
 
 
@@ -208,7 +208,7 @@ class StokesSolution:
     @property
     def grad_p(self):
         """Cell-centred ∇p, derived on every read so a held record keeps p alone."""
-        return VectorGrid.from_array(self.p.box, gradient(self.p.data, self.p.box.spacing))
+        return VectorGrid(self.p.box, gradient(self.p.data, self.p.box.spacing))
 
 
 def estar(F):
@@ -329,7 +329,7 @@ def _laplacian(x, h):
 
 def vector_laplacian(v):
     """Componentwise 7-point Laplacian with one-sided wall stencils."""
-    return VectorGrid.from_array(v.box, [_laplacian(c, v.box.spacing) for c in v.data])
+    return VectorGrid(v.box, [_laplacian(c, v.box.spacing) for c in v.data])
 
 
 def convective_divergence(u):
@@ -346,24 +346,19 @@ def convective_divergence(u):
                   - 0.5 * prod[_ax(b, slice(-2, -1))])
             flux = np.concatenate([lo, _avg(prod, b), hi], axis=b)
             out[a] += np.diff(flux, axis=b) / h[b]
-    return VectorGrid.from_array(u.box, out)
+    return VectorGrid(u.box, out)
 
 
 @dataclass
 class LocalPressure:
-    """The pressure-gradient triple of the local decomposition.
-
-    grad_ph solves with forcing -u (so p_h absorbs the harmonic part),
-    grad_p1 with -∇·(u⊗u) (convective pressure), grad_p2 with Δu
-    (viscous pressure); all on the same cube with mean-zero gauge. The
-    gradients read through to the solutions keyed "ph", "p1" and "p2".
+    """The pressure triple of the local decomposition, as the solutions
+    keyed "ph", "p1" and "p2": p_h solves with forcing -u (so it absorbs
+    the harmonic part), p₁ with -∇·(u⊗u) (convective pressure), p₂ with Δu
+    (viscous pressure); all on the same cube with mean-zero gauge. Each
+    solution's grad_p is its pressure gradient.
     """
 
     solutions: dict
-
-    grad_ph = property(lambda self: self.solutions["ph"].grad_p)
-    grad_p1 = property(lambda self: self.solutions["p1"].grad_p)
-    grad_p2 = property(lambda self: self.solutions["p2"].grad_p)
 
 
 def _warn_if_compressible(u, what, interior=False):
@@ -413,9 +408,9 @@ def pressure_parts(u):
     error is raised once all three have finished."""
     _warn_if_compressible(u, "the pressure decomposition")
     _basis(u.box.n, u.box.spacing)      # built here, so the worker only reads the cache
-    jobs = {"ph": _submit(estar, VectorGrid.from_array(u.box, -u.data)),
+    jobs = {"ph": _submit(estar, VectorGrid(u.box, -u.data)),
             "p2": _submit(estar, vector_laplacian(u))}
-    jobs["p1"] = _now(estar, VectorGrid.from_array(u.box, -convective_divergence(u).data))
+    jobs["p1"] = _now(estar, VectorGrid(u.box, -convective_divergence(u).data))
     wait(jobs.values())
     return LocalPressure({k: jobs[k].result() for k in ("ph", "p1", "p2")})
 
@@ -493,18 +488,6 @@ class BumpTestFunction:
                     psi * (tau * wp_t * dq))
         return at
 
-    def value(self, mesh, t):
-        return self._at(mesh)(t)[0]
-
-    def grad(self, mesh, t):
-        return self._at(mesh)(t)[1]
-
-    def laplacian(self, mesh, t):
-        return self._at(mesh)(t)[2]
-
-    def dt(self, mesh, t):
-        return self._at(mesh)(t)[3]
-
 
 def cube_slices(box, cube):
     """Snap a Cube region onto the cell lattice of a field's box: the index
@@ -528,21 +511,19 @@ def restrict_to_cube(frame, cube):
     """Extract the sub-grid of a frame covered by a Cube region."""
     slices, sub_box = cube_slices(frame.box, cube)
     # a copy, so that the sub-cube is C-contiguous
-    return VectorGrid.from_array(sub_box, np.array(frame.data[(slice(None), *slices)]))
+    return VectorGrid(sub_box, np.array(frame.data[(slice(None), *slices)]))
 
 
-def check_bump(box, times, cube, phi, s=None):
+def check_bump(box, times, cube, phi):
     """Check a test function against a field's box and frame times (a file's
-    header will do) and an analysis cube: at least 3 frames up to s, the
-    bump's support inside the cube and after the first frame, a frame up to
-    s inside its time support, and at least 4 cells and 2 frame steps across
-    it. Returns the cube's slices and box and the indices of the frames up to s.
+    header will do) and an analysis cube: at least 3 frames, the bump's
+    support inside the cube and after the first frame, a frame inside its
+    time support, and at least 4 cells and 2 frame steps across it. The
+    balance runs up to s, the last frame's time. Returns the cube's slices
+    and box.
     """
     slices, sub_box = cube_slices(box, cube)
-    if s is None:
-        s = times[-1]
-    idx = [i for i, t in enumerate(times) if t <= s + 1e-12]
-    if len(idx) < 3:
+    if len(times) < 3:
         raise ValueError("need at least 3 frames up to the evaluation time")
     r = phi.radius
     for a in range(3):
@@ -551,19 +532,20 @@ def check_bump(box, times, cube, phi, s=None):
             raise ValueError("test function support leaves the analysis cube")
     if phi.t_center - phi.t_radius < times[0] - 1e-12:
         raise ValueError("test function support starts before the field")
-    if not any(abs(times[i] - phi.t_center) < phi.t_radius for i in idx):
+    if not any(abs(t - phi.t_center) < phi.t_radius for t in times):
         raise ValueError(f"test function time support ({phi.t_center - phi.t_radius:g}, "
-                         f"{phi.t_center + phi.t_radius:g}) holds no frame up to s={s:g}")
+                         f"{phi.t_center + phi.t_radius:g}) holds no frame up to "
+                         f"s={times[-1]:g}")
     if r < 4 * max(sub_box.spacing):
         raise ValueError("test function is unresolved: radius < 4 cells")
-    dt_frames = np.diff(times[idx[0]:idx[-1] + 1])
-    if len(dt_frames) and phi.t_radius < 2 * dt_frames.max():
+    if phi.t_radius < 2 * np.diff(times).max():
         raise ValueError("test function is unresolved in time")
-    return slices, sub_box, idx
+    return slices, sub_box
 
 
-def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
-    """Evaluate the seven integrals of the localized energy balance.
+def local_energy_residual(f, cube, phi, pressures=None, nu=1.0):
+    """Evaluate the seven integrals of the localized energy balance up to s,
+    the time of f's last frame (pass the frames up to s for an earlier s).
 
     For v = u + ∇p_h the balance reads::
 
@@ -585,22 +567,21 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
     if not (np.isfinite(nu) and nu > 0):
         raise ValueError(f"viscosity must be finite and positive, got {nu}")
     times = f.times
-    slices, sub_box, idx = check_bump(f.box, times, cube, phi, s)
+    slices, sub_box = check_bump(f.box, times, cube, phi)
     phi_at = phi._at(sub_box.center_mesh())
 
     known = pressures if isinstance(pressures, dict) else dict(enumerate(pressures or ()))
     vol = sub_box.cell_volume
     rows, boundary = [], 0.0
-    for i in idx:
-        t = times[i]
+    for i, t in enumerate(times):
         if phi._time(t)[0] == 0.0:
             # φ(·, t) vanishes identically, and so does every integrand
             rows.append([0.0] * 6)
             continue
         phi_val, phi_grad, phi_lap, phi_dt = phi_at(t)
-        u = VectorGrid.from_array(sub_box, np.array(frame_cells(f, i, slices)))
+        u = VectorGrid(sub_box, np.array(frame_cells(f, i, slices)))
         lp = known[i] if i in known else pressure_parts(u)
-        uarr, gph = u.data, lp.grad_ph.data
+        uarr, gph = u.data, lp.solutions["ph"].grad_p.data
         varr = uarr + gph
         v2 = (varr ** 2).sum(axis=0)
         grad2 = (gradient(varr, sub_box.spacing) ** 2).sum(axis=(0, 1))
@@ -613,12 +594,11 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
             grad2 * phi_val, v2 * phi_dt, v2 * phi_lap,
             v2 * (uarr * phi_grad).sum(axis=0), contraction * phi_val,
             psum * (varr * phi_grad).sum(axis=0))])
-        if i == idx[-1]:
+        if i == len(times) - 1:
             boundary = float((v2 * phi_val).sum()) * vol
 
-    tt = np.asarray(times)[idx]
     grad, phi_t, phi_lap, transport, hessian, pressure = (
-        float(np.trapezoid(col, tt)) for col in np.array(rows).T)
+        float(np.trapezoid(col, times)) for col in np.array(rows).T)
     terms = {"boundary": boundary, "grad": 2.0 * nu * grad, "phi_t": phi_t,
              "phi_lap": nu * phi_lap, "transport": transport,
              "hessian": 2.0 * hessian, "pressure": 2.0 * pressure}
@@ -632,8 +612,8 @@ def local_energy_residual(f, cube, phi, s=None, pressures=None, nu=1.0):
         "slack": rhs - lhs,
         "slack_relative": (rhs - lhs) / scale if scale > 0 else 0.0,
         "terms": terms,
-        "s": float(tt[-1]),
-        "frames_used": len(idx),
+        "s": float(times[-1]),
+        "frames_used": len(times),
     }
 
 

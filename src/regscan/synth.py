@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Box3, VectorGrid, SpaceTimeField
+from .grid import Box3, VectorGrid, SpaceTimeField, _require_finite
 
 __all__ = [
     "SpikeSpec",
@@ -59,12 +59,14 @@ class SpikeSpec:
         axes = []
         for w in self.axes:
             w = np.asarray(w, dtype=float)
+            _require_finite("spike", axis=w)
             nw = np.linalg.norm(w)
             if nw == 0:
                 raise ValueError("spike axis must be nonzero")
             axes.append(tuple(w / nw))
         if not (len(centers) == len(amps) == len(axes)):
             raise ValueError("centers, amplitudes, axes must have equal length")
+        _require_finite("spike", amplitudes=amps, delta=self.delta)
         if self.delta <= 0:
             raise ValueError("core radius delta must be positive")
         object.__setattr__(self, "centers", centers)
@@ -105,13 +107,11 @@ def spike_field(spec, box):
         u[0] += c * (wy * rz - wz * ry) / denom
         u[1] += c * (wz * rx - wx * rz) / denom
         u[2] += c * (wx * ry - wy * rx) / denom
-    return VectorGrid.from_array(box, u)
+    return VectorGrid(box, u)
 
 
-def taylor_green(box=None, n=64, amplitude=1.0):
+def taylor_green(box, amplitude=1.0):
     """Taylor-Green vortex sampled at cell centers (solenoidal, mean-free)."""
-    if box is None:
-        box = default_box(n)
     x, y, z = box.center_mesh()
     # map box coordinates onto one 2*pi period per axis
     ex, ey, ez = box.extent
@@ -119,7 +119,7 @@ def taylor_green(box=None, n=64, amplitude=1.0):
     gy = TWO_PI * (y - box.lo[1]) / ey
     gz = TWO_PI * (z - box.lo[2]) / ez
     a = float(amplitude)
-    return VectorGrid.from_array(box, np.stack([
+    return VectorGrid(box, np.stack([
         a * np.sin(gx) * np.cos(gy) * np.cos(gz),
         -a * np.cos(gx) * np.sin(gy) * np.cos(gz),
         np.zeros_like(gx),
@@ -140,7 +140,7 @@ def _retained_block(n):
             int(np.count_nonzero(np.arange(n // 2 + 1) < cutoff)))
 
 
-def random_solenoidal(box=None, n=32, seed=0, rms=1.0):
+def random_solenoidal(box, seed=0, rms=1.0):
     """Random solenoidal field on the band 2 <= |k| <= 8: curl of white noise
     in Fourier space.
 
@@ -148,8 +148,6 @@ def random_solenoidal(box=None, n=32, seed=0, rms=1.0):
     field is solenoidal to rounding error at the sampled resolution. Fixed
     seed gives bit-identical output.
     """
-    if box is None:
-        box = default_box(n)
     if len(set(box.n)) != 1:
         raise ValueError("random_solenoidal expects equal cell counts per axis")
     n = box.n[0]
@@ -167,7 +165,7 @@ def random_solenoidal(box=None, n=32, seed=0, rms=1.0):
     cur = np.sqrt(np.mean(u ** 2) * 3.0)
     if cur > 0:
         u *= rms / cur
-    return VectorGrid.from_array(box, u)
+    return VectorGrid(box, u)
 
 
 @dataclass
@@ -314,9 +312,9 @@ def run_solver(cfg, save=None):
         return float(np.sum(spec) / n ** 3 * h ** 3)
 
     if cfg.initial == "random":
-        u0 = random_solenoidal(box, cfg.n, seed=cfg.seed, rms=cfg.amplitude)
+        u0 = random_solenoidal(box, seed=cfg.seed, rms=cfg.amplitude)
     else:
-        u0 = taylor_green(box, cfg.n, cfg.amplitude)
+        u0 = taylor_green(box, cfg.amplitude)
     uh = to_block(u0.data, np.empty_like(k1))
 
     saved, frame_times = save_schedule(cfg)
@@ -324,7 +322,7 @@ def run_solver(cfg, save=None):
     if abs(nsteps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         warnings.warn("t_end is not a multiple of dt; stopping at the nearest step")
     frames = []
-    save = save or (lambda a: frames.append(VectorGrid.from_array(box, a.copy())))
+    save = save or (lambda a: frames.append(VectorGrid(box, a.copy())))
 
     save(to_physical(uh, u))   # serves the CFL check, stage 1 and the saved frame
     energy = [spectral_sum(wz, uh)]

@@ -35,7 +35,8 @@ from regscan.stokes import (
     pressure_parts,
     restrict_to_cube,
 )
-from regscan.synth import SolverConfig, SpikeSpec, random_solenoidal, run_solver, spike_field
+from regscan.synth import (SolverConfig, SpikeSpec, default_box, random_solenoidal, run_solver,
+                           spike_field)
 
 
 def capped_pole(n, delta=0.125, box_hi=1.0):
@@ -87,7 +88,7 @@ def test_criterion_02_equivalent_norm_is_the_subset_supremum():
         brute = subset_supremum(values, q, r)
         assert equivalent_norm(g, q, r) == pytest.approx(brute, rel=1e-12, abs=1e-15)
     for seed in range(5):
-        mag = random_solenoidal(n=32, seed=seed, rms=1.0 + seed).magnitude()
+        mag = random_solenoidal(default_box(32), seed=seed, rms=1.0 + seed).magnitude()
         for q, r in pairs:
             rep = NormReport.from_scalar(mag, q=q, r=r)
             assert 1.0 - 1e-12 <= rep.ratio <= rep.ratio_bound + 1e-12
@@ -100,7 +101,7 @@ def test_criterion_03_layer_cake_identity():
     box16 = Box3((0, 0, 0), (1, 1, 1), (16, 16, 16))
     fields += [ScalarGrid(box16, rng.uniform(0.0, 1.0, (16, 16, 16)))
                for _ in range(2)]
-    fields.append(random_solenoidal(n=32, seed=3).magnitude())
+    fields.append(random_solenoidal(default_box(32), seed=3).magnitude())
     fields.append(capped_pole(32))
     for f in fields:
         prof = distribution(f)
@@ -114,7 +115,7 @@ def test_criterion_04_scaling_invariance_of_local_quantities():
         np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y), np.zeros_like(z))).data
     times = np.linspace(0.0, 0.5, 9)
     f = SpaceTimeField(tuple(times), [
-        VectorGrid.from_array(box, np.exp(-t) * base) for t in times])
+        VectorGrid(box, np.exp(-t) * base) for t in times])
     cyl = Cylinder(center=(np.pi, np.pi, np.pi), t0=0.4375, r=0.6)
     cfg = AnalysisConfig(eps=0.1, zeta=1.0)
     ref = quant_report(f, cyl, cfg)
@@ -163,7 +164,7 @@ def test_criterion_05_two_spike_localization(amplitudes):
     assert cs.points.shape[0] <= cs.bound
     assert cs.bound == count_bound(cs.M, cfg.eps)
 
-    zero = VectorGrid.from_array(
+    zero = VectorGrid(
         Box3((0, 0, 0), (1, 1, 1), (32, 32, 32)), np.zeros((3, 32, 32, 32)))
     empty = localize(zero, cfg, 3)
     assert empty.regular
@@ -246,7 +247,7 @@ def test_criterion_09_interpolation_inequalities_hold_with_measured_m():
     spec = SpikeSpec(centers=((0.5, 0.5, 0.5),), amplitudes=(0.25,),
                      axes=((0.0, 0.0, 1.0),), delta=0.1)
     fields = (
-        [random_solenoidal(n=32, seed=s).magnitude() for s in range(3)]
+        [random_solenoidal(default_box(32), seed=s).magnitude() for s in range(3)]
         + [ScalarGrid(box16, rng.uniform(0.0, 2.0, (16, 16, 16)))
            for _ in range(2)]
         + [tg.magnitude(),

@@ -39,7 +39,7 @@ def field_file(tmp_path_factory):
         0.3 * np.ones_like(z))).data
     times = np.linspace(0.0, 0.15, 4)
     field = SpaceTimeField(tuple(times), [
-        VectorGrid.from_array(box, (1.0 + 0.5 * t) * base) for t in times])
+        VectorGrid(box, (1.0 + 0.5 * t) * base) for t in times])
     path = tmp_path_factory.mktemp("cli") / "field.rsf"
     write_field(path, field)
     return str(path), field
@@ -249,7 +249,7 @@ def test_norms_rejects_non_finite_or_negative_m(capsys, field_file, M):
 def test_norms_with_auto_m_on_a_zero_field(capsys, tmp_path):
     # the measured weak-L3 norm, and so M, is 0: both bounds hold trivially
     box = Box3((0, 0, 0), (1, 1, 1), (16, 16, 16))
-    zero = VectorGrid.from_array(box, np.zeros((3, 16, 16, 16)))
+    zero = VectorGrid(box, np.zeros((3, 16, 16, 16)))
     path = tmp_path / "zero.rsf"
     write_field(path, SpaceTimeField((0.0, 0.1), [zero, zero]))
     payload = run_json(capsys, ["norms", str(path), "--M", "auto"])["payload"]
@@ -983,7 +983,7 @@ def random_file(tmp_path_factory):
     box = Box3((0, 0, 0), (1, 1, 1), (24, 24, 24))
     rng = np.random.default_rng(31)
     times = np.linspace(0.0, 0.3, 7)
-    field = SpaceTimeField(times, [VectorGrid.from_array(box, rng.normal(size=(3, *box.n)))
+    field = SpaceTimeField(times, [VectorGrid(box, rng.normal(size=(3, *box.n)))
                                    for _ in times])
     path = tmp_path_factory.mktemp("random") / "random.rsf"
     write_field(path, field)

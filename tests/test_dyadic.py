@@ -68,7 +68,7 @@ def test_build_cover_matches_brute_enumeration(k, eps):
 
 def test_build_cover_validation():
     box = Box3((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    frame = VectorGrid.from_array(box, np.zeros((3, 4, 4, 4)))
+    frame = VectorGrid(box, np.zeros((3, 4, 4, 4)))
     for eps in (0.0, 0.25, 0.4):
         with pytest.raises(ValueError, match="eps must lie in"):
             select_f0(frame.magnitude(), eps)
@@ -252,7 +252,7 @@ def two_bump_frame(n=12, extent=0.6):
         return np.exp(-((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) / w ** 2)
 
     mag = 3.0 * blob(0.15, 0.15, 0.2) + 2.0 * blob(0.45, 0.4, 0.35)
-    return VectorGrid.from_array(box, np.stack(
+    return VectorGrid(box, np.stack(
         [mag, np.zeros_like(mag), np.zeros_like(mag)]))
 
 
@@ -261,7 +261,7 @@ def broad_blob_frame():
     box = Box3((0, 0, 0), (0.7, 0.7, 0.7), (14, 14, 14))
     x, y, z = box.center_mesh()
     mag = 3.0 * np.exp(-((x - 0.3) ** 2 + (y - 0.35) ** 2 + (z - 0.4) ** 2) / 0.09)
-    return VectorGrid.from_array(box, np.stack([mag, 0 * mag, 0 * mag]))
+    return VectorGrid(box, np.stack([mag, 0 * mag, 0 * mag]))
 
 
 def brute_family(frame, eps, k, parent_G=None):
@@ -361,7 +361,7 @@ def test_certificate_overlap_is_the_brute_membership_sum(rng, n, extent, eps, am
     counts only in the cube whose low face it lies on: exactly 8 cubes per
     axis."""
     box = Box3((0, 0, 0), (extent,) * 3, (n,) * 3)
-    frame = VectorGrid.from_array(box, amplitude * rng.normal(size=(3, n, n, n)))
+    frame = VectorGrid(box, amplitude * rng.normal(size=(3, n, n, n)))
     per_axis = int(np.ceil(1 / eps - 1e-12))
     with pytest.warns(UserWarning, match="fewer than 4 cells"):
         cs = localize(frame, AnalysisConfig(eps=eps), 3, on_underresolved="warn")
@@ -483,7 +483,7 @@ def test_cluster_labels_memory_ignores_the_bounding_box():
 
 def zero_frame(n=24):
     box = Box3((0, 0, 0), (1, 1, 1), (n, n, n))
-    return VectorGrid.from_array(box, np.zeros((3, n, n, n)))
+    return VectorGrid(box, np.zeros((3, n, n, n)))
 
 
 def test_localize_zero_field_is_regular():

@@ -25,7 +25,7 @@ def small_field(rng, frames=2, n=(4, 5, 3)):
     box = Box3((-0.5, 0.0, 1.0), (0.5, 2.0, 1.75), n)
     times = tuple(0.1 * k for k in range(frames))
     return SpaceTimeField(times, [
-        VectorGrid.from_array(box, rng.normal(size=(3, *n))) for _ in times])
+        VectorGrid(box, rng.normal(size=(3, *n))) for _ in times])
 
 
 def payload_offset(raw):
@@ -143,7 +143,7 @@ def test_truncated_payload_reports_both_sizes(tmp_path, rng):
 
 def test_non_finite_rejected_on_write(tmp_path, rng):
     f = small_field(rng)
-    f.frames[1].components[2].data[0, 0, 0] = np.nan
+    f.frames[1].data[2, 0, 0, 0] = np.nan
     with pytest.raises(FieldFormatError, match="non-finite"):
         write_field(tmp_path / "nan.rsf", f)
 
@@ -167,7 +167,7 @@ def test_non_finite_offset_names_frame_and_component(tmp_path, rng):
     cells = 4 * 5 * 3
     bad_at = payload_offset(raw) + ((2 * 3 + 1) * cells + 3 + 4 * (2 + 5 * 1)) * 8
     assert struct.unpack("<d", raw[bad_at:bad_at + 8])[0] == \
-        f.frames[2].components[1].data[3, 2, 1]
+        f.frames[2].data[1, 3, 2, 1]
     doctored = raw[:bad_at] + struct.pack("<d", np.nan) + raw[bad_at + 8:]
     err = reject(tmp_path, doctored)
     assert "non-finite value in frame 2 component 1" in str(err)
@@ -178,10 +178,10 @@ def test_read_frames_are_writable_contiguous_float64(tmp_path, rng):
     f = small_field(rng, frames=3)
     write_field(tmp_path / "f.rsf", f)
     for frame in read_field(tmp_path / "f.rsf").frames:
-        for comp in frame.components:
-            assert comp.data.dtype == np.float64
-            assert comp.data.flags.c_contiguous and comp.data.flags.writeable
-            comp.data[0, 0, 0] = 1.0
+        for comp in frame.data:
+            assert comp.dtype == np.float64
+            assert comp.flags.c_contiguous and comp.flags.writeable
+            comp[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -71,18 +71,18 @@ def test_vector_grid_magnitude_and_data():
     arr = np.stack([
         np.full(box.n, 3.0), np.full(box.n, 4.0), np.full(box.n, 12.0),
     ])
-    v = VectorGrid.from_array(box, arr)
+    v = VectorGrid(box, arr)
     assert np.allclose(v.magnitude().data, 13.0)
-    # data is the array passed in, and components are views of it
+    # data is the array passed in, and data[a] is a view of component a
     assert v.data is arr
-    v.components[1].data[0, 0, 0] = -1.0
-    assert v.data[1, 0, 0, 0] == -1.0
+    arr[1, 0, 0, 0] = -1.0
+    assert v.data[1][0, 0, 0] == -1.0
 
 
 def test_vector_grid_rejects_wrong_shaped_data():
     box = unit_box(4)
     with pytest.raises(ValueError, match="expected shape"):
-        VectorGrid.from_array(box, np.zeros((2, 4, 4, 4)))
+        VectorGrid(box, np.zeros((2, 4, 4, 4)))
     with pytest.raises(ValueError, match="expected shape"):
         VectorGrid(box, np.zeros((3, 5, 5, 5)))
     with pytest.raises(ValueError, match="expected shape"):
@@ -90,7 +90,7 @@ def test_vector_grid_rejects_wrong_shaped_data():
 
 
 def constant_frame(box, value=1.0):
-    return VectorGrid.from_array(box, np.full((3, *box.n), value))
+    return VectorGrid(box, np.full((3, *box.n), value))
 
 
 def test_space_time_field_validation():
@@ -109,6 +109,14 @@ def test_space_time_field_validation():
     for t in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="time must be finite"):
             nearest_frame(f.times, t)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.1, np.nan, 0.3], [0.0, np.inf]], ids=["nan", "inf"])
+def test_space_time_field_rejects_non_finite_times(times):
+    # np.diff(times) <= 0 is False at a NaN, so the order check alone lets it in
+    f0 = constant_frame(unit_box(4))
+    with pytest.raises(ValueError, match="field times must be finite, got .*(nan|inf)"):
+        SpaceTimeField(times, [f0] * len(times))
 
 
 def test_region_masks_match_direct_predicates():

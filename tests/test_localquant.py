@@ -35,7 +35,7 @@ def unit_box(n=16):
 def uniform_field(box, times, values):
     """|u| = values[i] everywhere at time times[i] (all along the x axis)."""
     frames = [
-        VectorGrid.from_array(box, np.stack([
+        VectorGrid(box, np.stack([
             np.full(box.n, v), np.zeros(box.n), np.zeros(box.n)]))
         for v in values
     ]
@@ -89,16 +89,28 @@ def test_criterion_e16_both_directions():
     box = unit_box(24)
     r, eps = 0.25, 0.1
     level = eps / r
-    quiet = VectorGrid.from_array(box, np.full((3, *box.n), 0.5 * level / np.sqrt(3)))
-    res = criterion_e16(quiet, (0.5, 0.5, 0.5), r, eps)
+    quiet = SpaceTimeField((0.0,), (VectorGrid(box, np.full((3, *box.n),
+                                                          0.5 * level / np.sqrt(3))),))
+    res = criterion_e16(quiet, (0.5, 0.5, 0.5), r, eps, 0)
     assert res.passes and res.ratio == 0.0 and res.level == pytest.approx(level)
-    loud = VectorGrid.from_array(box, np.full((3, *box.n), 2.0 * level))
-    res = criterion_e16(loud, (0.5, 0.5, 0.5), r, eps)
+    loud = SpaceTimeField((0.0,), (VectorGrid(box, np.full((3, *box.n), 2.0 * level)),))
+    res = criterion_e16(loud, (0.5, 0.5, 0.5), r, eps, 0)
     md = ball_cells(box, Ball((0.5, 0.5, 0.5), r)) * box.cell_volume
     assert not res.passes
     assert res.ratio == pytest.approx(md / r ** 3, rel=1e-12)
     with pytest.raises(ValueError):
-        criterion_e16(loud, (0.5, 0.5, 0.5), r, 0.0)
+        criterion_e16(loud, (0.5, 0.5, 0.5), r, 0.0, 0)
+
+
+@pytest.mark.parametrize("eps", [np.inf, np.nan, 0.25])
+def test_criterion_e16_takes_eps_in_the_analysis_range(eps):
+    # eps = inf passed on a field with |u| = 173 everywhere
+    box = unit_box(24)
+    f = SpaceTimeField((0.0,), (VectorGrid(box, np.full((3, *box.n), 100.0)),))
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1/4\), got"):
+        criterion_e16(f, (0.5, 0.5, 0.5), 0.25, eps, 0)
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1/4\)"):
+        AnalysisConfig(eps)
 
 
 def test_caccioppoli_constant_field_closed_form():
@@ -201,7 +213,7 @@ def test_quant_report_is_consistent_with_parts():
     box = unit_box(20)
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 0.2, 5)
-    frames = [VectorGrid.from_array(box, rng.normal(size=(3, *box.n)))
+    frames = [VectorGrid(box, rng.normal(size=(3, *box.n)))
               for _ in times]
     f = SpaceTimeField(times, frames)
     cyl = Cylinder((0.5, 0.5, 0.5), t0=0.2, r=0.4)
@@ -209,7 +221,7 @@ def test_quant_report_is_consistent_with_parts():
     rep = quant_report(f, cyl, cfg)
     assert rep.q3 == q3(f, cyl)
     assert rep.energy_sup == energy_sup(f, cyl)
-    assert rep.e16.ratio == criterion_e16(f.frames[-1], cyl.center, cyl.r, 0.1).ratio
+    assert rep.e16.ratio == criterion_e16(f, cyl.center, cyl.r, 0.1, len(f.times) - 1).ratio
     assert rep.caccioppoli.lhs == caccioppoli_sides(f, cyl).lhs
     assert rep.q3_small == (rep.q3 <= cfg.zeta ** 3)
     d = asdict(rep)
@@ -221,7 +233,7 @@ def affine_spacetime(box, times):
 
     def frame(t):
         s = 1.0 + 0.5 * t
-        return VectorGrid.from_array(box, np.stack([
+        return VectorGrid(box, np.stack([
             s * (2 * x - 1.0), s * (y + 3.0), s * (-z)]))
 
     return SpaceTimeField(times, [frame(t) for t in times])
@@ -251,7 +263,7 @@ def test_rescale_pullback_leaves_quantities_invariant():
     box = Box3((0, 0, 0), (1, 1, 1), (24, 24, 24))
     rng = np.random.default_rng(11)
     times = np.linspace(0.0, 0.3, 6)
-    frames = [VectorGrid.from_array(box, rng.normal(size=(3, *box.n)))
+    frames = [VectorGrid(box, rng.normal(size=(3, *box.n)))
               for _ in times]
     f = SpaceTimeField(times, frames)
     cyl = Cylinder((0.5, 0.5, 0.5), t0=0.3, r=0.3)
@@ -296,7 +308,7 @@ def test_rescale_resampling_equals_scipy_interpolator(n, target):
     box = Box3((-1, -1, -1), (1, 1, 1), n)
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 1.0, 5)
-    f = SpaceTimeField(times, [VectorGrid.from_array(box, rng.normal(size=(3, *n)))
+    f = SpaceTimeField(times, [VectorGrid(box, rng.normal(size=(3, *n)))
                                for _ in times])
     pivot = (np.array([0.1, -0.2, 0.05]), 0.5)
     target_times = np.array([0.3, 0.5, 0.6, 0.75])   # on a frame and between frames
@@ -387,7 +399,7 @@ def two_pi_field():
     box = Box3((0, 0, 0), (2 * np.pi,) * 3, (48,) * 3)
     rng = np.random.default_rng(23)
     times = np.linspace(0.0, 0.3, 7)
-    return SpaceTimeField(times, [VectorGrid.from_array(box, rng.normal(size=(3, *box.n)))
+    return SpaceTimeField(times, [VectorGrid(box, rng.normal(size=(3, *box.n)))
                                   for _ in times])
 
 
@@ -414,5 +426,5 @@ def test_window_sums_equal_full_box_sums(two_pi_field, center):
     assert quant_report(f, cyl, cfg) == QuantReport(
         center=cyl.center, t0=cyl.t0, r=cyl.r, q3=expected["q3"], zeta=cfg.zeta,
         q3_small=expected["q3"] <= cfg.zeta ** 3,
-        e16=criterion_e16(f.frames[-1], cyl.center, cyl.r, cfg.eps),
+        e16=criterion_e16(f, cyl.center, cyl.r, cfg.eps, len(f.times) - 1),
         caccioppoli=expected["caccioppoli"], energy_sup=expected["energy_sup"])

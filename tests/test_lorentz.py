@@ -100,6 +100,14 @@ def test_weak_norm_zero_field():
     assert lp_norm(g, 3.0) == 0.0
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_lp_norm_rejects_a_non_finite_exponent(p):
+    # at |f| = 173 everywhere, p = inf gave 1.0 and p = nan gave NaN
+    g = line_grid([100.0 * np.sqrt(3.0)] * 6)
+    with pytest.raises(ValueError, match=f"exponent p must be finite and positive, got {p}"):
+        lp_norm(g, p)
+
+
 @pytest.mark.parametrize("alpha", [2.0, -3.5, 0.25])
 def test_norms_are_absolutely_homogeneous(rng, alpha):
     vals = rng.normal(size=30)
@@ -168,7 +176,7 @@ def test_layer_cake_of_zero_field():
 
 
 def test_level_set_profile_telescoping_by_hand():
-    prof = LevelSetProfile(np.array([2.0, 1.0]), np.array([3.0, 5.0]), 1.0)
+    prof = LevelSetProfile(np.array([2.0, 1.0]), np.array([3.0, 5.0]))
     # int 2 h m(h) dh = 3 (4 - 1) + 5 (1 - 0)
     assert prof.layer_cake(2.0) == pytest.approx(14.0, rel=1e-15)
     assert prof.distribution_at(1.5) == 3.0

@@ -70,8 +70,8 @@ def test_spike_amplitude_homogeneity():
 
 def interior_divergence(v, exclude_kink=None):
     xs = v.box.centers()
-    div = sum(np.gradient(c.data, x, axis=a, edge_order=2)
-              for a, (c, x) in enumerate(zip(v.components, xs)))
+    div = sum(np.gradient(c, x, axis=a, edge_order=2)
+              for a, (c, x) in enumerate(zip(v.data, xs)))
     keep = np.ones(v.box.n, bool)
     if exclude_kink is not None:
         delta, pad = exclude_kink
@@ -104,32 +104,44 @@ def test_spike_validation():
         SpikeSpec([(0, 0, 0)], [1.0], [(0, 0, 1)], delta=-0.1)
 
 
+@pytest.mark.parametrize("change, name", [
+    ({"delta": np.nan}, "delta"),
+    ({"amplitudes": [np.nan]}, "amplitudes"),
+    ({"axes": [(np.nan, 0.0, 1.0)]}, "axis"),
+], ids=["delta", "amplitude", "axis"])
+def test_spike_spec_rejects_non_finite_parameters(change, name):
+    # each passed the sign and zero checks and gave a non-finite field
+    args = {"centers": [(0, 0, 0)], "amplitudes": [1.0], "axes": [(0, 0, 1)], "delta": 0.3}
+    with pytest.raises(ValueError, match=f"spike {name} must be finite, got .*nan"):
+        SpikeSpec(**{**args, **change})
+
+
 def test_taylor_green_is_mean_zero_and_solenoidal():
-    u = taylor_green(n=32, amplitude=2.0)
-    for comp in u.components:
-        assert abs(np.mean(comp.data)) < 1e-14
+    u = taylor_green(default_box(32), amplitude=2.0)
+    for comp in u.data:
+        assert abs(np.mean(comp)) < 1e-14
     umax = np.abs(u.data).max()
     assert spectral_divergence_rms(u) <= 1e-12 * umax
     # extrema fall between cell centers, so umax only approaches the amplitude
     assert 2.0 * 0.97 <= umax <= 2.0 * (1 + 1e-12)
-    half = taylor_green(n=32, amplitude=1.0)
+    half = taylor_green(default_box(32), amplitude=1.0)
     assert np.allclose(u.data, 2.0 * half.data, rtol=0, atol=1e-15)
 
 
 def test_random_solenoidal_properties():
-    u = random_solenoidal(n=24, seed=3, rms=1.5)
+    u = random_solenoidal(default_box(24), seed=3, rms=1.5)
     rms = np.sqrt(np.mean(u.magnitude().data ** 2))
     assert rms == pytest.approx(1.5, rel=1e-12)
     assert spectral_divergence_rms(u) <= 1e-12 * rms
     # determinism and seed sensitivity
-    again = random_solenoidal(n=24, seed=3, rms=1.5)
+    again = random_solenoidal(default_box(24), seed=3, rms=1.5)
     assert np.array_equal(u.data, again.data)
-    other = random_solenoidal(n=24, seed=4, rms=1.5)
+    other = random_solenoidal(default_box(24), seed=4, rms=1.5)
     assert not np.allclose(u.data, other.data)
 
 
 def test_random_solenoidal_band_limit():
-    u = random_solenoidal(n=24, seed=3)
+    u = random_solenoidal(default_box(24), seed=3)
     uh = sfft.rfftn(u.data, axes=(1, 2, 3))
     k1 = np.fft.fftfreq(24, 1.0 / 24)
     kx, ky, kz = np.meshgrid(k1, k1, np.arange(13), indexing="ij")
@@ -157,7 +169,7 @@ def scipy_random_solenoidal(n, seed, rms):
 def test_random_solenoidal_equals_scipy_nd_transforms(n):
     for seed in (0, 5):
         expect = scipy_random_solenoidal(n, seed, 1.5)
-        assert np.array_equal(random_solenoidal(n=n, seed=seed, rms=1.5).data, expect)
+        assert np.array_equal(random_solenoidal(default_box(n), seed=seed, rms=1.5).data, expect)
 
 
 def test_random_solenoidal_requires_cubic_grid():
@@ -218,8 +230,8 @@ def test_solver_preserves_zero_momentum():
                                   initial="random", seed=7, save_every=5))
     for frame in run.field.frames:
         rms = np.sqrt(np.mean(frame.data ** 2))
-        for comp in frame.components:
-            assert abs(np.mean(comp.data)) <= 1e-13 * rms
+        for comp in frame.data:
+            assert abs(np.mean(comp)) <= 1e-13 * rms
 
 
 def test_solver_cfl_abort_carries_diagnostics():
@@ -288,9 +300,9 @@ def full_spectrum_run(cfg):
                 2.0 * cfg.nu * float(np.sum(wz * k2 * a2) / n ** 3 * h ** 3))
 
     if cfg.initial == "random":
-        u0 = random_solenoidal(box, n, seed=cfg.seed, rms=cfg.amplitude)
+        u0 = random_solenoidal(box, seed=cfg.seed, rms=cfg.amplitude)
     else:
-        u0 = taylor_green(box, n, cfg.amplitude)
+        u0 = taylor_green(box, cfg.amplitude)
     uh = sfft.rfftn(u0.data, axes=axes) * dealias
     nsteps = int(round(cfg.t_end / cfg.dt))
     save_every = cfg.save_every or max(1, int(np.ceil(nsteps / 16)))
@@ -323,7 +335,7 @@ def full_spectrum_run(cfg):
     energy, diss = (np.asarray(c) for c in zip(*hist))
     return SolverRun(
         field=SpaceTimeField(np.asarray(frame_times),
-                             [VectorGrid.from_array(box, f) for f in frames]),
+                             [VectorGrid(box, f) for f in frames]),
         step_times=np.asarray(step_times), energy=energy, dissipation=diss,
         cfl=np.asarray(cfl_hist), config=cfg)
 
