@@ -4,8 +4,9 @@ simulate writes a binary field file plus a JSON report; the analysis
 commands (norms, scan, localize, stokes-check) read the field back and
 emit reports of their own; report validates and summarizes everything
 that was produced. Every document carries a manifest with the exact
-configuration, a hash of it, and SHA-256 digests of the input files, so
-a result can be traced back to the bytes that produced it.
+configuration, a hash of it, and SHA-256 digests of the input files as
+hashed while the command ran; simulate's field_sha256 is the digest of
+the bytes it wrote.
 
 The same entry points are installed as the `regscan` console script;
 main(argv) is called in process here so the demo runs unchanged without

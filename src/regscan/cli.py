@@ -2,9 +2,9 @@
 
 Every command emits a Report: a JSON document with the command kind, the
 numeric payload, and a RunManifest recording the exact configuration
-hash, input file hashes, tool version, and wall time. Identical
-manifests imply byte-identical reports (keys are sorted, floats use
-repr), so runs are auditable.
+hash, the SHA-256 of each input file as hashed while the command ran,
+tool version, and wall time. Identical manifests imply byte-identical
+reports (keys are sorted, floats use repr), so runs are auditable.
 
 Commands: norms, scan, localize, stokes-check, simulate, count-bound,
 report.
@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, grid
 from .dyadic import CountBoundError, count_bound, localize
 from .fieldio import FieldFormatError, read_field, read_header, writing_field
 from .grid import Ball, Cube, Cylinder, VectorGrid, nearest_frame
@@ -80,20 +80,20 @@ def _jsonable(obj):
 
 
 def _sha256(path):
-    digest = hashlib.sha256()
+    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 20))
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+        while size := fh.readinto(buf):
+            digest.update(buf[:size])
     return digest.hexdigest()
 
 
-def _manifest(kind, args_dict, inputs, outputs, wall):
+def _manifest(kind, args_dict, digests, outputs, wall):
     config = json.dumps(_jsonable(args_dict), sort_keys=True)
     return {
         "command": kind,
         "config_hash": hashlib.sha256(config.encode()).hexdigest(),
         "config": json.loads(config),
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: job.result() for p, job in digests.items()},
         "version": __version__,
         "wall_time_s": wall,
         "outputs": list(outputs),
@@ -139,7 +139,7 @@ def cmd_norms(args):
             0.25 * min(mag.box.extent),
         )
         payload["local_l2"] = local_l2_check(mag, ball, M, report.weak_norm)
-    return "norms", payload, [args.field]
+    return "norms", payload
 
 
 def cmd_scan(args):
@@ -147,7 +147,7 @@ def cmd_scan(args):
     cyl = Cylinder(center=args.x0, t0=args.t0, r=args.r)
     frames, window = check_cylinder(*read_header(args.field), cyl)   # before any read
     field = read_field(args.field, frames, window)   # only what the quantities read
-    return "scan", quant_report(field, cyl, cfg), [args.field]
+    return "scan", quant_report(field, cyl, cfg)
 
 
 def cmd_localize(args):
@@ -162,7 +162,7 @@ def cmd_localize(args):
         on_underresolved=args.on_underresolved,
     )
     payload.update(cs.to_dict())
-    return "localize", payload, [args.field]
+    return "localize", payload
 
 
 def cmd_stokes_check(args):
@@ -201,7 +201,7 @@ def cmd_stokes_check(args):
     if phi is not None:
         payload["energy"] = local_energy_residual(field, cube, phi, nu=args.nu,
                                                   pressures={keep.index(i): parts})
-    return "stokes", payload, [args.field]
+    return "stokes", payload
 
 
 def cmd_simulate(args):
@@ -218,7 +218,9 @@ def cmd_simulate(args):
     except TypeError as exc:
         raise ValueError(f"invalid config: {exc}") from exc
     times = save_schedule(cfg)[1]
-    with writing_field(args.out, default_box(cfg.n), times) as put:
+    digest = hashlib.sha256()   # of the bytes written, updated in file order on the worker
+    with writing_field(args.out, default_box(cfg.n), times,
+                       lambda buf: grid._submit(digest.update, buf)) as put:
         run = run_solver(cfg, save=put)   # each saved frame goes to the file
     payload = {
         "config": cfg,
@@ -228,9 +230,9 @@ def cmd_simulate(args):
         "energy_balance_residual": run.energy_balance_residual(),
         "max_cfl": float(run.cfl.max()),
         "field": args.out,
-        "field_sha256": _sha256(args.out),
+        "field_sha256": grid._submit(digest.hexdigest).result(),   # after every update
     }
-    return "simulate", payload, [args.config]
+    return "simulate", payload
 
 
 def cmd_count_bound(args):
@@ -238,7 +240,7 @@ def cmd_count_bound(args):
     payload = {"M": args.M, "eps": args.eps, "bound": bound}
     if bound == int(bound):
         payload["bound_int"] = int(bound)
-    return "count-bound", payload, []
+    return "count-bound", payload
 
 
 def cmd_report(args):
@@ -375,9 +377,9 @@ def _fail(exc, caught):   # one stderr line, with the run's warnings inside
     return 1
 
 
-def _document(args, started, result):
+def _document(args, started, result, digests):
     """A command's JSON document and its text, written to --out if given."""
-    kind, payload, inputs = result
+    kind, payload = result
     wall = time.perf_counter() - started
     outputs = [p for p in (args.report_out, getattr(args, "out", None)) if p]
     arg_items = {
@@ -388,7 +390,7 @@ def _document(args, started, result):
         "kind": kind,
         "schema_version": SCHEMA_VERSION,
         "payload": _jsonable(payload),
-        "manifest": _manifest(kind, arg_items, inputs, outputs, wall),
+        "manifest": _manifest(kind, arg_items, digests, outputs, wall),
     }
     try:    # strict JSON: a bound beyond a float is an error, not "Infinity"
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
@@ -405,12 +407,15 @@ def main(argv=None):
         try:
             args = _build_parser().parse_args(argv)
             started = time.perf_counter()
+            digests = {p: grid._submit(_sha256, p) for p in
+                       (getattr(args, k, None) for k in ("field", "config")) if p}
             result = args.func(args)
-            report = None if result is None else _document(args, started, result)
+            report = None if result is None else _document(args, started, result, digests)
         except (argparse.ArgumentError, FieldFormatError, SolverError, StokesError,
                 CountBoundError, ValueError, OverflowError, OSError) as exc:
             return _fail(exc, caught)
-        finally:
+        finally:   # a job queued behind every digest of the command ends after them
+            grid._submit(lambda: None).result()
             _release_heap()
     for w in caught:   # a successful command shows its warnings as raised
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)

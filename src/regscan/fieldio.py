@@ -44,29 +44,34 @@ class FieldFormatError(ValueError):
 
 
 @contextlib.contextmanager
-def writing_field(path, box, times):
+def writing_field(path, box, times, tee=lambda buf: None):
     """Write a field file one frame at a time: yields put(data), which checks a
     (3, nx, ny, nz) frame for non-finite values and appends it. The file goes
     to path + ".part", and to path once every frame is in; on an error it is
-    removed, so path is left as it was."""
+    removed, so path is left as it was. tee is called with each buffer written,
+    in file order, and must not change it."""
     header = {"format": "rsf", "version": 1, "lo": list(box.lo), "hi": list(box.hi),
               "n": list(box.n), "components": 3, "times": [float(t) for t in times]}
     if not np.isfinite(header["times"]).all():
         raise FieldFormatError("frame times must be finite")
     part, written = f"{os.fspath(path)}.part", 0
 
+    def write(buf):
+        fh.write(buf)
+        tee(buf)
+
     def put(data):
         nonlocal written
         if not np.isfinite(data).all():
             raise FieldFormatError("payload contains non-finite values")
         # (component, z, y, x) in C order is the file's x-fastest order
-        fh.write(np.array(data.transpose(0, 3, 2, 1), "<f8", order="C"))
+        write(np.array(data.transpose(0, 3, 2, 1), "<f8", order="C"))
         written += 1
 
     try:
         with open(part, "wb") as fh:
-            fh.write(MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
-                     + struct.pack("<I", CANARY))
+            write(MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
+                  + struct.pack("<I", CANARY))
             yield put
         if written != len(times):
             raise ValueError(f"{written} frames written, the header lists {len(times)}")

@@ -7,10 +7,13 @@ x-fastest (Fortran order). A VectorGrid holds one float array of shape
 ``(3, nx, ny, nz)``, component first; its ``.data`` is that array itself,
 not a copy, and ``.data[a]`` is component a. One
 ``gradient(data, spacing)`` differentiates the last three axes of any array.
+``_submit`` queues a job on the package's one worker thread; no job queues another.
 """
 
+import os
 import warnings
 from collections import namedtuple
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,3 +301,27 @@ def gradient(data, spacing):
         o[..., 0] = -1.5 / h * f[..., 0] + 2. / h * f[..., 1] + -0.5 / h * f[..., 2]
         o[..., -1] = 0.5 / h * f[..., -3] + -2. / h * f[..., -2] + 1.5 / h * f[..., -1]
     return out
+
+
+def _now(fn, *args):
+    """fn(*args) run here and now, its outcome kept in a Future as a pool keeps it."""
+    out = Future()
+    try:
+        out.set_result(fn(*args))
+    except Exception as exc:
+        out.set_exception(exc)
+    return out
+
+
+def _solver_pool():
+    """submit of one worker thread, which runs jobs in the order submitted, if the
+    process may use more CPUs than it runs threads (numpy's BLAS starts one per
+    CPU unless limited to one), else _now. Callers look it up as grid._submit."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
+    return ThreadPoolExecutor(1, "regscan-worker").submit if (cpus or 1) > threads else _now
+
+
+_submit = _solver_pool()      # the worker starts at the first call, not on import
+if hasattr(os, "register_at_fork"):     # a forked child has no copy of the worker
+    os.register_at_fork(after_in_child=lambda: globals().update(_submit=_solver_pool()))

@@ -15,20 +15,20 @@ On top of the projection sit the derived quantities used by the local
 regularity analysis: the pressure triple (∇p_h, ∇p₁, ∇p₂), the interior
 harmonicity residual of p_h, the seven-integral local energy balance for
 a space-time field, and the mean-value gradient bound for harmonic
-candidates. pressure_parts runs the triple's three solves on two threads
-when a CPU is spare, else in series; each works on its own buffers, so
-every record is bit-identical to a serial solve's.
+candidates. pressure_parts runs two of the triple's three solves on the
+package's worker thread (``grid._submit``), else in series; each works on
+its own buffers, so every record is bit-identical to a serial solve's.
 """
 
 import functools
-import os
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
+from . import grid
 from .grid import (Ball, Box3, ScalarGrid, VectorGrid, _require_finite, frame_cells,
                    gradient)
 
@@ -377,29 +377,6 @@ def _warn_if_compressible(u, what, interior=False):
         )
 
 
-def _now(fn, *args):
-    """fn(*args) run here and now, its outcome kept in a Future as a pool keeps it."""
-    out = Future()
-    try:
-        out.set_result(fn(*args))
-    except Exception as exc:
-        out.set_exception(exc)
-    return out
-
-
-def _solver_pool():
-    """submit of one worker thread if the process may use more CPUs than it runs
-    threads (numpy's BLAS starts one per CPU unless limited to one), else _now."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
-    return ThreadPoolExecutor(1, "regscan-stokes").submit if (cpus or 1) > threads else _now
-
-
-_submit = _solver_pool()      # the worker starts at the first call, not on import
-if hasattr(os, "register_at_fork"):     # a forked child has no copy of the worker
-    os.register_at_fork(after_in_child=lambda: globals().update(_submit=_solver_pool()))
-
-
 def pressure_parts(u):
     """The LocalPressure of u on its cube. The three solves share no state:
     ph and p2 run on the worker thread while this thread solves p1 (all here
@@ -408,9 +385,9 @@ def pressure_parts(u):
     error is raised once all three have finished."""
     _warn_if_compressible(u, "the pressure decomposition")
     _basis(u.box.n, u.box.spacing)      # built here, so the worker only reads the cache
-    jobs = {"ph": _submit(estar, VectorGrid(u.box, -u.data)),
-            "p2": _submit(estar, vector_laplacian(u))}
-    jobs["p1"] = _now(estar, VectorGrid(u.box, -convective_divergence(u).data))
+    jobs = {"ph": grid._submit(estar, VectorGrid(u.box, -u.data)),
+            "p2": grid._submit(estar, vector_laplacian(u))}
+    jobs["p1"] = grid._now(estar, VectorGrid(u.box, -convective_divergence(u).data))
     wait(jobs.values())
     return LocalPressure({k: jobs[k].result() for k in ("ph", "p1", "p2")})
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid
 from .grid import Box3, VectorGrid, SpaceTimeField, _require_finite
 
 __all__ = [
@@ -259,8 +260,11 @@ def run_solver(cfg, save=None):
     (formed in long double); forward z, x, y. A kept line is the same 1-d
     transform as in the n-d call, and the energy sums scatter the block into
     a zero half-spectrum before the same pairwise ``np.sum``, so frames and
-    histories are bit-identical to a full-spectrum loop. Work buffers are
-    allocated once per run.
+    histories are bit-identical to a full-spectrum loop. Each stage's state
+    goes to physical space on the worker thread (``grid._submit``) while this
+    thread transforms the vorticity, and each forward pass runs half its lines
+    on each thread. Work buffers (an inverse set per thread) are allocated once
+    per run.
     """
     n, nz = cfg.n, cfg.n // 2 + 1
     box = default_box(n)
@@ -275,33 +279,45 @@ def run_solver(cfg, save=None):
     wz_k2 = wz * k2
     scale = float(1 / np.longdouble(n ** 3))
 
-    # work buffers; sx, sy, sz and spec stay zero off the block
-    sx, tx = np.zeros((2, 3, n, len(X), rz), complex)
-    sy, fx = np.zeros((2, 3, n, n, rz), complex)
-    sz, fz = np.zeros((2, 3, n, n, nz), complex)
+    # work buffers; sx, sy, sz and spec stay zero off the block. to_physical has
+    # two sets of (sx, tx, sy, sz): [0] for this thread and [1] for the worker
+    sx, tx = np.zeros((2, 2, 3, n, len(X), rz), complex)
+    *sy, fx = np.zeros((3, 3, n, n, rz), complex)
+    *sz, fz = np.zeros((3, 3, n, n, nz), complex)
     gx, gy = np.zeros((2, 3, len(X), n, rz), complex)
     u, o, uxo = np.zeros((3, 3, n, n, n))
     curl_h, k1, k2s, k3s, k4s = np.zeros((5,) + k.shape, complex)
     spec = np.zeros((3, n, n, nz))
 
     # every pass writes into a work buffer through np.fft's out=
-    def to_physical(vh, out):
-        sx[:, X] = vh
-        np.fft.ifft(sx, axis=1, norm="forward", out=tx)
-        sy[:, :, X] = tx
-        np.fft.ifft(sy, axis=2, norm="forward", out=sz[..., :rz])
-        return np.multiply(np.fft.irfft(sz, n, axis=3, norm="forward", out=out),
+    def to_physical(vh, out, i=0):
+        sx[i][:, X] = vh
+        np.fft.ifft(sx[i], axis=1, norm="forward", out=tx[i])
+        sy[i][:, :, X] = tx[i]
+        np.fft.ifft(sy[i], axis=2, norm="forward", out=sz[i][..., :rz])
+        return np.multiply(np.fft.irfft(sz[i], n, axis=3, norm="forward", out=out),
                            scale, out=out)
 
-    def to_block(r, out):
-        np.fft.fft(np.fft.rfft(r, axis=3, out=fz)[..., :rz], axis=1, out=fx)
-        np.fft.fft(np.take(fx, X, axis=1, out=gx), axis=2, out=gy)
-        return np.take(gy, X, axis=2, out=out)
+    def to_block(out, a, b=None):   # of a, or of a x b
+        def zx(ys):     # the z and x passes on the y-rows ys, which neither transforms
+            r = a[:, :, ys] if b is None else _cross(a[:, :, ys], b[:, :, ys], uxo[:, :, ys])
+            np.fft.rfft(r, axis=3, out=fz[:, :, ys])
+            np.fft.fft(fz[:, :, ys, :rz], axis=1, out=fx[:, :, ys])
 
-    def rhs(vh, out, u_=None):   # u_: vh in physical space, if at hand
-        u_ = to_physical(vh, u) if u_ is None else u_
-        ch = np.multiply(1j, _cross(k, vh, curl_h), out=curl_h)   # vorticity
-        wh = to_block(_cross(u_, to_physical(ch, o), uxo), out)
+        def y(xs):      # the y pass on the kept kx-rows xs
+            np.fft.fft(np.take(fx, X[xs], axis=1, out=gx[:, xs]), axis=2, out=gy[:, xs])
+            np.take(gy[:, xs], X, axis=2, out=out[:, xs])
+
+        for job, m in ((zx, n), (y, len(X))):   # the second half on the worker
+            pending = grid._submit(job, slice(m // 2, m))
+            job(slice(0, m // 2))
+            pending.result()
+        return out
+
+    def rhs(vh, out, pending=None):   # pending: to_physical(vh, u), if submitted
+        pending = pending or grid._submit(to_physical, vh, u, 1)
+        to_physical(np.multiply(1j, _cross(k, vh, curl_h), out=curl_h), o)   # vorticity
+        wh = to_block(out, pending.result(), o)
         wh -= k * (np.sum(k * wh, axis=0) / k2_safe)
         wh[:, 0, 0, 0] = 0.0   # momentum-preserving gauge of the projection
         wh -= cfg.nu * k2 * vh
@@ -315,7 +331,7 @@ def run_solver(cfg, save=None):
         u0 = random_solenoidal(box, seed=cfg.seed, rms=cfg.amplitude)
     else:
         u0 = taylor_green(box, cfg.amplitude)
-    uh = to_block(u0.data, np.empty_like(k1))
+    uh = to_block(np.empty_like(k1), u0.data)
 
     saved, frame_times = save_schedule(cfg)
     nsteps, saved = saved[-1], set(saved)
@@ -324,7 +340,8 @@ def run_solver(cfg, save=None):
     frames = []
     save = save or (lambda a: frames.append(VectorGrid(box, a.copy())))
 
-    save(to_physical(uh, u))   # serves the CFL check, stage 1 and the saved frame
+    # u = uh in physical space serves the saved frame, the CFL check and stage 1
+    pending = grid._submit(to_physical, uh, u, 1)
     energy = [spectral_sum(wz, uh)]
     diss = [2.0 * cfg.nu * spectral_sum(wz_k2, uh)]
     step_times = [0.0]
@@ -332,6 +349,9 @@ def run_solver(cfg, save=None):
 
     dt = cfg.dt
     for step in range(1, nsteps + 1):
+        rhs(uh, k1, pending)
+        if step - 1 in saved:
+            save(u)
         umax = float(np.max(np.abs(u, out=uxo)))
         cfl = umax * dt / h
         cfl_hist.append(cfl)
@@ -339,7 +359,6 @@ def run_solver(cfg, save=None):
             raise SolverError(f"CFL {cfl:.3f} exceeds 0.5 at step {step}", {
                 "step": step, "t": (step - 1) * dt, "cfl": cfl, "umax": umax,
                 "suggested_dt": 0.45 * h / umax})
-        rhs(uh, k1, u)
         rhs(uh + 0.5 * dt * k1, k2s)
         rhs(uh + 0.5 * dt * k2s, k3s)
         rhs(uh + dt * k3s, k4s)
@@ -347,13 +366,13 @@ def run_solver(cfg, save=None):
         if not np.all(np.isfinite(uh.view(float))):
             raise SolverError(f"non-finite state at step {step}",
                               {"step": step, "t": step * dt, "cfl": cfl})
-        to_physical(uh, u)
+        pending = grid._submit(to_physical, uh, u, 1)
         t = step * dt
         step_times.append(t)
         energy.append(spectral_sum(wz, uh))
         diss.append(2.0 * cfg.nu * spectral_sum(wz_k2, uh))
-        if step in saved:
-            save(u)
+    pending.result()
+    save(u)     # the last step is always saved
 
     return SolverRun(field=SpaceTimeField(frame_times, frames) if frames else None,
                      step_times=np.asarray(step_times), energy=np.asarray(energy),

@@ -1,8 +1,14 @@
 """Shared fixtures and reporting hooks for the regscan test suite."""
 
+import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from regscan import grid
 from regscan.synth import SolverConfig, run_solver
 
 
@@ -21,6 +27,46 @@ def tg_field(tg_run):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def worker_pool(monkeypatch):
+    """The package's worker thread (grid._submit), whatever this process's
+    CPUs and threads would pick."""
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(grid, "_submit", pool.submit)
+        yield
+
+
+@pytest.fixture(params=["worker", "inline"])
+def solver_pool(request, monkeypatch):
+    """The worker thread, then every job run inline by grid._now."""
+    if request.param == "worker":
+        request.getfixturevalue("worker_pool")
+    else:
+        monkeypatch.setattr(grid, "_submit", grid._now)
+
+
+@pytest.fixture
+def in_a_forked_child():
+    """check() run in a forked child, which has no copy of the worker thread:
+    True if it returned a true value within a minute, without hanging."""
+    def run(check):
+        pid = os.fork()
+        if pid == 0:    # the child reports by exit code
+            code = 1
+            try:
+                code = 0 if check() else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        return done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

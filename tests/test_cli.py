@@ -11,12 +11,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from regscan import __version__, cli
+from regscan import __version__, cli, grid
 from regscan.cli import main
 from regscan.dyadic import count_bound, localize
 from regscan.fieldio import FieldFormatError, read_field, read_header, write_field
@@ -1121,3 +1123,105 @@ def test_stokes_check_bump_holds_its_cube_not_the_run(pipeline_run):
 def test_norm_report_weak_norm_is_weak_norm_bit_for_bit(pipeline_run, k):
     mag = read_field(pipeline_run[0] / "run.rsf", frames=[k]).frames[0].magnitude()
     assert NormReport.from_scalar(mag).weak_norm == weak_norm(mag, 3.0)
+
+
+# -- digests on the worker thread ------------------------------------------------
+
+SMALL_RUN = {"n": 16, "nu": 0.02, "dt": 0.01, "t_end": 0.05, "initial": "random", "seed": 4,
+             "save_every": 1}
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.fixture()
+def submitted(monkeypatch):
+    """Every job handed to grid._submit (as the test set it), as its Future."""
+    jobs = []
+
+    def record(fn, *args):
+        jobs.append(submit(fn, *args))
+        return jobs[-1]
+
+    submit = grid._submit
+    monkeypatch.setattr(grid, "_submit", record)
+    return jobs
+
+
+def test_simulate_writes_the_same_file_with_the_worker_and_inline(capsys, tmp_path,
+                                                                 monkeypatch):
+    files, digests = [], []
+    with ThreadPoolExecutor(1) as pool:
+        for submit in (pool.submit, grid._now):
+            monkeypatch.setattr(grid, "_submit", submit)
+            assert simulate(tmp_path, SMALL_RUN, "--json") == 0
+            digests.append(json.loads(capsys.readouterr().out)["payload"]["field_sha256"])
+            files.append((tmp_path / "run.rsf").read_bytes())
+    assert files[0] == files[1]
+    assert digests == [hashlib.sha256(files[0]).hexdigest()] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "FIELD", "--M", "auto"],
+    ["scan", "FIELD", "--x0", "0.5,0.5,0.5", "--t0", "0.15", "--r", "0.35"],
+    ["localize", "FIELD", "--kmax", "1"],
+    ["stokes-check", "FIELD", "--cube", "0.25,0.25,0.25,0.5"],
+    ["simulate", "--config", "CONFIG", "--out", "OUT"],
+], ids=["norms", "scan", "localize", "stokes-check", "simulate"])
+def test_every_input_digest_is_the_sha256_of_the_file(capsys, field_file, tmp_path,
+                                                      solver_pool, submitted, argv):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(SMALL_RUN))
+    names = {"FIELD": field_file[0], "CONFIG": str(config), "OUT": str(tmp_path / "o.rsf")}
+    doc = run_json(capsys, [names.get(a, a) for a in argv])
+    named = [names[k] for k in ("FIELD", "CONFIG") if k in argv]
+    assert doc["manifest"]["inputs"] == {p: sha256_of(p) for p in named}
+    assert submitted and all(job.done() for job in submitted)
+
+
+def test_a_digest_that_raises_is_a_clean_error(capsys, field_file, solver_pool, monkeypatch):
+    def unreadable(path):
+        raise OSError(f"cannot read {path}")
+
+    monkeypatch.setattr(cli, "_sha256", unreadable)
+    err = one_line_error(capsys, main(["norms", field_file[0]]))
+    assert err == {"error": f"cannot read {field_file[0]}", "type": "OSError"}
+
+
+@pytest.mark.parametrize("failing", [
+    ["norms", "FIELD", "--M", "-1"],
+    ["simulate", "--config", "TRIP", "--out", "OUT"],   # mid-run, frames handed to the worker
+], ids=["norms", "simulate"])
+def test_a_failing_command_leaves_no_digest_pending(capsys, field_file, tmp_path,
+                                                   solver_pool, submitted, monkeypatch,
+                                                   failing):
+    trip = tmp_path / "trip.json"
+    trip.write_text(json.dumps(CFL_TRIP))
+    names = {"FIELD": field_file[0], "TRIP": str(trip), "OUT": str(tmp_path / "o.rsf")}
+    sha256 = cli._sha256
+
+    def slow(path):     # still hashing when the command fails
+        time.sleep(0.2)
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", slow)
+    one_line_error(capsys, main([names.get(a, a) for a in failing]))
+    assert submitted and all(job.done() for job in submitted)
+    submitted.clear()
+    doc = run_json(capsys, ["norms", field_file[0]])
+    assert doc["manifest"]["inputs"] == {field_file[0]: sha256_of(field_file[0])}
+    assert len(submitted) >= 1 and all(job.done() for job in submitted)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_norms_runs_in_a_forked_child(capsys, field_file, worker_pool, in_a_forked_child):
+    expected = run_json(capsys, ["norms", field_file[0]])   # the worker thread now exists
+
+    def same_report():
+        doc = run_json(capsys, ["norms", field_file[0]])
+        return (doc["payload"] == expected["payload"]
+                and doc["manifest"]["inputs"] == expected["manifest"]["inputs"])
+
+    assert in_a_forked_child(same_report)

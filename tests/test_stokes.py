@@ -10,7 +10,6 @@ integrals have elementary values.
 
 import gc
 import os
-import signal
 import sys
 import threading
 import time
@@ -23,7 +22,7 @@ import pytest
 import scipy.fft
 
 from regscan.grid import Box3, Cube, ScalarGrid, SpaceTimeField, VectorGrid, gradient
-from regscan import stokes
+from regscan import grid, stokes
 from regscan.lorentz import weak_norm
 from regscan.stokes import (
     BumpTestFunction,
@@ -297,24 +296,6 @@ def test_pressure_parts_zero_field():
         assert np.all(sol.grad_p.data == 0.0)
 
 
-@pytest.fixture
-def worker_pool(monkeypatch):
-    """pressure_parts with a worker thread, whatever this process's CPUs and
-    threads would pick."""
-    with ThreadPoolExecutor(1) as pool:
-        monkeypatch.setattr(stokes, "_submit", pool.submit)
-        yield
-
-
-@pytest.fixture(params=["worker", "inline"])
-def solver_pool(request, monkeypatch):
-    """pressure_parts with a worker thread, then with every solve inline."""
-    if request.param == "worker":
-        request.getfixturevalue("worker_pool")
-    else:
-        monkeypatch.setattr(stokes, "_submit", stokes._now)
-
-
 @pytest.mark.parametrize("call", [
     pressure_parts,
     lambda u: harmonic_residual(estar(u), u),
@@ -417,9 +398,9 @@ def test_solver_thread_needs_a_spare_cpu(monkeypatch, cpus, threads, worker):
     monkeypatch.setattr(os.path, "isdir", lambda path: path == tasks or isdir(path))
     monkeypatch.setattr(os, "listdir", lambda path=".": (
         [str(i) for i in range(threads)] if path == tasks else listdir(path)))
-    submit = stokes._solver_pool()
+    submit = grid._solver_pool()
     if not worker:
-        assert submit is stokes._now
+        assert submit is grid._now
         return
     assert isinstance(submit.__self__, ThreadPoolExecutor)
     assert submit.__self__._max_workers == 1
@@ -429,29 +410,15 @@ def test_solver_thread_needs_a_spare_cpu(monkeypatch, cpus, threads, worker):
 def test_solver_pool_without_a_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert stokes._solver_pool() is stokes._now
+    assert grid._solver_pool() is grid._now
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_pressure_parts_runs_in_a_forked_child(worker_pool):
+def test_pressure_parts_runs_in_a_forked_child(worker_pool, in_a_forked_child):
     u = rotation_field(16)
     expected = pressure_parts(u)        # the worker thread now exists
-    pid = os.fork()
-    if pid == 0:    # the child has no copy of the worker; it reports by exit code
-        code = 1
-        try:
-            code = 0 if same_solution(pressure_parts(u).solutions["p2"],
-                                      expected.solutions["p2"]) else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.02)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert done[0] == pid, "the child hung in pressure_parts"
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert in_a_forked_child(lambda: same_solution(pressure_parts(u).solutions["p2"],
+                                                   expected.solutions["p2"]))
 
 
 def test_convective_divergence_exact_on_linear_field():

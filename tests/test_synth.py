@@ -11,13 +11,16 @@ half-spectrum with scipy's n-d transforms, and `random_solenoidal`'s numpy
 passes against the same construction with scipy's `rfftn`/`irfftn`.
 """
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from scipy.integrate import quad
 
+from regscan import grid
 from regscan.grid import Box3, SpaceTimeField, VectorGrid, gradient
 from regscan.lorentz import weak_norm
 from regscan.synth import (
@@ -412,3 +415,60 @@ def test_save_schedule_is_the_solvers_own(cfg):
         assert a.tobytes() == frame.data.tobytes()
     for key in ("step_times", "energy", "dissipation", "cfl"):
         assert getattr(streamed, key).tobytes() == getattr(run, key).tobytes()
+
+
+# the first steps of the pipeline workload's run
+PIPELINE_START = SolverConfig(n=48, nu=0.02, dt=0.01, t_end=0.03, initial="random",
+                              seed=3, amplitude=0.5, save_every=1)
+
+
+def run_both_ways(monkeypatch, cfg):
+    """run_solver(cfg) with the worker thread, then with every job inline; the
+    first run's jobs, as the worker ran them."""
+    jobs = []
+    with ThreadPoolExecutor(1) as pool, warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # overflow in an aborting run
+        monkeypatch.setattr(grid, "_submit", lambda fn, *a: jobs.append(fn) or pool.submit(fn, *a))
+        runs = []
+        for submit in (None, grid._now):
+            if submit is not None:
+                monkeypatch.setattr(grid, "_submit", submit)
+            try:
+                runs.append(run_solver(cfg))
+            except SolverError as exc:
+                runs.append(exc)
+    return runs, jobs
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(n=8, nu=0.03, dt=0.01, t_end=0.04, save_every=2),
+    SolverConfig(n=8, nu=0.03, dt=0.01, t_end=0.04, initial="random", seed=8, save_every=1),
+    # odd n: the halves of every split pass differ in length
+    SolverConfig(n=15, nu=0.05, dt=0.01, t_end=0.07, save_every=3),
+    SolverConfig(n=9, nu=0.02, dt=0.01, t_end=0.05, initial="random", seed=2),
+    PIPELINE_START,
+], ids=["taylor-green-8", "random-8", "taylor-green-15", "random-9", "pipeline-start"])
+def test_solver_is_bit_identical_with_the_worker_and_inline(monkeypatch, cfg):
+    (threaded, inline), jobs = run_both_ways(monkeypatch, cfg)
+    assert jobs, "the worker ran no job"
+    assert_runs_equal(threaded, inline)
+    for name in ("energy", "dissipation", "cfl"):
+        assert getattr(threaded, name).tobytes() == getattr(inline, name).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(n=16, nu=0.05, dt=0.05, t_end=0.5, amplitude=50.0),
+    SolverConfig(n=8, nu=1e200, dt=0.01, t_end=0.05, initial="random"),
+], ids=["cfl", "non-finite"])
+def test_solver_aborts_the_same_with_the_worker_and_inline(monkeypatch, cfg):
+    (threaded, inline), _ = run_both_ways(monkeypatch, cfg)
+    assert isinstance(threaded, SolverError) and isinstance(inline, SolverError)
+    assert str(threaded) == str(inline) and threaded.diagnostics == inline.diagnostics
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_solver_runs_in_a_forked_child(worker_pool, in_a_forked_child):
+    cfg = SolverConfig(n=12, nu=0.05, dt=0.01, t_end=0.03, initial="random", seed=1)
+    expected = run_solver(cfg)      # the worker thread now exists
+    assert in_a_forked_child(lambda: run_solver(cfg).field.frames[-1].data.tobytes()
+                             == expected.field.frames[-1].data.tobytes())
