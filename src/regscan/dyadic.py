@@ -12,12 +12,12 @@ ceil(1/eps)^3 eps^-4 M^3, which is eps^-7 M^3 when 1/eps is an integer,
 for fields with weak-L^3 norm at most M.
 
 Cube families are sorted, distinct int64 keys of packed lattice offsets at
-one eps, unpacked only where arithmetic needs the offsets. Neighbour, child
-and parent families are separable per axis: `_spread` expands merged runs
-of ranges, at three sorts of the distinct keys. The survivors cluster on
-z-runs of their keys (`_cluster_labels`): offsets of one (x, y) line chain
-into runs, runs on nearby lines join by their z spans, and clusters are
-numbered by their lexicographically first offset.
+one eps, read per axis (cube counts gather corners from per-axis tables).
+Neighbour, child and parent families are separable per axis: `_spread`
+expands merged runs of ranges, at three sorts of the distinct keys. The
+survivors cluster on z-runs of their keys (`_cluster_labels`): offsets of
+one (x, y) line chain into runs, runs on nearby lines join by their z
+spans, and clusters are numbered by their lexicographically first offset.
 """
 
 import math
@@ -51,6 +51,12 @@ def _pack(j):
     return ((j + _OFF) << _SHIFTS).sum(axis=1)
 
 
+def _offsets(keys):
+    """Each axis's offsets of the packed keys, one axis at a time."""
+    for shift in _SHIFTS:
+        yield ((keys >> shift) & _MASK) - _OFF
+
+
 def _unpack(keys):
     return ((keys[:, None] >> _SHIFTS) & _MASK) - _OFF
 
@@ -58,40 +64,42 @@ def _unpack(keys):
 def _spread(keys, bounds, cover=None):
     """Replace each key's offset j along every axis by the range bounds(j).
 
-    bounds maps an offset array to inclusive (lo, hi) arrays, both
+    bounds maps an offset array to new inclusive (lo, hi) arrays, both
     nondecreasing in j, as the dilation, child and parent bounds are. Per
-    axis the keys are sorted with that axis fastest, so the ranges of one
-    line come in order; overlapping ones merge into runs, and expanding
-    only the runs yields the keys sorted and distinct, at one sort of the
-    distinct keys per axis and with no (n, width) array. Each range is
-    clipped to the inclusive per-axis limits cover (`_cover_ranges`) first;
-    keys left with an empty range are dropped.
+    axis the key fields are rotated to put that axis fastest and sorted, so
+    the ranges of one line come in order; overlapping ones merge into runs,
+    and expanding only the runs yields the keys sorted and distinct, at one
+    sort per axis and with no (n, width) array. Each range is clipped to the
+    per-axis limits cover (`_cover_ranges`) first; empty ones are dropped.
     """
-    order = (0, 1, 2)   # the axis held by each field of keys, high to low
-    for axis, new in ((0, (1, 2, 0)), (1, (0, 2, 1)), (2, (0, 1, 2))):
-        f = {a: (keys >> s) & _MASK for a, s in zip(order, _SHIFTS)}
-        keys = np.sort((f[new[0]] << 40) | (f[new[1]] << 20) | f[axis])
-        order = new
-        j = (keys & _MASK) - _OFF
-        lo, hi = bounds(j)
+    for axis in range(3):   # fields (x, y, z) -> (y, z, x) -> (z, x, y) -> (x, y, z)
+        keys = (keys & ((1 << 40) - 1)) << 20 | keys >> 40
+        keys.sort()
+        lo, hi = bounds((keys & _MASK) - _OFF)
         if np.any(lo <= -_OFF) or np.any(hi >= _OFF):
             raise ValueError("lattice offset exceeds packing range")
-        line = keys - (j + _OFF)
+        keys &= ~_MASK      # each key's line
         if cover is not None:
-            lo = np.maximum(lo, cover[axis][0])
-            hi = np.minimum(hi, cover[axis][1])
-            keep = lo <= hi
-            line, lo, hi = line[keep], lo[keep], hi[keep]
-        if len(line) == 0:
-            return line
+            np.maximum(lo, cover[axis][0], out=lo)
+            np.minimum(hi, cover[axis][1], out=hi)
+            if not (keep := lo <= hi).all():
+                keys, lo, hi = keys[keep], lo[keep], hi[keep]
+        if len(keys) == 0:
+            return keys
         # a run starts on a new line or past the end of the range before it
-        first = np.flatnonzero(np.r_[True, (line[1:] != line[:-1])
+        first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1])
                                      | (lo[1:] > hi[:-1] + 1)])
-        last = np.append(first[1:], len(line)) - 1
+        last = np.append(first[1:], len(keys)) - 1
         count = hi[last] - lo[first] + 1
-        keys = np.repeat(line[first] + lo[first] + _OFF - np.cumsum(count) + count,
-                         count) + np.arange(count.sum(), dtype=np.int64)
+        start = keys[first] + lo[first] + _OFF
+        del keys, lo, hi
+        keys = _ranges(start, count)
     return keys
+
+
+def _ranges(first, count):
+    """The ranges [first, first + count) end to end, as one index array."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def _meet_radius(eps):
@@ -104,13 +112,12 @@ def _child_span(eps):
     return int(np.floor(1.0 / eps + 1e-12))
 
 
-def _protrudes(j, k, eps, box):
-    """Per cube: does the level-k cube at offsets j leave the box?"""
+def _protrudes(keys, k, eps, box):
+    """Does a level-k cube at the packed keys leave the box? The extreme offsets decide."""
     s = 2.0 ** (-k)
-    corner = eps * s * j
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    return np.any((corner < lo - 1e-12) | (corner + s > hi + 1e-12), axis=1)
+    return len(keys) > 0 and any(
+        eps * s * int(j.min()) < lo - 1e-12 or eps * s * int(j.max()) + s > hi + 1e-12
+        for j, lo, hi in zip(_offsets(keys), box.lo, box.hi))
 
 
 def _cover_ranges(k, eps, box):
@@ -131,14 +138,6 @@ def _cover_ranges(k, eps, box):
     return ranges
 
 
-def _cover_offsets(k, eps, box):
-    """Offsets of the level-k cover of the box, in lexicographic order."""
-    r = _cover_ranges(k, eps, box)
-    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in r],
-                        indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def _prefix(mag, height):
     """Prefix sums of the cells where |mag| > height, built in place (int32
     below 2^31 cells), and their measure."""
@@ -151,18 +150,24 @@ def _prefix(mag, height):
     return p, float(p[-1, -1, -1] * mag.box.cell_volume)
 
 
-def _cube_counts(p, box, j, k, eps):
-    """Super-level cell counts (prefix sums p) for cubes at lattice offsets
-    j: a cube counts the cells whose centre c has corner <= c < corner +
-    side on every axis, so a centre on a face counts in the cube whose low
-    face it lies on."""
+def _cube_counts(p, box, keys, k, eps):
+    """Super-level cell counts (prefix sums p) of the level-k cubes at the packed
+    keys: the cells whose centre c has corner <= c < corner + side per axis (a
+    centre on a face counts in the cube whose low face it lies on), gathered by
+    corner strides from per-axis `searchsorted` tables over the keys' offsets."""
     s = 2.0 ** (-k)
-    lo = eps * s * j
-    (x0, y0, z0), (x1, y1, z1) = (
-        [np.searchsorted(c, v[:, a]) for a, c in enumerate(box.centers())]
-        for v in (lo, lo + s))
-    return (p[x1, y1, z1] - p[x0, y1, z1] - p[x1, y0, z1] - p[x1, y1, z0]
-            + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0])
+    ends = []   # per axis, each cube's low and high corner strides: (2, n), int32 if they fit
+    for c, j, stride in zip(box.centers(), _offsets(keys), p.strides):
+        least = j.min(initial=_OFF)     # no keys: a one-entry table
+        corner = eps * s * np.arange(least, j.max(initial=least) + 1)
+        table = np.searchsorted(c, [corner, corner + s]) * (stride // p.itemsize)
+        ends.append(table.astype(np.int32 if p.size < 2 ** 31 else np.intp)[:, j - least])
+    del j   # the last axis's offsets go before the corner sums
+    counts, flat = np.zeros(len(keys), p.dtype), p.ravel()
+    for x, y, z in product((0, 1), repeat=3):   # + at the high corner, - per low axis
+        at = np.add(ends[0][x], ends[1][y], dtype=np.intp) + ends[2][z]
+        (np.add if (x + y + z) % 2 else np.subtract)(counts, flat[at], out=counts)
+    return counts
 
 
 @dataclass
@@ -241,11 +246,11 @@ def _make_family(mag, k, eps, keys, M, prefix):
     thr = (2.0 ** (-3 * k)) * eps
     p, global_measure = prefix
     box = mag.box
-    j = _unpack(keys)
-    counts = _cube_counts(p, box, j, k, eps)
+    counts = _cube_counts(p, box, keys, k, eps)
     sel = counts * box.cell_volume > thr
-    f_keys, f, counts = keys[sel], j[sel], counts[sel]
-    n, overlap = len(f_keys), int(counts.sum(dtype=np.int64))
+    f_keys = keys[sel]
+    n, overlap = len(f_keys), int(counts[sel].sum(dtype=np.int64))
+    del keys, counts, sel   # callers pass the candidates unnamed, so they go here
 
     # G: the Minkowski sum of F with the meeting offsets [-dm, dm]^3, in the cover
     dm = _meet_radius(eps)
@@ -263,15 +268,19 @@ def _make_family(mag, k, eps, keys, M, prefix):
     return SelectionFamily(
         level=k, eps=eps, height=height, measure_threshold=thr,
         F_keys=f_keys, G_keys=g_keys, global_measure=global_measure,
-        certificate=cert, boundary_adjacent=bool(_protrudes(f, k, eps, box).any()))
+        certificate=cert, boundary_adjacent=_protrudes(f_keys, k, eps, box))
 
 
 def select_f0(mag, eps, M=None):
     """Level-0 selection over the full cover of the box of the |u| grid mag."""
     if not (0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    keys = _pack(_cover_offsets(0, eps, mag.box))
-    return _make_family(mag, 0, eps, keys, M, _prefix(mag, eps))
+    ranges = _cover_ranges(0, eps, mag.box)
+    _pack(np.transpose(ranges))     # a cover past the packing range raises here
+    # the cover's keys, packed per axis and broadcast, come sorted
+    x, y, z = (np.arange(a + _OFF, b + _OFF + 1) << s for (a, b), s in zip(ranges, _SHIFTS))
+    return _make_family(mag, 0, eps, (x[:, None, None] | y[:, None] | z).ravel(), M,
+                        _prefix(mag, eps))
 
 
 def _children_of(keys, eps, k_child, box):
@@ -290,9 +299,8 @@ def select_fk(mag, prev, M=None):
 
     # only parents holding at least one super-level cell can have children
     # passing the (strictly positive) measure condition
-    counts = _cube_counts(prefix[0], mag.box, prev.G_indices, k - 1, eps)
-    keys = _children_of(prev.G_keys[counts > 0], eps, k, mag.box)
-    return _make_family(mag, k, eps, keys, M, prefix)
+    fertile = prev.G_keys[_cube_counts(prefix[0], mag.box, prev.G_keys, k - 1, eps) > 0]
+    return _make_family(mag, k, eps, _children_of(fertile, eps, k, mag.box), M, prefix)
 
 
 def count_bound(M, eps):
@@ -323,15 +331,17 @@ def _first_parents(keys, reach, eps):
     if len(reach) == 0:
         return found
     span = _child_span(eps)
-    j = _unpack(keys)
-    lo = (j - span + 1) // 2
-    width = j // 2 - lo
+    low, width = np.zeros_like(keys), []   # the least parent, packed; widths per axis
+    for shift, j in zip(_SHIFTS, _offsets(keys)):
+        lo = (j - span + 1) // 2
+        width.append(j // 2 - lo)
+        low |= (lo + _OFF) << shift
     for dx, dy in product(range(span // 2 + 1), repeat=2):
-        rows = np.flatnonzero((found < 0) & (dx <= width[:, 0]) & (dy <= width[:, 1]))
-        first = _pack(lo[rows] + (dx, dy, 0))
+        rows = np.flatnonzero((found < 0) & (dx <= width[0]) & (dy <= width[1]))
+        first = low[rows] + ((dx << 40) + (dy << 20))
         pos = np.minimum(np.searchsorted(reach, first), len(reach) - 1)
         hit = reach[pos] - first
-        on_line = (hit >= 0) & (hit <= width[rows, 2])
+        on_line = (hit >= 0) & (hit <= width[2][rows])
         found[rows[on_line]] = reach[pos[on_line]]
     return found
 
@@ -390,34 +400,36 @@ def _cluster_labels(keys, dm):
     most dm chain into a run. Runs on lines at most dm apart in x and y meet
     exactly when their z spans are at most dm apart (an end of one span
     inside the other lies between two members at most dm apart; a gap of at
-    most dm is bridged by the two ends), and per line shift the runs a run
-    meets form one range of the sorted runs, found by `searchsorted`. After
-    each x step of the shifts the components so far are contracted over that
-    step's meeting pairs (each larger label hooks to the least label it
-    meets, then pointer jumping), so only one step's pairs are held at once;
-    the steps stop once a single component is left. A label only ever falls
-    to a label it meets, so each run ends labelled with its component's
-    first run.
+    most dm is bridged by the two ends). Per x step dx, the lines (x + dx,
+    y + dy) holding runs are one range of the distinct lines, and per such
+    line the runs a run meets are one range of the runs, both found by
+    `searchsorted`, so a run with no line in reach costs nothing. After each
+    x step the components so far are contracted over that step's meeting
+    pairs (each larger label hooks to the least label it meets, then pointer
+    jumping), so only one step's pairs are held at once; the steps stop once
+    a single component is left. A label only ever falls to a label it meets,
+    so each run ends labelled with its component's first run.
     """
     if len(keys) == 0:
         return np.empty(0, np.int64)
-    if np.abs(_unpack(keys)).max() >= _OFF - dm:   # key + shift -/+ dm: no borrow
+    if any(np.abs(j).max() >= _OFF - dm for j in _offsets(keys)):   # key + shift ± dm
         raise ValueError("lattice offset exceeds packing range")
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    start = np.r_[True, keys[1:] - keys[:-1] > dm]
-    lo, hi = keys[start], keys[np.r_[start[1:], True]]
+    order = np.argsort(keys, kind="stable") if np.any(keys[1:] < keys[:-1]) else None
+    keys = keys if order is None else keys[order]
+    start = np.flatnonzero(np.r_[True, keys[1:] - keys[:-1] > dm])
+    lo, hi = keys[start], keys[np.append(start[1:], len(keys)) - 1]
+    lines = lo[np.r_[True, (lo[1:] ^ lo[:-1]) > _MASK]] & ~_MASK   # the distinct lines
     comp = np.arange(len(lo))
     for dx in range(dm + 1):   # shifts (dx, dy) > 0: each pair of lines once
-        a, b = [], []
-        for dy in range(-dm if dx else 1, dm + 1):
-            shift = (dx << 40) + (dy << 20)
-            first = np.searchsorted(hi, lo + shift - dm)
-            count = np.searchsorted(lo, hi + shift + dm, "right") - first
-            a.append(np.repeat(comp, count))
-            b.append(comp[np.repeat(first - np.cumsum(count) + count, count)
-                          + np.arange(count.sum())])
-        a, b = np.concatenate(a), np.concatenate(b)
+        dy = -dm if dx else 1   # the lines (x + dx, y + dy) up to (x + dx, y + dm)
+        near = (lo & ~_MASK) + (dx << 40) + (dy << 20)
+        first = np.searchsorted(lines, near)   # per run, the lines in reach
+        count = np.searchsorted(lines, near + ((dm + 1 - dy) << 20)) - first
+        run = np.repeat(np.arange(len(lo)), count)   # one row per run and line
+        shift = lines[_ranges(first, count)] - (lo[run] & ~_MASK)
+        first = np.searchsorted(hi, lo[run] + shift - dm)   # per row, the runs met
+        count = np.searchsorted(lo, hi[run] + shift + dm, "right") - first
+        a, b = comp[np.repeat(run, count)], comp[_ranges(first, count)]
         root = np.arange(len(lo))
         while len(a):
             np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
@@ -430,8 +442,9 @@ def _cluster_labels(keys, dm):
         if np.all(comp == comp[0]):
             break
     # comp holds each run's first run, so its ranks number by first run
-    labels = np.empty(len(keys), np.int64)
-    labels[order] = np.unique(comp, return_inverse=True)[1][np.cumsum(start) - 1]
+    labels = np.unique(comp, return_inverse=True)[1].repeat(np.diff(start, append=len(keys)))
+    if order is not None:
+        labels[order] = labels.copy()
     return labels
 
 
@@ -468,15 +481,17 @@ def build_chains(families, box):
 
     # cluster by the meet relation: |dj| <= meet radius per axis
     labels = _cluster_labels(reach[-1], _meet_radius(eps))
-    j = _unpack(reach[-1])
-    clusters = np.split(j[np.argsort(labels, kind="stable")],
+    clusters = np.split(_unpack(reach[-1][np.argsort(labels, kind="stable")]),
                         np.cumsum(np.bincount(labels)))[:-1]
+    del labels   # before the centroids' temporaries
     side = 2.0 ** (-k_max)
-    points = [(eps * side * cl + 0.5 * side).mean(axis=0) for cl in clusters]
+    # an axis-0 mean of the (m, 3) centres adds row after row, as a cumsum does
+    points = [[np.cumsum(eps * side * c + 0.5 * side)[-1] / len(cl) for c in cl.T]
+              for cl in clusters]
 
     # representative chains: walk each cluster's lexicographically first
     # survivor up, taking its first reachable parent at every level
-    walk = [reach[-1][np.unique(labels, return_index=True)[1]]]
+    walk = [_pack(np.reshape([cl[0] for cl in clusters], (-1, 3)))]
     for k in range(k_max, 0, -1):
         walk.append(_first_parents(walk[-1], reach[k - 1], eps))
     chains = np.stack([_unpack(keys) for keys in reversed(walk)], axis=1)
@@ -485,7 +500,7 @@ def build_chains(families, box):
         points=np.asarray(points).reshape(-1, 3), clusters=clusters,
         chains=chains, regular=not clusters, terminated_per_level=terminated,
         survivors_per_level=[int(len(r)) for r in reach],
-        boundary_adjacent=bool(_protrudes(j, k_max, eps, box).any()),
+        boundary_adjacent=_protrudes(reach[-1], k_max, eps, box),
         eps=eps, k_max=k_max)
 
 

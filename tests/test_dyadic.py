@@ -22,12 +22,13 @@ from regscan.dyadic import (
     _child_span,
     _children_of,
     _cluster_labels,
-    _cover_offsets,
     _cover_ranges,
+    _cube_counts,
     _first_parents,
     _meet_radius,
     _pack,
     _parents_of,
+    _prefix,
     _protrudes,
     _spread,
     _unpack,
@@ -39,7 +40,7 @@ from regscan.dyadic import (
 )
 from regscan.grid import Box3, Cube, VectorGrid, region_measure
 from regscan.localquant import AnalysisConfig
-from regscan.synth import SpikeSpec, spike_field
+from regscan.synth import SpikeSpec, default_box, random_solenoidal, spike_field
 
 
 def brute_cover(k, eps, box):
@@ -57,13 +58,51 @@ def brute_cover(k, eps, box):
     return {tuple(r) for r in j[keep]}
 
 
+def cover_offsets(k, eps, box):
+    """Offsets of the level-k cover of the box from its per-axis ranges, in
+    lexicographic order."""
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in _cover_ranges(k, eps, box)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 @pytest.mark.parametrize("k,eps", [(0, 0.2), (1, 0.2), (2, 0.22), (1, 0.13)])
 def test_build_cover_matches_brute_enumeration(k, eps):
     box = Box3((0.0, 0.1, -0.2), (1.0, 0.7, 0.55), (8, 8, 8))
-    cover = _cover_offsets(k, eps, box)
+    cover = cover_offsets(k, eps, box)
     # lexicographic order, so the packed keys come out sorted
     assert np.all(np.diff(_pack(cover)) > 0)
     assert {tuple(r) for r in cover} == brute_cover(k, eps, box)
+
+
+@pytest.mark.parametrize("eps", [0.13, 0.2, 0.24])
+def test_select_f0_candidates_are_the_packed_cover(monkeypatch, eps):
+    import regscan.dyadic
+
+    seen = []
+
+    def spy(mag, k, eps, keys, M, prefix):
+        seen.append(keys.copy())
+        return make_family(mag, k, eps, keys, M, prefix)
+
+    make_family = regscan.dyadic._make_family
+    monkeypatch.setattr(regscan.dyadic, "_make_family", spy)
+    box = Box3((0.0, 0.1, -0.2), (1.0, 0.7, 0.55), (8, 8, 8))
+    frames = [two_bump_frame(), VectorGrid(box, np.ones((3, 8, 8, 8)))]
+    for frame in frames:
+        select_f0(frame.magnitude(), eps)
+    for keys, frame in zip(seen, frames, strict=True):
+        assert np.array_equal(keys, _pack(cover_offsets(0, eps, frame.box)))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_select_f0_rejects_a_cover_past_the_packing_range(sign):
+    # at eps 0.1 the x offsets of this cover lie near sign * 530,000, past 2^19
+    lo = (sign * 53000.0, 0.0, 0.0)
+    box = Box3(lo, (lo[0] + 100.0, 0.01, 0.01), (2, 2, 2))
+    ranges = _cover_ranges(0, 0.1, box)
+    assert max(abs(v) for v in ranges[0]) > 2 ** 19 > max(abs(v) for v in ranges[1])
+    with pytest.raises(ValueError, match="packing range"):
+        select_f0(VectorGrid(box, np.ones((3, 2, 2, 2))).magnitude(), 0.1)
 
 
 def test_build_cover_validation():
@@ -120,10 +159,20 @@ def test_contains_is_geometric_inclusion(rng):
         assert contains(eps, parent, child) == geometric
 
 
-def test_protrudes():
+def test_protrudes(rng):
     box = Box3((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    assert _protrudes(np.array([[-1, 0, 0]]), 0, 0.2, box).tolist() == [True]
-    assert _protrudes(np.array([[1, 1, 1]]), 2, 0.2, box).tolist() == [False]
+    assert [_protrudes(_pack([[-1, 0, 0]]), 0, 0.2, box)] == [True]
+    assert [_protrudes(_pack([[1, 1, 1]]), 2, 0.2, box)] == [False]
+    assert _protrudes(_pack(np.empty((0, 3))), 0, 0.2, box) is False
+    # the extreme offsets per axis decide as the per-cube corner test does
+    for k, eps in product(range(3), (0.13, 0.2)):
+        s = 2.0 ** -k
+        for _ in range(20):
+            j = random_offsets(rng, int(rng.integers(1, 30)), -3, 2 ** k * 8 + 2)
+            corner = eps * s * j
+            per_cube = np.any((corner < np.asarray(box.lo) - 1e-12)
+                              | (corner + s > np.asarray(box.hi) + 1e-12), axis=1)
+            assert _protrudes(_pack(j), k, eps, box) is bool(per_cube.any())
 
 
 def random_offsets(rng, n, lo, hi):
@@ -384,6 +433,76 @@ def test_certificate_overlap_is_the_brute_membership_sum(rng, n, extent, eps, am
                 assert np.all(m.sum(axis=0) == per_axis)
 
 
+def float_corner_counts(p, box, j, k, eps):
+    """Cube counts from the (n, 3) float corners of the offsets j: one
+    `searchsorted` per axis and corner, then the eight prefix-sum terms."""
+    s = 2.0 ** (-k)
+    lo = eps * s * j
+    (x0, y0, z0), (x1, y1, z1) = (
+        [np.searchsorted(c, v[:, a]) for a, c in enumerate(box.centers())]
+        for v in (lo, lo + s))
+    return (p[x1, y1, z1] - p[x0, y1, z1] - p[x1, y0, z1] - p[x1, y1, z0]
+            + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0])
+
+
+def assert_counts_match_float_corners(rng, mag, k, eps, extra=None):
+    """Random keys around the level-k cover (some outside the box), and any
+    extra keys, count the same through the per-axis tables."""
+    p = _prefix(mag, 2.0 ** k * eps)[0]
+    (ax, bx), (ay, by), (az, bz) = _cover_ranges(k, eps, mag.box)
+    j = np.unique(rng.integers((ax - 3, ay - 3, az - 3), (bx + 4, by + 4, bz + 4),
+                               size=(500, 3)), axis=0)
+    for keys in (_pack(j), extra):
+        if keys is not None:
+            got = _cube_counts(p, mag.box, keys, k, eps)
+            expect = float_corner_counts(p, mag.box, _unpack(keys), k, eps)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    return p
+
+
+def test_cube_counts_equal_the_float_corner_counts_at_every_level(rng):
+    box = Box3((0, 0, 0), (1, 1, 1), (48, 48, 48))
+    spec = SpikeSpec(centers=[(0.2, 0.2, 0.2), (0.8, 0.8, 0.8)],
+                     amplitudes=[0.125, 0.125], axes=[(0, 0, 1), (0, 0, 1)],
+                     delta=0.05)
+    frame = spike_field(spec, box)
+    mag = frame.magnitude()
+    cs = localize(frame, AnalysisConfig(eps=0.1), k_max=3)
+    assert [f.level for f in cs.families] == [0, 1, 2, 3]
+    for fam in cs.families:
+        p = assert_counts_match_float_corners(rng, mag, fam.level, 0.1, fam.G_keys)
+        assert fam.n and int(p[-1, -1, -1]) > 0
+    empty = _cube_counts(p, box, _pack(np.empty((0, 3))), 3, 0.1)
+    assert empty.shape == (0,) and empty.dtype == p.dtype
+
+
+def test_cube_counts_equal_the_float_corner_counts_with_corners_on_centres(rng):
+    # eps 1/8 on 16 unit cells: from level 2 on, corners j / 32 and j / 64 hit
+    # the cell centres (2i + 1) / 32 exactly
+    box = Box3((0, 0, 0), (1, 1, 1), (16, 16, 16))
+    mag = VectorGrid(box, rng.normal(size=(3, 16, 16, 16))).magnitude()
+    for k in range(4):
+        assert_counts_match_float_corners(rng, mag, k, 0.125,
+                                          _pack(cover_offsets(k, 0.125, box)))
+
+
+def test_localize_dense_level_holds_bytes_per_cube():
+    """The live peak of a dense level-0 localize stays a few bytes per cube
+    above what it returns: about 355,000 of the 373,248 cover cubes are
+    selected, and the peak was 20.8 MiB, with 14.1 MiB held by the result."""
+    import tracemalloc
+
+    frame = random_solenoidal(default_box(48), seed=3, rms=0.5)
+    tracemalloc.start()
+    try:
+        cs = localize(frame, AnalysisConfig(eps=0.1), 0, on_underresolved="warn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cs.families[0].n > 350_000 and len(cs.families[0].G_keys) == 373_248
+    assert peak < 26 * 2 ** 20
+
+
 def test_count_bound_values():
     assert count_bound(1.0, 0.1) == 10001000.0
     assert count_bound(0.0, 0.1) == 1000.0
@@ -423,11 +542,10 @@ def brute_partition(j, dm):
         return a
 
     for a in range(n):
-        for b in range(a + 1, n):
-            if np.max(np.abs(j[a] - j[b])) <= dm:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+        for b in a + 1 + np.flatnonzero(np.max(np.abs(j[a + 1:] - j[a]), axis=1) <= dm):
+            ra, rb = find(a), find(int(b))
+            if ra != rb:
+                parent[ra] = rb
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), set()).add(i)
@@ -455,6 +573,17 @@ def test_cluster_labels_match_union_find(rng, dm):
     for j in sets:
         labels = _cluster_labels(_pack(j), dm)
         assert labels_to_partition(labels) == brute_partition(j, dm)
+
+
+def test_cluster_labels_on_isolated_offsets(rng):
+    # 8000 offsets on a grid of spacing 40, moved by at most 20: every pair
+    # is more than dm = 19 apart on some axis, so each is its own cluster
+    grid = 40 * np.stack(np.meshgrid(*[np.arange(20)] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+    j = grid + rng.integers(0, 21, size=grid.shape)
+    labels = _cluster_labels(_pack(j), 19)
+    assert sorted(labels.tolist()) == list(range(8000))
+    assert labels_to_partition(labels) == brute_partition(j, 19)
 
 
 @pytest.mark.parametrize("dm", [1, 2, 4, 7])
