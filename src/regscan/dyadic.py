@@ -12,7 +12,11 @@ ceil(1/eps)^3 eps^-4 M^3, which is eps^-7 M^3 when 1/eps is an integer,
 for fields with weak-L^3 norm at most M.
 
 Cube families are sorted, distinct int64 keys of packed lattice offsets at
-one eps, read per axis (cube counts gather corners from per-axis tables).
+one eps, read per axis. Cube counts are row-compressed: each level's prefix
+sums run over only the rows (per axis) that its super-level set occupies
+(`_prefix`), so a fine level holding a few cells sums a few rows, and per-axis
+tables map each cube's corners to those rows (`_cube_counts`); a cube whose
+range holds no occupied row on some axis counts 0 without a corner gather.
 Neighbour, child and parent families are separable per axis: `_spread`
 expands merged runs of ranges, at three sorts of the distinct keys. The
 survivors cluster on z-runs of their keys (`_cluster_labels`): offsets of
@@ -42,6 +46,7 @@ class CountBoundError(RuntimeError):
 _OFF = 1 << 19
 _MASK = (1 << 20) - 1
 _SHIFTS = np.array([40, 20, 0])
+_BLOCK = 1 << 16    # keys per block of `_cube_counts` and `_first_parents`
 
 
 def _pack(j):
@@ -139,34 +144,55 @@ def _cover_ranges(k, eps, box):
 
 
 def _prefix(mag, height):
-    """Prefix sums of the cells where |mag| > height, built in place (int32
-    below 2^31 cells), and their measure."""
-    p = np.zeros(tuple(m + 1 for m in mag.data.shape),
+    """Prefix sums of the cells where |mag| > height over the rows they occupy,
+    the occupied cell indices per axis, and the cells' measure. A row (a
+    plane of cells at one index of one axis) with no such cell adds nothing
+    to any cube count, so the sums skip it: a sparse level sums over a few
+    rows per axis, not the whole box (int32 below 2^31 cells)."""
+    above = np.abs(mag.data) > height
+    yz = above.any(axis=0)
+    rows = (np.flatnonzero(above.reshape(len(above), -1).any(axis=1)),
+            np.flatnonzero(yz.any(axis=1)), np.flatnonzero(yz.any(axis=0)))
+    if any(len(r) < m for r, m in zip(rows, above.shape)):
+        above = above[np.ix_(*rows)]
+    p = np.zeros(tuple(len(r) + 1 for r in rows),
                  np.int32 if mag.data.size < 2 ** 31 else np.int64)
     q = p[1:, 1:, 1:]
-    np.greater(np.abs(mag.data), height, out=q, casting="unsafe")
+    q[...] = above
     for axis in range(3):
         np.cumsum(q, axis=axis, out=q)
-    return p, float(p[-1, -1, -1] * mag.box.cell_volume)
+    return p, rows, float(p[-1, -1, -1] * mag.box.cell_volume)
 
 
-def _cube_counts(p, box, keys, k, eps):
-    """Super-level cell counts (prefix sums p) of the level-k cubes at the packed
-    keys: the cells whose centre c has corner <= c < corner + side per axis (a
-    centre on a face counts in the cube whose low face it lies on), gathered by
-    corner strides from per-axis `searchsorted` tables over the keys' offsets."""
+def _cube_counts(p, rows, box, keys, k, eps):
+    """Super-level cell counts (`_prefix` sums p over the occupied rows) of the
+    level-k cubes at the packed keys: the cells whose centre c has corner <= c
+    < corner + side per axis (a centre on a face counts in the cube whose low
+    face it lies on). Per axis, a table over the keys' offsets maps each
+    corner to its cell index (`searchsorted` of the centres), that index to
+    the occupied rows below it (`searchsorted` of rows), and that to a stride
+    of p. The keys go in blocks of _BLOCK. A cube whose range on some axis
+    holds no occupied row counts 0 with no corner gather; when every
+    offset's range holds one, no key is tested."""
     s = 2.0 ** (-k)
-    ends = []   # per axis, each cube's low and high corner strides: (2, n), int32 if they fit
-    for c, j, stride in zip(box.centers(), _offsets(keys), p.strides):
+    tables = []     # per axis: least offset, corner strides (2, m), offsets whose range holds a row
+    for c, r, j, stride in zip(box.centers(), rows, _offsets(keys), p.strides):
         least = j.min(initial=_OFF)     # no keys: a one-entry table
         corner = eps * s * np.arange(least, j.max(initial=least) + 1)
-        table = np.searchsorted(c, [corner, corner + s]) * (stride // p.itemsize)
-        ends.append(table.astype(np.int32 if p.size < 2 ** 31 else np.intp)[:, j - least])
-    del j   # the last axis's offsets go before the corner sums
+        table = np.searchsorted(r, np.searchsorted(c, [corner, corner + s]))
+        tables.append((least, table * (stride // p.itemsize), table[1] > table[0]))
+    dense = all(spans.all() for _, _, spans in tables)
     counts, flat = np.zeros(len(keys), p.dtype), p.ravel()
-    for x, y, z in product((0, 1), repeat=3):   # + at the high corner, - per low axis
-        at = np.add(ends[0][x], ends[1][y], dtype=np.intp) + ends[2][z]
-        (np.add if (x + y + z) % 2 else np.subtract)(counts, flat[at], out=counts)
+    for start in range(0, len(keys), _BLOCK):
+        at = [j - least for j, (least, _, _) in zip(_offsets(keys[start:start + _BLOCK]), tables)]
+        live = slice(None) if dense else np.flatnonzero(
+            np.logical_and.reduce([spans[i] for i, (_, _, spans) in zip(at, tables)]))
+        ends = [table[:, i[live]] for i, (_, table, _) in zip(at, tables)]
+        got = np.zeros(ends[0].shape[1], p.dtype)
+        for x, y, z in product((0, 1), repeat=3):   # + at the high corner, - per low axis
+            (np.add if (x + y + z) % 2 else np.subtract)(
+                got, flat[ends[0][x] + ends[1][y] + ends[2][z]], out=got)
+        counts[start:start + _BLOCK][live] = got
     return counts
 
 
@@ -244,9 +270,9 @@ def _make_family(mag, k, eps, keys, M, prefix):
     count_bound(M, eps)     # rejects M; (M / height)^3 is at most the bound it checks
     height = (2.0 ** k) * eps
     thr = (2.0 ** (-3 * k)) * eps
-    p, global_measure = prefix
+    p, rows, global_measure = prefix
     box = mag.box
-    counts = _cube_counts(p, box, keys, k, eps)
+    counts = _cube_counts(p, rows, box, keys, k, eps)
     sel = counts * box.cell_volume > thr
     f_keys = keys[sel]
     n, overlap = len(f_keys), int(counts[sel].sum(dtype=np.int64))
@@ -299,7 +325,7 @@ def select_fk(mag, prev, M=None):
 
     # only parents holding at least one super-level cell can have children
     # passing the (strictly positive) measure condition
-    fertile = prev.G_keys[_cube_counts(prefix[0], mag.box, prev.G_keys, k - 1, eps) > 0]
+    fertile = prev.G_keys[_cube_counts(*prefix[:2], mag.box, prev.G_keys, k - 1, eps) > 0]
     return _make_family(mag, k, eps, _children_of(fertile, eps, k, mag.box), M, prefix)
 
 
@@ -325,24 +351,32 @@ def _first_parents(keys, reach, eps):
     """Per level-k key, the lexicographically first key of the sorted reach
     whose level-(k-1) cube contains it, or -1 where there is none (every
     key, when the reach is empty). The (x, y) lines of the parent boxes are
-    scanned in order, one `searchsorted` of all keys per line; packed keys
-    sort lexicographically, so the first hit wins."""
+    scanned in order, one `searchsorted` of the pending keys per line;
+    packed keys sort lexicographically, so the first hit wins and the key
+    leaves the pending set. The keys go in blocks of _BLOCK, each scanned
+    until none of its keys is pending: a key's parent depends on that key
+    alone, and a block's temporaries stay a few MiB."""
     found = np.full(len(keys), -1, np.int64)
     if len(reach) == 0:
         return found
     span = _child_span(eps)
-    low, width = np.zeros_like(keys), []   # the least parent, packed; widths per axis
-    for shift, j in zip(_SHIFTS, _offsets(keys)):
-        lo = (j - span + 1) // 2
-        width.append(j // 2 - lo)
-        low |= (lo + _OFF) << shift
-    for dx, dy in product(range(span // 2 + 1), repeat=2):
-        rows = np.flatnonzero((found < 0) & (dx <= width[0]) & (dy <= width[1]))
-        first = low[rows] + ((dx << 40) + (dy << 20))
-        pos = np.minimum(np.searchsorted(reach, first), len(reach) - 1)
-        hit = reach[pos] - first
-        on_line = (hit >= 0) & (hit <= width[2][rows])
-        found[rows[on_line]] = reach[pos[on_line]]
+    for start in range(0, len(keys), _BLOCK):
+        block, out = keys[start:start + _BLOCK], found[start:start + _BLOCK]
+        low, width = np.zeros_like(block), []   # the least parent, packed; widths per axis
+        for shift, j in zip(_SHIFTS, _offsets(block)):
+            lo = (j - span + 1) // 2
+            width.append(j // 2 - lo)
+            low |= (lo + _OFF) << shift
+        pending = np.arange(len(block))
+        for dx, dy in product(range(span // 2 + 1), repeat=2):
+            rows = pending[(dx <= width[0][pending]) & (dy <= width[1][pending])]
+            first = low[rows] + ((dx << 40) + (dy << 20))
+            pos = np.minimum(np.searchsorted(reach, first), len(reach) - 1)
+            hit = reach[pos] - first
+            on_line = (hit >= 0) & (hit <= width[2][rows])
+            out[rows[on_line]] = reach[pos[on_line]]
+            if len(pending := pending[out[pending] < 0]) == 0:
+                break
     return found
 
 

@@ -16,6 +16,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from regscan import dyadic
 from regscan.dyadic import (
     _OFF,
     CandidateSet,
@@ -203,6 +204,29 @@ def test_first_parents_is_the_least_reachable_parent(rng, eps):
     assert _first_parents(keys, reach, eps).tolist() == [
         int(f[0]) if len(f) else -1 for f in first]
     assert _first_parents(keys, reach[:0], eps).tolist() == [-1] * len(keys)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.13, 0.2])
+def test_first_parents_past_the_first_line_and_across_blocks(rng, eps, monkeypatch):
+    """Where the reach leaves out the parents on a key's first (x, y) lines,
+    the first parent lies at dx > 0 or dy > 0; blocks of 7 keys give the
+    same parents as one block and as the brute intersection."""
+    keys = _pack(random_offsets(rng, 200, -40, 40))
+    every = _parents_of(keys, eps)
+    px, py, _ = _unpack(every).T
+    reach = every[(px % 3 == 0) & (py % 2 == 1)]
+    first = [np.intersect1d(_parents_of(key[None], eps), reach)[:1] for key in keys]
+    expect = [int(f[0]) if len(f) else -1 for f in first]
+    got = _first_parents(keys, reach, eps)
+    assert got.tolist() == expect
+    monkeypatch.setattr(dyadic, "_BLOCK", 7)
+    assert _first_parents(keys, reach, eps).tolist() == expect
+    # the first parents sit past the least parent's line in x and in y
+    span = _child_span(eps)
+    least = (_unpack(keys) - span + 1) // 2
+    hit = got >= 0
+    d = _unpack(got[hit]) - least[hit]
+    assert (d[:, 0] > 0).any() and (d[:, 1] > 0).any() and (d[:, :2] == 0).all(axis=1).any()
 
 
 @pytest.mark.parametrize("eps", [0.13, 0.15, 0.2, 0.24])
@@ -445,19 +469,38 @@ def float_corner_counts(p, box, j, k, eps):
             + p[x0, y0, z1] + p[x0, y1, z0] + p[x1, y0, z0] - p[x0, y0, z0])
 
 
-def assert_counts_match_float_corners(rng, mag, k, eps, extra=None):
+def full_prefix(mag, height):
+    """Prefix sums over the whole box of the cells where |mag| > height."""
+    p = np.zeros(tuple(m + 1 for m in mag.data.shape), np.int32)
+    p[1:, 1:, 1:] = np.abs(mag.data) > height
+    for axis in range(3):
+        p = np.cumsum(p, axis=axis, dtype=np.int32)
+    return p
+
+
+def assert_counts_match_float_corners(rng, mag, k, eps, extra=None, height=None):
     """Random keys around the level-k cover (some outside the box), and any
-    extra keys, count the same through the per-axis tables."""
-    p = _prefix(mag, 2.0 ** k * eps)[0]
+    extra keys, count through the occupied rows as the float corners of a
+    full-box prefix do."""
+    height = 2.0 ** k * eps if height is None else height
+    p, rows, measure = _prefix(mag, height)
+    full = full_prefix(mag, height)
+    above = np.abs(mag.data) > height
+    for axis, r in enumerate(rows):
+        others = tuple(a for a in range(3) if a != axis)
+        assert r.tolist() == np.flatnonzero(above.any(axis=others)).tolist()
+    assert p.shape == tuple(len(r) + 1 for r in rows)
+    assert int(p[-1, -1, -1]) == int(full[-1, -1, -1]) == int(above.sum())
+    assert measure == float(full[-1, -1, -1] * mag.box.cell_volume)
     (ax, bx), (ay, by), (az, bz) = _cover_ranges(k, eps, mag.box)
     j = np.unique(rng.integers((ax - 3, ay - 3, az - 3), (bx + 4, by + 4, bz + 4),
                                size=(500, 3)), axis=0)
     for keys in (_pack(j), extra):
         if keys is not None:
-            got = _cube_counts(p, mag.box, keys, k, eps)
-            expect = float_corner_counts(p, mag.box, _unpack(keys), k, eps)
+            got = _cube_counts(p, rows, mag.box, keys, k, eps)
+            expect = float_corner_counts(full, mag.box, _unpack(keys), k, eps)
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
-    return p
+    return p, rows
 
 
 def test_cube_counts_equal_the_float_corner_counts_at_every_level(rng):
@@ -470,9 +513,11 @@ def test_cube_counts_equal_the_float_corner_counts_at_every_level(rng):
     cs = localize(frame, AnalysisConfig(eps=0.1), k_max=3)
     assert [f.level for f in cs.families] == [0, 1, 2, 3]
     for fam in cs.families:
-        p = assert_counts_match_float_corners(rng, mag, fam.level, 0.1, fam.G_keys)
+        p, rows = assert_counts_match_float_corners(rng, mag, fam.level, 0.1, fam.G_keys)
         assert fam.n and int(p[-1, -1, -1]) > 0
-    empty = _cube_counts(p, box, _pack(np.empty((0, 3))), 3, 0.1)
+    # the deepest level's set occupies a few rows per axis
+    assert all(0 < len(r) < 48 for r in rows)
+    empty = _cube_counts(p, rows, box, _pack(np.empty((0, 3))), 3, 0.1)
     assert empty.shape == (0,) and empty.dtype == p.dtype
 
 
@@ -484,6 +529,48 @@ def test_cube_counts_equal_the_float_corner_counts_with_corners_on_centres(rng):
     for k in range(4):
         assert_counts_match_float_corners(rng, mag, k, 0.125,
                                           _pack(cover_offsets(k, 0.125, box)))
+
+
+def test_cube_counts_of_an_empty_super_level_set_are_zero(rng):
+    box = Box3((0, 0, 0), (1, 1, 1), (16, 16, 16))
+    mag = VectorGrid(box, rng.normal(size=(3, 16, 16, 16))).magnitude()
+    for k in range(3):
+        cover = _pack(cover_offsets(k, 0.125, box))
+        p, rows = assert_counts_match_float_corners(
+            rng, mag, k, 0.125, cover, height=float(mag.data.max()))
+        assert p.shape == (1, 1, 1) and all(len(r) == 0 for r in rows)
+        assert not _cube_counts(p, rows, box, cover, k, 0.125).any()
+
+
+def spans_a_row(box, rows, keys, k, eps):
+    """Per key, does its cube's cell range hold an occupied row on every axis?"""
+    side = 2.0 ** (-k)
+    corner = eps * side * _unpack(keys)
+    return np.all([((corner[:, a, None] <= c[r]) & (c[r] < corner[:, a, None] + side)).any(1)
+                   for a, (c, r) in enumerate(zip(box.centers(), rows))], axis=0)
+
+
+@pytest.mark.parametrize("cells, mixed", [
+    # two opposite corners: every level-0 cover cube holds a corner's rows
+    ([(0, 0, 0), (1, 0, 1), (15, 15, 15), (14, 15, 14)], [False, True, True, True]),
+    ([(3, 5, 7), (12, 2, 9)], [True] * 4),   # two isolated cells
+], ids=["opposite-corners", "isolated-cells"])
+def test_cube_counts_skip_keys_that_span_no_occupied_row(rng, cells, mixed):
+    box = Box3((0, 0, 0), (1, 1, 1), (16, 16, 16))
+    data = np.zeros((3, 16, 16, 16))
+    for i, cell in enumerate(cells):
+        data[(i % 3, *cell)] = 1.0 + i
+    mag = VectorGrid(box, data).magnitude()
+    missing = []
+    for k in range(4):
+        cover = _pack(cover_offsets(k, 0.125, box))
+        p, rows = assert_counts_match_float_corners(rng, mag, k, 0.125, cover, height=0.5)
+        assert p.shape == tuple(len({c[a] for c in cells}) + 1 for a in range(3))
+        spans = spans_a_row(box, rows, cover, k, 0.125)
+        counts = _cube_counts(p, rows, box, cover, k, 0.125)
+        assert counts[spans].any() and not counts[~spans].any()
+        missing.append(not spans.all())
+    assert missing == mixed
 
 
 def test_localize_dense_level_holds_bytes_per_cube():
