@@ -153,12 +153,10 @@ def _prefix(mag, height):
     yz = above.any(axis=0)
     rows = (np.flatnonzero(above.reshape(len(above), -1).any(axis=1)),
             np.flatnonzero(yz.any(axis=1)), np.flatnonzero(yz.any(axis=0)))
-    if any(len(r) < m for r, m in zip(rows, above.shape)):
-        above = above[np.ix_(*rows)]
     p = np.zeros(tuple(len(r) + 1 for r in rows),
                  np.int32 if mag.data.size < 2 ** 31 else np.int64)
     q = p[1:, 1:, 1:]
-    q[...] = above
+    q[...] = above.take(rows[0], 0).take(rows[1], 1).take(rows[2], 2)
     for axis in range(3):
         np.cumsum(q, axis=axis, out=q)
     return p, rows, float(p[-1, -1, -1] * mag.box.cell_volume)
@@ -172,8 +170,7 @@ def _cube_counts(p, rows, box, keys, k, eps):
     corner to its cell index (`searchsorted` of the centres), that index to
     the occupied rows below it (`searchsorted` of rows), and that to a stride
     of p. The keys go in blocks of _BLOCK. A cube whose range on some axis
-    holds no occupied row counts 0 with no corner gather; when every
-    offset's range holds one, no key is tested."""
+    holds no occupied row counts 0 with no corner gather."""
     s = 2.0 ** (-k)
     tables = []     # per axis: least offset, corner strides (2, m), offsets whose range holds a row
     for c, r, j, stride in zip(box.centers(), rows, _offsets(keys), p.strides):
@@ -181,11 +178,10 @@ def _cube_counts(p, rows, box, keys, k, eps):
         corner = eps * s * np.arange(least, j.max(initial=least) + 1)
         table = np.searchsorted(r, np.searchsorted(c, [corner, corner + s]))
         tables.append((least, table * (stride // p.itemsize), table[1] > table[0]))
-    dense = all(spans.all() for _, _, spans in tables)
     counts, flat = np.zeros(len(keys), p.dtype), p.ravel()
     for start in range(0, len(keys), _BLOCK):
         at = [j - least for j, (least, _, _) in zip(_offsets(keys[start:start + _BLOCK]), tables)]
-        live = slice(None) if dense else np.flatnonzero(
+        live = np.flatnonzero(
             np.logical_and.reduce([spans[i] for i, (_, _, spans) in zip(at, tables)]))
         ends = [table[:, i[live]] for i, (_, table, _) in zip(at, tables)]
         got = np.zeros(ends[0].shape[1], p.dtype)

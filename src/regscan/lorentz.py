@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLOCK = 1 << 16    # ranks per block of `_weak_of_desc`
-
 __all__ = [
     "LevelSetProfile",
     "NormReport",
@@ -112,22 +110,15 @@ def _check_qr(q, r):
 
 
 def _weak_of_desc(vals, cell_volume, q):
-    """weak_norm from the descending magnitudes vals, left as they are.
-
-    The rank products go _BLOCK at a time, in place, so beyond the sort's
-    copy only one block is held; each is the same float expression as over
-    the whole array, and max is exact, so the norm does not depend on the
-    blocking."""
+    """weak_norm from the descending magnitudes vals, left as they are."""
     if vals[0] == 0.0:
         return 0.0
-    tops = []
-    for start in range(0, len(vals), _BLOCK):
-        ranks = np.arange(start + 1.0, min(start + _BLOCK, len(vals)) + 1)
-        ranks *= cell_volume
-        ranks **= 1.0 / q
-        ranks *= vals[start:start + _BLOCK]
-        tops.append(np.max(ranks))
-    return float(np.max(tops))
+    # in place, so the sort's copy and one rank array are all the memory
+    ranks = np.arange(1.0, len(vals) + 1)
+    ranks *= cell_volume
+    ranks **= 1.0 / q
+    ranks *= vals
+    return float(np.max(ranks))
 
 
 def _equivalent_of_desc(vals, cell_volume, q, r):

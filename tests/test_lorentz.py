@@ -11,7 +11,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from regscan import lorentz
 from regscan.grid import Ball, Box3, ScalarGrid
 from regscan.lorentz import (
     LevelSetProfile,
@@ -92,23 +91,6 @@ def test_weak_norm_matches_sorted_formula(rng):
         ranks = (np.arange(len(v)) + 1) * g.box.cell_volume
         expected = np.max(v * ranks ** (1.0 / q))
         assert weak_norm(g, q) == pytest.approx(expected, rel=1e-13)
-
-
-@pytest.mark.parametrize("q", [3.0, 1.5, 7.3])
-def test_weak_norm_over_blocks_is_the_whole_array_max(rng, q):
-    """Tied magnitudes in runs across block edges, on a length that is not a
-    multiple of the block: the blocked ranks give the whole-array norm bit
-    for bit."""
-    n = 3 * lorentz._BLOCK + 17
-    vals = np.repeat(rng.exponential(size=n // 1000 + 1), 1000)[:n]
-    g = ScalarGrid(Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (n, 1, 1)), vals.reshape(n, 1, 1))
-    v = np.sort(vals)[::-1]
-    assert v[lorentz._BLOCK - 1] == v[lorentz._BLOCK]
-    ranks = np.arange(1.0, n + 1)
-    ranks *= g.box.cell_volume
-    ranks **= 1.0 / q
-    ranks *= v
-    assert weak_norm(g, q) == float(np.max(ranks))
 
 
 def test_weak_norm_zero_field():
